@@ -1,12 +1,13 @@
 """E22 — V_Pr construction throughput: the vectorized build pipeline.
 
 Builds the exact probabilistic Voronoi diagram (Lemma 4.1 / Theorem 4.2)
-at several instance sizes through both pipelines and asserts two things:
+at several instance sizes through the production pipeline and through the
+pure-Python test oracle, and asserts two things:
 
 * **bitwise parity** — the vectorized build must produce identical
   V/E/F counts and bit-for-bit equal face probability vectors to the
-  retained scalar reference (``build_mode="scalar"``), at every size,
-  always;
+  scalar reference (:class:`repro.testing.oracles.ScalarVPRDiagram`), at
+  every size, always;
 * **single-core speedup** — at the largest instance the vectorized build
   must beat the scalar one by ``E22_MIN_SPEEDUP``x (default 5x).  Like
   E21's bar this is a pure vectorization gain — no processes, no threads
@@ -14,10 +15,9 @@ at several instance sizes through both pipelines and asserts two things:
   to gate on core count here (the established E20/E21 convention still
   applies to the env knob: CI relaxes the bar on noisy shared runners).
 
-The slab point-location structure (``Theta(V * S)`` rows — asymptotically
-the heaviest part of Theorem 4.2's preprocessing) is built lazily on first
-query, so construction timings cover exactly what every complexity
-experiment pays: bisectors, arrangement, and face labeling.  A companion
+The point-location structure is built lazily on first query, so
+construction timings cover exactly what every complexity experiment pays:
+bisectors, arrangement, and face labeling.  A companion
 block measures the (shared, vectorized) locator build and batch query
 throughput separately.
 
@@ -35,6 +35,7 @@ from _common import best_of, cores, env_float, env_int, write_json
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.quantification.exact_discrete import quantification_vector
+from repro.testing.oracles import ScalarVPRDiagram
 
 SIZES = [int(s) for s in os.environ.get("E22_SIZES", "8,12,18").split(",")]
 MIN_SPEEDUP = env_float("E22_MIN_SPEEDUP", 5.0)
@@ -48,10 +49,8 @@ def test_e22_vectorized_build_parity_and_speedup():
     for n in SIZES:
         pts = random_discrete_points(n, 2, seed=31, spread=2.0)
         index = PNNIndex(pts)
-        scalar_t, scalar = best_of(
-            lambda: index.build_vpr(build_mode="scalar"), reps=REPS)
-        vector_t, vector = best_of(
-            lambda: index.build_vpr(build_mode="vector"), reps=REPS)
+        scalar_t, scalar = best_of(lambda: ScalarVPRDiagram(pts), reps=REPS)
+        vector_t, vector = best_of(index.build_vpr, reps=REPS)
         # Parity must hold everywhere: identical combinatorics, bitwise
         # face vectors (dict compare is elementwise float equality).
         assert (scalar.num_vertices, scalar.arrangement.num_edges,

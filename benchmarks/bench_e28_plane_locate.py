@@ -7,8 +7,9 @@ points x 2), whose bisector arrangement carries ~170k vertices and
 ~170k slabs.  At that size the slab table's ``Theta(V * S)`` rows are
 ~10^8 — tens of gigabytes — which is exactly the memory wall the
 merged-slab structure removes; its row count is therefore computed
-**analytically** (:meth:`SlabPointLocator.table_rows`, no table is
-built) while the persistent locator is actually built and measured.
+**analytically** (:func:`repro.spatial.planelocate.slab_table_rows`, no
+table is built) while the persistent locator is actually built and
+measured.
 
 Gates (each with an env knob; correctness is never gated):
 
@@ -24,7 +25,8 @@ Gates (each with an env knob; correctness is never gated):
   full scale; and at a reduced scale where the slab table *is*
   buildable (its projected bytes under ``E28_SLAB_BUDGET_MB``,
   default 256), the persistent locator must agree **bitwise** with the
-  built slab oracle on every query, and the head-to-head build/locate
+  built slab oracle (:class:`repro.testing.oracles.SlabPointLocator`)
+  on every query, and the head-to-head build/locate
   timings are recorded in the JSON (ungated: per-query the slab
   table's single wide bisection is legitimately competitive — the
   tree wins on build cost and memory, which is what the gates hold).
@@ -40,9 +42,9 @@ import numpy as np
 from _common import best_of, cores, env_float, env_int, write_json
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
-from repro.spatial.planelocate import PersistentPlaneLocator
-from repro.spatial.pointlocation import SlabPointLocator
 from repro.spatial.kernels import native_available, native_error
+from repro.spatial.planelocate import PersistentPlaneLocator
+from repro.testing.oracles import SlabPointLocator
 
 POINTS = env_int("E28_POINTS", 18)       # discrete points (x2 instances)
 QUERIES = env_int("E28_QUERIES", 20000)  # batch-locate query count
@@ -66,7 +68,7 @@ _PAYLOAD = {"experiment": "E28", "points": POINTS, "queries": QUERIES,
 def _build_vpr(points: int, seed: int):
     index = PNNIndex(random_discrete_points(points, 2, seed=seed,
                                             spread=2.0))
-    return index.build_vpr(locator="persistent")
+    return index.build_vpr()
 
 
 def _slab_bytes(arrangement) -> tuple:

@@ -130,7 +130,7 @@ def main() -> None:
     #    all-discrete indexes, build_vpr() runs the whole construction —
     #    bisectors, arrangement, and per-face Eq. (2) labeling — through
     #    the batched NumPy pipeline (~5x the pure-Python reference build,
-    #    bitwise-identical diagrams; build_mode="scalar" keeps the oracle).
+    #    which tests keep as a bitwise oracle).
     #    Queries go through precomputed cells: query_batch answers a whole
     #    array, exactly, inside and outside the window.
     vpr = tracked.build_vpr()

@@ -35,10 +35,10 @@ Commands
     bitwise HTTP parity, and **zero per-worker diagram rebuilds** via
     the ``vpr.builds`` engine counter and the ``/healthz`` +
     ``/metrics`` V_Pr families.
-``vpr-info [--n N] [--locator L] ...``
+``vpr-info [--n N] [--seed S] [--kernel K]``
     Build a small V_Pr diagram and print its locator build/size
     figures: faces, entries, slabs, bytes, build seconds, the analytic
-    slab-table row count the persistent locator replaces (memory
+    slab-table row count the merged-slab locator replaces (memory
     ratio), and the shared-plane export size.
 ``kernels``
     Report the compute-kernel tier: compiler discovery, native build
@@ -244,15 +244,6 @@ def _serve_http(argv: list) -> int:
                              "kernels when a C compiler is available, "
                              "honoring REPRO_KERNEL; all providers are "
                              "bitwise-identical)")
-    parser.add_argument("--locator", default="auto",
-                        choices=("auto", "slab", "persistent"),
-                        help="V_Pr point locator: slab (flat table, "
-                             "Theta(V*S) rows) or persistent "
-                             "(merged-slab tree, O(V log V) entries); "
-                             "auto resolves to persistent.  Both answer "
-                             "bitwise identically; only persistent "
-                             "diagrams export a shared plane to process/"
-                             "shm workers")
     parser.add_argument("--n", type=int, default=12,
                         help="synthetic discrete index size (points; 2 "
                              "instances each).  Kept small by default "
@@ -335,7 +326,7 @@ def _serve_http(argv: list) -> int:
 
     print(f"serve-http: {args.n} uncertain discrete points "
           f"(2 instances each), backend={args.backend}, "
-          f"workers={args.workers}, locator={args.locator}, "
+          f"workers={args.workers}, "
           f"kernel={args.kernel} -> {get_provider(args.kernel).name}")
     if args.n > 16:
         print(f"note: quantify_vpr's first request builds V_Pr lazily — "
@@ -359,8 +350,7 @@ def _serve_http(argv: list) -> int:
     if args.faults:
         print(f"chaos: fault plan active — {args.faults!r}")
     with index.serve(workers=args.workers, backend=args.backend,
-                     kernel=args.kernel, locator=args.locator,
-                     cache_capacity=8192, max_batch=128,
+                     kernel=args.kernel, cache_capacity=8192, max_batch=128,
                      flush_window=0.002, trace=trace,
                      default_timeout=args.request_timeout,
                      faults=args.faults) as service:
@@ -425,7 +415,7 @@ def _vpr_info(argv: list) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro vpr-info",
         description="Build a small probabilistic Voronoi diagram and "
-                    "print locator build/size figures: persistent-tree "
+                    "print locator build/size figures: merged-slab tree "
                     "entries versus the analytic slab-table row count, "
                     "bytes, build seconds, and the shared-plane export "
                     "size.")
@@ -434,10 +424,6 @@ def _vpr_info(argv: list) -> int:
                              "V_Pr build is Theta(N^4) in the 2n "
                              "instances, so keep this modest")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--locator", default="auto",
-                        choices=("auto", "slab", "persistent"),
-                        help="which locator to build (auto resolves to "
-                             "persistent)")
     parser.add_argument("--kernel", default="auto",
                         help="compute-kernel provider: auto, native, "
                              "numpy")
@@ -448,17 +434,14 @@ def _vpr_info(argv: list) -> int:
     from .core.index import PNNIndex
     from .core.workloads import random_discrete_points
     from .spatial.codec import CodecUnsupported, plane_to_arrays
-    from .spatial.pointlocation import SlabPointLocator
-    from .voronoi.vpr import resolve_locator
+    from .spatial.planelocate import slab_table_rows
 
     index = PNNIndex(random_discrete_points(args.n, 2, seed=args.seed,
                                             spread=2.0),
                      kernel=args.kernel)
-    resolved = resolve_locator(args.locator)
-    print(f"vpr-info: {args.n} discrete points (2 instances each), "
-          f"locator={args.locator} -> {resolved}")
+    print(f"vpr-info: {args.n} discrete points (2 instances each)")
     t0 = time.perf_counter()
-    vpr = index.build_vpr(locator=args.locator)
+    vpr = index.build_vpr()
     build = time.perf_counter() - t0
     stats = vpr.locator_stats()
     arr = vpr.arrangement
@@ -468,15 +451,11 @@ def _vpr_info(argv: list) -> int:
     print(f"  locator:      {stats['kind']}, "
           f"{stats['slabs']} slabs, built in "
           f"{stats['build_seconds']:.3f} s")
-    rows = SlabPointLocator.table_rows(arr)
-    if stats["kind"] == "persistent":
-        print(f"  storage:      {stats['entries']} tree entries "
-              f"({stats['nbytes'] / 1e6:.2f} MB) vs {rows} analytic "
-              f"slab-table rows — "
-              f"{rows / max(stats['entries'], 1):.1f}x fewer entries")
-    else:
-        print(f"  storage:      {stats['entries']} slab-table rows "
-              f"({stats['nbytes'] / 1e6:.2f} MB)")
+    rows = slab_table_rows(arr)
+    print(f"  storage:      {stats['entries']} tree entries "
+          f"({stats['nbytes'] / 1e6:.2f} MB) vs {rows} analytic "
+          f"slab-table rows — "
+          f"{rows / max(stats['entries'], 1):.1f}x fewer entries")
     try:
         plane = plane_to_arrays(vpr)
         nbytes = sum(a.nbytes for a in plane.values())

@@ -62,6 +62,13 @@ from ..uncertain.discrete import DiscreteUncertainPoint
 from ..voronoi.diagram import NonzeroVoronoiDiagram
 from ..voronoi.vpr import ProbabilisticVoronoiDiagram
 
+
+def _check_finite(q: Point) -> None:
+    """Scalar counterpart of :func:`~repro.spatial.batch.as_query_array`'s
+    finiteness check: a NaN or infinite coordinate fails closed."""
+    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+        raise ValueError(f"query point must be finite, got {tuple(q)!r}")
+
 __all__ = ["PNNIndex"]
 
 
@@ -98,11 +105,6 @@ class PNNIndex:
             raise ValueError(f"unknown kernel {kernel!r}; "
                              f"expected one of {KERNELS}")
         self.kernel = kernel
-        #: Point-locator kind for lazily built V_Pr diagrams
-        #: (``"auto"`` | ``"slab"`` | ``"persistent"``; see
-        #: :data:`repro.voronoi.vpr.LOCATORS`).  ``ServiceConfig.locator``
-        #: sets this on the served index.
-        self.vpr_locator = "auto"
         #: When ``True``, :meth:`cached_vpr` refuses to build a diagram
         #: lazily and raises instead.  Shared-plane executor workers set
         #: this before attaching the parent's plane, making a silent
@@ -165,6 +167,7 @@ class PNNIndex:
         re-evaluated with the model's exact ``max_dist`` (for disk supports
         the bound is already exact).
         """
+        _check_finite(q)
         return self._delta_info(q)[0]
 
     def _delta_info(self, q: Point) -> tuple:
@@ -200,6 +203,7 @@ class PNNIndex:
         set is a superset of the answer and each candidate is confirmed
         exactly.
         """
+        _check_finite(q)
         if self.n == 1:
             return [0]
         min1, second, unique = self._delta_info(q)
@@ -388,7 +392,7 @@ class PNNIndex:
         """:meth:`quantify_vpr` for every row of *queries*.
 
         One vectorized point-location pass
-        (:meth:`~repro.spatial.pointlocation.SlabPointLocator.
+        (:meth:`~repro.spatial.planelocate.PersistentPlaneLocator.
         locate_batch`) gathers precomputed face vectors; out-of-window
         rows are answered by the batched Eq. (2) sweep.  Rows use the
         same sparse-dict container as :meth:`batch_quantify_exact` and
@@ -464,6 +468,7 @@ class PNNIndex:
         * ``"auto"`` — ``"spiral"`` when all-discrete, else
           ``"monte_carlo"``.
         """
+        _check_finite(q)
         if method == "auto":
             method = "spiral" if self.all_discrete() else "monte_carlo"
         if method == "exact":
@@ -551,32 +556,22 @@ class PNNIndex:
         """
         return NonzeroVoronoiDiagram(self._supports, tol=tol)
 
-    def build_vpr(self, box=None, build_mode: str = "vector",
-                  locator: Optional[str] = None
-                  ) -> ProbabilisticVoronoiDiagram:
+    def build_vpr(self, box=None) -> ProbabilisticVoronoiDiagram:
         """Construct the exact probabilistic Voronoi diagram (Theorem 4.2).
 
-        ``build_mode="vector"`` (default) routes the whole construction —
-        bisector generation, arrangement build, and face labeling — through
-        the batched NumPy pipeline, reusing this index's cached
+        The whole construction — bisector generation, arrangement build,
+        and face labeling — runs through the batched NumPy pipeline,
+        reusing this index's cached
         :class:`~repro.quantification.batch_exact.BatchExactQuantifier`
-        for the ``O(N^4)`` face vectors; ``"scalar"`` forces the
-        pure-Python reference build.  Both produce bitwise-identical
-        diagrams (benchmark E22 measures the speedup).
-
-        ``locator`` picks the point-location structure (``"auto"`` |
-        ``"slab"`` | ``"persistent"``; locators answer bitwise
-        identically) and defaults to this index's :attr:`vpr_locator`.
+        for the ``O(N^4)`` face vectors.  *box* overrides the default
+        query window (see :class:`~repro.voronoi.vpr.
+        ProbabilisticVoronoiDiagram`).
         """
         if not self.all_discrete():
             raise ValueError("V_Pr requires discrete distributions")
-        quantifier = None
-        if build_mode == "vector":
-            if self._batch_exact is None:
-                self._batch_exact = BatchExactQuantifier(
-                    self.points, kernel=self.kernel)  # type: ignore[arg-type]
-            quantifier = self._batch_exact
+        if self._batch_exact is None:
+            self._batch_exact = BatchExactQuantifier(
+                self.points, kernel=self.kernel)  # type: ignore[arg-type]
         return ProbabilisticVoronoiDiagram(
-            self.points, box=box, build_mode=build_mode,  # type: ignore[arg-type]
-            quantifier=quantifier,
-            locator=self.vpr_locator if locator is None else locator)
+            self.points, box=box,  # type: ignore[arg-type]
+            quantifier=self._batch_exact)

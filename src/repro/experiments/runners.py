@@ -429,7 +429,7 @@ def run_e10(quick: bool = False) -> ExperimentResult:
         pts = [DiscreteUncertainPoint(s, w) for s, w in quartic_vpr_sites(n)]
         index = PNNIndex(pts)
         start = time.perf_counter()
-        vpr = index.build_vpr(build_mode="vector")
+        vpr = index.build_vpr()
         elapsed = time.perf_counter() - start
         faces.append(max(vpr.num_faces, 1))
         big_ns.append(2 * n)
@@ -1020,13 +1020,17 @@ def run_e22(quick: bool = False) -> ExperimentResult:
 
     Not a paper artifact — the systems follow-up to E21: after the batch
     query engines, ``V_Pr`` construction was the last scalar-only hot
-    path.  Builds the Lemma 4.1 diagram through both
-    :meth:`PNNIndex.build_vpr` modes at growing sizes, asserting identical
-    V/E/F counts and **bitwise-equal** face probability vectors while
+    path.  Builds the Lemma 4.1 diagram through :meth:`PNNIndex.build_vpr`
+    and through the pure-Python oracle
+    (:class:`repro.testing.oracles.ScalarVPRDiagram`) at growing sizes,
+    asserting identical V/E/F counts and **bitwise-equal** face
+    probability vectors while
     measuring the single-core build speedup (benchmark E22 enforces the
     >= 5x bar at its largest instance; this runner uses smaller sizes so
     the full sweep stays fast).
     """
+    from ..testing.oracles import ScalarVPRDiagram
+
     ns = [6] if quick else [6, 9, 12]
     rows = []
     agree = True
@@ -1035,10 +1039,10 @@ def run_e22(quick: bool = False) -> ExperimentResult:
         pts = random_discrete_points(n, 2, seed=31, spread=2.0)
         index = PNNIndex(pts)
         start = time.perf_counter()
-        scalar = index.build_vpr(build_mode="scalar")
+        scalar = ScalarVPRDiagram(pts)
         scalar_t = time.perf_counter() - start
         start = time.perf_counter()
-        vector = index.build_vpr(build_mode="vector")
+        vector = index.build_vpr()
         vector_t = time.perf_counter() - start
         identical = (scalar.num_vertices == vector.num_vertices
                      and scalar.num_faces == vector.num_faces

@@ -9,23 +9,21 @@ probabilities.
 
 The paper invokes the randomized incremental construction of [AS00]; we use
 the straightforward quadratic algorithm (all pairwise intersections, then a
-half-edge face traversal).  Two build paths produce **identical**
-arrangements:
+half-edge face traversal), vectorized: chunked all-pairs segment
+intersection as flat coordinate arrays (:func:`~repro.geometry.segments.
+segment_intersections_batch`), cut-point ordering via one global
+``lexsort``, and a vectorized hash-grid vertex registry: exact duplicates
+collapse through a quantized-cell ``unique`` pass, and only the rare
+*clustered* points (some other distinct point in their 3x3 tolerance-cell
+neighborhood — e.g. three bisectors through one circumcenter) go through
+the sequential probe, whose merge semantics are order-dependent.
 
-* ``mode="vector"`` (default) — chunked all-pairs segment intersection as
-  flat coordinate arrays (:func:`~repro.geometry.segments.
-  segment_intersections_batch`), cut-point ordering via one global
-  ``lexsort``, and a vectorized hash-grid vertex registry: exact duplicates
-  collapse through a quantized-cell ``unique`` pass, and only the rare
-  *clustered* points (some other distinct point in their 3x3 tolerance-cell
-  neighborhood — e.g. three bisectors through one circumcenter) go through
-  the sequential probe, whose merge semantics are order-dependent.
-* ``mode="scalar"`` — the original pure-Python pair loop, retained as the
-  reference oracle.
-
-Both paths evaluate the same IEEE-754 expressions with the same tolerance
-comparisons, so vertices, edges and faces agree *bitwise* (property-tested
-in ``tests/test_vectorized_kernels.py``).
+The build evaluates the same IEEE-754 expressions with the same tolerance
+comparisons as the original pure-Python pair loop, kept as the test
+oracle :class:`repro.testing.oracles.ScalarSegmentArrangement` (a
+subclass overriding :meth:`SegmentArrangement._build`), so vertices,
+edges and faces agree *bitwise* (property-tested in
+``tests/test_vectorized_kernels.py``).
 
 Face loops are extracted by the standard rotation system: outgoing
 half-edges are sorted by angle around each vertex (``np.argsort`` over one
@@ -41,8 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .primitives import Point, dist
-from .segments import segment_intersection, segment_intersections_batch
+from .primitives import Point
+from .segments import segment_intersections_batch
 
 __all__ = ["SegmentArrangement"]
 
@@ -50,29 +48,6 @@ __all__ = ["SegmentArrangement"]
 # peak size of the per-chunk coordinate arrays while keeping each NumPy
 # pass long enough to amortize dispatch overhead.
 _PAIR_CHUNK = 1 << 21
-
-
-class _VertexRegistry:
-    """Hash-grid vertex deduplication at a fixed tolerance (scalar probe)."""
-
-    def __init__(self, tol: float) -> None:
-        self.tol = tol
-        self._grid: Dict[Tuple[int, int], List[int]] = {}
-        self.coords: List[Point] = []
-
-    def insert(self, p: Point) -> int:
-        inv = 1.0 / self.tol
-        cx = math.floor(p[0] * inv)
-        cy = math.floor(p[1] * inv)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for vid in self._grid.get((cx + dx, cy + dy), ()):
-                    if dist(p, self.coords[vid]) <= self.tol:
-                        return vid
-        vid = len(self.coords)
-        self.coords.append(p)
-        self._grid.setdefault((cx, cy), []).append(vid)
-        return vid
 
 
 class SegmentArrangement:
@@ -91,32 +66,13 @@ class SegmentArrangement:
         Vertex merge tolerance.  Nearly-coincident intersection points
         (e.g. three bisectors through one circumcenter) merge into a single
         higher-degree vertex.
-    mode:
-        ``"vector"`` (default) builds through the batched NumPy kernels;
-        ``"scalar"`` forces the original pure-Python construction.  The
-        two produce bitwise-identical arrangements.
     """
 
-    def __init__(self, segments, tol: float = 1e-9,
-                 mode: str = "vector") -> None:
-        if mode not in ("vector", "scalar"):
-            raise ValueError(f"unknown build mode {mode!r}")
+    def __init__(self, segments, tol: float = 1e-9) -> None:
         self.tol = tol
-        self.mode = mode
-        self._vx: Optional[np.ndarray] = None
-        self._vy: Optional[np.ndarray] = None
-        self._earr: Optional[np.ndarray] = None
         self._vertices_list: Optional[List[Point]] = None
         self._edges_list: Optional[List[Tuple[int, int]]] = None
-        if mode == "scalar":
-            self._build_scalar(list(segments))
-        else:
-            self._build_vector(segments)
-        if self._vx is None:
-            self._vx = np.array([p[0] for p in self.vertices],
-                                dtype=np.float64)
-            self._vy = np.array([p[1] for p in self.vertices],
-                                dtype=np.float64)
+        self._build(segments)
         self._build_faces()
 
     @property
@@ -136,42 +92,14 @@ class SegmentArrangement:
         return self._edges_list
 
     # ------------------------------------------------------------------
-    # Construction: scalar reference path.
+    # Construction.
     # ------------------------------------------------------------------
-    def _build_scalar(self, segments: List[Tuple[Point, Point]]) -> None:
-        registry = _VertexRegistry(self.tol)
-        segments = [(a, b) for a, b in segments if dist(a, b) > self.tol]
-        cuts: List[List[Point]] = [[a, b] for a, b in segments]
-        for i in range(len(segments)):
-            a, b = segments[i]
-            for j in range(i + 1, len(segments)):
-                c, d = segments[j]
-                p = segment_intersection(a, b, c, d)
-                if p is not None:
-                    cuts[i].append(p)
-                    cuts[j].append(p)
-
-        edge_set: Dict[Tuple[int, int], None] = {}
-        for (a, b), pts in zip(segments, cuts):
-            dx = b[0] - a[0]
-            dy = b[1] - a[1]
-            pts.sort(key=lambda p: (p[0] - a[0]) * dx + (p[1] - a[1]) * dy)
-            vids = [registry.insert(p) for p in pts]
-            for u, v in zip(vids, vids[1:]):
-                if u != v:
-                    key = (min(u, v), max(u, v))
-                    edge_set[key] = None
-
-        self._vertices_list = registry.coords
-        self._edges_list = list(edge_set.keys())
-
-    # ------------------------------------------------------------------
-    # Construction: vectorized path.
-    # ------------------------------------------------------------------
-    def _build_vector(self, segments) -> None:
+    def _build(self, segments) -> None:
+        """Set the vertex arrays ``_vx``/``_vy`` and the ``(E, 2)`` edge
+        array ``_earr`` from the input segments."""
         arr = np.asarray(segments, dtype=np.float64)
         if arr.size == 0:
-            self._empty_vector()
+            self._empty()
             return
         arr = arr.reshape(len(arr), 4)
         ax, ay, bx, by = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
@@ -184,7 +112,7 @@ class SegmentArrangement:
         dxs, dys = dxs[keep], dys[keep]
         s_count = len(ax)
         if s_count == 0:
-            self._empty_vector()
+            self._empty()
             return
 
         # All-pairs intersections, chunked over lexicographic (i, j) pairs.
@@ -275,7 +203,7 @@ class SegmentArrangement:
         else:
             self._earr = np.empty((0, 2), dtype=np.intp)
 
-    def _empty_vector(self) -> None:
+    def _empty(self) -> None:
         self._vx = np.empty(0, dtype=np.float64)
         self._vy = np.empty(0, dtype=np.float64)
         self._earr = np.empty((0, 2), dtype=np.intp)
@@ -393,7 +321,7 @@ class SegmentArrangement:
         return vid_of_occ
 
     # ------------------------------------------------------------------
-    # Face extraction (shared by both build paths).
+    # Face extraction.
     # ------------------------------------------------------------------
     def _build_faces(self) -> None:
         n_half = 2 * self.num_edges
@@ -409,9 +337,6 @@ class SegmentArrangement:
             self.face_areas = np.empty(0, dtype=np.float64)
             return
         earr = self._earr
-        if earr is None:
-            earr = np.asarray(self._edges_list, dtype=np.intp).reshape(-1, 2)
-            self._earr = earr
         half_src = np.empty(n_half, dtype=np.intp)
         half_dst = np.empty(n_half, dtype=np.intp)
         half_src[0::2], half_src[1::2] = earr[:, 0], earr[:, 1]
@@ -506,8 +431,7 @@ class SegmentArrangement:
 
         The rotation-system traversal walks every face with its interior on
         the left, so the loop containing a half-edge is exactly the face on
-        its left side.  Used by the slab point locator to map an edge found
-        above/below a query to a face id.
+        its left side.
         """
         if self._half_index is None:
             self._half_index = {
@@ -523,16 +447,12 @@ class SegmentArrangement:
     @property
     def num_vertices(self) -> int:
         """Number of distinct arrangement vertices."""
-        if self._vx is not None:
-            return len(self._vx)
-        return len(self._vertices_list)
+        return len(self._vx)
 
     @property
     def num_edges(self) -> int:
         """Number of arrangement edges (maximal pieces between vertices)."""
-        if self._earr is not None:
-            return len(self._earr)
-        return len(self._edges_list)
+        return len(self._earr)
 
     @property
     def num_components(self) -> int:
@@ -589,7 +509,8 @@ class SegmentArrangement:
         """Interior sample points of the bounded faces, as an ``(F, 2)`` array.
 
         Evaluates the classic convex-corner/triangle method (see
-        :func:`_interior_point`, the scalar reference) over all bounded
+        :func:`repro.testing.oracles.interior_point`, the scalar
+        reference) over all bounded
         faces at once, straight off the flat loop arrays — exact for simple
         faces (all faces of a line arrangement are convex, so the ``V_Pr``
         use case is fully covered).
@@ -662,50 +583,3 @@ class SegmentArrangement:
         out_y = np.where(tri3, cent3_y, np.where(has_inside, mid_y, centc_y))
         return np.stack((out_x, out_y), axis=1)
 
-
-def _interior_point(poly: List[Point]) -> Point:
-    """An interior point of a simple CCW polygon (scalar reference)."""
-    n = len(poly)
-    if n == 3:
-        return ((poly[0][0] + poly[1][0] + poly[2][0]) / 3.0,
-                (poly[0][1] + poly[1][1] + poly[2][1]) / 3.0)
-    # Find a strictly convex corner (the lowest-then-leftmost vertex is one).
-    idx = min(range(n), key=lambda i: (poly[i][1], poly[i][0]))
-    a = poly[(idx - 1) % n]
-    b = poly[idx]
-    c = poly[(idx + 1) % n]
-    inside: Optional[Point] = None
-    best = -1.0
-    for i, q in enumerate(poly):
-        if i in ((idx - 1) % n, idx, (idx + 1) % n):
-            continue
-        if _in_triangle(q, a, b, c):
-            d = _line_dist(q, a, c)
-            if d > best:
-                best = d
-                inside = q
-    if inside is None:
-        return ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
-    return ((b[0] + inside[0]) / 2.0, (b[1] + inside[1]) / 2.0)
-
-
-def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    def cross(o: Point, u: Point, v: Point) -> float:
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-    d1 = cross(a, b, p)
-    d2 = cross(b, c, p)
-    d3 = cross(c, a, p)
-    has_neg = d1 < 0 or d2 < 0 or d3 < 0
-    has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (has_neg and has_pos)
-
-
-def _line_dist(p: Point, a: Point, b: Point) -> float:
-    num = abs((b[0] - a[0]) * (a[1] - p[1]) - (a[0] - p[0]) * (b[1] - a[1]))
-    # Shared sqrt form (not math.hypot) so the vectorized
-    # face_interior_array stays bitwise-comparable to this reference.
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    den = math.sqrt(dx * dx + dy * dy)
-    return num / den if den > 0 else 0.0

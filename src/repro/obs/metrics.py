@@ -5,7 +5,7 @@ counters count *work units* at the places spans would be too expensive
 or too remote to reach: chunks swept by the batch engine, rows retired
 by the exact Eq. (2) sweep, prefix widenings (how often the
 argpartition prefix was too narrow and had to grow 4x), bisection passes
-of the slab point locator.  One lock-guarded integer add per *chunk or
+of the merged-slab point locator.  One lock-guarded integer add per *chunk or
 pass* — never per row — so the engines stay within noise of their
 uninstrumented cost.
 

@@ -59,6 +59,7 @@ the in-process service, a forced 429, and a /metrics scrape).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import math
@@ -229,7 +230,16 @@ def _parse_point(value: object) -> Tuple[float, float]:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
                        for c in value)):
         raise ValueError("a query point must be a [x, y] number pair")
-    return float(value[0]), float(value[1])
+    try:
+        x, y = float(value[0]), float(value[1])
+    except OverflowError:
+        raise ValueError("a query point must have finite coordinates") \
+            from None
+    # json.loads accepts the NaN / Infinity literals; reject them here,
+    # before the point can join (and fail) a shared coalesced flush.
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("a query point must have finite coordinates")
+    return x, y
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +646,12 @@ class QueryGateway:
                 return 413, {"error": f"bulk arrays are capped at "
                                       f"{self.config.max_bulk_rows} rows, "
                                       f"got {len(rows_doc)}"}
-            rows = [_parse_point(r) for r in rows_doc]
+            rows = []
+            for j, r in enumerate(rows_doc):
+                try:
+                    rows.append(_parse_point(r))
+                except ValueError as exc:
+                    raise ValueError(f"queries[{j}]: {exc}") from None
             result = await self._admit_and_run(
                 kind, lambda: self._run_bulk(kind, rows, params, deadline))
             if result is _SHED:
@@ -952,26 +967,23 @@ def render_prometheus(gateway: QueryGateway) -> str:
         w.sample("repro_vpr_plane_resident", {},
                  1 if info.get("plane_served") else 0)
         stats = info.get("locator_stats") or {}
-        w.family("repro_vpr_locator", "gauge",
-                 "Point-locator kind of the built V_Pr diagram "
-                 "(1 = active; locators answer bitwise identically).")
-        for kind in ("slab", "persistent"):
-            w.sample("repro_vpr_locator", {"kind": kind},
-                     1 if stats.get("kind") == kind else 0)
         if stats:
-            w.family("repro_vpr_locator_bytes", "gauge",
-                     "Locator structure size in bytes (the slab table "
-                     "is Theta(V^2) worst case; the merged-slab "
-                     "persistent locator is O(V log V)).")
-            w.sample("repro_vpr_locator_bytes", {}, stats.get("nbytes", 0))
-            w.family("repro_vpr_locator_entries", "gauge",
-                     "Rows/entries held by the locator structure.")
-            w.sample("repro_vpr_locator_entries", {},
+            w.family("repro_vpr_plane_locator", "gauge",
+                     "1 when the built V_Pr diagram's point locator "
+                     "(the merged-slab tree) is resident.")
+            w.sample("repro_vpr_plane_locator", {"kind": stats["kind"]}, 1)
+            w.family("repro_vpr_plane_locator_bytes", "gauge",
+                     "Point-locator size in bytes (O(E log S) entries).")
+            w.sample("repro_vpr_plane_locator_bytes", {},
+                     stats.get("nbytes", 0))
+            w.family("repro_vpr_plane_locator_entries", "gauge",
+                     "Entries held by the point locator.")
+            w.sample("repro_vpr_plane_locator_entries", {},
                      stats.get("entries", 0))
             if stats.get("build_seconds") is not None:
-                w.family("repro_vpr_locator_build_seconds", "gauge",
-                         "Wall time of the locator structure build.")
-                w.sample("repro_vpr_locator_build_seconds", {},
+                w.family("repro_vpr_plane_locator_build_seconds", "gauge",
+                         "Wall time of the point-locator build.")
+                w.sample("repro_vpr_plane_locator_build_seconds", {},
                          stats["build_seconds"])
         if info.get("build_seconds") is not None:
             w.family("repro_vpr_build_seconds", "gauge",
@@ -1310,6 +1322,62 @@ def _http_json(port: int, method: str, path: str,
         conn.close()
 
 
+class _SmokeChecks:
+    """A smoke harness's check ledger.
+
+    Calling it with ``(cond, what)`` records one check (echoing an
+    ``ok``/``FAIL`` line when *echo*); :meth:`exit_code` logs the
+    verdict and returns the process exit code.
+    """
+
+    def __init__(self, log: Callable[[str], None], echo: bool) -> None:
+        self.log = log
+        self.echo = echo
+        self.failures: List[str] = []
+
+    def __call__(self, cond: bool, what: str) -> None:
+        if not cond:
+            self.failures.append(what)
+        if self.echo:
+            self.log(("ok   " if cond else "FAIL ") + what)
+
+    def exit_code(self, label: str) -> int:
+        if not self.failures:
+            self.log(f"{label}: all checks passed")
+            return 0
+        if not self.echo:
+            for line in self.failures:
+                self.log(f"FAIL: {line}")
+        self.log(f"{label}: {len(self.failures)} check(s) FAILED")
+        return 1
+
+
+@contextlib.contextmanager
+def _booted(service, config: HttpConfig, check: _SmokeChecks):
+    """Serve *service* on a :class:`ServerThread` and wait (up to 30 s)
+    for ``/healthz`` to report ready; yields the running server."""
+    with service, ServerThread(service, config) as server:
+        assert server.port is not None
+        deadline = time.monotonic() + 30
+        status = 0
+        while time.monotonic() < deadline:
+            status, _, _, _ = _http_json(server.port, "GET", "/healthz")
+            if status == 200:
+                break
+            time.sleep(0.05)
+        check(status == 200, f"healthz became ready ({status})")
+        yield server
+
+
+def _save_scrape(raw: str, path: Optional[str],
+                 log: Callable[[str], None]) -> None:
+    """Write a ``/metrics`` scrape to *path* (no-op without one)."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(raw)
+        log(f"metrics scrape saved to {path}")
+
+
 def run_smoke(backend: str = "inline", metrics_out: Optional[str] = None,
               log: Callable[[str], None] = print,
               trace_out: Optional[str] = None) -> int:
@@ -1341,27 +1409,13 @@ def run_smoke(backend: str = "inline", metrics_out: Optional[str] = None,
                                             slow_ms=0.0))
     config = HttpConfig(port=0, max_inflight=2, max_pending=2,
                         warm_kinds=("delta", "nonzero_nn"))
-    failures: List[str] = []
-
-    def check(cond: bool, what: str) -> None:
-        if not cond:
-            failures.append(what)
+    check = _SmokeChecks(log, echo=False)
 
     rng = random.Random(99)
     queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
                for _ in range(6)]
-    with service, ServerThread(service, config) as server:
+    with _booted(service, config, check) as server:
         port = server.port
-        assert port is not None
-        deadline = time.monotonic() + 30
-        status = 0
-        while time.monotonic() < deadline:
-            status, _, _, _ = _http_json(port, "GET", "/healthz")
-            if status == 200:
-                break
-            time.sleep(0.05)
-        check(status == 200, f"healthz never became ready ({status})")
-
         for kind in SHARD_METHODS:
             expected = service.batch(kind, queries)
             # Compare in encoded (JSON-safe) form on both sides: floats
@@ -1489,17 +1543,8 @@ def run_smoke(backend: str = "inline", metrics_out: Optional[str] = None,
               and "repro_trace_spans_total" in raw
               and "repro_slow_requests_total" in raw,
               "/metrics scrape is missing tracing families")
-        if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(raw)
-            log(f"metrics scrape saved to {metrics_out}")
-
-    if failures:
-        for line in failures:
-            log(f"FAIL: {line}")
-        return 1
-    log("http smoke: all checks passed")
-    return 0
+        _save_scrape(raw, metrics_out, log)
+    return check.exit_code("http smoke")
 
 
 def run_chaos_smoke(backend: str = "process",
@@ -1538,12 +1583,7 @@ def run_chaos_smoke(backend: str = "process",
     rng = random.Random(41)
     queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
                for _ in range(48)]
-    failures: List[str] = []
-
-    def check(cond: bool, what: str) -> None:
-        if not cond:
-            failures.append(what)
-        log(("ok   " if cond else "FAIL ") + what)
+    check = _SmokeChecks(log, echo=True)
 
     # Sharded answers must stay bitwise-equal to the unsharded batch
     # calls, faults or not — encoded form, same contract as run_smoke.
@@ -1562,17 +1602,8 @@ def run_chaos_smoke(backend: str = "process",
     check(service.executor is not None, "service built a shard executor")
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
-    with service, ServerThread(service, config) as server:
+    with _booted(service, config, check) as server:
         port = server.port
-        assert port is not None
-        deadline_at = time.monotonic() + 30
-        status = 0
-        while time.monotonic() < deadline_at:
-            status, _, _, _ = _http_json(port, "GET", "/healthz")
-            if status == 200:
-                break
-            time.sleep(0.05)
-        check(status == 200, f"healthz became ready ({status})")
         executor = service.executor
 
         # ---------------------------------------- phase 1: recovery
@@ -1684,16 +1715,8 @@ def run_chaos_smoke(backend: str = "process",
                   f"({values.get(family, 0):g})")
         check(values.get("repro_backend_state", 0) == 1,
               "exactly one backend_state gauge is set")
-        if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(raw)
-            log(f"metrics scrape saved to {metrics_out}")
-
-    if failures:
-        log(f"chaos smoke [{backend}]: {len(failures)} check(s) FAILED")
-        return 1
-    log(f"chaos smoke [{backend}]: all checks passed")
-    return 0
+        _save_scrape(raw, metrics_out, log)
+    return check.exit_code(f"chaos smoke [{backend}]")
 
 
 def run_plane_smoke(backend: str = "process",
@@ -1733,20 +1756,15 @@ def run_plane_smoke(backend: str = "process",
     if backend not in ("process", "shm"):
         log(f"FAIL: plane smoke needs a pool backend, got {backend!r}")
         return 1
-    failures: List[str] = []
-
-    def check(cond: bool, what: str) -> None:
-        if not cond:
-            failures.append(what)
-        log(("ok   " if cond else "FAIL ") + what)
+    check = _SmokeChecks(log, echo=True)
 
     index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
     builds_before = ENGINE.get("vpr.builds")
     vpr = index.build_vpr()
     index.use_vpr(vpr)
-    check(vpr.locator_kind == "persistent",
-          f"diagram built with the persistent locator "
-          f"({vpr.locator_kind})")
+    kind = vpr.locator_stats()["kind"]
+    check(kind == "persistent",
+          f"diagram built with the persistent locator ({kind})")
     rng = random.Random(53)
     queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
                for _ in range(64)]
@@ -1757,18 +1775,8 @@ def run_plane_smoke(backend: str = "process",
                           shard_chunk=8, cache_capacity=0, coalesce=False)
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
-    with service, ServerThread(service, config) as server:
+    with _booted(service, config, check) as server:
         port = server.port
-        assert port is not None
-        deadline_at = time.monotonic() + 30
-        status = 0
-        while time.monotonic() < deadline_at:
-            status, _, _, _ = _http_json(port, "GET", "/healthz")
-            if status == 200:
-                break
-            time.sleep(0.05)
-        check(status == 200, f"healthz became ready ({status})")
-
         executor = service.executor
         check(executor is not None and executor.mode == backend,
               f"executor runs on the requested backend "
@@ -1806,7 +1814,7 @@ def run_plane_smoke(backend: str = "process",
         check(status == 200, f"/metrics returned {status}")
         check("repro_vpr_plane_resident 1" in raw,
               "/metrics exports repro_vpr_plane_resident 1")
-        check('repro_vpr_locator{kind="persistent"} 1' in raw,
+        check('repro_vpr_plane_locator{kind="persistent"} 1' in raw,
               "/metrics exports the persistent locator gauge")
         expected_builds = builds_before + 1
         check(f'repro_engine_events_total{{event="vpr.builds"}} '
@@ -1814,15 +1822,7 @@ def run_plane_smoke(backend: str = "process",
               "/metrics shows exactly one new parent-side vpr.builds "
               "event")
         check("repro_vpr_plane_bytes" in raw
-              and "repro_vpr_locator_bytes" in raw,
+              and "repro_vpr_plane_locator_bytes" in raw,
               "/metrics exports the plane/locator size gauges")
-        if metrics_out:
-            with open(metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(raw)
-            log(f"metrics scrape saved to {metrics_out}")
-
-    if failures:
-        log(f"plane smoke [{backend}]: {len(failures)} check(s) FAILED")
-        return 1
-    log(f"plane smoke [{backend}]: all checks passed")
-    return 0
+        _save_scrape(raw, metrics_out, log)
+    return check.exit_code(f"plane smoke [{backend}]")

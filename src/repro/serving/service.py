@@ -26,7 +26,7 @@ large ones).  Per-method hit/miss/latency statistics accumulate in
 
 ``quantify_vpr`` serves exact quantification out of the probabilistic
 Voronoi diagram (Theorem 4.2): batches point-locate into precomputed
-face vectors (:meth:`~repro.spatial.pointlocation.SlabPointLocator.
+face vectors (:meth:`~repro.spatial.planelocate.PersistentPlaneLocator.
 locate_batch`) behind the same result cache, falling back to the direct
 Eq. (2) sweep outside the diagram's window.  The diagram builds lazily
 on first use, or pass a prebuilt one via ``index.serve(vpr=...)``.
@@ -42,6 +42,7 @@ Construct via :meth:`PNNIndex.serve`::
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -54,7 +55,6 @@ from ..obs.trace import NULL_SPAN, Tracer, current_span, use_span
 from ..spatial.batch import as_query_array
 from ..spatial.codec import CodecUnsupported, plane_to_arrays
 from ..spatial.kernels import KERNELS
-from ..voronoi.vpr import LOCATORS
 from .cache import ResultCache
 from .coalesce import MicroBatcher
 from .executors import BACKENDS
@@ -97,15 +97,12 @@ class ServiceConfig:
         so process/shm workers resolve the same provider.  All providers
         return bitwise-identical answers; the choice is operational.
     locator:
-        Point-location structure for lazily built ``V_Pr`` diagrams
-        (:data:`repro.voronoi.vpr.LOCATORS`): ``"auto"`` (default, the
-        output-sensitive persistent locator), ``"slab"`` (the quadratic
-        slab-table oracle), or ``"persistent"``.  A concrete name is
-        applied to the served index's :attr:`~repro.core.index.PNNIndex.
-        vpr_locator`; locators answer bitwise identically, so the choice
-        trades build memory for nothing else.  Only a ``"persistent"``
-        diagram can be exported as a shared plane to process/shm
-        workers.
+        Accepts only ``"auto"`` and does nothing.  ``V_Pr`` diagrams have
+        one point locator (the merged-slab tree of
+        :mod:`repro.spatial.planelocate`); the field remains so that
+        callers that still pass ``locator="auto"`` — the HTTP benchmark
+        launcher does — keep working.  Any other value raises
+        :class:`ValueError`.
     shard_min_batch:
         Smallest batch worth paying dispatch overhead for; smaller
         batches run in-process even when workers are available.
@@ -222,9 +219,9 @@ class ServiceConfig:
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"expected one of {KERNELS}")
-        if self.locator not in LOCATORS:
-            raise ValueError(f"unknown locator {self.locator!r}; "
-                             f"expected one of {LOCATORS}")
+        if self.locator != "auto":
+            raise ValueError(f"locator must be 'auto' (V_Pr has one point "
+                             f"locator), got {self.locator!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         for field, floor in (("shard_min_batch", 1), ("max_batch", 1),
@@ -264,17 +261,11 @@ class QueryService:
             # index's own selection — possibly set at construction —
             # untouched.
             index.set_kernel(cfg.kernel)
-        if cfg.locator != "auto":
-            # Same policy as kernel: a concrete locator name steers the
-            # index's lazy V_Pr builds; "auto" leaves the index's own
-            # vpr_locator untouched.
-            index.vpr_locator = cfg.locator
         # Encode the already-built V_Pr (adopted above, or prebuilt on
         # the index) into flat plane arrays once: process/shm executor
         # workers attach the build-once plane instead of each rebuilding
-        # the Theta(N^4) diagram.  Planes exist only for persistent-
-        # locator discrete diagrams; anything else serves V_Pr from the
-        # parent index as before.
+        # the Theta(N^4) diagram.  Planes exist only for discrete
+        # diagrams; anything else serves V_Pr from the parent index.
         self.plane = None
         if cfg.workers >= 2 and index._vpr is not None:
             try:
@@ -623,8 +614,12 @@ class QueryService:
         an already-resolved future.  *timeout* (seconds or a
         :class:`Deadline`) bounds the request including its coalescing
         wait; expiry resolves the future with :class:`DeadlineExceeded`.
+        A non-finite *q* raises :class:`ValueError` here, before it can
+        join (and fail) a shared coalesced batch.
         """
         params = self.canonicalize(method, overrides)
+        if not (math.isfinite(q[0]) and math.isfinite(q[1])):
+            raise ValueError(f"query point must be finite, got {q!r}")
         deadline = self._deadline(timeout)
         span = self._request_span("service.submit", method)
         if span is NULL_SPAN:
@@ -768,18 +763,14 @@ class QueryService:
     # Introspection and lifecycle.
     # ------------------------------------------------------------------
     def vpr_info(self) -> Dict[str, object]:
-        """The ``V_Pr`` serving posture: locator, plane, residency.
+        """The ``V_Pr`` serving posture: diagram, locator, plane residency.
 
-        One document for ``/healthz``, ``service.stats()``, and the
-        ``vpr-info`` CLI: which locator the index would build
-        (:attr:`~repro.core.index.PNNIndex.vpr_locator`), whether a
+        One document for ``/healthz`` and ``service.stats()``: whether a
         diagram is built, its locator stats (kind, entries, bytes, build
         seconds), whether a shared plane was encoded for the executor,
         and whether the live backend serves it.
         """
         info: Dict[str, object] = {
-            "locator": self.config.locator,
-            "resolved_locator": getattr(self.index, "vpr_locator", "auto"),
             "built": self.index._vpr is not None,
             "plane_encoded": self.plane is not None,
             "plane_served": bool(

@@ -8,7 +8,8 @@ table in DESIGN.md.
 
 from .kdtree import KDTree
 from .persistence import PersistentSetFamily
-from .pointlocation import SlabPointLocator
+from .planelocate import PersistentPlaneLocator
 from .rtree import Rect, RTree
 
-__all__ = ["KDTree", "PersistentSetFamily", "RTree", "Rect", "SlabPointLocator"]
+__all__ = ["KDTree", "PersistentPlaneLocator", "PersistentSetFamily", "RTree",
+           "Rect"]

@@ -72,13 +72,22 @@ def as_query_array(queries) -> np.ndarray:
     The shared input contract of every batch front door —
     :class:`BatchQueryEngine`, the serving layer, and the exact
     quantification engine all funnel through this one validator, so the
-    error message (and empty-input behaviour) stays uniform.
+    error message (and empty-input behaviour) stays uniform.  Non-finite
+    coordinates (NaN, ±inf) are outside every engine's domain — distance
+    comparisons against them silently drop candidates — so they are
+    rejected here, naming the offending rows.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.size == 0:
         return q.reshape(0, 2)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError("queries must be an (m, 2) array of points")
+    if not np.isfinite(q).all():
+        bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+        shown = ", ".join(map(str, bad[:10].tolist()))
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        raise ValueError(f"queries must be finite; non-finite "
+                         f"coordinates in row(s) {shown}{more}")
     return q
 
 # Below this many points the dense matrix kernels win outright.

@@ -262,7 +262,7 @@ def plane_to_arrays(vpr) -> Dict[str, np.ndarray]:
     """Encode a built diagram's plane (validated); see ``to_plane_arrays``.
 
     Raises :class:`CodecUnsupported` for diagrams the plane layout
-    cannot carry (non-discrete site models, slab-table locators).
+    cannot carry (non-discrete site models).
     """
     arrays = vpr.to_plane_arrays()
     check_plane_arrays(arrays)

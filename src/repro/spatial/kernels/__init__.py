@@ -16,9 +16,8 @@ pluggable; this package does the same for *compute*.  One protocol
 Entry points cover the library's measured single-core hot loops: the
 pairwise distance matrix (E19), the Eq. (2) sweep step loop (E21), the
 batched segment intersection / line-box clip kernels (E22), and the
-point locators behind ``quantify_vpr`` — the slab table's per-pass
-binary search and the merged-slab tree descent (``plane_locate``) of
-the output-sensitive locator (E28).
+merged-slab tree descent (``plane_locate``) of the point locator behind
+``quantify_vpr`` (E28).
 
 Selection mirrors ``backend="auto"``: by name through
 ``kernel="auto"|"native"|"numpy"`` on :class:`~repro.core.index.PNNIndex`
@@ -96,13 +95,10 @@ class KernelProvider(Protocol):
     def line_box_clip(self, A, B, C, box, eps: float):
         """Batched Liang–Barsky line-box clip ``(segs, valid)``."""
 
-    def slab_locate(self, qx, qy, xs, offs, row_u, row_v, vx, vy):
-        """Slab bisection ``(lo, found)`` for the point locator."""
-
     def plane_locate(self, qx, qy, xs, offs, ent_u, ent_v, vx, vy,
                      leaf_base):
-        """Merged-slab tree descent ``(best, found)`` for the
-        output-sensitive locator (:mod:`repro.spatial.planelocate`)."""
+        """Merged-slab tree descent ``(best, found)`` for the point
+        locator (:mod:`repro.spatial.planelocate`)."""
 
 
 _lock = threading.Lock()

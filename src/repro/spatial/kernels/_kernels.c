@@ -272,73 +272,16 @@ int repro_line_box_clip(const double *A, const double *B, const double *C,
 }
 
 /* ------------------------------------------------------------------ */
-/* Slab point location (spatial/pointlocation.py): per query, an       */
-/* upper-bound binary search over the slab boundaries followed by the  */
-/* in-slab bisection for the first row whose edge-y at qx is >= qy.    */
-/* The comparisons replay the NumPy pass arithmetic exactly (pure      */
-/* compares plus the shared t / y edge interpolation), so lo/found     */
-/* match the vectorized search lane for lane.                          */
-/* ------------------------------------------------------------------ */
-void repro_slab_locate(const double *qx, const double *qy, int64_t m,
-                       const double *xs, int64_t n_xs,
-                       const int64_t *offs, int64_t n_slabs,
-                       const int64_t *row_u, const int64_t *row_v,
-                       const double *vx, const double *vy,
-                       int64_t *lo_out, uint8_t *found)
-{
-    for (int64_t i = 0; i < m; ++i) {
-        const double x = qx[i];
-        const double y = qy[i];
-        if (!(x >= xs[0] && x <= xs[n_xs - 1])) {
-            lo_out[i] = 0;
-            found[i] = 0;
-            continue;
-        }
-        /* searchsorted(xs, x, side="right") - 1, clamped to a slab. */
-        int64_t sl = 0;
-        int64_t sh = n_xs;
-        while (sl < sh) {
-            const int64_t mid = (sl + sh) >> 1;
-            if (xs[mid] <= x)
-                sl = mid + 1;
-            else
-                sh = mid;
-        }
-        int64_t slab = sl - 1;
-        if (slab > n_slabs - 1)
-            slab = n_slabs - 1;
-        if (slab < 0)
-            slab = 0;
-        int64_t lo = offs[slab];
-        int64_t hi = offs[slab + 1];
-        const int64_t end = hi;
-        while (lo < hi) {
-            const int64_t mid = (lo + hi) >> 1;
-            const int64_t u = row_u[mid];
-            const int64_t v = row_v[mid];
-            const double pux = vx[u];
-            const double t = (x - pux) / (vx[v] - pux);
-            const double ey = vy[u] + t * (vy[v] - vy[u]);
-            if (ey < y)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        lo_out[i] = lo;
-        found[i] = (uint8_t)(lo < end);
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* Merged-slab tree point location (spatial/planelocate.py): per       */
-/* query, the slab search above, then a leaf-to-root walk of the       */
-/* query slab's tree path.  Each node's entry list is bisected with    */
-/* the exact repro_slab_locate comparison arithmetic, and the best     */
-/* candidate minimizes the float triple (y at qx, y at the query       */
-/* slab's midline, slope) — slope breaking the degenerate tie where a  */
-/* sliver slab's midline rounds onto qx.  The combine compares exact   */
-/* values, so the answer is independent of path order and bitwise      */
-/* equal to the NumPy lanes.                                           */
+/* Merged-slab tree point location (spatial/planelocate.py): per      */
+/* query, an upper-bound binary search over the slab boundaries, then */
+/* a leaf-to-root walk of the query slab's tree path.  Each node's    */
+/* entry list is bisected for the first entry whose edge-y at qx is   */
+/* >= qy (pure compares plus the shared t / y interpolation), and the */
+/* best candidate minimizes the float triple (y at qx, y at the query */
+/* slab's midline, slope) — slope breaking the degenerate tie where a */
+/* sliver slab's midline rounds onto qx.  The combine compares exact  */
+/* values, so the answer is independent of path order and bitwise     */
+/* equal to the NumPy lanes.                                          */
 /* offs has 2 * leaf_base + 1 entries (heap-indexed nodes 1..2L-1).    */
 /* ------------------------------------------------------------------ */
 void repro_plane_locate(const double *qx, const double *qy, int64_t m,

@@ -75,10 +75,6 @@ class NativeProvider:
             _F64, _F64, _F64, ctypes.c_int64, ctypes.c_double,
             ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_double, _F64, _U8]
-        lib.repro_slab_locate.restype = None
-        lib.repro_slab_locate.argtypes = [
-            _F64, _F64, ctypes.c_int64, _F64, ctypes.c_int64, _I64,
-            ctypes.c_int64, _I64, _I64, _F64, _F64, _I64, _U8]
         lib.repro_plane_locate.restype = None
         lib.repro_plane_locate.argtypes = [
             _F64, _F64, ctypes.c_int64, _F64, ctypes.c_int64, _I64,
@@ -159,34 +155,6 @@ class NativeProvider:
             if rc != 0:
                 raise ValueError("degenerate line coefficients")
         return segs, valid
-
-    # ------------------------------------------------------------------
-    def slab_locate(self, qx, qy, xs, offs, row_u, row_v, vx, vy):
-        self._count("slab_locate")
-        qx = _f64(qx)
-        qy = _f64(qy)
-        xs = _f64(xs)
-        offs = _i64(offs)
-        row_u = _i64(row_u)
-        row_v = _i64(row_v)
-        vx = _f64(vx)
-        vy = _f64(vy)
-        m = len(qx)
-        lo = np.zeros(m, dtype=np.int64)
-        found = np.zeros(m, dtype=bool)
-        if m and len(xs):
-            # The NumPy provider counts one locator.bisection_passes per
-            # vectorized pass — until the widest lane converges, i.e.
-            # bit_length of the largest slab's row count.  The C loop
-            # bisects per query, so record the same work measure here.
-            widest = int((offs[1:] - offs[:-1]).max(initial=0))
-            ENGINE.inc("locator.bisection_passes",
-                       max(widest, 1).bit_length())
-            self._lib.repro_slab_locate(
-                _pf(qx), _pf(qy), m, _pf(xs), len(xs), _pi(offs),
-                len(offs) - 1, _pi(row_u), _pi(row_v), _pf(vx), _pf(vy),
-                _pi(lo), _pu(found))
-        return lo.astype(np.intp, copy=False), found
 
     # ------------------------------------------------------------------
     def plane_locate(self, qx, qy, xs, offs, ent_u, ent_v, vx, vy,

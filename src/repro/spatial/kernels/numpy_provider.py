@@ -4,9 +4,9 @@ These are the library's original vectorized inner loops, moved verbatim
 behind the :class:`~repro.spatial.kernels.KernelProvider` entry points:
 the chunked distance matrix (``spatial/batch.py``), the Eq. (2) sweep
 step loop (``quantification/batch_exact.py``), the batched segment
-kernels (``geometry/segments.py``), and the slab locator's vectorized
-bisection (``spatial/pointlocation.py``).  Each was individually
-bit-pinned to its scalar reference implementation by the existing
+kernels (``geometry/segments.py``), and the merged-slab locator's
+vectorized tree descent (``spatial/planelocate.py``).  Each was
+individually bit-pinned to its scalar reference implementation by the existing
 property suites; the native provider is in turn bit-pinned to *these*
 (``tests/test_kernels.py``), so the provider choice is purely
 operational.
@@ -229,51 +229,12 @@ class NumpyProvider:
         return segs, valid
 
     # ------------------------------------------------------------------
-    def slab_locate(self, qx, qy, xs, offs, row_u, row_v, vx, vy):
-        """Vectorized slab + in-slab bisection (``SlabPointLocator``).
-
-        Returns ``(lo, found)``: the first row index in the query's slab
-        whose edge-y at ``qx`` is ``>= qy``, and whether that row exists
-        with the query inside the slab structure's x-window.
-        """
-        self._count("slab_locate")
-        m = len(qx)
-        inside = (qx >= xs[0]) & (qx <= xs[-1])
-        slab = np.searchsorted(xs, qx, side="right") - 1
-        slab = np.minimum(slab, len(offs) - 2)
-        slab = np.maximum(slab, 0)  # out-of-window lanes, masked by inside
-        lo = offs[slab].copy()
-        hi = offs[slab + 1].copy()
-        end = offs[slab + 1]
-        lo[~inside] = 0
-        hi[~inside] = 0
-        max_row = max(len(row_u) - 1, 0)
-        while True:
-            run = lo < hi
-            if not run.any():
-                break
-            ENGINE.inc("locator.bisection_passes")
-            mid = np.minimum((lo + hi) >> 1, max_row)
-            u = row_u[mid]
-            v = row_v[mid]
-            pux = vx[u]
-            t = (qx - pux) / (vx[v] - pux)
-            y = vy[u] + t * (vy[v] - vy[u])
-            less = y < qy
-            lo = np.where(run & less, mid + 1, lo)
-            hi = np.where(run & ~less, mid, hi)
-        found = inside & (lo < end)
-        if m == 0:
-            found = np.zeros(0, dtype=bool)
-        return lo, found
-
-    # ------------------------------------------------------------------
     def plane_locate(self, qx, qy, xs, offs, ent_u, ent_v, vx, vy,
                      leaf_base):
         """Merged-slab tree descent (``PersistentPlaneLocator``).
 
         Walks every query's leaf-to-root path, bisects each node's entry
-        list with the exact ``slab_locate`` comparison arithmetic, and
+        list for the first entry whose y at ``qx`` is ``>= qy``, and
         keeps the candidate minimizing the float triple ``(y at qx, y
         at the query slab's midline, slope)`` — slope breaking the
         degenerate tie where a sliver slab's midline rounds onto ``qx``.

@@ -1,9 +1,10 @@
 """Output-sensitive point location: a merged-slab interval tree.
 
-The slab oracle (:mod:`.pointlocation`) materializes one row per
-(edge, spanned-slab) pair — ``Theta(V * S)`` rows, the memory wall that
-caps how large a diagram can be served.  This module stores each edge
-``O(log S)`` times instead: the slabs are the leaves of an implicit
+Theorem 4.2 answers exact quantification queries by point location in
+the ``V_Pr`` refinement.  The classic slab method materializes one row
+per (edge, spanned-slab) pair — ``Theta(V * S)`` rows, the memory wall
+that caps how large a diagram can be served.  This module stores each
+edge ``O(log S)`` times instead: the slabs are the leaves of an implicit
 segment tree (heap-indexed, padded to a power of two), every
 x-monotone edge's slab span ``[i0, i1)`` is split into its canonical
 tree nodes, and within a node the entries are sorted by y at the
@@ -13,26 +14,29 @@ of one node can meet only at the range's boundary, never cross or
 touch inside it.
 
 A query walks the leaf-to-root path of its slab (``log S`` nodes),
-bisects each node's entry list with *exactly* the slab oracle's
+bisects each node's entry list with *exactly* the slab method's
 comparison arithmetic (same IEEE-754 expressions, same branch
 predicate), and keeps the candidate minimizing the exact float triple
 ``(y at query x, y at the query slab's midline, slope)``.  The union
 of the path nodes' entries is precisely the slab's row set, each edge
 once, and within a slab y-at-query-x order refines midline order — so
-the winning candidate is provably the same edge the slab table's
+the winning candidate is provably the same edge a slab table's
 first-hit bisection returns, and faces come out bitwise identical (the
-parity suite asserts this, including on tie-heavy lattice inputs).
+parity suite checks this against the slab-table oracle in
+:mod:`repro.testing.oracles`, including on tie-heavy lattice inputs).
 The slope key exists for one degenerate case: a near-zero-width slab
 whose midline *rounds* onto its boundary collapses the first two keys
 for edges sharing a vertex there; slope orders lines through a common
 point, and the slab table breaks its sort ties the same way, so the
 two structures still agree bitwise.
 
-Build is one sweep: spans by ``searchsorted`` (shared with the slab
-table), an ``O(E log S)`` vectorized canonical decomposition, and one
-``lexsort``.  Storage is ``O(E log S)`` worst case — in practice a few
-entries per edge versus the table's hundreds of rows per edge — and a
-query costs ``O(log S)`` bisections of ``O(log E)`` steps each.
+Build is one sweep: spans by ``searchsorted`` (shared with the
+slab-table oracle), an ``O(E log S)`` vectorized canonical
+decomposition, and one ``lexsort``.  Storage is ``O(E log S)`` worst
+case — in practice a few entries per edge versus the table's hundreds
+of rows per edge (:func:`slab_table_rows` counts the table's rows
+analytically, without building it) — and a query costs ``O(log S)``
+bisections of ``O(log E)`` steps each.
 """
 
 from __future__ import annotations
@@ -45,9 +49,45 @@ import numpy as np
 from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
 from ..obs.metrics import ENGINE
-from .pointlocation import _edge_slab_spans
 
-__all__ = ["PersistentPlaneLocator", "plane_locate_scalar"]
+__all__ = ["PersistentPlaneLocator", "plane_locate_scalar",
+           "slab_table_rows"]
+
+
+def _edge_slab_spans(arrangement: SegmentArrangement, xs: np.ndarray):
+    """Orient edges x-ascending and find their slab spans ``[i0, i1)``.
+
+    *xs* is the sorted array of distinct vertex x-coordinates (the slab
+    boundaries).  Returns ``(earr, eu, ev, eids, i0, i1)`` where *eids*
+    selects the non-vertical edges and *i0*/*i1* are their slab spans.
+    """
+    earr = arrangement._earr
+    vx = arrangement._vx
+    u0, v0 = earr[:, 0], earr[:, 1]
+    swap = vx[u0] > vx[v0]
+    eu = np.where(swap, v0, u0)
+    ev = np.where(swap, u0, v0)
+    xl, xr = vx[eu], vx[ev]
+    eids = np.flatnonzero(xr > xl)
+    # Edge endpoints are arrangement vertices, so their x-coordinates
+    # are slab boundaries: the edge spans slabs [i0, i1).
+    i0 = np.searchsorted(xs, xl[eids])
+    i1 = np.searchsorted(xs, xr[eids])
+    return earr, eu, ev, eids, i0, i1
+
+
+def slab_table_rows(arrangement: SegmentArrangement) -> int:
+    """Row count a slab table over *arrangement* would materialize.
+
+    Computed analytically from the edge spans — no table is built — so
+    ``vpr-info`` and benchmark E28 can report the slab structure's
+    footprint at sizes where materializing it would not fit in memory.
+    """
+    xs = np.unique(arrangement._vx)
+    if len(xs) < 2 or arrangement.num_edges == 0:
+        return 0
+    _, _, _, _, i0, i1 = _edge_slab_spans(arrangement, xs)
+    return int((i1 - i0).sum())
 
 
 def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
@@ -80,7 +120,7 @@ def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
         hi = int(offs[node + 1])
         end = hi
         # First entry of the node whose y at qx is >= qy — the slab
-        # oracle's bisection, restricted to this node's entries.
+        # method's bisection, restricted to this node's entries.
         while lo < hi:
             mid = (lo + hi) // 2
             u, v = ent_u[mid], ent_v[mid]
@@ -111,11 +151,14 @@ def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
 class PersistentPlaneLocator:
     """Merged-slab point location over a :class:`SegmentArrangement`.
 
-    Drop-in for :class:`~repro.spatial.pointlocation.SlabPointLocator`:
-    same ``locate`` / ``locate_batch`` / ``locate_all`` API, bitwise
-    identical answers, ``O(E log S)`` storage instead of the slab
-    table's ``Theta(V * S)`` rows.  ``locate_batch`` runs on the
-    selected kernel provider's ``plane_locate`` entry point.
+    ``locate(q)`` returns the index (into ``arrangement.face_loops``) of
+    the face containing *q*, or ``None`` when *q* lies in the unbounded
+    face; queries exactly on an edge or vertex return one of the
+    incident faces.  ``locate_batch`` answers an ``(m, 2)`` array at
+    once on the selected kernel provider's ``plane_locate`` entry
+    point.  Answers are bitwise those of a slab table (the slab-table
+    test oracle in :mod:`repro.testing.oracles`) at ``O(E log S)``
+    storage instead of the table's ``Theta(V * S)`` rows.
     """
 
     def __init__(self, arrangement: SegmentArrangement,
@@ -187,8 +230,8 @@ class PersistentPlaneLocator:
         self._ent_u = np.ascontiguousarray(ent_u0[order], dtype=np.int64)
         self._ent_v = np.ascontiguousarray(ent_v0[order], dtype=np.int64)
         ent_e = ent_edge[order]
-        # Half-edge id of (v -> u), as in the slab table: the face below
-        # the entry is the loop left of the reversed half-edge.
+        # Half-edge id of (v -> u): the face below the entry is the
+        # loop left of the reversed half-edge.
         self._ent_hid_rev = np.where(self._ent_u == earr[ent_e, 1],
                                      2 * ent_e, 2 * ent_e + 1).astype(np.intp)
         counts = np.bincount(node_id, minlength=2 * leaf_base)
@@ -242,8 +285,8 @@ class PersistentPlaneLocator:
         """Vectorized :meth:`locate` over an ``(m, 2)`` query array.
 
         Returns an ``(m,)`` integer array of face loop indices, ``-1``
-        for the unbounded face — elementwise identical to the slab
-        oracle's :meth:`~SlabPointLocator.locate_batch`.
+        for the unbounded face — elementwise identical to a scalar
+        :meth:`locate` loop.
         """
         from .batch import as_query_array
         from .kernels import get_provider

@@ -11,25 +11,24 @@ Construction: bisector lines are clipped to a bounding box (chosen to
 contain the query region of interest plus every pairwise midpoint), the
 box boundary is added, and the segment arrangement's bounded faces each get
 their exact probability vector evaluated at an interior point.  Queries go
-through the slab point locator; queries outside the box fall back to the
-direct Eq. (2) sweep, preserving exactness everywhere.
+through the merged-slab point locator
+(:class:`~repro.spatial.planelocate.PersistentPlaneLocator`); queries
+outside the box fall back to the direct Eq. (2) sweep, preserving
+exactness everywhere.
 
-Two construction pipelines produce **bitwise-identical** diagrams:
+The build is vectorized end to end: pairwise bisector coefficients in one
+NumPy broadcast, normalized-key dedup via a stable ``unique``, the batched
+line-vs-box clip kernel, the vectorized arrangement build, and one
+:meth:`~repro.quantification.batch_exact.BatchExactQuantifier.matrix`
+call labeling every bounded face at once.  Duck-typed site models outside
+:class:`~repro.uncertain.discrete.DiscreteUncertainPoint` have no batched
+engine, so their faces are labeled by the per-face Eq. (2) sweep.
 
-* ``build_mode="vector"`` (default) — pairwise bisector coefficients in one
-  NumPy broadcast, normalized-key dedup via a stable ``unique``, the
-  batched line-vs-box clip kernel, the vectorized arrangement build, and
-  one :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.
-  quantification_vectors` call labeling every bounded face at once;
-* ``build_mode="scalar"`` — the original pure-Python pair loops and
-  per-face sweeps, retained as the reference oracle (and for duck-typed
-  site models outside :class:`~repro.uncertain.discrete.
-  DiscreteUncertainPoint`).
-
-Benchmark E22 measures the build speedup (~an order of magnitude on one
-core at tier-1-feasible sizes); ``tests/test_vectorized_kernels.py``
-asserts identical V/E/F counts and bitwise-equal face vectors between the
-two modes.
+The original pure-Python pair loops and per-face sweeps are kept as the
+test oracle :class:`repro.testing.oracles.ScalarVPRDiagram`; benchmark E22
+measures the build speedup over it (~an order of magnitude on one core at
+tier-1-feasible sizes) and ``tests/test_vectorized_kernels.py`` asserts
+identical V/E/F counts and bitwise-equal face vectors.
 
 This structure is *meant* to be enormous — its ``Theta(N^4)`` size is the
 paper's motivation for the approximation algorithms of Sections 4.2/4.3 —
@@ -40,43 +39,123 @@ so it is only practical for small instances, which is also all the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
-from ..geometry.segments import bisector_line, line_box_clip, \
-    line_box_clip_batch
+from ..geometry.segments import line_box_clip_batch
 from ..obs.metrics import ENGINE
 from ..quantification.batch_exact import BatchExactQuantifier
 from ..quantification.exact_discrete import quantification_vector
 from ..spatial.planelocate import PersistentPlaneLocator, plane_locate_scalar
-from ..spatial.pointlocation import SlabPointLocator
 from ..uncertain.discrete import DiscreteUncertainPoint
 
-__all__ = ["LOCATORS", "ProbabilisticVoronoiDiagram", "SharedPlaneDiagram"]
-
-#: Locator kinds accepted by the diagram (and ``ServiceConfig.locator``).
-#: ``"auto"`` resolves to the output-sensitive merged-slab tree; the
-#: quadratic slab table stays selectable as the bit-pinned oracle.
-LOCATORS = ("auto", "slab", "persistent")
+__all__ = ["ProbabilisticVoronoiDiagram", "SharedPlaneDiagram"]
 
 #: Version tag of the shared-plane array layout (``to_plane_arrays``).
 PLANE_FORMAT_VERSION = 1
 
-_Locator = Union[SlabPointLocator, PersistentPlaneLocator]
+
+def box_boundary(box: Tuple[Point, Point]) -> List[Tuple[Point, Point]]:
+    """The four sides of *box* as segments (the arrangement's frame)."""
+    (xmin, ymin), (xmax, ymax) = box
+    return [((xmin, ymin), (xmax, ymin)), ((xmax, ymin), (xmax, ymax)),
+            ((xmax, ymax), (xmin, ymax)), ((xmin, ymax), (xmin, ymin))]
 
 
-def resolve_locator(name: str = "auto") -> str:
-    """The locator kind ``"auto"`` (or an explicit name) resolves to."""
-    if name not in LOCATORS:
-        raise ValueError(f"unknown locator {name!r}; "
-                         f"expected one of {LOCATORS}")
-    return "persistent" if name == "auto" else name
+class _FaceVectorQueries:
+    """The query surface a built or attached ``V_Pr`` serves.
+
+    Subclasses map queries to rows of the ``(F, n)`` face matrix
+    ``_face_matrix`` (``-1`` outside the window or on an unbounded
+    sliver) through :meth:`_locate_row` / :meth:`_locate_rows`; rows
+    that miss are answered by the exact Eq. (2) sweep.
+    """
+
+    points: list
+    _face_matrix: np.ndarray
+    _quantifier: Optional[BatchExactQuantifier]
+
+    def _locate_row(self, q: Point) -> int:
+        raise NotImplementedError
+
+    def _locate_rows(self, q: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _all_discrete(self) -> bool:
+        return all(isinstance(p, DiscreteUncertainPoint)
+                   for p in self.points)
+
+    def _exact_quantifier(self) -> BatchExactQuantifier:
+        """The (lazily built, shareable) vectorized Eq. (2) engine."""
+        if self._quantifier is None:
+            self._quantifier = BatchExactQuantifier(self.points)
+        return self._quantifier
+
+    def query(self, q: Point) -> List[float]:
+        """Exact ``(pi_1(q), ..., pi_n(q))``.
+
+        ``O(log N + n)`` via point location inside the window (the vector
+        is precomputed per cell); exact fallback sweep outside.
+        """
+        row = self._locate_row(q)
+        if row >= 0:
+            return self._face_matrix[row].tolist()
+        return quantification_vector(self.points, q)
+
+    def query_batch(self, queries) -> np.ndarray:
+        """:meth:`query` for an ``(m, 2)`` array, as an ``(m, n)`` matrix.
+
+        One vectorized point-location pass gathers the precomputed face
+        vectors; rows outside the window (or on unbounded slivers) are
+        answered by the batched Eq. (2) sweep.  Row ``j`` equals
+        ``query(queries[j])`` bitwise.
+        """
+        from ..spatial.batch import as_query_array
+
+        q = as_query_array(queries)
+        rows = self._locate_rows(q)
+        out = np.empty((len(q), len(self.points)), dtype=np.float64)
+        known = rows >= 0
+        if known.any():
+            out[known] = self._face_matrix[rows[known]]
+        missing = ~known
+        if missing.any():
+            if self._all_discrete():
+                out[missing] = self._exact_quantifier().matrix(q[missing])
+            else:
+                # Duck-typed site models: same exact fallback the scalar
+                # query() uses, row by row.
+                for j in np.flatnonzero(missing):
+                    out[j] = quantification_vector(
+                        self.points, (float(q[j, 0]), float(q[j, 1])))
+        return out
+
+    def quantify_batch(self, queries) -> List[Dict[int, float]]:
+        """Sparse ``{i: pi_i(q)}`` dicts (zeros omitted), one per query.
+
+        The serving container: the same ``row > 0`` filter as
+        :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.
+        batch`, over :meth:`query_batch` rows — so wherever the float
+        vectors agree with the direct Eq. (2) sweep (everywhere outside
+        the window, and on every generic in-window query), the dicts are
+        equal row for row.  This is what the ``quantify_vpr`` query kind
+        serves.
+        """
+        mat = self.query_batch(queries)
+        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
+                for row in mat]
+
+    def positive_probabilities(self, q: Point,
+                               tol: float = 0.0) -> Dict[int, float]:
+        """The paper's query output: all ``(P_i, pi_i(q))`` with positive pi."""
+        vec = self.query(q)
+        return {i: v for i, v in enumerate(vec) if v > tol}
 
 
-class ProbabilisticVoronoiDiagram:
+class ProbabilisticVoronoiDiagram(_FaceVectorQueries):
     """Exact quantification-probability queries via the ``V_Pr`` refinement.
 
     Parameters
@@ -92,10 +171,6 @@ class ProbabilisticVoronoiDiagram:
         data, and *translation invariant*: a cloud far from the origin
         gets the same window shape as the same cloud at the origin.
         Queries outside the window remain exact via the fallback sweep.
-    build_mode:
-        ``"vector"`` (default) builds through the batched NumPy pipeline;
-        ``"scalar"`` forces the pure-Python reference construction.  Both
-        produce bitwise-identical face vectors and identical V/E/F counts.
     quantifier:
         Optional prebuilt :class:`~repro.quantification.batch_exact.
         BatchExactQuantifier` over *points*, reused for face labeling and
@@ -105,18 +180,12 @@ class ProbabilisticVoronoiDiagram:
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
                  box: Optional[Tuple[Point, Point]] = None,
-                 build_mode: str = "vector",
-                 quantifier: Optional[BatchExactQuantifier] = None,
-                 locator: str = "auto") -> None:
+                 quantifier: Optional[BatchExactQuantifier] = None) -> None:
         if not points:
             raise ValueError("need at least one uncertain point")
-        if build_mode not in ("vector", "scalar"):
-            raise ValueError(f"unknown build mode {build_mode!r}")
-        self.locator_kind = resolve_locator(locator)
         ENGINE.inc("vpr.builds")
         t_build = time.perf_counter()
         self.points = list(points)
-        self.build_mode = build_mode
         self._quantifier = quantifier
         sites: List[Point] = []
         for p in self.points:
@@ -137,50 +206,17 @@ class ProbabilisticVoronoiDiagram:
             box = ((min(xs) - pad, min(ys) - pad),
                    (max(xs) + pad, max(ys) + pad))
         self.box = box
-
-        (xmin, ymin), (xmax, ymax) = box
-        boundary = [
-            ((xmin, ymin), (xmax, ymin)),
-            ((xmax, ymin), (xmax, ymax)),
-            ((xmax, ymax), (xmin, ymax)),
-            ((xmin, ymax), (xmin, ymin)),
-        ]
-        if build_mode == "scalar":
-            segments = self._bisector_segments(sites, box)
-            segments.extend(boundary)
-            self.arrangement = SegmentArrangement(segments, mode="scalar")
-        else:
-            sx = np.array([s[0] for s in sites], dtype=np.float64)
-            sy = np.array([s[1] for s in sites], dtype=np.float64)
-            segs = self._bisector_segments_batch(sx, sy, box)
-            rows = np.vstack([segs,
-                              np.array([(a[0], a[1], b[0], b[1])
-                                        for a, b in boundary])])
-            self.arrangement = SegmentArrangement(rows, mode="vector")
-        # The locator — the merged-slab tree by default, or the
-        # Theta(V * S) slab table when ``locator="slab"`` — is built
-        # lazily on first point location; only query workloads need it
-        # (the complexity experiments E10/E17 never pay for it).
-        self._locator: Optional[_Locator] = None
+        self.arrangement = self._build_arrangement(sites, box)
+        # The merged-slab locator is built lazily on first point
+        # location; only query workloads need it (the complexity
+        # experiments E10/E17 never pay for it).
+        self._locator: Optional[PersistentPlaneLocator] = None
 
         areas = np.asarray(self.arrangement.face_areas)
         bounded = np.flatnonzero(areas > self.arrangement.tol)
         self._bounded_loops: List[int] = bounded.tolist()
-        n = len(self.points)
         self._interior = self.arrangement.face_interior_array()
-        # Batched face labeling needs the discrete batch engine; scalar
-        # mode — and duck-typed site models outside DiscreteUncertainPoint
-        # — label through the per-face scalar sweep (bitwise-identical
-        # rows either way, per the PR-3 engine guarantee).
-        if build_mode == "vector" and self._all_discrete() \
-                and len(self._interior):
-            self._face_matrix = self._exact_quantifier().matrix(
-                self._interior)
-        else:
-            vectors = [quantification_vector(self.points, (x, y))
-                       for x, y in self._interior.tolist()]
-            self._face_matrix = np.asarray(vectors,
-                                           dtype=np.float64).reshape(-1, n)
+        self._face_matrix = self._label_faces()
         # loop-id -> matrix-row map; the per-face dict views are lazy.
         self._loop_row = np.full(max(len(areas), 1), -1, dtype=np.intp)
         if len(bounded):
@@ -196,92 +232,59 @@ class ProbabilisticVoronoiDiagram:
                 zip(self._bounded_loops, self._face_matrix.tolist()))
         return self._face_vectors_cache
 
-    @property
-    def _face_reps(self) -> Dict[int, Point]:
-        """One interior representative point per bounded face."""
-        return dict(zip(self._bounded_loops,
-                        map(tuple, self._interior.tolist())))
+    # ------------------------------------------------------------------
+    # Build steps (the scalar test oracle overrides both).
+    # ------------------------------------------------------------------
+    def _build_arrangement(self, sites: List[Point],
+                           box: Tuple[Point, Point]) -> SegmentArrangement:
+        """Clipped pairwise bisectors plus the box frame, arranged."""
+        sx = np.array([s[0] for s in sites], dtype=np.float64)
+        sy = np.array([s[1] for s in sites], dtype=np.float64)
+        segs = self._bisector_segments_batch(sx, sy, box)
+        frame = np.array([(a[0], a[1], b[0], b[1])
+                          for a, b in box_boundary(box)])
+        return SegmentArrangement(np.vstack([segs, frame]))
+
+    def _label_faces(self) -> np.ndarray:
+        """The ``(F, n)`` matrix of exact face probability vectors.
+
+        Discrete points go through the batched Eq. (2) engine in one
+        call; duck-typed site models label through the per-face scalar
+        sweep (bitwise-identical rows either way).
+        """
+        if self._all_discrete() and len(self._interior):
+            return self._exact_quantifier().matrix(self._interior)
+        vectors = [quantification_vector(self.points, (x, y))
+                   for x, y in self._interior.tolist()]
+        return np.asarray(vectors, dtype=np.float64).reshape(
+            -1, len(self.points))
 
     # ------------------------------------------------------------------
     @property
-    def locator(self) -> _Locator:
-        """The Theorem 4.2 point-location structure (built on first use).
-
-        Kind per ``locator_kind``: the output-sensitive
-        :class:`~repro.spatial.planelocate.PersistentPlaneLocator`
-        (``"persistent"``, the ``"auto"`` default) or the quadratic
-        :class:`~repro.spatial.pointlocation.SlabPointLocator` oracle
-        (``"slab"``); both answer bitwise identically.
-        """
+    def locator(self) -> PersistentPlaneLocator:
+        """The Theorem 4.2 point-location structure (built on first use)."""
         if self._locator is None:
-            if self.locator_kind == "slab":
-                self._locator = SlabPointLocator(self.arrangement)
-            else:
-                self._locator = PersistentPlaneLocator(self.arrangement)
+            self._locator = PersistentPlaneLocator(self.arrangement)
         return self._locator
 
     def locator_stats(self) -> Dict[str, object]:
         """The built locator's :meth:`stats` (builds it if needed)."""
         return self.locator.stats()
 
-    def _all_discrete(self) -> bool:
-        return all(isinstance(p, DiscreteUncertainPoint)
-                   for p in self.points)
-
-    def _exact_quantifier(self) -> BatchExactQuantifier:
-        """The (lazily built, shareable) vectorized Eq. (2) engine."""
-        if self._quantifier is None:
-            self._quantifier = BatchExactQuantifier(self.points)
-        return self._quantifier
-
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bisector_segments(sites: List[Point],
-                           box: Tuple[Point, Point]):
-        """Clipped bisectors of all site pairs, deduplicated (scalar).
-
-        The dedup key is the line's coefficient triple normalized by its
-        max-abs component, rounded to 9 decimals via the shared
-        ``round(v * 1e9) / 1e9`` form, and sign-canonicalized so that the
-        first nonzero component is positive (two opposite-orientation
-        triples describe the same line).  The batched path reproduces
-        every step bitwise.
-        """
-        seen = set()
-        segments = []
-        m = len(sites)
-        for a in range(m):
-            for b in range(a + 1, m):
-                p, r = sites[a], sites[b]
-                if p == r:
-                    continue  # coincident sites never swap distance order
-                la, lb, lc = bisector_line(p, r)
-                norm = max(abs(la), abs(lb), abs(lc), 1e-30)
-                ka = round((la / norm) * 1e9) / 1e9 + 0.0
-                kb = round((lb / norm) * 1e9) / 1e9 + 0.0
-                kc = round((lc / norm) * 1e9) / 1e9 + 0.0
-                if ka < 0 or (ka == 0 and
-                              (kb < 0 or (kb == 0 and kc < 0))):
-                    ka, kb, kc = -ka + 0.0, -kb + 0.0, -kc + 0.0
-                key = (ka, kb, kc)
-                if key in seen:
-                    continue
-                seen.add(key)
-                clipped = line_box_clip(la, lb, lc, box)
-                if clipped is not None:
-                    segments.append(clipped)
-        return segments
-
     @staticmethod
     def _bisector_segments_batch(sx: np.ndarray, sy: np.ndarray,
                                  box: Tuple[Point, Point]) -> np.ndarray:
         """Clipped bisectors of all site pairs, deduplicated (batched).
 
-        One broadcast computes every pair's coefficients, a stable
-        ``unique`` over the sign-canonicalized normalized keys keeps each
-        line's first pair (the scalar scan order), and the batched clip
-        kernel cuts the survivors to the box — returning an ``(S, 4)``
-        segment array bit-for-bit equal to the scalar list.
+        One broadcast computes every pair's coefficients.  The dedup key
+        is the line's coefficient triple normalized by its max-abs
+        component, rounded to 9 decimals, and sign-canonicalized so that
+        the first nonzero component is positive (two opposite-orientation
+        triples describe the same line); a stable ``unique`` over the keys
+        keeps each line's first pair in scan order.  The batched clip
+        kernel cuts the survivors to the box, returning an ``(S, 4)``
+        segment array bit-for-bit equal to the scalar oracle's list.
         """
         pi, pj = np.triu_indices(len(sx), 1)
         px, py = sx[pi], sy[pi]
@@ -342,70 +345,13 @@ class ProbabilisticVoronoiDiagram:
         return len(np.unique(rows.ravel()))
 
     # ------------------------------------------------------------------
-    def query(self, q: Point) -> List[float]:
-        """Exact ``(pi_1(q), ..., pi_n(q))``.
-
-        ``O(log N + n)`` via point location inside the window (the vector
-        is precomputed per cell); exact fallback sweep outside.
-        """
+    def _locate_row(self, q: Point) -> int:
         loop = self.locator.locate(q)
-        if loop is not None:
-            row = self._loop_row[loop]
-            if row >= 0:
-                return self._face_matrix[row].tolist()
-        return quantification_vector(self.points, q)
+        return -1 if loop is None else int(self._loop_row[loop])
 
-    def query_batch(self, queries) -> np.ndarray:
-        """:meth:`query` for an ``(m, 2)`` array, as an ``(m, n)`` matrix.
-
-        One vectorized point-location pass gathers the precomputed face
-        vectors; rows outside the window (or on unbounded slivers) are
-        answered by the batched Eq. (2) sweep.  Row ``j`` equals
-        ``query(queries[j])`` bitwise.
-        """
-        from ..spatial.batch import as_query_array
-
-        q = as_query_array(queries)
-        m = len(q)
-        out = np.empty((m, len(self.points)), dtype=np.float64)
+    def _locate_rows(self, q: np.ndarray) -> np.ndarray:
         locs = self.locator.locate_batch(q)
-        safe = np.maximum(locs, 0)
-        rows = np.where(locs >= 0, self._loop_row[safe], -1)
-        known = rows >= 0
-        if known.any():
-            out[known] = self._face_matrix[rows[known]]
-        missing = ~known
-        if missing.any():
-            if self._all_discrete():
-                out[missing] = self._exact_quantifier().matrix(q[missing])
-            else:
-                # Duck-typed site models (scalar build mode): same exact
-                # fallback the scalar query() uses, row by row.
-                for j in np.flatnonzero(missing):
-                    out[j] = quantification_vector(
-                        self.points, (float(q[j, 0]), float(q[j, 1])))
-        return out
-
-    def quantify_batch(self, queries) -> List[Dict[int, float]]:
-        """Sparse ``{i: pi_i(q)}`` dicts (zeros omitted), one per query.
-
-        The serving container: the same ``row > 0`` filter as
-        :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.
-        batch`, over :meth:`query_batch` rows — so wherever the float
-        vectors agree with the direct Eq. (2) sweep (everywhere outside
-        the window, and on every generic in-window query), the dicts are
-        equal row for row.  This is what the ``quantify_vpr`` query kind
-        serves.
-        """
-        mat = self.query_batch(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
-                for row in mat]
-
-    def positive_probabilities(self, q: Point,
-                               tol: float = 0.0) -> Dict[int, float]:
-        """The paper's query output: all ``(P_i, pi_i(q))`` with positive pi."""
-        vec = self.query(q)
-        return {i: v for i, v in enumerate(vec) if v > tol}
+        return np.where(locs >= 0, self._loop_row[np.maximum(locs, 0)], -1)
 
     # ------------------------------------------------------------------
     def to_plane_arrays(self) -> Dict[str, np.ndarray]:
@@ -416,22 +362,15 @@ class ProbabilisticVoronoiDiagram:
         check_plane_arrays` validates — everything a
         :class:`SharedPlaneDiagram` needs to answer queries without
         rebuilding the diagram.  Raises
-        :class:`~repro.spatial.codec.CodecUnsupported` when the diagram
-        cannot be exported: non-discrete site models (no batched
-        fallback engine on the far side) or a ``locator="slab"``
-        diagram (the quadratic table is deliberately not shipped).
+        :class:`~repro.spatial.codec.CodecUnsupported` for non-discrete
+        site models (no batched fallback engine on the far side).
         """
         from ..spatial.codec import CodecUnsupported
 
         if not self._all_discrete():
             raise CodecUnsupported(
                 "shared-plane serving requires discrete uncertain points")
-        if self.locator_kind != "persistent":
-            raise CodecUnsupported(
-                "shared-plane serving requires the persistent locator "
-                f"(this diagram was built with locator={self.locator_kind!r})")
         loc = self.locator
-        assert isinstance(loc, PersistentPlaneLocator)
         ent_row = self._loop_row[loc.ent_loop].astype(np.int64)
         faces = np.ascontiguousarray(self._face_matrix, dtype=np.float64)
         meta = np.array([
@@ -454,7 +393,7 @@ class ProbabilisticVoronoiDiagram:
         }
 
 
-class SharedPlaneDiagram:
+class SharedPlaneDiagram(_FaceVectorQueries):
     """A ``V_Pr`` served from pre-built plane arrays (attach, don't build).
 
     The parent process builds the diagram once, exports it with
@@ -470,8 +409,6 @@ class SharedPlaneDiagram:
     parent does.  The ``Theta(N^4)`` build cost is paid exactly once
     per serving process tree.
     """
-
-    locator_kind = "persistent"
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
                  arrays: Dict[str, np.ndarray], kernel: str = "auto",
@@ -517,7 +454,7 @@ class SharedPlaneDiagram:
         return int(self._face_matrix.shape[0])
 
     def locator_stats(self) -> Dict[str, object]:
-        """Attached-plane figures, shaped like the locators' ``stats``."""
+        """Attached-plane figures, shaped like the locator's ``stats``."""
         nbytes = sum(int(a.nbytes) for a in (
             self._xs, self._offs, self._ent_u, self._ent_v, self._ent_row))
         return {
@@ -529,33 +466,17 @@ class SharedPlaneDiagram:
             "attach_seconds": float(self.attach_seconds),
         }
 
-    def _exact_quantifier(self) -> BatchExactQuantifier:
-        if self._quantifier is None:
-            self._quantifier = BatchExactQuantifier(self.points)
-        return self._quantifier
-
-    # ------------------------------------------------------------------
-    def query(self, q: Point) -> List[float]:
-        """Exact vector, bitwise the parent diagram's :meth:`query`."""
+    def _locate_row(self, q: Point) -> int:
         ent = plane_locate_scalar(
             float(q[0]), float(q[1]), self._xs, self._offs,
             self._ent_u, self._ent_v, self._vx, self._vy, self.leaf_base)
-        if ent >= 0:
-            row = self._ent_row[ent]
-            if row >= 0:
-                return self._face_matrix[row].tolist()
-        return quantification_vector(self.points, q)
+        return int(self._ent_row[ent]) if ent >= 0 else -1
 
-    def query_batch(self, queries) -> np.ndarray:
-        """Bitwise the parent diagram's :meth:`query_batch`."""
-        from ..spatial.batch import as_query_array
+    def _locate_rows(self, q: np.ndarray) -> np.ndarray:
         from ..spatial.kernels import get_provider
 
-        q = as_query_array(queries)
-        m = len(q)
-        out = np.empty((m, len(self.points)), dtype=np.float64)
-        rows = np.full(m, -1, dtype=np.intp)
-        if m and len(self._xs) >= 2 and len(self._ent_u):
+        rows = np.full(len(q), -1, dtype=np.intp)
+        if len(q) and len(self._xs) >= 2 and len(self._ent_u):
             ENGINE.inc("planelocate.batches")
             ent, found = get_provider(self.kernel).plane_locate(
                 q[:, 0], q[:, 1], self._xs, self._offs,
@@ -563,21 +484,4 @@ class SharedPlaneDiagram:
                 self.leaf_base)
             if found.any():
                 rows[found] = self._ent_row[ent[found]]
-        known = rows >= 0
-        if known.any():
-            out[known] = self._face_matrix[rows[known]]
-        missing = ~known
-        if missing.any():
-            out[missing] = self._exact_quantifier().matrix(q[missing])
-        return out
-
-    def quantify_batch(self, queries) -> List[Dict[int, float]]:
-        """Sparse serving dicts, bitwise the parent's."""
-        mat = self.query_batch(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
-                for row in mat]
-
-    def positive_probabilities(self, q: Point,
-                               tol: float = 0.0) -> Dict[int, float]:
-        vec = self.query(q)
-        return {i: v for i, v in enumerate(vec) if v > tol}
+        return rows

@@ -72,6 +72,52 @@ class TestEmptyAndTiny:
             BatchQueryEngine([certain(0, 0)], backend="gpu")
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteQueries:
+    """NaN / ±inf coordinates are outside every engine's domain: each
+    front door must raise ValueError (naming the rows for batches), never
+    return an empty or confidently ranked answer."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return PNNIndex(random_discrete_points(6, 2, seed=3, spread=2.0))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_batch_methods_name_the_rows(self, index, bad):
+        queries = [(0.5, 0.5), (bad, 1.0), (1.0, 1.0), (2.0, bad)]
+        calls = [index.batch_delta, index.batch_nonzero_nn,
+                 index.batch_quantify, index.batch_quantify_exact,
+                 index.batch_quantify_vpr,
+                 lambda q: index.batch_top_k(q, 2),
+                 lambda q: index.batch_threshold_nn(q, 0.3)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"row\(s\) 1, 3"):
+                call(queries)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_scalar_methods_raise(self, index, bad):
+        q = (1.0, bad)
+        for call in (index.delta, index.nonzero_nn,
+                     lambda p: index.quantify(p, method="exact"),
+                     index.quantify, index.quantify_vpr,
+                     lambda p: index.top_k_nn(p, 2),
+                     lambda p: index.threshold_nn(p, 0.3)):
+            with pytest.raises(ValueError, match="finite"):
+                call(q)
+
+    def test_service_submit_rejects_before_coalescing(self, index):
+        with index.serve(workers=0, coalesce=True, cache_capacity=0) as svc:
+            with pytest.raises(ValueError, match="finite"):
+                svc.submit("quantify_exact", (float("nan"), 0.0))
+            good = svc.submit("quantify_exact", (0.5, 0.5))
+            assert good.result(timeout=30) == \
+                index.batch_quantify_exact([(0.5, 0.5)])[0]
+            with pytest.raises(ValueError, match="finite"):
+                svc.batch("nonzero_nn", [(0.0, 0.0), (float("inf"), 0.0)])
+
+
 class TestDuplicateQueries:
     def test_coincident_queries_get_identical_answers(self):
         index = PNNIndex([DiskUniformPoint((0, 0), 1.0),

@@ -179,6 +179,35 @@ class TestValidation:
                                  {"q": bad})
             assert status == 400, bad
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_point_400(self, server, bad):
+        """json.loads accepts NaN/Infinity literals; single and bulk
+        requests carrying them must answer 400, naming the bulk row."""
+        import http.client
+
+        for kind in ("nonzero_nn", "quantify_exact", "top_k"):
+            for body, where in ((f'{{"q": [{bad}, 1.0]}}', None),
+                                (f'{{"queries": [[0, 0], [1.0, {bad}]]}}',
+                                 "queries[1]")):
+                conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                  timeout=30)
+                try:
+                    conn.request("POST", f"/v1/query/{kind}", body=body,
+                                 headers={"Content-Type":
+                                          "application/json"})
+                    resp = conn.getresponse()
+                    doc = json.loads(resp.read().decode("utf-8"))
+                finally:
+                    conn.close()
+                assert resp.status == 400, (kind, body)
+                assert "finite" in doc["error"]
+                if where:
+                    assert where in doc["error"]
+        # The server keeps answering well-formed requests afterwards.
+        status, doc, _ = _http(server.port, "POST",
+                               "/v1/query/quantify_exact", {"q": [0.5, 0.5]})
+        assert status == 200 and doc["result"]
+
     def test_wrong_verb_405(self, server):
         assert _http(server.port, "GET", "/v1/query/delta")[0] == 405
         assert _http(server.port, "POST", "/metrics", {})[0] == 405

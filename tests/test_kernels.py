@@ -23,7 +23,6 @@ import pytest
 import repro.spatial.kernels as kernels
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
-from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line
 from repro.obs.metrics import kernel_counters
 from repro.quantification.batch_exact import BatchExactQuantifier
@@ -37,7 +36,6 @@ from repro.spatial.kernels import (
     resolve_kernel,
 )
 from repro.spatial.kernels.build import CACHE_ENV, CC_ENV
-from repro.spatial.pointlocation import SlabPointLocator
 
 needs_native = pytest.mark.skipif(
     not native_available(),
@@ -213,7 +211,7 @@ class TestSweepParity:
 
 
 # ----------------------------------------------------------------------
-# Bitwise parity: geometry batch kernels and the slab locator.
+# Bitwise parity: geometry batch kernels.
 # ----------------------------------------------------------------------
 def _bisector_batch(sites):
     lines = [bisector_line(sites[i], sites[j])
@@ -263,31 +261,6 @@ class TestGeometryParity:
         assert np.array_equal(hit_o, hit_n)
         assert np.array_equal(px_o[hit_o], px_n[hit_n])
         assert np.array_equal(py_o[hit_o], py_n[hit_n])
-
-    def test_slab_locate_end_to_end(self):
-        rng = random.Random(5)
-        sites = [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(7)]
-        A, B, C = _bisector_batch(sites)
-        box = ((-1.0, -1.0), (7.0, 7.0))
-        segs, valid = get_provider("numpy").line_box_clip(A, B, C, box,
-                                                          1e-9)
-        (xmin, ymin), (xmax, ymax) = box
-        walls = [((xmin, ymin), (xmax, ymin)),
-                 ((xmax, ymin), (xmax, ymax)),
-                 ((xmax, ymax), (xmin, ymax)),
-                 ((xmin, ymax), (xmin, ymin))]
-        arr = SegmentArrangement(
-            [((x1, y1), (x2, y2))
-             for x1, y1, x2, y2 in segs[valid].tolist()] + walls)
-        nprng = np.random.default_rng(6)
-        queries = np.column_stack([nprng.uniform(-2.5, 8.5, 1500),
-                                   nprng.uniform(-2.5, 8.5, 1500)])
-        loc_numpy = SlabPointLocator(arr, kernel="numpy")
-        loc_native = SlabPointLocator(arr, kernel="native")
-        assert np.array_equal(loc_numpy.locate_batch(queries),
-                              loc_native.locate_batch(queries))
-        assert np.array_equal(loc_numpy.locate_batch(queries[:0]),
-                              loc_native.locate_batch(queries[:0]))
 
 
 # ----------------------------------------------------------------------

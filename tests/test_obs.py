@@ -344,9 +344,8 @@ class TestEngineCounters:
         assert grew("batch_engine.chunks")
         assert grew("exact_sweep.chunks")
         assert grew("exact_sweep.rows_retired")
-        # The default V_Pr locator is the merged-slab tree; its
-        # counters carry the point-location work now (the slab oracle's
-        # locator.* families still exist behind locator="slab").
+        # The V_Pr locator is the merged-slab tree; its counters carry
+        # the point-location work.
         assert grew("planelocate.batches")
         assert grew("planelocate.bisection_passes")
 

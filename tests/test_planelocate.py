@@ -3,9 +3,9 @@
 The persistent plane locator replaces the slab table's ``Theta(V * S)``
 rows with an ``O(E log S)`` segment tree, and the contract is stronger
 than "same faces": every ``locate`` / ``locate_batch`` / ``locate_all``
-answer must be **bitwise identical** to the slab oracle's, including on
-tie-heavy lattice inputs, at exact vertices, and a half-ulp off edges —
-the parity the serving layer relies on when it swaps locators.
+answer must be **bitwise identical** to the slab oracle's
+(:class:`repro.testing.oracles.SlabPointLocator`), including on
+tie-heavy lattice inputs, at exact vertices, and a half-ulp off edges.
 """
 
 import math
@@ -19,7 +19,7 @@ from repro.geometry.segments import bisector_line, line_box_clip
 from repro.spatial.kernels import native_available
 from repro.spatial.planelocate import (PersistentPlaneLocator,
                                        plane_locate_scalar)
-from repro.spatial.pointlocation import SlabPointLocator
+from repro.testing.oracles import SlabPointLocator
 
 
 def boxed(segments, box):

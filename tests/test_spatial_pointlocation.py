@@ -1,11 +1,11 @@
-"""Unit tests for slab-based point location."""
+"""Unit tests for the slab-table point-location oracle."""
 
 import math
 import random
 
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
-from repro.spatial.pointlocation import SlabPointLocator
+from repro.testing.oracles import SlabPointLocator
 
 
 def boxed(segments, box):

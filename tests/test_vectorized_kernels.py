@@ -8,12 +8,15 @@ kernels and their scalar references:
   configurations, identical hit masks and identical intersection floats;
 * :func:`line_box_clip_batch` vs :func:`line_box_clip` — identical
   validity masks and endpoints;
-* ``SegmentArrangement(mode="vector")`` vs ``mode="scalar"`` — identical
-  vertex coordinates (bit for bit), identical edges, identical face loops
-  and areas, Euler's relation on the vectorized counts;
-* ``ProbabilisticVoronoiDiagram(build_mode="vector")`` vs ``"scalar"`` —
+* ``SegmentArrangement`` vs the ``ScalarSegmentArrangement`` oracle —
+  identical vertex coordinates (bit for bit), identical edges, identical
+  face loops and areas, Euler's relation on the vectorized counts;
+* ``ProbabilisticVoronoiDiagram`` vs the ``ScalarVPRDiagram`` oracle —
   identical V/E/F counts and bitwise-equal face probability vectors;
-* ``SlabPointLocator.locate_batch`` vs per-query ``locate``.
+* the ``SlabPointLocator`` oracle's ``locate_batch`` vs per-query
+  ``locate``.
+
+The oracles live in :mod:`repro.testing.oracles`.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.seg_arrangement import SegmentArrangement, _interior_point
+from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import (
     bisector_line,
     line_box_clip,
@@ -33,7 +36,9 @@ from repro.geometry.segments import (
     segment_intersections_batch,
 )
 from repro.quantification.exact_discrete import quantification_vector
-from repro.spatial.pointlocation import SlabPointLocator
+from repro.testing.oracles import (ScalarSegmentArrangement,
+                                   ScalarVPRDiagram, SlabPointLocator,
+                                   interior_point)
 from repro.uncertain.discrete import DiscreteUncertainPoint
 from repro.voronoi.vpr import ProbabilisticVoronoiDiagram
 
@@ -144,7 +149,7 @@ class TestLineBoxClipBatch:
 
 
 # ----------------------------------------------------------------------
-# Arrangement build-mode parity.
+# Arrangement parity: vectorized vs the scalar oracle.
 # ----------------------------------------------------------------------
 
 def random_segments(rng, kind):
@@ -187,8 +192,8 @@ class TestArrangementModeParity:
     def test_bitwise_identical_arrangements(self, trial):
         rng = random.Random(100 + trial)
         segs = random_segments(rng, trial % 4)
-        s = SegmentArrangement(segs, mode="scalar")
-        v = SegmentArrangement(segs, mode="vector")
+        s = ScalarSegmentArrangement(segs)
+        v = SegmentArrangement(segs)
         assert s.num_vertices == v.num_vertices
         for p, q in zip(s.vertices, v.vertices):
             assert_same_floats((float(p[0]), float(p[1])),
@@ -212,14 +217,10 @@ class TestArrangementModeParity:
         rng = random.Random(9)
         arr = SegmentArrangement(random_segments(rng, 1))
         got = arr.face_interior_points()
-        want = [_interior_point([arr.vertices[v] for v in loop])
+        want = [interior_point([arr.vertices[v] for v in loop])
                 for loop in arr.bounded_face_loops()]
         for g, w in zip(got, want):
             assert_same_floats(g, w)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SegmentArrangement([((0, 0), (1, 0))], mode="simd")
 
     def test_array_input_accepted(self):
         rows = np.array([[0.0, 0.0, 2.0, 0.0], [1.0, -1.0, 1.0, 1.0]])
@@ -228,7 +229,7 @@ class TestArrangementModeParity:
 
 
 # ----------------------------------------------------------------------
-# V_Pr build-mode parity.
+# V_Pr build parity: vectorized vs the scalar oracle.
 # ----------------------------------------------------------------------
 
 def random_uncertain(n, k, seed, extent=5.0):
@@ -247,8 +248,8 @@ class TestVprModeParity:
                                           (4, 5, 2), (5, 2, 4)])
     def test_bitwise_identical_diagrams(self, seed, n, k):
         pts = random_uncertain(n, k, seed)
-        s = ProbabilisticVoronoiDiagram(pts, build_mode="scalar")
-        v = ProbabilisticVoronoiDiagram(pts, build_mode="vector")
+        s = ScalarVPRDiagram(pts)
+        v = ProbabilisticVoronoiDiagram(pts)
         assert (s.num_vertices, s.arrangement.num_edges, s.num_faces) == \
             (v.num_vertices, v.arrangement.num_edges, v.num_faces)
         assert s.complexity == v.complexity
@@ -261,8 +262,8 @@ class TestVprModeParity:
         pts = [DiscreteUncertainPoint([(0, 0), (1, 1)], [0.5, 0.5]),
                DiscreteUncertainPoint([(0, 0), (2, 2)], [0.5, 0.5]),
                DiscreteUncertainPoint([(1, 1), (1, 1)], [0.3, 0.7])]
-        s = ProbabilisticVoronoiDiagram(pts, build_mode="scalar")
-        v = ProbabilisticVoronoiDiagram(pts, build_mode="vector")
+        s = ScalarVPRDiagram(pts)
+        v = ProbabilisticVoronoiDiagram(pts)
         assert s.num_faces == v.num_faces
         for loop, vec in s._face_vectors.items():
             assert_same_floats(vec, v._face_vectors[loop])
@@ -279,13 +280,8 @@ class TestVprModeParity:
             want = quantification_vector(pts, q)
             assert max(abs(a - b) for a, b in zip(mat[j], want)) < 1e-9
 
-    def test_unknown_build_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ProbabilisticVoronoiDiagram(random_uncertain(2, 2, 1),
-                                        build_mode="gpu")
-
     def test_query_batch_duck_typed_points_fall_back_scalar(self):
-        """Scalar build mode supports duck-typed site models; query_batch's
+        """The scalar oracle supports duck-typed site models; query_batch's
         out-of-window fallback must match query() for them too."""
         class DuckSites:
             def __init__(self, sites, weights):
@@ -297,12 +293,12 @@ class TestVprModeParity:
 
         pts = [DuckSites([(0.0, 0.0), (1.0, 1.0)], [0.5, 0.5]),
                DuckSites([(3.0, 0.0)], [1.0])]
-        vpr = ProbabilisticVoronoiDiagram(pts, build_mode="scalar")
+        vpr = ScalarVPRDiagram(pts)
         qs = [(0.5, 0.2), (100.0, 100.0)]   # inside + far outside
         mat = vpr.query_batch(qs)
         for j, q in enumerate(qs):
             assert_same_floats(vpr.query(q), mat[j])
-        # The default (vector) build must also accept duck-typed models,
+        # The production build must also accept duck-typed models,
         # labeling through the scalar sweep instead of the batch engine.
         vec = ProbabilisticVoronoiDiagram(pts)
         assert vec.num_faces == vpr.num_faces
@@ -357,7 +353,7 @@ class TestBoxPadding:
 
 
 # ----------------------------------------------------------------------
-# SlabPointLocator.locate_batch parity.
+# Slab oracle: locate_batch vs per-query locate.
 # ----------------------------------------------------------------------
 
 class TestLocateBatch:

@@ -6,8 +6,7 @@ replicas (:class:`repro.voronoi.vpr.SharedPlaneDiagram`) — this suite
 holds the contract at every hop: bitwise query parity through
 encode/pickle/decode, loud rejection of malformed or mismatched
 arrays, the worker-side rebuild guard, and the service-level plumbing
-(``ServiceConfig.locator`` validation, plane fan-out with **zero**
-per-worker diagram builds).
+(plane fan-out with **zero** per-worker diagram builds).
 """
 
 import pickle
@@ -23,14 +22,31 @@ from repro.serving.executors.base import IndexReplica
 from repro.serving.service import ServiceConfig
 from repro.spatial.codec import (CodecUnsupported, check_plane_arrays,
                                  plane_from_arrays, plane_to_arrays)
+from repro.testing.oracles import SlabPointLocator
 from repro.uncertain.discrete import DiscreteUncertainPoint
-from repro.voronoi.vpr import (LOCATORS, ProbabilisticVoronoiDiagram,
-                               SharedPlaneDiagram, resolve_locator)
+from repro.voronoi.vpr import ProbabilisticVoronoiDiagram, SharedPlaneDiagram
 
 
-def build_vpr(n=6, k=2, seed=5, locator="persistent"):
+def build_vpr(n=6, k=2, seed=5):
     points = random_discrete_points(n, k, seed=seed, spread=2.0)
-    return points, ProbabilisticVoronoiDiagram(points, locator=locator)
+    return points, ProbabilisticVoronoiDiagram(points)
+
+
+class DuckPoint:
+    """Duck-typed site model: buildable, but not exportable as a plane."""
+
+    def __init__(self, sites_with_weights):
+        self._sw = list(sites_with_weights)
+        self.k = len(self._sw)
+
+    def sites_with_weights(self):
+        return list(self._sw)
+
+
+def duck_vpr(points):
+    """A V_Pr over duck-typed copies of *points* (no plane export)."""
+    return ProbabilisticVoronoiDiagram(
+        [DuckPoint(p.sites_with_weights()) for p in points])
 
 
 def query_grid(vpr, m=150, seed=31):
@@ -42,26 +58,12 @@ def query_grid(vpr, m=150, seed=31):
 
 
 class TestLocatorSelection:
-    def test_resolve(self):
-        assert resolve_locator("auto") == "persistent"
-        assert resolve_locator("slab") == "slab"
-        assert resolve_locator("persistent") == "persistent"
-        with pytest.raises(ValueError):
-            resolve_locator("bogus")
-
     def test_locators_answer_identically(self):
-        points, tree_vpr = build_vpr(locator="persistent")
-        slab_vpr = ProbabilisticVoronoiDiagram(points, locator="slab")
-        q = query_grid(tree_vpr)
-        got = tree_vpr.query_batch(q)
-        want = slab_vpr.query_batch(q)
+        _, vpr = build_vpr()
+        q = query_grid(vpr)
+        got = vpr.locator.locate_batch(q)
+        want = SlabPointLocator(vpr.arrangement).locate_batch(q)
         assert got.tobytes() == want.tobytes()
-
-    def test_index_selector(self):
-        index = PNNIndex(random_discrete_points(4, 2, seed=3, spread=2.0))
-        vpr = index.build_vpr(locator="slab")
-        assert vpr.locator_kind == "slab"
-        assert index.build_vpr().locator_kind == "persistent"
 
 
 class TestPlaneCodecRoundTrip:
@@ -88,26 +90,10 @@ class TestPlaneCodecRoundTrip:
         assert shared.query_batch([(0.5, 0.5), (100.0, 100.0)]) \
             .tolist() == [[1.0], [1.0]]
 
-    def test_slab_diagram_refused(self):
-        _, vpr = build_vpr(n=3, locator="slab")
-        with pytest.raises(CodecUnsupported):
-            plane_to_arrays(vpr)
-
     def test_non_discrete_refused(self):
-        class DuckPoint:
-            """Duck-typed site model: buildable, but not exportable."""
-
-            def __init__(self, sites):
-                self._sites = sites
-                self.k = len(sites)
-
-            def sites_with_weights(self):
-                w = 1.0 / len(self._sites)
-                return [(s, w) for s in self._sites]
-
-        points = [DuckPoint([(0.0, 0.0), (0.5, 0.5)]),
-                  DuckPoint([(3.0, 0.0), (3.5, 0.5)])]
-        vpr = ProbabilisticVoronoiDiagram(points)
+        vpr = duck_vpr([
+            DiscreteUncertainPoint([(0.0, 0.0), (0.5, 0.5)], [0.5, 0.5]),
+            DiscreteUncertainPoint([(3.0, 0.0), (3.5, 0.5)], [0.5, 0.5])])
         with pytest.raises(CodecUnsupported):
             plane_to_arrays(vpr)
 
@@ -191,18 +177,12 @@ class TestWorkerGuards:
 
 class TestServiceLocatorConfig:
     def test_validation(self):
+        """``locator`` is a no-op field that accepts only ``"auto"``."""
         assert ServiceConfig().locator == "auto"
-        assert ServiceConfig(locator="slab").locator == "slab"
-        with pytest.raises(ValueError, match="locator"):
-            ServiceConfig(locator="bogus")
-        assert set(LOCATORS) == {"auto", "slab", "persistent"}
-
-    def test_locator_steers_index(self):
-        index = PNNIndex(random_discrete_points(3, 2, seed=2, spread=2.0))
-        with index.serve(workers=0, coalesce=False,
-                         locator="slab") as service:
-            assert index.vpr_locator == "slab"
-            assert service.vpr_info()["resolved_locator"] == "slab"
+        assert ServiceConfig(locator="auto").locator == "auto"
+        for retired in ("slab", "persistent", "bogus"):
+            with pytest.raises(ValueError, match="locator"):
+                ServiceConfig(locator=retired)
 
 
 class TestSharedPlaneServing:
@@ -232,13 +212,15 @@ class TestSharedPlaneServing:
             assert stats["methods"]["quantify_vpr"]["sharded_calls"] >= 1
 
     def test_no_plane_no_fanout_still_correct(self):
-        """A slab-locator diagram cannot export a plane: quantify_vpr
+        """A non-discrete diagram cannot export a plane: quantify_vpr
         must stay parent-side (no fan-out) and stay bitwise right."""
-        index = PNNIndex(random_discrete_points(4, 2, seed=13, spread=2.0))
-        vpr = index.build_vpr(locator="slab")
+        points = random_discrete_points(4, 2, seed=13, spread=2.0)
+        index = PNNIndex(points)
+        vpr = duck_vpr(points)
         index.use_vpr(vpr)
         q = query_grid(vpr, m=40, seed=43)
         want = index.batch_quantify_vpr(q)
+        assert want == PNNIndex(points).batch_quantify_vpr(q)
         with index.serve(workers=2, backend="process", coalesce=False,
                          cache_capacity=0, shard_min_batch=8,
                          shard_chunk=8) as service:
