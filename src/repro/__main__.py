@@ -17,24 +17,18 @@ Commands
     /debug/traces`` exports them), ``--access-log`` writes structured
     JSON request records.  ``--request-timeout S`` applies a default
     end-to-end deadline (504 past it); ``--faults PLAN`` injects
-    deterministic faults for chaos drills.  ``--smoke`` runs the CI
-    self-test (endpoint parity, a forced 429, trace/slow-log checks, a
-    /metrics scrape) and exits.
-``chaos-smoke [--backend B] [--metrics-out PATH]``
-    Fault-injection self-test: worker-crash recovery with bitwise
-    parity, deadline 504s without admission-slot leaks, and the
-    circuit-breaker degradation ladder, over live HTTP on one backend.
+    deterministic faults for chaos drills.
+``smoke [--backend B] [--out DIR]``
+    The serving stack's end-to-end self-test over live HTTP, one
+    scenario after another on one backend: seven-kind parity, shedding,
+    tracing and /metrics (``http``); crash recovery, deadline 504s and
+    the breaker ladder (``chaos``); and, on process and shm, the
+    build-once shared V_Pr plane (``plane``).  ``--out`` saves each
+    scenario's /metrics scrape and the Chrome trace export.
 ``trace-dump [--host H] [--port P] [--format chrome|jsonl]``
     Fetch the trace store of a running ``serve-http`` instance and
     print or save it (``--out``); the chrome format loads directly in
     chrome://tracing and ui.perfetto.dev.
-``vpr-plane-smoke [--backend B] [--metrics-out PATH]``
-    Shared-plane serving self-test: build V_Pr once in the parent,
-    serve ``quantify_vpr`` from worker replicas attached to the
-    exported plane (process or shm backend), and assert fan-out,
-    bitwise HTTP parity, and **zero per-worker diagram rebuilds** via
-    the ``vpr.builds`` engine counter and the ``/healthz`` +
-    ``/metrics`` V_Pr families.
 ``vpr-info [--n N] [--seed S] [--kernel K]``
     Build a small V_Pr diagram and print its locator build/size
     figures: faces, entries, slabs, bytes, build seconds, the analytic
@@ -292,24 +286,7 @@ def _serve_http(argv: list) -> int:
                         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
                         help="access-log threshold: INFO writes every "
                              "request record, WARNING only the slow ones")
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the CI self-test instead of serving")
-    parser.add_argument("--metrics-out", default=None,
-                        help="(smoke) write the final /metrics scrape "
-                             "to this file")
-    parser.add_argument("--trace-out", default=None,
-                        help="(smoke) write the Chrome trace-event "
-                             "export to this file (loadable in "
-                             "chrome://tracing or ui.perfetto.dev)")
     args = parser.parse_args(argv)
-
-    from .serving.http import run_smoke
-
-    if args.smoke:
-        return run_smoke(backend=("inline" if args.workers == 0
-                                  else args.backend),
-                         metrics_out=args.metrics_out,
-                         trace_out=args.trace_out)
 
     from .core.index import PNNIndex
     from .core.workloads import random_discrete_points
@@ -358,55 +335,25 @@ def _serve_http(argv: list) -> int:
     return 0
 
 
-def _chaos_smoke(argv: list) -> int:
+def _smoke(argv: list) -> int:
     import argparse
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos-smoke",
-        description="Fault-injection self-test of the serving stack: "
-                    "worker-crash recovery with bitwise parity, deadline "
-                    "504s without slot leaks, and the circuit-breaker "
-                    "degradation ladder, all over live HTTP.")
-    parser.add_argument("--backend", default="process",
-                        help="executor backend under test: shm, process, "
-                             "thread, inline")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write the final /metrics scrape (every "
-                             "resilience counter nonzero) to this file")
-    args = parser.parse_args(argv)
-
-    from .serving.http import run_chaos_smoke
-
-    return run_chaos_smoke(backend=args.backend,
-                           metrics_out=args.metrics_out)
-
-
-def _vpr_plane_smoke(argv: list) -> int:
-    import argparse
+    from .serving.executors import BACKENDS
+    from .serving.smoke import run
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro vpr-plane-smoke",
-        description="Shared-plane serving self-test: the parent builds "
-                    "V_Pr once, exports its face vectors and persistent "
-                    "locator as flat arrays, and worker replicas answer "
-                    "quantify_vpr from the attached plane — asserted: "
-                    "fan-out, bitwise HTTP parity, zero per-worker "
-                    "diagram rebuilds, and the /healthz + /metrics "
-                    "V_Pr families.")
-    parser.add_argument("--backend", default="process",
-                        choices=("process", "shm"),
-                        help="pool backend under test (thread/inline "
-                             "share the parent's index, so the plane "
-                             "transport has nothing to prove there)")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write the final /metrics scrape to this "
-                             "file")
+        prog="python -m repro smoke",
+        description="End-to-end self-test of the serving stack over live "
+                    "HTTP: every scenario that applies to the backend "
+                    "(http, chaos, and plane on process/shm).")
+    parser.add_argument("--backend", default="inline",
+                        choices=[b for b in BACKENDS if b != "auto"],
+                        help="executor backend under test")
+    parser.add_argument("--out", default=None, metavar="DIR",
+                        help="write <scenario>-metrics.txt scrapes and "
+                             "http-trace.json into this directory")
     args = parser.parse_args(argv)
-
-    from .serving.http import run_plane_smoke
-
-    return run_plane_smoke(backend=args.backend,
-                           metrics_out=args.metrics_out)
+    return run(backend=args.backend, out=args.out)
 
 
 def _vpr_info(argv: list) -> int:
@@ -638,10 +585,8 @@ def main(argv: list) -> int:
         return _serve_demo()
     if command == "serve-http":
         return _serve_http(argv[1:])
-    if command == "chaos-smoke":
-        return _chaos_smoke(argv[1:])
-    if command == "vpr-plane-smoke":
-        return _vpr_plane_smoke(argv[1:])
+    if command == "smoke":
+        return _smoke(argv[1:])
     if command == "vpr-info":
         return _vpr_info(argv[1:])
     if command == "trace-dump":
@@ -655,7 +600,7 @@ def main(argv: list) -> int:
 
         return experiments_main(argv[1:])
     print(f"unknown command {command!r}; try: demo, serve-demo, "
-          "serve-http, chaos-smoke, vpr-plane-smoke, vpr-info, "
+          "serve-http, smoke, vpr-info, "
           "trace-dump, kernels, info, experiments")
     return 2
 

@@ -48,13 +48,14 @@ import numpy as np
 
 from ..geometry.disks import Disk
 from ..geometry.primitives import Point
-from ..quantification.batch_exact import BatchExactQuantifier
+from ..quantification.batch_exact import BatchExactQuantifier, check_tie_tol
 from ..quantification.exact_continuous import quantification_continuous_vector
 from ..quantification.exact_discrete import quantification_vector
 from ..quantification.monte_carlo import MonteCarloQuantifier
 from ..quantification.spiral import SpiralSearchQuantifier
 from ..quantification.threshold import ThresholdResult, classify_threshold
-from ..spatial.batch import BatchQueryEngine, as_query_array
+from ..spatial.batch import (BatchQueryEngine, as_query_array,
+                             check_query_domain, query_window)
 from ..spatial.kdtree import KDTree
 from ..spatial.kernels import KERNELS
 from ..uncertain.base import UncertainPoint
@@ -62,12 +63,6 @@ from ..uncertain.discrete import DiscreteUncertainPoint
 from ..voronoi.diagram import NonzeroVoronoiDiagram
 from ..voronoi.vpr import ProbabilisticVoronoiDiagram
 
-
-def _check_finite(q: Point) -> None:
-    """Scalar counterpart of :func:`~repro.spatial.batch.as_query_array`'s
-    finiteness check: a NaN or infinite coordinate fails closed."""
-    if not (math.isfinite(q[0]) and math.isfinite(q[1])):
-        raise ValueError(f"query point must be finite, got {tuple(q)!r}")
 
 __all__ = ["PNNIndex"]
 
@@ -112,6 +107,15 @@ class PNNIndex:
         self.vpr_build_forbidden = False
         self.points: List[UncertainPoint] = list(points)
         self._supports: List[Disk] = [p.support_disk() for p in self.points]
+        #: ``(xmin, ymin, xmax, ymax)`` of the query domain: the support
+        #: box grown by 2**30 extents
+        #: (:func:`~repro.spatial.batch.query_window`).  Every front door
+        #: rejects queries outside it with ``ValueError``.
+        self.query_window = query_window(
+            min(d.cx - d.r for d in self._supports),
+            min(d.cy - d.r for d in self._supports),
+            max(d.cx + d.r for d in self._supports),
+            max(d.cy + d.r for d in self._supports))
         self._support_tree = KDTree(
             [d.center for d in self._supports],
             [d.r for d in self._supports])
@@ -167,7 +171,7 @@ class PNNIndex:
         re-evaluated with the model's exact ``max_dist`` (for disk supports
         the bound is already exact).
         """
-        _check_finite(q)
+        check_query_domain(q, self.query_window)
         return self._delta_info(q)[0]
 
     def _delta_info(self, q: Point) -> tuple:
@@ -203,7 +207,7 @@ class PNNIndex:
         set is a superset of the answer and each candidate is confirmed
         exactly.
         """
-        _check_finite(q)
+        check_query_domain(q, self.query_window)
         if self.n == 1:
             return [0]
         min1, second, unique = self._delta_info(q)
@@ -253,12 +257,16 @@ class PNNIndex:
             self._batch = BatchQueryEngine(self.points, kernel=self.kernel)
         return self._batch
 
+    def _queries(self, queries) -> np.ndarray:
+        """*queries* as an ``(m, 2)`` array inside :attr:`query_window`."""
+        return as_query_array(queries, self.query_window)
+
     def batch_delta(self, queries) -> np.ndarray:
         """``Delta(q)`` for every row of *queries*, as a float array.
 
         Vectorized equivalent of calling :meth:`delta` per row.
         """
-        return self.batch_engine().delta(queries)
+        return self.batch_engine().delta(self._queries(queries))
 
     def batch_nonzero_nn(self, queries) -> List[List[int]]:
         """``NN!=0(q)`` for every row of *queries* (each list sorted).
@@ -267,7 +275,7 @@ class PNNIndex:
         same two-stage query with exact per-candidate confirmation, but
         answered for the whole batch in a few NumPy passes.
         """
-        return self.batch_engine().nonzero_nn(queries)
+        return self.batch_engine().nonzero_nn(self._queries(queries))
 
     def batch_quantify(self, queries, method: str = "auto",
                        epsilon: float = 0.05, delta: float = 0.05,
@@ -279,7 +287,7 @@ class PNNIndex:
         estimates to the scalar path, which uses the same structure); the
         exact and spiral methods fall back to a per-query loop.
         """
-        q = as_query_array(queries)
+        q = self._queries(queries)
         if method == "auto":
             method = "spiral" if self.all_discrete() else "monte_carlo"
         if method == "monte_carlo":
@@ -305,21 +313,23 @@ class PNNIndex:
             raise ValueError(
                 "batch_quantify_exact requires discrete distributions; "
                 "use batch_quantify(method='monte_carlo') for mixed models")
+        tie_tol = check_tie_tol(tie_tol)
+        q = self._queries(queries)
         if tie_tol != 0.0:
             return BatchExactQuantifier(
                 self.points, tie_tol=tie_tol,  # type: ignore[arg-type]
-                kernel=self.kernel).batch(queries)
+                kernel=self.kernel).batch(q)
         if self._batch_exact is None:
             self._batch_exact = BatchExactQuantifier(
                 self.points, kernel=self.kernel)  # type: ignore[arg-type]
-        return self._batch_exact.batch(queries)
+        return self._batch_exact.batch(q)
 
     def batch_top_k(self, queries, k: int, method: str = "auto",
                     epsilon: float = 0.05, delta: float = 0.05,
                     seed: int = 0) -> List[List[tuple]]:
         """:meth:`top_k_nn` for every row of *queries*."""
         if k <= 0:
-            return [[] for _ in range(len(as_query_array(queries)))]
+            return [[] for _ in range(len(self._queries(queries)))]
         batches = self.batch_quantify(queries, method=method, epsilon=epsilon,
                                       delta=delta, seed=seed)
         return [sorted(est.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
@@ -400,7 +410,8 @@ class PNNIndex:
         cell the sweep's comparisons replay identically at the cell's
         representative).
         """
-        return self.cached_vpr().quantify_batch(queries)
+        q = self._queries(queries)  # before any lazy Theta(N^4) build
+        return self.cached_vpr().quantify_batch(q)
 
     # ------------------------------------------------------------------
     # The flat-array codec (shared-memory serving, compact persistence).
@@ -468,7 +479,7 @@ class PNNIndex:
         * ``"auto"`` — ``"spiral"`` when all-discrete, else
           ``"monte_carlo"``.
         """
-        _check_finite(q)
+        check_query_domain(q, self.query_window)
         if method == "auto":
             method = "spiral" if self.all_discrete() else "monte_carlo"
         if method == "exact":

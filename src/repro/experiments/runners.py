@@ -1,10 +1,13 @@
 """Experiment runners: one per reproduced table/figure/theorem.
 
 Each runner regenerates the empirical content behind a paper artifact
-(E1–E15, see DESIGN.md §3) and returns an :class:`ExperimentResult` with
+(E1–E18, see DESIGN.md §3) and returns an :class:`ExperimentResult` with
 the measured rows plus a pass/fail conclusion against the paper's claim.
 Benchmarks (``benchmarks/``) time the hot kernels of the same runners;
 ``python -m repro.experiments`` renders all results into EXPERIMENTS.md.
+The systems measurements (batch engines, serving, kernels, tracing) are
+not runners: ``benchmarks/bench_e19…e28`` gate them, and ``perfbench/``
+measures the HTTP service end to end.
 
 Runners accept a ``quick`` flag: ``quick=True`` shrinks the sweeps for use
 inside the benchmark harness; the defaults are sized for the full
@@ -50,7 +53,6 @@ from ..voronoi.diagram import NonzeroVoronoiDiagram
 from ..voronoi.discrete_diagram import DiscreteNonzeroVoronoi
 from ..voronoi.gamma import build_gamma_curves
 from ..voronoi.labels import persistent_label_field
-from ..voronoi.vpr import ProbabilisticVoronoiDiagram
 
 __all__ = ["ExperimentResult", "REGISTRY", "run_all"]
 
@@ -797,551 +799,12 @@ def run_e18(quick: bool = False) -> ExperimentResult:
         f"constant-factor and pruning differences", agree)
 
 
-# ----------------------------------------------------------------------
-# E19 — the batch-query engine: throughput vs the scalar loop.
-# ----------------------------------------------------------------------
-
-def run_e19(quick: bool = False) -> ExperimentResult:
-    """Batch-query subsystem: vectorized queries vs the scalar loop.
-
-    Not a paper artifact — a systems experiment for the ROADMAP's
-    throughput goal.  Measures queries/second of the scalar ``nonzero_nn``
-    loop against ``batch_nonzero_nn`` (dense matrix kernels for small n,
-    bucketed array-kd-tree for large n) and the Monte-Carlo round tensor,
-    asserting identical answers throughout.
-    """
-    configs = [(500, 200)] if quick else [(500, 1000), (4000, 1000),
-                                          (20000, 1000)]
-    rows = []
-    agree = True
-    speedups = []
-    for n, m in configs:
-        extent = math.sqrt(n) * 2.0
-        disks = random_disks(n, seed=n + 7, extent=extent,
-                             r_min=0.1, r_max=0.4)
-        index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
-        rng = random.Random(19)
-        qs = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
-                       for _ in range(m)])
-        index.batch_nonzero_nn(qs[:4])  # build the engine outside the timer
-        # Best-of-two timings on both sides: the ratio survives a noisy
-        # scheduler tick on shared runners.
-        scalar_t = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            scalar = [index.nonzero_nn((x, y)) for x, y in qs]
-            scalar_t = min(scalar_t, time.perf_counter() - start)
-        batch_t = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            batched = index.batch_nonzero_nn(qs)
-            batch_t = min(batch_t, time.perf_counter() - start)
-        agree &= batched == scalar
-        speedups.append(scalar_t / batch_t)
-        rows.append({"n": n, "m": m,
-                     "backend": index.batch_engine().backend,
-                     "scalar q/s": int(m / scalar_t),
-                     "batch q/s": int(m / batch_t),
-                     "speedup": round(scalar_t / batch_t, 1),
-                     "identical": batched == scalar})
-    # Exact agreement is the hard requirement; the throughput bar is
-    # lower in quick mode (small batches amortize less, and quick runs
-    # often share the machine with other jobs).
-    passed = agree and max(speedups) >= (2.0 if quick else 5.0)
-    return ExperimentResult(
-        "E19", "Batch-query engine throughput (vectorized vs scalar)",
-        "vectorizing across queries pays an order of magnitude on "
-        "thousand-query workloads while returning identical answer sets",
-        rows,
-        f"identical answers everywhere: {agree}; speedups "
-        + ", ".join(f"{s:.1f}x" for s in speedups), passed)
-
-
-# ----------------------------------------------------------------------
-# E20 — the serving subsystem: sharded throughput and cache hit rate.
-# ----------------------------------------------------------------------
-
-def run_e20(quick: bool = False) -> ExperimentResult:
-    """Serving subsystem: multi-core sharding and result caching.
-
-    Not a paper artifact — the ROADMAP's next scaling step after the
-    batch engine.  Measures ``batch_delta`` throughput of the
-    single-process engine against :class:`~repro.serving.shard.
-    ShardExecutor` fan-out at several worker counts (asserting bitwise-
-    identical answers), then drives a repeat-heavy scalar workload
-    through a cached :class:`~repro.serving.service.QueryService` and
-    reports the hit rate.  Speedups are hardware-dependent (a 1-core
-    container cannot beat itself), so exact agreement is the pass/fail
-    criterion and throughput is the reported measurement.
-    """
-    import os
-
-    from ..serving.service import ServiceConfig
-    from ..serving.shard import ShardExecutor
-
-    n, m = (2000, 4000) if quick else (20000, 100000)
-    shard_counts = [2] if quick else [2, 4]
-    extent = math.sqrt(n) * 2.0
-    disks = random_disks(n, seed=n + 31, extent=extent, r_min=0.1, r_max=0.4)
-    index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
-    rng = random.Random(41)
-    qs = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
-                   for _ in range(m)])
-    index.batch_delta(qs[:16])  # build the engine outside the timers
-    single_t = math.inf
-    for _ in range(2):
-        start = time.perf_counter()
-        base = index.batch_delta(qs)
-        single_t = min(single_t, time.perf_counter() - start)
-    rows = [{"configuration": "single process", "workers": 1,
-             "mode": "-", "queries/s": int(m / single_t),
-             "speedup": 1.0, "identical": True}]
-    agree = True
-    for w in shard_counts:
-        with ShardExecutor(index.points, workers=w) as executor:
-            executor.run("delta", qs[:16])  # replicas warm
-            shard_t = math.inf
-            for _ in range(2):
-                start = time.perf_counter()
-                sharded = executor.run("delta", qs)
-                shard_t = min(shard_t, time.perf_counter() - start)
-            identical = bool(np.array_equal(base, sharded))
-            agree &= identical
-            rows.append({"configuration": f"{w} shards", "workers": w,
-                         "mode": executor.mode,
-                         "queries/s": int(m / shard_t),
-                         "speedup": round(single_t / shard_t, 2),
-                         "identical": identical})
-    # Cache experiment: bursty traffic revisiting a small hot set of
-    # locations (pi(q) is piecewise-constant, so real clients repeat).
-    hot = [tuple(qs[rng.randrange(200)]) for _ in range(2000)]
-    config = ServiceConfig(workers=0, cache_capacity=4096, coalesce=False)
-    with index.serve(config) as service:
-        for q in hot:
-            service.delta(q)
-        cache_snap = service.cache.snapshot()
-    rows.append({"configuration": "cached scalar stream", "workers": 1,
-                 "mode": "cache", "queries/s": "-",
-                 "speedup": f"hit rate {cache_snap['hit_rate']:.0%}",
-                 "identical": True})
-    cores = os.cpu_count() or 1
-    passed = agree and cache_snap["hit_rate"] >= 0.5
-    return ExperimentResult(
-        "E20", "Serving-layer throughput (sharding + caching)",
-        "sharding the batch engine across worker replicas multiplies "
-        "throughput by the core count while answers stay bitwise "
-        "identical; exact-keyed caching absorbs repeat traffic",
-        rows,
-        f"bitwise-identical sharded answers: {agree}; cache hit rate "
-        f"{cache_snap['hit_rate']:.0%} on the repeat workload "
-        f"(host has {cores} core(s) — speedups are hardware-bound)",
-        passed)
-
-
-# ----------------------------------------------------------------------
-# E21 — vectorized exact quantification: the Eq. (2) sweep in batch.
-# ----------------------------------------------------------------------
-
-def run_e21(quick: bool = False) -> ExperimentResult:
-    """Exact-quantification throughput: vectorized Eq. (2) vs the scalar sweep.
-
-    Not a paper artifact — the systems follow-up to E19/E20: the exact
-    discrete quantification vector was the last scalar-only hot path.
-    Measures queries/second of the per-query ``quantify(method="exact")``
-    sweep against :meth:`~repro.core.index.PNNIndex.batch_quantify_exact`
-    (one distance matrix, prefix-sorted sweep vectorized across queries),
-    asserting bitwise-identical probability dicts throughout, and checks
-    that histogram/polygon mixed batches now run on closed-form kernels
-    (no ``"fallback"`` group in the batch engine).
-    """
-    from ..core.workloads import rfid_histogram_field
-    from ..uncertain.polygon import ConvexPolygonUniformPoint
-
-    configs = [(50, 4, 200)] if quick else [(50, 4, 1000), (200, 5, 1000),
-                                            (500, 6, 1000)]
-    rows = []
-    agree = True
-    speedups = []
-    for n, k, m in configs:
-        pts = random_discrete_points(n, k, seed=n + 3, spread=2.0)
-        index = PNNIndex(pts)
-        extent = math.sqrt(n) * 2.2
-        rng = random.Random(23)
-        qs = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
-                       for _ in range(m)])
-        index.batch_quantify_exact(qs[:4])  # build outside the timers
-        scalar_t = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            scalar = [index.quantify((x, y), method="exact")
-                      for x, y in qs.tolist()]
-            scalar_t = min(scalar_t, time.perf_counter() - start)
-        batch_t = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            batched = index.batch_quantify_exact(qs)
-            batch_t = min(batch_t, time.perf_counter() - start)
-        agree &= batched == scalar
-        speedups.append(scalar_t / batch_t)
-        rows.append({"n": n, "k": k, "m": m, "N sites": n * k,
-                     "scalar q/s": int(m / scalar_t),
-                     "batch q/s": int(m / batch_t),
-                     "speedup": round(scalar_t / batch_t, 1),
-                     "identical": batched == scalar})
-    # Histogram/polygon kernel coverage: a mixed index must not route any
-    # model through the scalar fallback group anymore.
-    mixed = list(rfid_histogram_field(6, grid=3, seed=4))
-    mixed.append(ConvexPolygonUniformPoint([(0, 0), (2, 0), (1.5, 1.5),
-                                            (0.5, 1.6)]))
-    groups = PNNIndex(mixed).batch_engine().kernel_groups()
-    no_fallback = "fallback" not in groups
-    rows.append({"n": len(mixed), "k": "-", "m": "-", "N sites": "-",
-                 "scalar q/s": "-", "batch q/s": "-",
-                 "speedup": f"kernels: {'+'.join(groups)}",
-                 "identical": no_fallback})
-    passed = agree and no_fallback and \
-        max(speedups) >= (2.0 if quick else 5.0)
-    return ExperimentResult(
-        "E21", "Exact quantification throughput (vectorized Eq. (2) sweep)",
-        "vectorizing the exact sweep across queries pays ~an order of "
-        "magnitude while returning bitwise-identical probability vectors",
-        rows,
-        f"identical exact dicts everywhere: {agree}; histogram/polygon on "
-        f"closed-form kernels: {no_fallback}; speedups "
-        + ", ".join(f"{s:.1f}x" for s in speedups), passed)
-
-
-# ----------------------------------------------------------------------
-# E22 — vectorized V_Pr construction: batched build vs the scalar oracle.
-# ----------------------------------------------------------------------
-
-def run_e22(quick: bool = False) -> ExperimentResult:
-    """V_Pr build throughput: the vectorized pipeline vs the scalar oracle.
-
-    Not a paper artifact — the systems follow-up to E21: after the batch
-    query engines, ``V_Pr`` construction was the last scalar-only hot
-    path.  Builds the Lemma 4.1 diagram through :meth:`PNNIndex.build_vpr`
-    and through the pure-Python oracle
-    (:class:`repro.testing.oracles.ScalarVPRDiagram`) at growing sizes,
-    asserting identical V/E/F counts and **bitwise-equal** face
-    probability vectors while
-    measuring the single-core build speedup (benchmark E22 enforces the
-    >= 5x bar at its largest instance; this runner uses smaller sizes so
-    the full sweep stays fast).
-    """
-    from ..testing.oracles import ScalarVPRDiagram
-
-    ns = [6] if quick else [6, 9, 12]
-    rows = []
-    agree = True
-    speedups = []
-    for n in ns:
-        pts = random_discrete_points(n, 2, seed=31, spread=2.0)
-        index = PNNIndex(pts)
-        start = time.perf_counter()
-        scalar = ScalarVPRDiagram(pts)
-        scalar_t = time.perf_counter() - start
-        start = time.perf_counter()
-        vector = index.build_vpr()
-        vector_t = time.perf_counter() - start
-        identical = (scalar.num_vertices == vector.num_vertices
-                     and scalar.num_faces == vector.num_faces
-                     and scalar._face_vectors == vector._face_vectors)
-        agree &= identical
-        speedups.append(scalar_t / vector_t)
-        rows.append({"n": n, "N sites": 2 * n, "V": vector.num_vertices,
-                     "cells": vector.num_faces,
-                     "scalar_s": round(scalar_t, 3),
-                     "vector_s": round(vector_t, 3),
-                     "speedup": round(scalar_t / vector_t, 1),
-                     "identical": identical})
-    passed = agree and max(speedups) >= (1.0 if quick else 2.0)
-    return ExperimentResult(
-        "E22", "V_Pr construction throughput (vectorized build pipeline)",
-        "routing bisectors, the arrangement, and face labeling through "
-        "the batched kernels pays ~5x on one core at tier-1-feasible "
-        "sizes while the diagrams stay bitwise identical",
-        rows,
-        f"bitwise-identical diagrams everywhere: {agree}; speedups "
-        + ", ".join(f"{s:.1f}x" for s in speedups)
-        + " (growing with instance size; E22 bench enforces the bar)",
-        passed)
-
-
-# ----------------------------------------------------------------------
-# E23 — pluggable executor backends: process vs thread vs shm vs V_Pr.
-# ----------------------------------------------------------------------
-
-def run_e23(quick: bool = False) -> ExperimentResult:
-    """Executor-backend throughput and the V_Pr-backed serving kind.
-
-    Not a paper artifact — the systems follow-up to E20: the sharding
-    layer's execution engine is now pluggable
-    (:mod:`repro.serving.executors`), so this runner races the same
-    ``batch_delta`` workload across the ``process``, ``thread``, and
-    ``shm`` backends (asserting bitwise-identical answers), then serves
-    exact quantification through the new ``quantify_vpr`` kind (point
-    location into precomputed face vectors) and checks it row for row
-    against the direct Eq. (2) sweep.  Speedups are hardware-dependent
-    (a 1-core container cannot beat itself), so exact agreement is the
-    pass/fail criterion and throughput is the reported measurement.
-    """
-    import os
-
-    from ..serving.shard import ShardExecutor
-
-    n, m = (2000, 4000) if quick else (20000, 60000)
-    workers = 2 if quick else 4
-    extent = math.sqrt(n) * 2.0
-    disks = random_disks(n, seed=n + 37, extent=extent, r_min=0.1,
-                         r_max=0.4)
-    index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
-    rng = random.Random(53)
-    qs = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
-                   for _ in range(m)])
-    index.batch_delta(qs[:16])  # build the engine outside the timers
-    single_t = math.inf
-    for _ in range(2):
-        start = time.perf_counter()
-        base = index.batch_delta(qs)
-        single_t = min(single_t, time.perf_counter() - start)
-    rows = [{"backend": "single", "mode": "-", "queries/s": int(m / single_t),
-             "speedup": 1.0, "identical": True}]
-    agree = True
-    for backend in ("process", "thread", "shm"):
-        with ShardExecutor(index.points, workers=workers, backend=backend,
-                           index=index) as executor:
-            executor.run("delta", qs[:16])  # replicas/pools warm
-            shard_t = math.inf
-            for _ in range(2):
-                start = time.perf_counter()
-                sharded = executor.run("delta", qs)
-                shard_t = min(shard_t, time.perf_counter() - start)
-            identical = bool(np.array_equal(base, sharded))
-            agree &= identical
-            rows.append({"backend": backend, "mode": executor.mode,
-                         "queries/s": int(m / shard_t),
-                         "speedup": round(single_t / shard_t, 2),
-                         "identical": identical})
-    # The seventh kind: V_Pr-backed exact quantification vs the sweep.
-    vn = 6 if quick else 10
-    pts = random_discrete_points(vn, 2, seed=71, spread=2.0)
-    vindex = PNNIndex(pts)
-    vqs = np.array([(rng.uniform(-1, math.sqrt(vn) * 2.2 + 1),
-                     rng.uniform(-1, math.sqrt(vn) * 2.2 + 1))
-                    for _ in range(500 if quick else 3000)])
-    start = time.perf_counter()
-    sweep = vindex.batch_quantify_exact(vqs)
-    sweep_t = time.perf_counter() - start
-    vindex.batch_quantify_vpr(vqs[:4])  # diagram + locator warm
-    start = time.perf_counter()
-    served = vindex.batch_quantify_vpr(vqs)
-    vpr_t = time.perf_counter() - start
-    vpr_identical = served == sweep
-    agree &= vpr_identical
-    rows.append({"backend": "quantify_vpr", "mode": "locator",
-                 "queries/s": int(len(vqs) / vpr_t),
-                 "speedup": round(sweep_t / vpr_t, 2),
-                 "identical": vpr_identical})
-    cores = os.cpu_count() or 1
-    return ExperimentResult(
-        "E23", "Executor-backend throughput (process/thread/shm + V_Pr)",
-        "the sharding layer's execution engine is pluggable — worker "
-        "replicas over pickle or shared memory, or threads over one "
-        "index — with bitwise-identical answers everywhere; V_Pr point "
-        "location serves exact quantification without re-sweeping",
-        rows,
-        f"bitwise-identical answers across all backends and the V_Pr "
-        f"path: {agree} (host has {cores} core(s) — speedups are "
-        f"hardware-bound)",
-        agree)
-
-
-# ----------------------------------------------------------------------
-# E25 — observability: tracing parity and the disabled-path overhead.
-# ----------------------------------------------------------------------
-
-def run_e25(quick: bool = False) -> ExperimentResult:
-    """End-to-end tracing stays inert and (when disabled) nearly free.
-
-    Not a paper artifact — the systems follow-up to E23/E24: the
-    observability layer (:mod:`repro.obs`) threads spans through every
-    serving stage, so this runner answers the same ``delta`` workload
-    with tracing disabled, sampled (10%), and full (100%), asserting
-    bitwise-identical answers in every mode, and reports the measured
-    throughput ratio against the raw engine call.  Well-formed traces
-    (single root, no orphans) are asserted on the full-tracing run; the
-    numeric overhead bar lives in benchmark E25, where timing is done
-    under best-of repetition.
-    """
-    from ..obs.trace import TraceConfig
-
-    n, m = (1000, 4000) if quick else (5000, 30000)
-    extent = math.sqrt(n) * 2.0
-    disks = random_disks(n, seed=n + 25, extent=extent, r_min=0.1,
-                         r_max=0.4)
-    index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
-    rng = random.Random(25)
-    qs = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
-                   for _ in range(m)])
-    index.batch_delta(qs[:16])  # build the engine outside the timers
-    direct_t = math.inf
-    for _ in range(2):
-        start = time.perf_counter()
-        direct = index.batch_delta(qs)
-        direct_t = min(direct_t, time.perf_counter() - start)
-    rows: List[Dict[str, object]] = [
-        {"mode": "engine", "queries/s": int(m / direct_t),
-         "ratio": 1.0, "spans": 0, "identical": True}]
-    agree = True
-    trees_ok = True
-    for mode, trace in (("disabled", None),
-                        ("sampled", TraceConfig(enabled=True, sample=0.1)),
-                        ("full", TraceConfig(enabled=True, sample=1.0))):
-        with index.serve(workers=0, coalesce=False, cache_capacity=64,
-                         trace=trace) as service:
-            run_t = math.inf
-            for _ in range(2):
-                start = time.perf_counter()
-                answers = service.batch_delta(qs)
-                run_t = min(run_t, time.perf_counter() - start)
-            identical = bool(np.array_equal(direct, answers))
-            agree &= identical
-            spans = service.tracer.snapshot()["spans_recorded"] \
-                if service.tracer.enabled else 0
-            if mode == "full":
-                records = service.tracer.spans()
-                by_trace: Dict[str, List[Dict]] = {}
-                for rec in records:
-                    by_trace.setdefault(rec["trace_id"], []).append(rec)
-                for recs in by_trace.values():
-                    ids = {r["span_id"] for r in recs}
-                    roots = [r for r in recs if not r["parent_id"]]
-                    trees_ok &= len(roots) == 1
-                    trees_ok &= all(r["parent_id"] in ids for r in recs
-                                    if r["parent_id"])
-            rows.append({"mode": mode, "queries/s": int(m / run_t),
-                         "ratio": round(run_t / direct_t, 3),
-                         "spans": spans, "identical": identical})
-    return ExperimentResult(
-        "E25", "Tracing overhead (disabled/sampled/full serving modes)",
-        "request tracing observes the serving pipeline without steering "
-        "it: answers stay bitwise identical in every mode, the disabled "
-        "path is a NULL-span attribute check (benchmark E25 bars it at "
-        "<= 3% over the raw engine call), and sampled traces form "
-        "well-parented span trees",
-        rows,
-        f"answers identical across all tracing modes: {agree}; "
-        f"span trees well-formed (single root, no orphans): {trees_ok}",
-        agree and trees_ok)
-
-
-# ----------------------------------------------------------------------
-# E27 — the kernel tier: compiled native providers vs the NumPy oracle.
-# ----------------------------------------------------------------------
-
-def run_e27(quick: bool = False) -> ExperimentResult:
-    """Kernel-tier parity and speedup: native C providers vs NumPy.
-
-    Not a paper artifact — the systems follow-up to E21/E23: the
-    pluggable kernel tier (:mod:`repro.spatial.kernels`) moves the
-    batch engines' inner loops (distance matrices, the Eq. (2) sweep
-    step loop, the geometry batch kernels, the slab locator's bisection)
-    behind a provider protocol with a compiled-C implementation selected
-    like the executor backends (``kernel="auto"``).  This runner drives
-    the two hot entry points on both providers at the engines' own chunk
-    shape, asserting bitwise-identical outputs, and reports the
-    single-core speedups.  Hosts without a C compiler report the
-    (passing) degradation instead — NumPy answers are the oracle, so a
-    missing native provider costs speed, never correctness.
-    """
-    from ..quantification.batch_exact import BatchExactQuantifier
-    from ..spatial.kernels import (get_provider, kernel_status,
-                                   native_available)
-
-    status = kernel_status()
-    if not native_available():
-        rows = [{"op": "(degraded)", "numpy ms": "-", "native ms": "-",
-                 "speedup": "-", "identical": "n/a"}]
-        return ExperimentResult(
-            "E27", "Kernel tier (compiled native providers vs NumPy)",
-            "the native kernel tier triples single-core hot-loop "
-            "throughput while staying bitwise-identical to the NumPy "
-            "oracle, and degrades to NumPy where no compiler exists",
-            rows,
-            f"no usable C compiler on this host "
-            f"({status['native_error']}); kernel=auto degrades to "
-            f"NumPy — correctness unaffected", True)
-
-    oracle, native = get_provider("numpy"), get_provider("native")
-    m, sites = (512, 256) if quick else (2048, 512)
-    n, k = (50, 4) if quick else (200, 5)
-    rng = np.random.default_rng(2027)
-    rows = []
-    agree = True
-    speedups = {}
-
-    def timed(fn):
-        best = math.inf
-        result = None
-        for _ in range(2):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    qx, qy = rng.uniform(0, 50, m), rng.uniform(0, 50, m)
-    px, py = rng.uniform(0, 50, sites), rng.uniform(0, 50, sites)
-    o_t, d_o = timed(lambda: oracle.distance_matrix(qx, qy, px, py))
-    n_t, d_n = timed(lambda: native.distance_matrix(qx, qy, px, py))
-    same = bool(np.array_equal(d_o, d_n))
-    agree &= same
-    speedups["distance_matrix"] = o_t / n_t
-    rows.append({"op": "distance_matrix", "numpy ms": round(o_t * 1e3, 2),
-                 "native ms": round(n_t * 1e3, 2),
-                 "speedup": round(o_t / n_t, 1), "identical": same})
-
-    pts = random_discrete_points(n, k, seed=n + 3, spread=2.0)
-    quant = BatchExactQuantifier(pts, kernel="numpy")
-    extent = math.sqrt(n) * 2.2
-    q = rng.uniform(0, extent, (m, 2))
-    d = oracle.distance_matrix(q[:, 0], q[:, 1], quant._sx, quant._sy)
-    order = np.argsort(d, axis=1, kind="stable")
-    ds = np.take_along_axis(d, order, axis=1)
-    pp, pw = quant._parent[order], quant._weight[order]
-    o_t, (r_o, done_o) = timed(lambda: oracle.sweep_eq2(
-        ds, pp, pw, quant._totals, n, 0.0, final=True))
-    n_t, (r_n, done_n) = timed(lambda: native.sweep_eq2(
-        ds, pp, pw, quant._totals, n, 0.0, final=True))
-    same = bool(np.array_equal(r_o, r_n)
-                and np.array_equal(done_o, done_n))
-    agree &= same
-    speedups["sweep_eq2"] = o_t / n_t
-    rows.append({"op": "sweep_eq2", "numpy ms": round(o_t * 1e3, 2),
-                 "native ms": round(n_t * 1e3, 2),
-                 "speedup": round(o_t / n_t, 1), "identical": same})
-
-    bar = 2.0 if quick else 3.0
-    passed = agree and min(speedups.values()) >= bar
-    return ExperimentResult(
-        "E27", "Kernel tier (compiled native providers vs NumPy)",
-        "the native kernel tier triples single-core hot-loop throughput "
-        "while staying bitwise-identical to the NumPy oracle, and "
-        "degrades to NumPy where no compiler exists",
-        rows,
-        f"bitwise-identical on both entry points: {agree}; speedups "
-        + ", ".join(f"{op} {s:.1f}x" for op, s in speedups.items())
-        + f" (bar {bar:g}x; compiler {status['compiler']})", passed)
-
-
 REGISTRY: Dict[str, Callable[[bool], ExperimentResult]] = {
     "E1": run_e01, "E2": run_e02, "E3": run_e03, "E4": run_e04,
     "E5": run_e05, "E6": run_e06, "E7": run_e07, "E8": run_e08,
     "E9": run_e09, "E10": run_e10, "E11": run_e11, "E12": run_e12,
     "E13": run_e13, "E14": run_e14, "E15": run_e15, "E16": run_e16,
-    "E17": run_e17, "E18": run_e18, "E19": run_e19, "E20": run_e20,
-    "E21": run_e21, "E22": run_e22, "E23": run_e23, "E25": run_e25,
-    "E27": run_e27,
+    "E17": run_e17, "E18": run_e18,
 }
 
 

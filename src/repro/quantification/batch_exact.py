@@ -46,6 +46,7 @@ zero); the rare rows still live at the prefix end are re-swept with a
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ from ..obs.metrics import ENGINE
 from ..spatial.kernels import get_provider
 from ..uncertain.discrete import DiscreteUncertainPoint
 
-__all__ = ["BatchExactQuantifier"]
+__all__ = ["BatchExactQuantifier", "check_tie_tol"]
 
 # Target element count of the per-chunk (mc, N) distance matrix.  Larger
 # than the batch engine's work-matrix budget: the step loop's Python-level
@@ -64,6 +65,17 @@ _CHUNK_ELEMENTS = 1 << 20
 # First sorted-prefix width tried per chunk; widened 4x for rows whose
 # sweep is still live at the prefix end, up to the full site count.
 _PREFIX_START = 256
+
+
+def check_tie_tol(tie_tol: float) -> float:
+    """Validate a tie tolerance: finite and ``>= 0``.
+
+    NaN or ``inf`` would merge every distance into one tie group (or
+    none), and the sweep would return ``Σπ = 0`` for every row.
+    """
+    if not (math.isfinite(tie_tol) and tie_tol >= 0):
+        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
+    return float(tie_tol)
 
 
 class BatchExactQuantifier:

@@ -21,7 +21,7 @@ backend-selection guide).
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ...uncertain.base import UncertainPoint
 from .base import (
@@ -63,7 +63,6 @@ BACKEND_ENV = "REPRO_SERVING_BACKEND"
 
 def create_backend(name: str, points: Sequence[UncertainPoint],
                    workers: int,
-                   start_method: Optional[str] = None,
                    index=None, kernel: str = "auto",
                    plane=None) -> ExecutorBackend:
     """Build the requested backend, degrading instead of crashing.
@@ -117,11 +116,11 @@ def create_backend(name: str, points: Sequence[UncertainPoint],
     for kind in chain:
         try:
             if kind == "shm":
-                return SharedMemoryBackend(points, workers, start_method,
-                                           kernel=kernel, plane=plane)
+                return SharedMemoryBackend(points, workers, kernel=kernel,
+                                           plane=plane)
             if kind == "process":
-                return ProcessBackend(points, workers, start_method,
-                                      kernel=kernel, plane=plane)
+                return ProcessBackend(points, workers, kernel=kernel,
+                                      plane=plane)
             return ThreadBackend(points, workers, index=index,
                                  kernel=kernel)
         except BackendUnavailable:

@@ -75,9 +75,9 @@ def start_pool(workers: int, preferred: Optional[str],
                initializer, initargs) -> Tuple[object, str]:
     """Start a worker pool, trying start methods in preference order.
 
-    ``preferred=None`` tries ``fork`` (cheapest), then ``forkserver``,
-    then ``spawn``; an unavailable or failing method falls through to the
-    next.  Raises :class:`BackendUnavailable` when none starts — shared
+    *preferred* (the method a rebuilt pool started with last time) goes
+    first; then ``fork`` (cheapest), ``forkserver`` and ``spawn``.  An
+    unavailable or failing method falls through to the next.  Raises :class:`BackendUnavailable` when none starts — shared
     by the process and shared-memory backends.
     """
     tried = [preferred] if preferred else []
@@ -251,13 +251,11 @@ class ProcessBackend(PoolWorkersMixin, ExecutorBackend):
 
     def __init__(self, points: Sequence[UncertainPoint],
                  workers: int,
-                 start_method: Optional[str] = None,
                  kernel: str = "auto",
                  plane=None) -> None:
         super().__init__()
         self.workers = int(workers)
         self._payload = pickle.dumps(list(points))
-        self._preferred = start_method
         self._kernel = kernel
         # The plane arrays ride the initializer args (pickled once per
         # worker, like the point payload); pool rebuilds re-ship them.
@@ -267,9 +265,7 @@ class ProcessBackend(PoolWorkersMixin, ExecutorBackend):
         self._snapshot_workers()
 
     def _start_pool(self):
-        return start_pool(self.workers,
-                          self.start_method or self._preferred,
-                          _init_worker,
+        return start_pool(self.workers, self.start_method, _init_worker,
                           (self._payload, self._kernel, self._plane))
 
     def map(self, tasks: List[Task]) -> List[object]:

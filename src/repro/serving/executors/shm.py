@@ -151,7 +151,6 @@ class SharedMemoryBackend(PoolWorkersMixin, ExecutorBackend):
 
     def __init__(self, points: Sequence[UncertainPoint],
                  workers: int,
-                 start_method: Optional[str] = None,
                  kernel: str = "auto",
                  plane: Optional[Dict[str, np.ndarray]] = None) -> None:
         super().__init__()
@@ -161,7 +160,6 @@ class SharedMemoryBackend(PoolWorkersMixin, ExecutorBackend):
         self._shm = None
         self._pool = None
         self.workers = int(workers)
-        self._preferred = start_method
         self._kernel = kernel
         self.serves_plane = plane is not None
         try:
@@ -188,9 +186,7 @@ class SharedMemoryBackend(PoolWorkersMixin, ExecutorBackend):
         # Rebuild reuses the live segment: the replica data is read-only
         # and outlives any worker, so a healed pool re-maps the same
         # bytes — no re-encode, no second copy.
-        return start_pool(self.workers,
-                          self.start_method or self._preferred,
-                          _init_shm_worker,
+        return start_pool(self.workers, self.start_method, _init_shm_worker,
                           (self._shm.name, self._manifest, self._kernel))
 
     def _release_segment(self) -> None:

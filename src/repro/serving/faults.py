@@ -25,10 +25,11 @@ ShardExecutor` and the HTTP gateway:
   ``repro_deadline_exceeded_total``, ...) and ``service.stats()``;
 * :class:`FaultPlan` / :class:`FaultSpec` — **deterministic, seedable
   fault injection** for the chaos suite (``tests/test_faults.py``), the
-  E26 recovery benchmark, and ``python -m repro chaos-smoke``.  Faults
-  ride inside chunk-task metadata as plain picklable dicts, so the same
-  plan perturbs every backend (process pools, shm workers, threads,
-  inline) with zero global state and zero cost when disabled.
+  E26 recovery benchmark, and the ``chaos`` scenario of ``python -m
+  repro smoke``.  Faults ride inside chunk-task metadata as plain
+  picklable dicts, so the same plan perturbs every backend (process
+  pools, shm workers, threads, inline) with zero global state and zero
+  cost when disabled.
 
 Fault kinds
 -----------
@@ -359,7 +360,7 @@ class FaultPlan:
 
     The compact string form is ``kind:key=value,key=value;kind:...`` —
     friendly to the :data:`FAULTS_ENV` environment variable and the
-    ``chaos-smoke`` CLI.  ``attempts`` in the compact form is ``+``-
+    ``serve-http --faults`` flag.  ``attempts`` in the compact form is ``+``-
     separated (``attempts=0+1``); ``attempts=any`` means every attempt.
 
     Plans cross process boundaries as plain dicts inside chunk-task

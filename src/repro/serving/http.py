@@ -51,15 +51,13 @@ Two adapters share one transport-agnostic core (:class:`QueryGateway`):
   mountable under uvicorn/hypercorn/FastAPI-style stacks when one is
   installed (none is required).
 
-``python -m repro serve-http`` boots the stdlib server; ``--smoke`` runs
-the self-test used by CI (all seven kinds single + bulk, parity against
-the in-process service, a forced 429, and a /metrics scrape).
+``python -m repro serve-http`` boots the stdlib server; ``python -m repro
+smoke`` (:mod:`repro.serving.smoke`) drives it end to end.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import logging
 import math
@@ -75,6 +73,7 @@ from ..spatial.kernels import kernel_status
 from ..obs.trace import (NULL_SPAN, call_with_span, current_span,
                          format_traceparent, to_chrome, to_jsonl, use_span)
 from ..quantification.threshold import ThresholdResult
+from ..spatial.batch import check_query_domain
 from .executors import BACKENDS
 from .faults import Deadline, DeadlineExceeded
 from .shard import SHARD_METHODS
@@ -91,9 +90,6 @@ __all__ = [
     "encode_result",
     "handle_connection",
     "render_prometheus",
-    "run_chaos_smoke",
-    "run_plane_smoke",
-    "run_smoke",
     "serve_forever",
 ]
 
@@ -110,6 +106,9 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: (the JSON body's ``timeout_ms`` field takes precedence when both are
 #: present).  Matched case-insensitively like every other header.
 DEADLINE_HEADER = "x-request-deadline-ms"
+
+#: Reservoir size of the per-kind HTTP latency percentiles.
+_LATENCY_WINDOW = 2048
 
 #: Sentinel distinguishing "request was shed" from any engine result.
 _SHED = object()
@@ -140,8 +139,6 @@ class HttpConfig:
     warm_kinds:
         Query kinds run once at startup to spin up the executor backend
         and lazy engines; ``/healthz`` reports 503 until they finish.
-    latency_window:
-        Reservoir size of the per-kind HTTP latency percentiles.
     access_log:
         Structured-JSON access log sink: a file path, ``"-"`` for
         stderr, or ``None`` (default) for none.  The slow-query ring
@@ -159,13 +156,12 @@ class HttpConfig:
     max_body_bytes: int = 8 << 20
     keep_alive_timeout: float = 10.0
     warm_kinds: Tuple[str, ...] = ("delta",)
-    latency_window: int = 2048
     access_log: Optional[str] = None
     log_level: str = "INFO"
 
     def __post_init__(self) -> None:
         for name, floor in (("max_inflight", 1), ("max_bulk_rows", 1),
-                            ("max_body_bytes", 1), ("latency_window", 1)):
+                            ("max_body_bytes", 1)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be >= {floor}, "
                                  f"got {getattr(self, name)}")
@@ -225,7 +221,15 @@ def decode_result(kind: str, obj: object) -> object:
     return [int(i) for i in obj]  # type: ignore[union-attr]
 
 
-def _parse_point(value: object) -> Tuple[float, float]:
+def _parse_point(value: object, window=None) -> Tuple[float, float]:
+    """One ``[x, y]`` JSON pair as floats.
+
+    With a *window* (the single-point path) the point must also lie in
+    the index's query domain — json.loads accepts the NaN / Infinity
+    literals — so a bad point is rejected here, before it can join (and
+    fail) a shared coalesced flush.  Bulk rows are checked afterwards in
+    one vectorized pass by :meth:`QueryService.batch`.
+    """
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
                        for c in value)):
@@ -235,10 +239,8 @@ def _parse_point(value: object) -> Tuple[float, float]:
     except OverflowError:
         raise ValueError("a query point must have finite coordinates") \
             from None
-    # json.loads accepts the NaN / Infinity literals; reject them here,
-    # before the point can join (and fail) a shared coalesced flush.
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("a query point must have finite coordinates")
+    if window is not None:
+        check_query_domain((x, y), window)
     return x, y
 
 
@@ -260,7 +262,7 @@ class QueryGateway:
         self.service = service
         self.config = config or HttpConfig()
         cfg = self.config
-        self.http_stats = ServiceStats(cfg.latency_window)
+        self.http_stats = ServiceStats(_LATENCY_WINDOW)
         # Observability: the service owns the tracer (ServiceConfig
         # trace=...); the gateway owns the access log / slow-query ring,
         # threshold-matched to the tracer's slow_ms.
@@ -630,7 +632,8 @@ class QueryGateway:
             return 400, {"error": str(exc)}
         try:
             if "q" in doc:
-                point = _parse_point(doc["q"])
+                point = _parse_point(doc["q"],
+                                     self.service.index.query_window)
                 result = await self._admit_and_run(
                     kind, lambda: self._run_single(kind, point, params,
                                                    deadline))
@@ -715,7 +718,8 @@ class QueryGateway:
     # -------------------------------------------------- helpers
     @staticmethod
     def _dump(doc: Dict) -> bytes:
-        return json.dumps(doc).encode("utf-8")
+        # Strict JSON: a non-finite float is a bug, never "Infinity".
+        return json.dumps(doc, allow_nan=False).encode("utf-8")
 
     def _json(self, status: int, doc: Dict
               ) -> Tuple[int, List[Tuple[str, str]], bytes]:
@@ -1291,538 +1295,3 @@ class ServerThread:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-# ----------------------------------------------------------------------
-# The self-smoke used by `python -m repro serve-http --smoke` and CI.
-# ----------------------------------------------------------------------
-def _http_json(port: int, method: str, path: str,
-               doc: Optional[Dict] = None, timeout: float = 30.0,
-               headers: Optional[Dict[str, str]] = None
-               ) -> Tuple[int, object, str, Dict[str, str]]:
-    """One HTTP request against localhost;
-    ``(status, parsed, raw, response_headers)``."""
-    import http.client
-
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = json.dumps(doc) if doc is not None else None
-        send = {"Content-Type": _JSON} if body else {}
-        if headers:
-            send.update(headers)
-        conn.request(method, path, body=body, headers=send)
-        resp = conn.getresponse()
-        raw = resp.read().decode("utf-8")
-        parsed: object = None
-        if resp.headers.get_content_type() == "application/json":
-            parsed = json.loads(raw)
-        return resp.status, parsed, raw, \
-            {k.lower(): v for k, v in resp.getheaders()}
-    finally:
-        conn.close()
-
-
-class _SmokeChecks:
-    """A smoke harness's check ledger.
-
-    Calling it with ``(cond, what)`` records one check (echoing an
-    ``ok``/``FAIL`` line when *echo*); :meth:`exit_code` logs the
-    verdict and returns the process exit code.
-    """
-
-    def __init__(self, log: Callable[[str], None], echo: bool) -> None:
-        self.log = log
-        self.echo = echo
-        self.failures: List[str] = []
-
-    def __call__(self, cond: bool, what: str) -> None:
-        if not cond:
-            self.failures.append(what)
-        if self.echo:
-            self.log(("ok   " if cond else "FAIL ") + what)
-
-    def exit_code(self, label: str) -> int:
-        if not self.failures:
-            self.log(f"{label}: all checks passed")
-            return 0
-        if not self.echo:
-            for line in self.failures:
-                self.log(f"FAIL: {line}")
-        self.log(f"{label}: {len(self.failures)} check(s) FAILED")
-        return 1
-
-
-@contextlib.contextmanager
-def _booted(service, config: HttpConfig, check: _SmokeChecks):
-    """Serve *service* on a :class:`ServerThread` and wait (up to 30 s)
-    for ``/healthz`` to report ready; yields the running server."""
-    with service, ServerThread(service, config) as server:
-        assert server.port is not None
-        deadline = time.monotonic() + 30
-        status = 0
-        while time.monotonic() < deadline:
-            status, _, _, _ = _http_json(server.port, "GET", "/healthz")
-            if status == 200:
-                break
-            time.sleep(0.05)
-        check(status == 200, f"healthz became ready ({status})")
-        yield server
-
-
-def _save_scrape(raw: str, path: Optional[str],
-                 log: Callable[[str], None]) -> None:
-    """Write a ``/metrics`` scrape to *path* (no-op without one)."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(raw)
-        log(f"metrics scrape saved to {path}")
-
-
-def run_smoke(backend: str = "inline", metrics_out: Optional[str] = None,
-              log: Callable[[str], None] = print,
-              trace_out: Optional[str] = None) -> int:
-    """Boot the server, exercise every kind single + bulk, force a 429.
-
-    Returns a process exit code (0 = all checks passed).  Used by the CI
-    ``http-smoke``/``obs-smoke`` jobs; ``metrics_out`` saves the final
-    /metrics scrape and ``trace_out`` the Chrome trace-event export.
-    The server runs fully traced (``sample=1.0``, ``slow_ms=0`` so every
-    request lands in the slow ring) — the per-kind parity checks therefore
-    also prove that tracing does not perturb answers.
-    """
-    import random
-
-    from ..core.index import PNNIndex
-    from ..core.workloads import random_discrete_points
-    from ..obs.trace import TraceConfig, parse_traceparent
-
-    # Small discrete fleet: every kind answerable, and the quantify_vpr
-    # endpoint's lazy V_Pr build (arrangement size grows ~quartically in
-    # instance count) stays sub-second.
-    index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    workers = 0 if backend == "inline" else 2
-    service = index.serve(workers=workers, backend=backend,
-                          max_batch=64, flush_window=0.002,
-                          cache_capacity=4096,
-                          shard_min_batch=4096 if backend == "inline" else 32,
-                          trace=TraceConfig(enabled=True, sample=1.0,
-                                            slow_ms=0.0))
-    config = HttpConfig(port=0, max_inflight=2, max_pending=2,
-                        warm_kinds=("delta", "nonzero_nn"))
-    check = _SmokeChecks(log, echo=False)
-
-    rng = random.Random(99)
-    queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
-               for _ in range(6)]
-    with _booted(service, config, check) as server:
-        port = server.port
-        for kind in SHARD_METHODS:
-            expected = service.batch(kind, queries)
-            # Compare in encoded (JSON-safe) form on both sides: floats
-            # survive the JSON round-trip bitwise, so equality here is
-            # exact parity with the in-process answers.
-            rows = [encode_result(kind, row) for row in
-                    (list(expected) if kind == "delta" else expected)]
-            status, doc, _, hdrs = _http_json(
-                port, "POST", f"/v1/query/{kind}", {"q": list(queries[0])})
-            check(status == 200, f"{kind} single returned {status}")
-            if status == 200:
-                check(doc["result"] == rows[0],
-                      f"{kind} single result differs from service.batch")
-            check(len(hdrs.get("x-request-id", "")) == 32,
-                  f"{kind} single response is missing X-Request-Id")
-            status, doc, _, _ = _http_json(
-                port, "POST", f"/v1/query/{kind}",
-                {"queries": [list(q) for q in queries]})
-            check(status == 200, f"{kind} bulk returned {status}")
-            if status == 200:
-                check(doc["results"] == rows,
-                      f"{kind} bulk results differ from service.batch")
-            log(f"kind {kind}: single + bulk parity verified")
-
-        # Validation behavior: unknown kind 404, bad params 400.
-        status, _, _, _ = _http_json(port, "POST", "/v1/query/nope",
-                                     {"q": [0, 0]})
-        check(status == 404, f"unknown kind returned {status}, wanted 404")
-        status, _, _, _ = _http_json(port, "POST", "/v1/query/delta",
-                                     {"q": [0, 0], "params": {"bogus": 1}})
-        check(status == 400, f"bad params returned {status}, wanted 400")
-
-        # Saturate admission control: block the engine behind an event,
-        # fill every slot and the whole pending queue, then probe.
-        gate = threading.Event()
-        original = server.gateway._run_bulk
-
-        def held(kind, rows_, params, deadline=None):
-            gate.wait(timeout=30)
-            return original(kind, rows_, params, deadline)
-
-        server.gateway._run_bulk = held
-        blocked = []
-
-        def fire():
-            blocked.append(_http_json(port, "POST", "/v1/query/delta",
-                                      {"queries": [[0.0, 0.0]]}))
-
-        threads = [threading.Thread(target=fire) for _ in
-                   range(config.max_inflight + config.max_pending)]
-        for t in threads:
-            t.start()
-        saturated = False
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if (server.gateway._inflight >= config.max_inflight
-                    and server.gateway._pending >= config.max_pending):
-                saturated = True
-                break
-            time.sleep(0.01)
-        check(saturated, "admission gauges never reached saturation")
-        status, doc, _, _ = _http_json(port, "POST", "/v1/query/delta",
-                                       {"queries": [[0.0, 0.0]]})
-        check(status == 429, f"saturated server returned {status}, "
-                             f"wanted 429")
-        gate.set()
-        for t in threads:
-            t.join(timeout=30)
-        server.gateway._run_bulk = original
-        check(all(s == 200 for s, _, _, _ in blocked),
-              f"held requests finished {[s for s, _, _, _ in blocked]}, "
-              f"wanted all 200")
-        log("admission control: 429 under saturation, queued requests "
-            "completed after release")
-
-        # ------------------------------------------------ tracing checks
-        # Upstream context propagation: a request carrying a W3C
-        # traceparent must join that trace (X-Request-Id == its trace id)
-        # and answer with a well-formed traceparent of its own.
-        upstream_trace = "a" * 32
-        status, _, _, hdrs = _http_json(
-            port, "POST", "/v1/query/delta",
-            {"queries": [[float(i), 0.5] for i in range(80)]},
-            headers={"traceparent": f"00-{upstream_trace}-{'b' * 16}-01"})
-        check(status == 200, f"traced bulk returned {status}")
-        check(hdrs.get("x-request-id") == upstream_trace,
-              "upstream traceparent was not honored")
-        parsed_tp = parse_traceparent(hdrs.get("traceparent", ""))
-        check(parsed_tp is not None and parsed_tp[0] == upstream_trace,
-              "response traceparent is malformed or re-rooted")
-
-        status, doc, _, _ = _http_json(
-            port, "GET", f"/debug/traces?trace_id={upstream_trace}")
-        check(status == 200 and bool(doc.get("traceEvents")),
-              "/debug/traces has no spans for the propagated trace")
-        names = {e["name"] for e in doc.get("traceEvents", [])}
-        wanted = {"http.request", "service.batch", "service.cache"}
-        if backend != "inline":
-            wanted |= {"shard.dispatch", "worker.compute",
-                       "shard.reassemble"}
-        check(wanted <= names,
-              f"trace is missing stages {sorted(wanted - names)}")
-        status, full, _, _ = _http_json(port, "GET", "/debug/traces")
-        check(status == 200 and len(full["traceEvents"]) >= 1,
-              "/debug/traces full dump is empty")
-        if trace_out:
-            with open(trace_out, "w", encoding="utf-8") as fh:
-                json.dump(full, fh)
-            log(f"chrome trace export saved to {trace_out}")
-
-        status, sdoc, _, _ = _http_json(port, "GET", "/debug/slow")
-        check(status == 200 and sdoc["total"] > 0
-              and bool(sdoc["requests"]),
-              "slow-query log is empty (slow_ms=0 marks every request)")
-        log(f"tracing: {len(full['traceEvents'])} spans stored, "
-            f"{sdoc['total']} slow-log records, trace context propagated")
-
-        status, _, raw, _ = _http_json(port, "GET", "/metrics")
-        check(status == 200, f"/metrics returned {status}")
-        check("repro_http_requests_total" in raw
-              and "repro_http_shed_total" in raw
-              and 'quantile="0.99"' in raw,
-              "/metrics scrape is missing expected families")
-        check("repro_stage_duration_seconds" in raw
-              and "repro_trace_spans_total" in raw
-              and "repro_slow_requests_total" in raw,
-              "/metrics scrape is missing tracing families")
-        _save_scrape(raw, metrics_out, log)
-    return check.exit_code("http smoke")
-
-
-def run_chaos_smoke(backend: str = "process",
-                    metrics_out: Optional[str] = None,
-                    log: Callable[[str], None] = print) -> int:
-    """Fault-injection self-test: recovery, deadlines, degradation.
-
-    Boots the HTTP server over one service whose executor is fed a
-    sequence of deterministic :class:`~repro.serving.faults.FaultPlan`
-    phases, and checks the full resilience story end to end:
-
-    1. **recovery** — a worker crash (pool backends) or an in-compute
-       fault (thread/inline) on the first chunk; the response must be
-       200 and bitwise-identical to the unsharded oracle, with the
-       retry/rebuild counters incremented;
-    2. **deadline** — a hung first chunk against a 300 ms ``timeout_ms``;
-       the response must be 504 with no admission slots leaked;
-    3. **degradation** — a persistent per-method fault walks the
-       backend ladder until the circuit breaker lands on ``inline``;
-       the faulted kind fails, every *other* kind keeps answering
-       correctly, and ``/healthz`` reports ``degraded``.
-
-    Returns a process exit code (0 = all checks passed).  The CI
-    ``chaos-smoke`` job runs it once per backend; ``metrics_out`` saves
-    the final /metrics scrape — by then every resilience counter
-    (retries, worker failures, rebuilds, deadline 504s, breaker trips,
-    degradations, injected faults) is provably nonzero.
-    """
-    import random
-
-    from ..core.index import PNNIndex
-    from ..core.workloads import random_discrete_points
-    from .faults import FaultPlan
-
-    index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    rng = random.Random(41)
-    queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
-               for _ in range(48)]
-    check = _SmokeChecks(log, echo=True)
-
-    # Sharded answers must stay bitwise-equal to the unsharded batch
-    # calls, faults or not — encoded form, same contract as run_smoke.
-    oracle = {
-        "delta": [encode_result("delta", r)
-                  for r in list(index.batch_delta(queries))],
-        "nonzero_nn": [encode_result("nonzero_nn", r)
-                       for r in index.batch_nonzero_nn(queries)],
-    }
-    crashy = backend in ("process", "shm")
-    phase1 = ("crash_worker:chunk=0" if crashy
-              else "raise_in_compute:chunk=0")
-    service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0, coalesce=False,
-                          retries=2, faults=phase1)
-    check(service.executor is not None, "service built a shard executor")
-    config = HttpConfig(port=0, max_inflight=2, max_pending=4,
-                        warm_kinds=("delta",))
-    with _booted(service, config, check) as server:
-        port = server.port
-        executor = service.executor
-
-        # ---------------------------------------- phase 1: recovery
-        t0 = time.perf_counter()
-        status, doc, _, _ = _http_json(
-            port, "POST", "/v1/query/delta",
-            {"queries": [list(q) for q in queries]})
-        recovery_ms = (time.perf_counter() - t0) * 1e3
-        check(status == 200,
-              f"{phase1}: request survived the fault ({status})")
-        check(status == 200 and doc["results"] == oracle["delta"],
-              "recovered answers are bitwise-equal to the oracle")
-        snap = service.resilience.snapshot()
-        check(snap["retries"] >= 1 and snap["worker_failures"] >= 1,
-              f"failed chunk was retried (retries={snap['retries']}, "
-              f"worker_failures={snap['worker_failures']})")
-        if crashy:
-            # A crashed worker takes its counter bump with it (os._exit
-            # fires worker-side); the rebuild is the parent-side proof.
-            check(snap["rebuilds"] >= 1, "dead pool was rebuilt "
-                  f"(rebuilds={snap['rebuilds']})")
-        else:
-            check(snap["faults_injected"] >= 1, "fault fired "
-                  f"(faults_injected={snap['faults_injected']})")
-        log(f"phase 1: recovered in {recovery_ms:.0f} ms on {backend}")
-
-        # ---------------------------------------- phase 2: deadline
-        executor.faults = FaultPlan.coerce(
-            "slow_chunk:chunk=0,delay=2,attempts=any")
-        t0 = time.perf_counter()
-        status, doc, _, _ = _http_json(
-            port, "POST", "/v1/query/delta",
-            {"queries": [list(q) for q in queries], "timeout_ms": 300})
-        elapsed = time.perf_counter() - t0
-        check(status == 504 and doc.get("deadline_exceeded") is True,
-              f"hung chunk against timeout_ms=300 answered {status}")
-        # Pool backends abandon the hung chunk at the deadline; the
-        # thread warm-up path and the inline backend cannot preempt a
-        # chunk already running on the caller, so allow one chunk delay.
-        check(elapsed < 5.0, f"504 arrived in {elapsed * 1e3:.0f} ms")
-        gw = server.gateway
-        time.sleep(0.1)
-        check(gw._inflight == 0 and gw._pending == 0,
-              f"no admission slots leaked (inflight={gw._inflight}, "
-              f"pending={gw._pending})")
-        check(service.resilience.get("deadline_exceeded") >= 1,
-              "deadline_exceeded counter incremented")
-
-        # ---------------------------------------- phase 3: degradation
-        # Every chunk of the faulted kind fails, so the breaker sees
-        # consecutive failures (successes from healthy sibling chunks
-        # would reset its count — by design) and walks the ladder.
-        executor.faults = FaultPlan.coerce(
-            "raise_in_compute:method=delta,attempts=any")
-        status, _, _, _ = _http_json(
-            port, "POST", "/v1/query/delta",
-            {"queries": [list(q) for q in queries]})
-        check(status == 500, "persistently faulted kind failed loudly "
-                             f"({status})")
-        check(service.resilience.get("breaker_trips") >= 1,
-              "circuit breaker tripped (trips="
-              f"{service.resilience.get('breaker_trips')})")
-        health = executor.health()
-        if backend == "inline":
-            # Already on the bottom rung: nowhere to degrade to — the
-            # breaker trips, the request fails, the mode stays inline.
-            check(health["mode"] == "inline" and not health["degraded"],
-                  "inline floor held (no rung below to degrade to)")
-        else:
-            check(bool(health["degraded"])
-                  and health["mode"] == "inline",
-                  f"breaker walked the ladder to inline "
-                  f"(mode={health['mode']}, degradations="
-                  f"{service.resilience.get('degradations')})")
-        status, doc, _, _ = _http_json(
-            port, "POST", "/v1/query/nonzero_nn",
-            {"queries": [list(q) for q in queries]})
-        check(status == 200 and doc["results"] == oracle["nonzero_nn"],
-              "unfaulted kinds still answer correctly while degraded")
-        status, hdoc, _, _ = _http_json(port, "GET", "/healthz")
-        if backend == "inline":
-            check(status == 200 and hdoc["status"] == "ok",
-                  f"healthz stays ok on the inline floor "
-                  f"({hdoc['status']})")
-        else:
-            check(status == 200 and hdoc["status"] == "degraded",
-                  f"healthz reports degraded ({hdoc['status']})")
-
-        status, _, raw, _ = _http_json(port, "GET", "/metrics")
-        check(status == 200, f"/metrics returned {status}")
-        want_nonzero = ["repro_retries_total", "repro_worker_failures_total",
-                        "repro_deadline_exceeded_total",
-                        "repro_faults_injected_total",
-                        "repro_breaker_trips_total"]
-        if backend != "inline":
-            want_nonzero += ["repro_degradations_total",
-                             "repro_backend_degraded"]
-        if crashy:
-            want_nonzero.append("repro_rebuilds_total")
-        values = {}
-        for line in raw.splitlines():
-            if line.startswith("#") or " " not in line:
-                continue
-            name, _, value = line.rpartition(" ")
-            values[name.partition("{")[0]] = values.get(
-                name.partition("{")[0], 0.0) + float(value)
-        for family in want_nonzero:
-            check(values.get(family, 0) > 0, f"{family} is nonzero "
-                  f"({values.get(family, 0):g})")
-        check(values.get("repro_backend_state", 0) == 1,
-              "exactly one backend_state gauge is set")
-        _save_scrape(raw, metrics_out, log)
-    return check.exit_code(f"chaos smoke [{backend}]")
-
-
-def run_plane_smoke(backend: str = "process",
-                    metrics_out: Optional[str] = None,
-                    log: Callable[[str], None] = print) -> int:
-    """Shared-plane V_Pr serving self-test: build once, fan out, zero
-    per-worker rebuilds.
-
-    Builds one persistent-locator ``V_Pr`` in the parent, serves
-    ``quantify_vpr`` over a plane-shipping pool backend (``process`` or
-    ``shm``), and checks the whole story end to end:
-
-    1. the executor came up on the **requested** backend (no silent
-       degradation) and reports ``serves_plane``;
-    2. HTTP bulk ``quantify_vpr`` answers are bitwise-identical to the
-       parent's unsharded oracle, *and* the request actually fanned out
-       over the workers (``sharded_calls`` incremented — the old
-       parent-only routing would leave it at 0);
-    3. the parent-side ``vpr.builds`` engine counter stays at exactly
-       the one pre-serve build — workers attach the shipped plane, and
-       their replicas are structurally forbidden from building
-       (:attr:`~repro.core.index.PNNIndex.vpr_build_forbidden`), so a
-       rebuild anywhere would either crash the request or show up here;
-    4. ``/healthz`` reports the plane resident and ``/metrics`` exports
-       ``repro_vpr_plane_resident 1`` plus the locator families.
-
-    Returns a process exit code (0 = all checks passed).  The CI
-    ``vpr-plane-smoke`` job runs it once per pool backend;
-    ``metrics_out`` saves the final scrape.
-    """
-    import random
-
-    from ..core.index import PNNIndex
-    from ..core.workloads import random_discrete_points
-    from ..obs.metrics import ENGINE
-
-    if backend not in ("process", "shm"):
-        log(f"FAIL: plane smoke needs a pool backend, got {backend!r}")
-        return 1
-    check = _SmokeChecks(log, echo=True)
-
-    index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    builds_before = ENGINE.get("vpr.builds")
-    vpr = index.build_vpr()
-    index.use_vpr(vpr)
-    kind = vpr.locator_stats()["kind"]
-    check(kind == "persistent",
-          f"diagram built with the persistent locator ({kind})")
-    rng = random.Random(53)
-    queries = [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
-               for _ in range(64)]
-    oracle = [encode_result("quantify_vpr", row)
-              for row in index.batch_quantify_vpr(queries)]
-
-    service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0, coalesce=False)
-    config = HttpConfig(port=0, max_inflight=2, max_pending=4,
-                        warm_kinds=("delta",))
-    with _booted(service, config, check) as server:
-        port = server.port
-        executor = service.executor
-        check(executor is not None and executor.mode == backend,
-              f"executor runs on the requested backend "
-              f"(mode={getattr(executor, 'mode', None)})")
-        info = service.vpr_info()
-        check(info["plane_encoded"] is True,
-              "the built plane was encoded for the executor")
-        check(info["plane_served"] is True,
-              "the live backend serves the shared plane")
-
-        status, doc, _, _ = _http_json(
-            port, "POST", "/v1/query/quantify_vpr",
-            {"queries": [list(q) for q in queries]})
-        check(status == 200, f"bulk quantify_vpr answered {status}")
-        check(status == 200 and doc["results"] == oracle,
-              "fan-out answers are bitwise-equal to the parent oracle")
-        mstats = service.stats()["methods"].get("quantify_vpr", {})
-        check(mstats.get("sharded_calls", 0) >= 1,
-              f"quantify_vpr actually fanned out over {backend} workers "
-              f"(sharded_calls={mstats.get('sharded_calls', 0)})")
-
-        builds = ENGINE.get("vpr.builds") - builds_before
-        check(builds == 1,
-              f"exactly one V_Pr build in this process (vpr.builds "
-              f"delta={builds}); workers attached the shipped plane")
-
-        status, hdoc, _, _ = _http_json(port, "GET", "/healthz")
-        hvpr = (hdoc or {}).get("vpr", {})
-        check(status == 200 and hvpr.get("plane_served") is True,
-              "healthz reports the plane resident")
-        check(hvpr.get("locator_stats", {}).get("kind") == "persistent",
-              "healthz reports the persistent locator")
-
-        status, _, raw, _ = _http_json(port, "GET", "/metrics")
-        check(status == 200, f"/metrics returned {status}")
-        check("repro_vpr_plane_resident 1" in raw,
-              "/metrics exports repro_vpr_plane_resident 1")
-        check('repro_vpr_plane_locator{kind="persistent"} 1' in raw,
-              "/metrics exports the persistent locator gauge")
-        expected_builds = builds_before + 1
-        check(f'repro_engine_events_total{{event="vpr.builds"}} '
-              f'{expected_builds}' in raw,
-              "/metrics shows exactly one new parent-side vpr.builds "
-              "event")
-        check("repro_vpr_plane_bytes" in raw
-              and "repro_vpr_plane_locator_bytes" in raw,
-              "/metrics exports the plane/locator size gauges")
-        _save_scrape(raw, metrics_out, log)
-    return check.exit_code(f"plane smoke [{backend}]")

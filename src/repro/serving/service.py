@@ -42,7 +42,6 @@ Construct via :meth:`PNNIndex.serve`::
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from concurrent.futures import Future
@@ -52,7 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.trace import NULL_SPAN, Tracer, current_span, use_span
-from ..spatial.batch import as_query_array
+from ..quantification.batch_exact import check_tie_tol
+from ..spatial.batch import as_query_array, check_query_domain
 from ..spatial.codec import CodecUnsupported, plane_to_arrays
 from ..spatial.kernels import KERNELS
 from .cache import ResultCache
@@ -86,8 +86,6 @@ class ServiceConfig:
         :func:`repro.serving.executors.create_backend` for the auto
         policy and degradation chain.  All backends return
         bitwise-identical answers; the choice is operational.
-    start_method:
-        Preferred multiprocessing start method (``None`` = auto).
     kernel:
         Compute-kernel provider (:mod:`repro.spatial.kernels`):
         ``"auto"`` (default), ``"native"``, or ``"numpy"``.  ``"auto"``
@@ -126,8 +124,6 @@ class ServiceConfig:
         Largest batch that consults the cache row by row; bigger batches
         bypass it (a 100k-row python key loop would dominate the numpy
         work it fronts).
-    latency_window:
-        Per-method latency reservoir size for percentile stats.
     default_timeout:
         End-to-end deadline in *seconds* applied to every request that
         does not carry its own (HTTP ``timeout_ms`` / header, or the
@@ -135,18 +131,12 @@ class ServiceConfig:
         ``batch``).  ``None`` (default) = no implicit deadline.
     retries:
         Re-dispatch rounds allowed per failed shard chunk (see
-        :class:`~repro.serving.faults.RetryPolicy`).
-    retry_backoff:
-        Base seconds of the exponential backoff between re-dispatch
-        rounds.
+        :class:`~repro.serving.faults.RetryPolicy`, whose default
+        backoff spaces the rounds).
     chunk_timeout:
         Per-chunk hang watchdog in seconds (``None`` disables): a
         dispatched chunk unanswered this long has its pool rebuilt and
         is re-dispatched.
-    breaker_threshold:
-        Consecutive backend failures that trip the circuit breaker and
-        demote the executor one rung down the runtime degradation
-        ladder (``shm -> process -> thread -> inline``).
     faults:
         Fault-injection plan for chaos testing — anything
         :meth:`~repro.serving.faults.FaultPlan.coerce` accepts (spec
@@ -169,7 +159,6 @@ class ServiceConfig:
 
     workers: int = 0
     backend: str = "auto"
-    start_method: Optional[str] = None
     kernel: str = "auto"
     locator: str = "auto"
     shard_min_batch: int = 4096
@@ -180,12 +169,9 @@ class ServiceConfig:
     cache_capacity: int = 4096
     cache_cell_size: float = 0.0
     cache_batch_limit: int = 1024
-    latency_window: int = 4096
     default_timeout: Optional[float] = None
     retries: int = 2
-    retry_backoff: float = 0.05
     chunk_timeout: Optional[float] = None
-    breaker_threshold: int = 3
     faults: object = None
     trace: object = None
 
@@ -204,15 +190,9 @@ class ServiceConfig:
                              f"got {self.default_timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, "
-                             f"got {self.retry_backoff}")
         if self.chunk_timeout is not None and not self.chunk_timeout > 0:
             raise ValueError(f"chunk_timeout must be positive (or None), "
                              f"got {self.chunk_timeout}")
-        if self.breaker_threshold < 1:
-            raise ValueError(f"breaker_threshold must be >= 1, "
-                             f"got {self.breaker_threshold}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown executor backend {self.backend!r}; "
                              f"expected one of {BACKENDS}")
@@ -224,11 +204,10 @@ class ServiceConfig:
                              f"locator), got {self.locator!r}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        for field, floor in (("shard_min_batch", 1), ("max_batch", 1),
-                             ("latency_window", 1)):
+        for field in ("shard_min_batch", "max_batch"):
             value = getattr(self, field)
-            if value < floor:
-                raise ValueError(f"{field} must be >= {floor}, got {value}")
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
         if self.shard_chunk is not None and self.shard_chunk < 1:
             raise ValueError(
                 f"shard_chunk must be >= 1 (or None), got {self.shard_chunk}")
@@ -273,21 +252,21 @@ class QueryService:
             except CodecUnsupported:
                 self.plane = None
         self.tracer = Tracer(cfg.trace)
-        self.stats_registry = ServiceStats(cfg.latency_window)
+        self.stats_registry = ServiceStats()
         self.resilience = ResilienceStats()
-        self.breaker = CircuitBreaker(cfg.breaker_threshold)
+        # The breaker's default threshold (3 consecutive failures) demotes
+        # the executor one rung down shm -> process -> thread -> inline.
+        self.breaker = CircuitBreaker()
         self.cache: Optional[ResultCache] = (
             ResultCache(cfg.cache_capacity, cell_size=cfg.cache_cell_size)
             if cfg.cache_capacity > 0 else None)
         self.executor: Optional[ShardExecutor] = None
         if cfg.workers >= 2:
             self.executor = ShardExecutor(
-                index.points, workers=cfg.workers,
-                start_method=cfg.start_method, chunk_size=cfg.shard_chunk,
+                index.points, workers=cfg.workers, chunk_size=cfg.shard_chunk,
                 backend=cfg.backend, kernel=index.kernel, index=index,
                 tracer=self.tracer,
                 policy=RetryPolicy(retries=cfg.retries,
-                                   backoff=cfg.retry_backoff,
                                    chunk_timeout=cfg.chunk_timeout),
                 faults=cfg.faults, resilience=self.resilience,
                 breaker=self.breaker, plane=self.plane)
@@ -329,6 +308,7 @@ class QueryService:
                 raise TypeError(f"{method} got unknown parameters "
                                 f"{sorted(unknown)}")
             params.update(overrides)
+            params["tie_tol"] = check_tie_tol(params["tie_tol"])
             return params
         params = {"method": "auto", "epsilon": 0.05, "delta": 0.05,
                   "seed": 0}
@@ -564,6 +544,7 @@ class QueryService:
         request end to end; ``None`` uses the config default.
         """
         params = self.canonicalize(method, overrides)
+        check_query_domain(q, self.index.query_window)
         deadline = self._deadline(timeout)
         span = self._request_span("service.query", method)
         if span is NULL_SPAN:
@@ -614,12 +595,12 @@ class QueryService:
         an already-resolved future.  *timeout* (seconds or a
         :class:`Deadline`) bounds the request including its coalescing
         wait; expiry resolves the future with :class:`DeadlineExceeded`.
-        A non-finite *q* raises :class:`ValueError` here, before it can
-        join (and fail) a shared coalesced batch.
+        A *q* outside the index's query domain raises
+        :class:`ValueError` here, before it can join (and fail) a shared
+        coalesced batch.
         """
         params = self.canonicalize(method, overrides)
-        if not (math.isfinite(q[0]) and math.isfinite(q[1])):
-            raise ValueError(f"query point must be finite, got {q!r}")
+        check_query_domain(q, self.index.query_window)
         deadline = self._deadline(timeout)
         span = self._request_span("service.submit", method)
         if span is NULL_SPAN:
@@ -683,7 +664,7 @@ class QueryService:
         """
         params = self.canonicalize(method, overrides)
         deadline = self._deadline(timeout)
-        q = as_query_array(queries)
+        q = as_query_array(queries, self.index.query_window)
         m = len(q)
         if m == 0:
             return (np.empty(0, dtype=np.float64) if method == "delta"

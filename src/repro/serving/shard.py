@@ -72,10 +72,6 @@ class ShardExecutor:
         Parallel worker count.  Defaults to ``min(4, cpu_count)``; any
         value below 2 (or a backend that cannot start) selects inline
         mode.
-    start_method:
-        Preferred :mod:`multiprocessing` start method for process-based
-        backends (``None`` tries ``fork``, then ``forkserver``, then
-        ``spawn``).
     chunk_size:
         Query rows per dispatched task.  ``None`` sizes chunks so each
         worker receives about :data:`_TASKS_PER_WORKER` tasks — small
@@ -137,7 +133,6 @@ class ShardExecutor:
 
     def __init__(self, points: Sequence[UncertainPoint],
                  workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  chunk_size: Optional[int] = None,
                  backend: str = "auto",
                  kernel: str = "auto",
@@ -163,12 +158,10 @@ class ShardExecutor:
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._index = index
         self._plane = plane
-        self._start_method_pref = start_method
         self._degrade_lock = threading.Lock()
         self._closed = False
         self.impl: ExecutorBackend = create_backend(
-            backend, self.points, self.workers,
-            start_method=start_method, index=index, kernel=kernel,
+            backend, self.points, self.workers, index=index, kernel=kernel,
             plane=plane)
         self.workers = self.impl.workers
         self._initial_mode = self.impl.mode
@@ -467,8 +460,7 @@ class ShardExecutor:
                        old.mode, nxt, reason)
             try:
                 self.impl = create_backend(
-                    nxt, self.points, self.workers,
-                    start_method=self._start_method_pref, index=self._index,
+                    nxt, self.points, self.workers, index=self._index,
                     kernel=self.kernel, plane=self._plane)
             except Exception:  # noqa: BLE001 — inline floor cannot fail
                 self.impl = create_backend("inline", self.points, 1,

@@ -63,31 +63,91 @@ from ..uncertain.gaussian import TruncatedGaussianPoint
 from ..uncertain.histogram import HistogramUncertainPoint
 from ..uncertain.polygon import ConvexPolygonUniformPoint
 
-__all__ = ["BatchQueryEngine", "SupportDiskPoint", "as_query_array"]
+__all__ = ["ABSOLUTE_WINDOW", "BatchQueryEngine", "EXTENT_REACH",
+           "MAX_COORD", "SupportDiskPoint", "as_query_array",
+           "check_query_domain", "query_window"]
+
+#: Largest accepted ``|coordinate|``: coordinate differences stay below
+#: ``2**501``, so ``dx*dx + dy*dy`` stays finite and no distance
+#: overflows to ``inf``.
+MAX_COORD = 2.0 ** 500
+#: How far outside an index's support box a query may lie, in multiples
+#: of the box's extent (its larger side).  Near ``1e12`` extents the
+#: site-to-site distance differences round away — ``Σπ`` drifts below 1
+#: and ``NN≠0`` comes back empty — so ``2**30`` keeps ~1000x of margin.
+EXTENT_REACH = 2.0 ** 30
+#: ``(xmin, ymin, xmax, ymax)`` of the domain without an index: finite
+#: coordinates within ``±MAX_COORD``.
+ABSOLUTE_WINDOW = (-MAX_COORD, -MAX_COORD, MAX_COORD, MAX_COORD)
 
 
-def as_query_array(queries) -> np.ndarray:
+def query_window(xmin: float, ymin: float, xmax: float,
+                 ymax: float) -> Tuple[float, float, float, float]:
+    """The query domain of an index whose supports span this box.
+
+    The box grown by :data:`EXTENT_REACH` times its extent on every
+    side, clipped to :data:`ABSOLUTE_WINDOW`.  A zero-extent box (every
+    site coincident) keeps only the absolute bound.
+    """
+    extent = max(xmax - xmin, ymax - ymin)
+    if not extent > 0:
+        return ABSOLUTE_WINDOW
+    reach = EXTENT_REACH * extent
+    return (max(xmin - reach, -MAX_COORD), max(ymin - reach, -MAX_COORD),
+            min(xmax + reach, MAX_COORD), min(ymax + reach, MAX_COORD))
+
+
+def check_query_domain(q, window=ABSOLUTE_WINDOW) -> None:
+    """Raise :class:`ValueError` unless every query lies in *window*.
+
+    The one owner of the input domain.  *q* is either an ``(m, 2)``
+    float64 array (one vectorized pass; the error names the offending
+    rows) or one ``(x, y)`` point (one scalar test).  NaN compares false
+    against both bounds, so it fails like ``±inf`` and overflowing
+    coordinates.  *window* is ``(xmin, ymin, xmax, ymax)``, usually an
+    index's :attr:`~repro.core.index.PNNIndex.query_window`.
+    """
+    lo_x, lo_y, hi_x, hi_y = window
+    if isinstance(q, np.ndarray) and q.ndim == 2:
+        x, y = q[:, 0], q[:, 1]
+        ok = (x >= lo_x) & (x <= hi_x) & (y >= lo_y) & (y <= hi_y)
+        if ok.all():
+            return
+        bad = np.flatnonzero(~ok).tolist()
+        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
+        raise ValueError(
+            f"queries must be finite and inside the query domain "
+            f"{_describe(window)}; out-of-domain row(s) "
+            f"{', '.join(map(str, bad[:10]))}: "
+            f"{', '.join(f'queries[{j}]' for j in bad[:10])}{more}")
+    x, y = q
+    if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
+        raise ValueError(f"query point ({x!r}, {y!r}) must be finite and "
+                         f"inside the query domain {_describe(window)}")
+
+
+def _describe(window) -> str:
+    lo_x, lo_y, hi_x, hi_y = window
+    return (f"(x in [{lo_x:.6g}, {hi_x:.6g}], "
+            f"y in [{lo_y:.6g}, {hi_y:.6g}])")
+
+
+def as_query_array(queries, window=ABSOLUTE_WINDOW) -> np.ndarray:
     """Validate *queries* into the library's ``(m, 2)`` float64 form.
 
     The shared input contract of every batch front door —
     :class:`BatchQueryEngine`, the serving layer, and the exact
     quantification engine all funnel through this one validator, so the
-    error message (and empty-input behaviour) stays uniform.  Non-finite
-    coordinates (NaN, ±inf) are outside every engine's domain — distance
-    comparisons against them silently drop candidates — so they are
-    rejected here, naming the offending rows.
+    error message (and empty-input behaviour) stays uniform.  Rows
+    outside *window* (:func:`check_query_domain`) are rejected, naming
+    them.
     """
     q = np.asarray(queries, dtype=np.float64)
     if q.size == 0:
         return q.reshape(0, 2)
     if q.ndim != 2 or q.shape[1] != 2:
         raise ValueError("queries must be an (m, 2) array of points")
-    if not np.isfinite(q).all():
-        bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
-        shown = ", ".join(map(str, bad[:10].tolist()))
-        more = f" (+{len(bad) - 10} more)" if len(bad) > 10 else ""
-        raise ValueError(f"queries must be finite; non-finite "
-                         f"coordinates in row(s) {shown}{more}")
+    check_query_domain(q, window)
     return q
 
 # Below this many points the dense matrix kernels win outright.

@@ -376,7 +376,7 @@ class TestSigkill:
 
 class TestHttpResilience:
     def _scrape(self, port):
-        from repro.serving.http import _http_json
+        from repro.serving.smoke import _http_json
 
         _, _, raw, _ = _http_json(port, "GET", "/metrics")
         values = {}
@@ -389,7 +389,8 @@ class TestHttpResilience:
         return values
 
     def test_deadline_504_leaves_no_inflight_slots(self, fleet):
-        from repro.serving.http import HttpConfig, ServerThread, _http_json
+        from repro.serving.http import HttpConfig, ServerThread
+        from repro.serving.smoke import _http_json
 
         index, qs, _ = fleet
         service = index.serve(workers=2, backend="process",
@@ -425,7 +426,8 @@ class TestHttpResilience:
             assert status == 200
 
     def test_default_timeout_applies_without_request_field(self, fleet):
-        from repro.serving.http import HttpConfig, ServerThread, _http_json
+        from repro.serving.http import HttpConfig, ServerThread
+        from repro.serving.smoke import _http_json
 
         index, qs, _ = fleet
         service = index.serve(workers=2, backend="process",
@@ -453,7 +455,8 @@ class TestHttpResilience:
         import json as json_mod
         import socket
 
-        from repro.serving.http import HttpConfig, ServerThread, _http_json
+        from repro.serving.http import HttpConfig, ServerThread
+        from repro.serving.smoke import _http_json
 
         index, _, _ = fleet
         service = index.serve(workers=0, cache_capacity=0, coalesce=False)

@@ -28,8 +28,8 @@ from repro.serving.http import (
     create_asgi_app,
     decode_result,
     encode_result,
-    run_smoke,
 )
+from repro.serving import smoke
 
 
 def _http(port, method, path, doc=None, timeout=30.0):
@@ -411,8 +411,7 @@ class TestObservability:
 class TestHttpConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("max_inflight", 0), ("max_pending", -1), ("max_bulk_rows", 0),
-        ("max_body_bytes", 0), ("keep_alive_timeout", 0.0),
-        ("latency_window", 0)])
+        ("max_body_bytes", 0), ("keep_alive_timeout", 0.0)])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             HttpConfig(**{field: value})
@@ -490,8 +489,33 @@ class TestAsgiAdapter:
 
 
 class TestSmoke:
-    def test_run_smoke_passes(self):
-        """The CI self-test (parity, 429, metrics) over a real socket."""
+    """``python -m repro smoke``: every applicable scenario over a real
+    socket, on the in-process backend and on a worker pool."""
+
+    @pytest.mark.parametrize("backend,checks", [
+        ("inline", 77),    # http + chaos; plane skipped
+        ("process", 96),   # http + chaos + plane
+    ])
+    def test_driver_passes(self, backend, checks, tmp_path):
         lines = []
-        assert run_smoke(backend="inline", log=lines.append) == 0
-        assert any("all checks passed" in line for line in lines)
+        assert smoke.run(backend, out=str(tmp_path), log=lines.append) == 0
+        assert lines[-1] == f"smoke [{backend}]: {checks} checks, all passed"
+        assert not [line for line in lines if line.startswith("FAIL")]
+        saved = {"http-metrics.txt", "chaos-metrics.txt", "http-trace.json"}
+        if backend == "process":
+            saved.add("plane-metrics.txt")
+        else:
+            assert "plane: skipped (needs one of process, shm)" in lines
+        assert {p.name for p in tmp_path.iterdir()} == saved
+
+    def test_failed_check_exits_1(self, monkeypatch):
+        real = smoke._family
+        monkeypatch.setattr(
+            smoke, "_family", lambda series, name: 0.0
+            if name == "repro_http_shed_total" else real(series, name))
+        monkeypatch.setattr(smoke, "SCENARIOS", smoke.SCENARIOS[:1])
+        lines = []
+        assert smoke.run("inline", log=lines.append) == 1
+        assert [line for line in lines if line.startswith("FAIL")] == \
+            ["FAIL /metrics lacks request/shed counts or p99 quantiles"]
+        assert lines[-1] == "smoke [inline]: 1 of 55 checks FAILED"

@@ -535,7 +535,6 @@ class TestServiceConfigValidation:
         ("cache_capacity", -1),
         ("cache_batch_limit", -1),
         ("cache_cell_size", -0.5),
-        ("latency_window", 0),
     ])
     def test_non_positive_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
