@@ -111,7 +111,7 @@ def test_e26_recovery_latency():
             assert np.array_equal(base, healed), \
                 f"{backend}: output after injected failure is not " \
                 f"bitwise-identical to the unsharded oracle"
-            snap = executor.resilience.snapshot()
+            snap = executor.health()["resilience"]
             assert snap["worker_failures"] >= 1, \
                 f"{backend}: fault did not register as a worker failure"
             assert snap["retries"] >= 1 or snap["rebuilds"] >= 1, \
@@ -156,4 +156,4 @@ def test_e26_deadline_promptness():
             elapsed = time.perf_counter() - start
         assert elapsed < 1.5, \
             f"deadline expiry took {elapsed:.2f}s against a 300 ms budget"
-        assert executor.resilience.get("deadline_exceeded") == 1
+        assert executor.resilience["deadline_exceeded"].get() == 1

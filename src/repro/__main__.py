@@ -144,8 +144,14 @@ def _serve_demo() -> int:
               f"{elapsed * 1e3:.0f} ms ({3000 / elapsed:,.0f} req/s)")
 
         print("\nper-method service stats:")
-        for line in service.stats_registry.format_table():
-            print("  " + line)
+        for name, snap in service.stats()["methods"].items():
+            failed = (f", {snap['failures']} failed"
+                      if snap["failures"] else "")
+            print(f"  {name:>13}: {snap['requests']:>7} req in "
+                  f"{snap['batch_calls']} batches "
+                  f"({snap['sharded_calls']} sharded{failed}), hit rate "
+                  f"{snap['hit_rate']:.0%}, p50 {snap['p50_ms']:.2f} ms, "
+                  f"p99 {snap['p99_ms']:.2f} ms")
         cache = service.cache.snapshot()
         print(f"cache: {cache['entries']}/{cache['capacity']} entries, "
               f"hit rate {cache['hit_rate']:.0%} ({cache['mode']} keys), "

@@ -8,9 +8,11 @@ The observability layer of the serving stack, in three pieces:
 * :mod:`repro.obs.logging` — one structured JSON record per request
   (trace id, kind, cache hit, coalesced batch size, shard count, backend,
   per-stage duration breakdown) plus a threshold-driven slow-query ring;
-* :mod:`repro.obs.metrics` — cheap engine-level work counters (chunks
-  processed, rows retired, prefix widenings, locator passes) incremented
-  from the hot-path modules and exported on ``/metrics``.
+* :mod:`repro.obs.metrics` — the metrics registry: typed counter, gauge
+  and summary families with one generic Prometheus render (``/metrics``),
+  plus the process-wide engine work counters (chunks processed, rows
+  retired, prefix widenings, locator passes) incremented from the
+  hot-path modules.
 
 Everything here is stdlib-only and import-light: the engine modules pull
 in :mod:`repro.obs.metrics` (no reverse dependency), and the serving
@@ -21,7 +23,7 @@ through a no-op span fast path (:data:`~repro.obs.trace.NULL_SPAN`).
 """
 
 from .logging import RequestLog, summarize_trace
-from .metrics import ENGINE, CounterSet, engine_counters
+from .metrics import ENGINE, Counter, Gauge, Registry, Summary
 from .trace import (
     NULL_SPAN,
     Span,
@@ -37,16 +39,18 @@ from .trace import (
 )
 
 __all__ = [
-    "CounterSet",
+    "Counter",
     "ENGINE",
+    "Gauge",
     "NULL_SPAN",
+    "Registry",
     "RequestLog",
     "Span",
+    "Summary",
     "TraceConfig",
     "Tracer",
     "call_with_span",
     "current_span",
-    "engine_counters",
     "format_traceparent",
     "parse_traceparent",
     "summarize_trace",

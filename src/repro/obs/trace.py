@@ -46,6 +46,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from .metrics import Registry
+
 __all__ = [
     "NULL_SPAN",
     "Span",
@@ -123,16 +125,12 @@ class TraceConfig:
     slow_ms:
         Requests at least this slow land in the slow-query log
         (:class:`repro.obs.logging.RequestLog`); ``0`` logs everything.
-    stage_window:
-        Reservoir size of the per-stage duration percentiles exported
-        on ``/metrics``.
     """
 
     enabled: bool = True
     sample: float = 1.0
     max_spans: int = 4096
     slow_ms: float = 250.0
-    stage_window: int = 2048
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample <= 1.0:
@@ -141,9 +139,6 @@ class TraceConfig:
             raise ValueError(f"max_spans must be >= 1, got {self.max_spans}")
         if self.slow_ms < 0:
             raise ValueError(f"slow_ms must be >= 0, got {self.slow_ms}")
-        if self.stage_window < 1:
-            raise ValueError(f"stage_window must be >= 1, "
-                             f"got {self.stage_window}")
 
     @classmethod
     def coerce(cls, value: object) -> "TraceConfig":
@@ -300,23 +295,36 @@ class Tracer:
 
     Thread-safe: spans finish on gateway event-loop threads, pool
     threads, and the micro-batch flusher concurrently; the store and
-    stage reservoirs take one small lock per *finished sampled span*
-    (never on the disabled path).
+    the stage summary take small locks per *finished sampled span*
+    (never on the disabled path).  The tracer's families (sample rate,
+    traces and spans counted, spans stored, per-stage durations) live
+    in *registry* — the owning service's, or a private one.
     """
 
-    def __init__(self, config: object = None) -> None:
+    def __init__(self, config: object = None,
+                 registry: Optional[Registry] = None) -> None:
         self.config = TraceConfig.coerce(config)
         self.enabled = self.config.enabled and self.config.sample > 0.0
         self._lock = threading.Lock()
         self._spans: "deque[Dict]" = deque(maxlen=self.config.max_spans)
-        self.spans_recorded = 0
-        self.traces_started = 0
-        # Imported lazily: serving.stats never imports obs, but obs
-        # importing serving at module scope would still tangle package
-        # init order for callers that import repro.obs first.
-        from ..serving.stats import StageStats
-
-        self.stages = StageStats(self.config.stage_window)
+        registry = registry if registry is not None else Registry()
+        registry.gauge("repro_trace_sampled",
+                       "Trace sample rate (0 when tracing is disabled).",
+                       fn=lambda: (self.config.sample if self.enabled
+                                   else 0.0))
+        self._traces = registry.counter("repro_trace_traces_total",
+                                        "Sampled traces started.")
+        self._recorded = registry.counter(
+            "repro_trace_spans_total",
+            "Spans recorded into the bounded trace store.")
+        registry.gauge("repro_trace_spans_stored",
+                       "Spans currently held by the bounded trace store.",
+                       fn=lambda: len(self._spans))
+        self._stages = registry.summary(
+            "repro_stage_duration_seconds",
+            "Per-pipeline-stage durations from sampled trace spans "
+            "(cache, coalesce, dispatch, worker compute, reassembly).",
+            ("stage",))
 
     # ------------------------------------------------------------- spans
     def start_trace(self, name: str, traceparent: Optional[str] = None,
@@ -339,8 +347,7 @@ class Tracer:
             sampled = (self.config.sample >= 1.0
                        or random.random() < self.config.sample)
         if sampled:
-            with self._lock:
-                self.traces_started += 1
+            self._traces.inc()
         return Span(self, name, trace_id, parent_id, sampled, attrs)
 
     def start_span(self, name: str, parent=None, **attrs):
@@ -415,8 +422,8 @@ class Tracer:
     def _store(self, record: Dict) -> None:
         with self._lock:
             self._spans.append(record)
-            self.spans_recorded += 1
-        self.stages.record(record["name"], record["duration"])
+        self._recorded.inc()
+        self._stages.observe(record["name"], record["duration"])
 
     def spans(self, trace_id: Optional[str] = None) -> List[Dict]:
         """A snapshot of the finished-span store (optionally one trace)."""
@@ -426,32 +433,17 @@ class Tracer:
             records = [r for r in records if r["trace_id"] == trace_id]
         return records
 
-    def trace_ids(self) -> List[str]:
-        """Distinct trace ids currently in the store, oldest first."""
-        seen: Dict[str, None] = {}
-        for r in self.spans():
-            seen.setdefault(r["trace_id"], None)
-        return list(seen)
-
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
 
-    def stage_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage duration percentiles (for ``/metrics``)."""
-        return self.stages.snapshot()
-
     def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            stored = len(self._spans)
-            recorded = self.spans_recorded
-            started = self.traces_started
         return {
             "enabled": self.enabled,
             "sample": self.config.sample,
-            "traces_started": started,
-            "spans_recorded": recorded,
-            "spans_stored": stored,
+            "traces_started": self._traces.get(),
+            "spans_recorded": self._recorded.get(),
+            "spans_stored": len(self._spans),
         }
 
 

@@ -15,8 +15,6 @@ sustain bursty multi-client traffic against one shared
   serial execution — all with ordered, bitwise-identical reassembly;
 * :class:`ResultCache` — exact- or region-keyed LRU over the
   piecewise-stable answer fields, with hit/miss/eviction accounting;
-* :class:`ServiceStats` — per-method request counts and latency
-  percentiles;
 * :class:`QueryGateway` / :class:`ServerThread` (:mod:`repro.serving.http`)
   — the async HTTP front door: REST endpoints for all seven kinds with
   admission control (bounded pending queue, 429 shedding), ``/healthz``
@@ -57,14 +55,12 @@ from .faults import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    ResilienceStats,
     RetryPolicy,
     SegmentCorrupted,
     WorkerFailure,
 )
 from .service import QueryService, ServiceConfig
 from .shard import ShardExecutor
-from .stats import LatencyRecorder, MethodStats, ServiceStats
 
 __all__ = [
     "BACKENDS",
@@ -81,20 +77,16 @@ __all__ = [
     "HttpConfig",
     "IndexReplica",
     "InlineBackend",
-    "LatencyRecorder",
-    "MethodStats",
     "MicroBatcher",
     "ProcessBackend",
     "QueryGateway",
     "QueryService",
-    "ResilienceStats",
     "ResultCache",
     "RetryPolicy",
     "SHARD_METHODS",
     "SegmentCorrupted",
     "ServerThread",
     "ServiceConfig",
-    "ServiceStats",
     "SharedMemoryBackend",
     "ShardExecutor",
     "ThreadBackend",

@@ -39,6 +39,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 
+from ..obs.metrics import Registry
 from ..quantification.threshold import ThresholdResult
 
 __all__ = ["ResultCache", "CONTINUOUS_METHODS"]
@@ -187,6 +188,20 @@ class ResultCache:
             hits, misses = self.hits, self.misses
         seen = hits + misses
         return hits / seen if seen else 0.0
+
+    def register(self, registry: Registry) -> None:
+        """Export entries and evictions in *registry*, read at scrape
+        time."""
+        registry.gauge("repro_cache_entries",
+                       "Entries currently held by the result cache.",
+                       ("mode",), fn=lambda: {self.mode: len(self)})
+        registry.counter("repro_cache_evictions_total",
+                         "LRU evictions from the result cache.", ("mode",),
+                         fn=lambda: {self.mode: self.evictions})
+        registry.counter("repro_cache_kind_evictions_total",
+                         "LRU evictions from the result cache by query kind.",
+                         ("kind",),
+                         fn=lambda: self.snapshot()["evictions_by_kind"])
 
     def snapshot(self) -> Dict[str, object]:
         """Counters labelled with the keying mode they were earned under.

@@ -95,7 +95,7 @@ class MicroBatcher:
         # _groups nor counted here — the invariant close() relies on to
         # guarantee drain-or-fail for every submitted request.
         self._inflight_groups = 0
-        # Stats (read by ServiceStats.snapshot through the service).
+        # Stats (read by QueryService.stats).
         self.submitted = 0
         self.flushes = 0
         self.full_flushes = 0

@@ -14,7 +14,10 @@ identical to the unsharded batch call.
 The worker-process globals here (:data:`_REPLICA`, :func:`_run_chunk`,
 :func:`_set_replica`) are shared with the shared-memory backend, which
 swaps only the *transport* (a mapped segment instead of a pickle stream)
-and reuses the same execution entry point.
+and reuses the same execution entry point.  Each chunk result carries
+the worker's engine/kernel counter increments home
+(:func:`~repro.obs.metrics.count_shipped`); the parent merges them as
+it takes the result.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pickle
 import threading
 from typing import List, Optional, Sequence, Tuple
 
+from ...obs.metrics import count_shipped, merge_shipped
 from ...uncertain.base import UncertainPoint
 from .base import BackendUnavailable, ExecutorBackend, IndexReplica, \
     PendingChunk, Task
@@ -66,9 +70,11 @@ def _run_chunk(task) -> object:
     Routes through :meth:`IndexReplica.run_task`, so traced 4-tuple
     tasks come back as ``(result, worker_span_dict)`` pairs — the span
     dict (plain picklable types only) rides the normal pool result pipe.
+    The whole answer is paired with the chunk's counter increments,
+    which :func:`~repro.obs.metrics.merge_shipped` unpacks parent-side.
     """
     assert _REPLICA is not None, "worker initializer did not run"
-    return _REPLICA.run_task(task)
+    return count_shipped(_REPLICA.run_task, task)
 
 
 def start_pool(workers: int, preferred: Optional[str],
@@ -118,11 +124,16 @@ class _PoolPending(PendingChunk):
         return self._res.ready()
 
     def result(self) -> object:
-        return self._res.get(0)
+        return merge_shipped(self._res.get(0))
 
     def wait(self, timeout: float) -> bool:
         self._res.wait(timeout)
         return self._res.ready()
+
+
+#: Seconds :func:`_dispose` waits on a pool queue lock before treating
+#: it as orphaned by a dead worker and force-releasing it.
+_LOCK_GRACE = 1.0
 
 
 def _dispose(pool, timeout: float = 2.0) -> bool:
@@ -138,7 +149,12 @@ def _dispose(pool, timeout: float = 2.0) -> bool:
     so:
 
     1. stop the pool's respawner, kill whatever workers remain, reap
-       them, and force-release any lock a corpse still holds;
+       them, and force-release any lock a corpse still holds — one
+       still unacquirable after :data:`_LOCK_GRACE` seconds.  A live
+       parent thread may hold the same lock briefly (the pool's task
+       handler sends its exit sentinel under ``outqueue._wlock``);
+       releasing it from under that thread would make the holder's own
+       ``release()`` raise;
     2. run ``terminate()`` on a daemon thread with a bounded wait — a
        worker killed *mid-frame* can additionally wedge the result
        handler on a truncated pipe message, which no lock repair can
@@ -167,10 +183,9 @@ def _dispose(pool, timeout: float = 2.0) -> bool:
         if lock is None:  # pragma: no cover — platform variation
             continue
         try:
-            # Workers are dead, so an unacquirable lock can only be an
-            # orphaned hold by a corpse: release() repairs it.  (When it
-            # was free, the acquire-release pair is a no-op.)
-            lock.acquire(block=False)
+            # Free, or briefly held by a live thread: a no-op pair.
+            # Still held after the grace: a dead worker's hold, repaired.
+            lock.acquire(timeout=_LOCK_GRACE)
             lock.release()
         except Exception:  # pragma: no cover — semaphore torn down
             pass
@@ -215,6 +230,9 @@ class PoolWorkersMixin:
 
     def dispatch(self, task: Task) -> PendingChunk:
         return _PoolPending(self._pool.apply_async(_run_chunk, (task,)))
+
+    def map(self, tasks: List[Task]) -> List[object]:
+        return [merge_shipped(r) for r in self._pool.map(_run_chunk, tasks)]
 
     def broken(self) -> bool:
         current = self._worker_pids()
@@ -267,9 +285,6 @@ class ProcessBackend(PoolWorkersMixin, ExecutorBackend):
     def _start_pool(self):
         return start_pool(self.workers, self.start_method, _init_worker,
                           (self._payload, self._kernel, self._plane))
-
-    def map(self, tasks: List[Task]) -> List[object]:
-        return self._pool.map(_run_chunk, tasks)
 
     def _close_impl(self) -> None:
         # Same interrupted-teardown contract as the shm backend: a

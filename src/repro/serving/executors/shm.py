@@ -28,15 +28,15 @@ factory falls back to the pickled process backend.
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...spatial.codec import PLANE_KEY_PREFIX, CodecUnsupported, \
     points_from_arrays, points_to_arrays
 from ...uncertain.base import UncertainPoint
-from .base import BackendUnavailable, ExecutorBackend, IndexReplica, Task
-from .process import PoolWorkersMixin, _run_chunk, _set_replica, start_pool
+from .base import BackendUnavailable, ExecutorBackend, IndexReplica
+from .process import PoolWorkersMixin, _set_replica, start_pool
 
 __all__ = ["SharedMemoryBackend"]
 
@@ -208,9 +208,6 @@ class SharedMemoryBackend(PoolWorkersMixin, ExecutorBackend):
         except (FileNotFoundError, OSError):  # pragma: no cover
             pass
         self._shm = None
-
-    def map(self, tasks: List[Task]) -> List[object]:
-        return self._pool.map(_run_chunk, tasks)
 
     def _close_impl(self) -> None:
         # The segment is released in a finally so it cannot leak even

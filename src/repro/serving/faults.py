@@ -20,9 +20,10 @@ ShardExecutor` and the HTTP gateway:
   a tripped breaker degrades the executor down the runtime ladder
   ``shm -> process -> thread -> inline`` (the same order as the
   ``backend="auto"`` build-time policy);
-* :class:`ResilienceStats` — the lock-guarded counters surfaced by
-  ``/metrics`` (``repro_retries_total``, ``repro_worker_failures_total``,
-  ``repro_deadline_exceeded_total``, ...) and ``service.stats()``;
+* :func:`resilience_counters` — the fault/recovery counter families
+  (``repro_retries_total``, ``repro_worker_failures_total``,
+  ``repro_deadline_exceeded_total``, ...) a service registers in its
+  metrics registry and snapshots in ``service.stats()``;
 * :class:`FaultPlan` / :class:`FaultSpec` — **deterministic, seedable
   fault injection** for the chaos suite (``tests/test_faults.py``), the
   E26 recovery benchmark, and the ``chaos`` scenario of ``python -m
@@ -66,6 +67,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..obs.metrics import Counter, Registry
+
 __all__ = [
     "FAULT_KINDS",
     "FAULTS_ENV",
@@ -75,10 +78,11 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
-    "ResilienceStats",
+    "RESILIENCE",
     "RetryPolicy",
     "SegmentCorrupted",
     "WorkerFailure",
+    "resilience_counters",
 ]
 
 #: Injectable fault kinds (see the module docstring for semantics).
@@ -272,33 +276,30 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 # Resilience counters.
 # ----------------------------------------------------------------------
-class ResilienceStats:
-    """Lock-guarded fault/recovery counters shared by service + gateway.
+#: The fault/recovery counters: each one is exported as its own
+#: ``repro_<name>_total`` family.
+RESILIENCE = {
+    "retries": "Chunk re-dispatch attempts after a worker failure, hang, "
+               "or injected fault.",
+    "worker_failures": "Chunk executions lost to worker death, fault, or "
+                       "timeout.",
+    "rebuilds": "Worker-pool rebuilds by the self-healing path.",
+    "degradations": "Runtime backend downgrades along the "
+                    "shm->process->thread->inline ladder.",
+    "breaker_trips": "Circuit-breaker trips (each one triggers a "
+                     "degradation attempt).",
+    "deadline_exceeded": "Requests abandoned at their end-to-end deadline "
+                         "(504s).",
+    "faults_injected": "Faults fired by the configured FaultPlan (chaos "
+                       "testing only).",
+}
 
-    One instance per :class:`~repro.serving.service.QueryService`,
-    passed into its executor; ``/metrics`` exports each counter as its
-    own ``repro_*_total`` family and ``service.stats()["resilience"]``
-    snapshots them for in-process callers.
-    """
 
-    _FIELDS = ("retries", "worker_failures", "rebuilds", "degradations",
-               "breaker_trips", "deadline_exceeded", "faults_injected")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {name: 0 for name in self._FIELDS}
-
-    def bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + n
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+def resilience_counters(registry: Registry) -> Dict[str, Counter]:
+    """Register the :data:`RESILIENCE` families in *registry*; returns
+    ``{name: Counter}`` for the service and its executor to share."""
+    return {name: registry.counter(f"repro_{name}_total", help_text)
+            for name, help_text in RESILIENCE.items()}
 
 
 # ----------------------------------------------------------------------

@@ -23,10 +23,10 @@ Endpoints
     Readiness probe: ``503`` until the backend warm-up queries have run,
     ``200`` after (load balancers gate traffic on it).
 ``GET /metrics``
-    Prometheus text format: per-kind request/shed counters, in-flight and
-    pending gauges, and p50/p90/p99 latency summaries straight out of the
-    :mod:`repro.serving.stats` reservoirs (HTTP wall time *and* engine
-    batch time).
+    Prometheus text format: the service's metrics registry
+    (:class:`~repro.obs.metrics.Registry`) rendered, with the gateway's
+    own families — per-kind request/shed counters, in-flight and pending
+    gauges, HTTP wall-time summaries — registered beside the service's.
 ``GET /``
     A JSON index of the endpoints and served kinds.
 
@@ -68,16 +68,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.logging import RequestLog
-from ..obs.metrics import engine_counters, kernel_counters
 from ..spatial.kernels import kernel_status
 from ..obs.trace import (NULL_SPAN, call_with_span, current_span,
                          format_traceparent, to_chrome, to_jsonl, use_span)
 from ..quantification.threshold import ThresholdResult
 from ..spatial.batch import check_query_domain
-from .executors import BACKENDS
 from .faults import Deadline, DeadlineExceeded
 from .shard import SHARD_METHODS
-from .stats import ServiceStats
 
 _LOG = logging.getLogger("repro.serving.http")
 
@@ -89,7 +86,6 @@ __all__ = [
     "decode_result",
     "encode_result",
     "handle_connection",
-    "render_prometheus",
     "serve_forever",
 ]
 
@@ -106,9 +102,6 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 #: (the JSON body's ``timeout_ms`` field takes precedence when both are
 #: present).  Matched case-insensitively like every other header.
 DEADLINE_HEADER = "x-request-deadline-ms"
-
-#: Reservoir size of the per-kind HTTP latency percentiles.
-_LATENCY_WINDOW = 2048
 
 #: Sentinel distinguishing "request was shed" from any engine result.
 _SHED = object()
@@ -244,16 +237,47 @@ def _parse_point(value: object, window=None) -> Tuple[float, float]:
     return x, y
 
 
+def _json_path(node: object, target: object, path: str = ""
+               ) -> Optional[str]:
+    """Where *target* sits in a parsed JSON document (``queries[1][0]``)."""
+    if node is target:
+        return path or "top level"
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}".lstrip("."), v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{j}]", v) for j, v in enumerate(node))
+    else:
+        return None
+    for where, value in items:
+        found = _json_path(value, target, where)
+        if found is not None:
+            return found
+    return None
+
+
+def _loads_strict(body: bytes) -> object:
+    """Parse a request body as standard JSON: ``json.loads`` accepts
+    ``NaN``/``Infinity``/``-Infinity``, which are not JSON, so a body
+    carrying one raises ``ValueError`` naming where it sits."""
+    constant, seen = object(), []
+    doc = json.loads(body.decode("utf-8"),
+                     parse_constant=lambda name: seen.append(name) or constant)
+    if seen:
+        raise ValueError(f"{seen[0]} at {_json_path(doc, constant)}: "
+                         f"non-finite numbers are not JSON")
+    return doc
+
+
 # ----------------------------------------------------------------------
 # The transport-agnostic core.
 # ----------------------------------------------------------------------
 class QueryGateway:
     """Routing + admission control between HTTP transports and a service.
 
-    All mutable gateway state (counters, gauges, latency reservoirs) is
-    touched only on the event-loop thread, so it needs no locks; the
-    blocking service calls run on a bounded thread pool whose size *is*
-    the in-flight cap.
+    The admission state (pending and in-flight counts) is touched only
+    on the event-loop thread, so it needs no locks; the blocking service
+    calls run on a bounded thread pool whose size *is* the in-flight
+    cap.  The gateway's metric families live in the service's registry.
     """
 
     def __init__(self, service, config: Optional[HttpConfig] = None) -> None:
@@ -262,7 +286,6 @@ class QueryGateway:
         self.service = service
         self.config = config or HttpConfig()
         cfg = self.config
-        self.http_stats = ServiceStats(_LATENCY_WINDOW)
         # Observability: the service owns the tracer (ServiceConfig
         # trace=...); the gateway owns the access log / slow-query ring,
         # threshold-matched to the tracer's slow_ms.
@@ -281,9 +304,36 @@ class QueryGateway:
         self._completions: deque = deque(maxlen=128)
         self.ready = False
         self.warm_error: Optional[BaseException] = None
-        self.requests_total: Dict[Tuple[str, int], int] = {}
-        self.shed_total: Dict[str, int] = {}
-        self.disconnects_total = 0
+        reg = service.registry
+        reg.gauge("repro_ready",
+                  "1 once backend warm-up finished (healthz readiness).",
+                  fn=lambda: int(self.ready))
+        reg.gauge("repro_http_inflight",
+                  "Requests currently executing on the engine pool.",
+                  fn=lambda: self._inflight)
+        reg.gauge("repro_http_pending",
+                  "Admitted requests waiting for an execution slot.",
+                  fn=lambda: self._pending)
+        self.requests_total = reg.counter(
+            "repro_http_requests_total",
+            "HTTP query requests by kind and response code.",
+            ("kind", "code"))
+        self.shed_total = reg.counter(
+            "repro_http_shed_total",
+            "Requests shed with 429 by the admission controller.", ("kind",))
+        self.disconnects_total = reg.counter(
+            "repro_http_client_disconnects_total",
+            "Requests abandoned by a client disconnect mid-flight (499).")
+        self.latency = reg.summary(
+            "repro_http_request_latency_seconds",
+            "HTTP request wall time per kind (queueing included).",
+            ("kind",))
+        reg.counter("repro_slow_requests_total",
+                    "Requests at or above the slow-query threshold.",
+                    fn=lambda: self.request_log.slow_total)
+        # Every kind is listed from the first scrape, hit or not.
+        self.shed_total.declare(*SHARD_METHODS)
+        self.latency.declare(*SHARD_METHODS)
 
     # -------------------------------------------------- lifecycle
     async def startup(self) -> None:
@@ -293,13 +343,6 @@ class QueryGateway:
         warm-up queries run; ``/healthz`` answers 503 until they finish.
         """
         self._slots = asyncio.Semaphore(self.config.max_inflight)
-        # Pre-register every kind in both stats registries so /metrics
-        # exports a complete, zero-valued series set from the first
-        # scrape (and so never-hit kinds exercise the empty-window
-        # percentile path instead of being absent).
-        for kind in SHARD_METHODS:
-            self.service.stats_registry.method(kind)
-            self.http_stats.method(kind)
         self._warm_task = asyncio.get_running_loop().create_task(
             self._warm_async())
 
@@ -399,7 +442,7 @@ class QueryGateway:
         parent = current_span()
         if sem.locked():  # every slot busy -> this request must queue
             if self._pending >= self.config.max_pending:
-                self.shed_total[kind] = self.shed_total.get(kind, 0) + 1
+                self.shed_total.inc(kind)
                 return _SHED
             self._pending += 1
             try:
@@ -456,13 +499,12 @@ class QueryGateway:
 
     def note_client_disconnect(self, path: str) -> None:
         """Account one mid-request client disconnect (nginx's 499)."""
-        self.disconnects_total += 1
+        self.disconnects_total.inc()
         route = path.partition("?")[0]
         if route.startswith("/v1/query/"):
             kind = route[len("/v1/query/"):]
             if kind in SHARD_METHODS:
-                key = (kind, 499)
-                self.requests_total[key] = self.requests_total.get(key, 0) + 1
+                self.requests_total.inc((kind, 499))
 
     # -------------------------------------------------- routing
     async def handle(self, http_method: str, path: str, body: bytes,
@@ -485,7 +527,7 @@ class QueryGateway:
             if http_method != "GET":
                 return self._json(405, {"error": "use GET"})
             return 200, [("Content-Type", _PROM)], \
-                render_prometheus(self).encode("utf-8")
+                self.service.registry.render().encode("utf-8")
         if path == "/debug/traces":
             if http_method != "GET":
                 return self._json(405, {"error": "use GET"})
@@ -562,11 +604,8 @@ class QueryGateway:
                                                              headers)
             span.set(status=status)
         duration = time.perf_counter() - start
-        mstats = self.http_stats.method(kind)
-        mstats.requests += 1
-        mstats.latency.record(duration)
-        key = (kind, status)
-        self.requests_total[key] = self.requests_total.get(key, 0) + 1
+        self.latency.observe(kind, duration)
+        self.requests_total.inc((kind, status))
         extra: List[Tuple[str, str]] = [("Content-Type", _JSON)]
         if status == 429:
             extra.append(("Retry-After", str(self._retry_after())))
@@ -612,8 +651,8 @@ class QueryGateway:
     async def _query_response(self, kind: str, body: bytes,
                               headers: Dict[str, str]) -> Tuple[int, Dict]:
         try:
-            doc = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = _loads_strict(body) if body else {}
+        except ValueError as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(doc, dict):
             return 400, {"error": "body must be a JSON object"}
@@ -724,280 +763,6 @@ class QueryGateway:
     def _json(self, status: int, doc: Dict
               ) -> Tuple[int, List[Tuple[str, str]], bytes]:
         return status, [("Content-Type", _JSON)], self._dump(doc)
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition.
-# ----------------------------------------------------------------------
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"') \
-        .replace("\n", "\\n")
-
-
-def _fmt_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-class _PromWriter:
-    """Accumulate one family (# HELP/# TYPE + samples) at a time."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def family(self, name: str, mtype: str, help_text: str) -> None:
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {mtype}")
-
-    def sample(self, name: str, labels: Dict[str, str],
-               value: object) -> None:
-        if labels:
-            inner = ",".join(f'{k}="{_escape_label(str(v))}"'
-                             for k, v in labels.items())
-            self.lines.append(f"{name}{{{inner}}} {_fmt_value(value)}")
-        else:
-            self.lines.append(f"{name} {_fmt_value(value)}")
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def render_prometheus(gateway: QueryGateway) -> str:
-    """The gateway's state in Prometheus text exposition format.
-
-    Latency summaries are derived from the same
-    :class:`~repro.serving.stats.LatencyRecorder` reservoirs the python
-    API reports — one family for HTTP wall time (queueing included) and
-    one for the service's engine batch time.
-    """
-    w = _PromWriter()
-    w.family("repro_ready", "gauge",
-             "1 once backend warm-up finished (healthz readiness).")
-    w.sample("repro_ready", {}, 1 if gateway.ready else 0)
-    w.family("repro_http_inflight", "gauge",
-             "Requests currently executing on the engine pool.")
-    w.sample("repro_http_inflight", {}, gateway._inflight)
-    w.family("repro_http_pending", "gauge",
-             "Admitted requests waiting for an execution slot.")
-    w.sample("repro_http_pending", {}, gateway._pending)
-
-    w.family("repro_http_requests_total", "counter",
-             "HTTP query requests by kind and response code.")
-    for (kind, status), count in sorted(gateway.requests_total.items()):
-        w.sample("repro_http_requests_total",
-                 {"kind": kind, "code": str(status)}, count)
-    w.family("repro_http_shed_total", "counter",
-             "Requests shed with 429 by the admission controller.")
-    for kind in SHARD_METHODS:
-        w.sample("repro_http_shed_total", {"kind": kind},
-                 gateway.shed_total.get(kind, 0))
-    w.family("repro_http_client_disconnects_total", "counter",
-             "Requests abandoned by a client disconnect mid-flight (499).")
-    w.sample("repro_http_client_disconnects_total", {},
-             gateway.disconnects_total)
-
-    # ------------------------------------------------------- resilience
-    resilience = getattr(gateway.service, "resilience", None)
-    if resilience is not None:
-        rsnap = resilience.snapshot()
-        for field, help_text in (
-                ("retries", "Chunk re-dispatch attempts after a worker "
-                            "failure, hang, or injected fault."),
-                ("worker_failures", "Chunk executions lost to worker "
-                                    "death, fault, or timeout."),
-                ("rebuilds", "Worker-pool rebuilds by the self-healing "
-                             "path."),
-                ("degradations", "Runtime backend downgrades along the "
-                                 "shm->process->thread->inline ladder."),
-                ("breaker_trips", "Circuit-breaker trips (each one "
-                                  "triggers a degradation attempt)."),
-                ("deadline_exceeded", "Requests abandoned at their "
-                                      "end-to-end deadline (504s)."),
-                ("faults_injected", "Faults fired by the configured "
-                                    "FaultPlan (chaos testing only).")):
-            name = f"repro_{field}_total"
-            w.family(name, "counter", help_text)
-            w.sample(name, {}, rsnap.get(field, 0))
-    executor = getattr(gateway.service, "executor", None)
-    if executor is not None:
-        health = executor.health()
-        w.family("repro_backend_state", "gauge",
-                 "Executor backend currently serving this process "
-                 "(1 = active; moves down the ladder on degradation).")
-        for mode in sorted(m for m in BACKENDS if m != "auto"):
-            w.sample("repro_backend_state", {"backend": mode},
-                     1 if health.get("mode") == mode else 0)
-        w.family("repro_backend_degraded", "gauge",
-                 "1 when the executor has left its configured backend.")
-        w.sample("repro_backend_degraded", {},
-                 1 if health.get("degraded") else 0)
-
-    for family, registry, help_text in (
-            ("repro_http_request_latency_seconds", gateway.http_stats,
-             "HTTP request wall time per kind (queueing included)."),
-            ("repro_service_latency_seconds",
-             gateway.service.stats_registry,
-             "Engine batch execution time per kind.")):
-        w.family(family, "summary", help_text)
-        snap = registry.snapshot()
-        for kind, stats in snap.items():
-            for q, key in (("0.5", "p50_ms"), ("0.9", "p90_ms"),
-                           ("0.99", "p99_ms")):
-                w.sample(family, {"kind": kind, "quantile": q},
-                         stats[key] / 1e3)
-            w.sample(f"{family}_count", {"kind": kind}, stats["count"])
-            w.sample(f"{family}_sum", {"kind": kind},
-                     stats["count"] * stats["mean_ms"] / 1e3)
-
-    w.family("repro_service_requests_total", "counter",
-             "Query rows answered by the service per kind "
-             "(HTTP and in-process callers).")
-    service_snap = gateway.service.stats_registry.snapshot()
-    for kind, stats in service_snap.items():
-        w.sample("repro_service_requests_total", {"kind": kind},
-                 stats["requests"])
-    w.family("repro_service_cache_hits_total", "counter",
-             "Result-cache hits per kind.")
-    w.family("repro_service_cache_misses_total", "counter",
-             "Result-cache misses per kind.")
-    for kind, stats in service_snap.items():
-        w.sample("repro_service_cache_hits_total", {"kind": kind},
-                 stats["cache_hits"])
-        w.sample("repro_service_cache_misses_total", {"kind": kind},
-                 stats["cache_misses"])
-    w.family("repro_service_failures_total", "counter",
-             "Engine/executor invocations ending in an exception per "
-             "kind (deadline expiry, exhausted retries).")
-    for kind, stats in service_snap.items():
-        w.sample("repro_service_failures_total", {"kind": kind},
-                 stats["failures"])
-
-    cache = getattr(gateway.service, "cache", None)
-    if cache is not None:
-        snap = cache.snapshot()
-        w.family("repro_cache_entries", "gauge",
-                 "Entries currently held by the result cache.")
-        w.sample("repro_cache_entries", {"mode": snap["mode"]},
-                 snap["entries"])
-        w.family("repro_cache_evictions_total", "counter",
-                 "LRU evictions from the result cache.")
-        w.sample("repro_cache_evictions_total", {"mode": snap["mode"]},
-                 snap["evictions"])
-        w.family("repro_cache_kind_evictions_total", "counter",
-                 "LRU evictions from the result cache by query kind.")
-        for kind, count in sorted(snap["evictions_by_kind"].items()):
-            w.sample("repro_cache_kind_evictions_total", {"kind": kind},
-                     count)
-
-    # ------------------------------------------------------- observability
-    tracer = gateway.tracer
-    w.family("repro_trace_sampled", "gauge",
-             "Trace sample rate (0 when tracing is disabled).")
-    w.sample("repro_trace_sampled", {},
-             tracer.config.sample if tracer.enabled else 0.0)
-    tsnap = tracer.snapshot()
-    w.family("repro_trace_traces_total", "counter",
-             "Sampled traces started.")
-    w.sample("repro_trace_traces_total", {}, tsnap["traces_started"])
-    w.family("repro_trace_spans_total", "counter",
-             "Spans recorded into the bounded trace store.")
-    w.sample("repro_trace_spans_total", {}, tsnap["spans_recorded"])
-    w.family("repro_trace_spans_stored", "gauge",
-             "Spans currently held by the bounded trace store.")
-    w.sample("repro_trace_spans_stored", {}, tsnap["spans_stored"])
-
-    w.family("repro_stage_duration_seconds", "summary",
-             "Per-pipeline-stage durations from sampled trace spans "
-             "(cache, coalesce, dispatch, worker compute, reassembly).")
-    for stage, stats in tracer.stage_snapshot().items():
-        for q, key in (("0.5", "p50_ms"), ("0.9", "p90_ms"),
-                       ("0.99", "p99_ms")):
-            w.sample("repro_stage_duration_seconds",
-                     {"stage": stage, "quantile": q}, stats[key] / 1e3)
-        w.sample("repro_stage_duration_seconds_count", {"stage": stage},
-                 stats["count"])
-        w.sample("repro_stage_duration_seconds_sum", {"stage": stage},
-                 stats["count"] * stats["mean_ms"] / 1e3)
-
-    w.family("repro_slow_requests_total", "counter",
-             "Requests at or above the slow-query threshold.")
-    w.sample("repro_slow_requests_total", {},
-             gateway.request_log.slow_total)
-
-    w.family("repro_engine_events_total", "counter",
-             "Engine-level work counters (chunks swept, rows retired, "
-             "prefix widenings, locator passes) from the hot-path "
-             "modules of this process.")
-    for event, count in engine_counters().items():
-        w.sample("repro_engine_events_total", {"event": event}, count)
-
-    # ------------------------------------------------------- kernel tier
-    status = kernel_status()
-    w.family("repro_kernel_provider", "gauge",
-             "Compute-kernel provider the auto policy resolves in this "
-             "process (1 = selected; worker processes resolve their "
-             "own).")
-    for provider in ("native", "numpy"):
-        w.sample("repro_kernel_provider", {"provider": provider},
-                 1 if status["selected"] == provider else 0)
-    w.family("repro_kernel_native_available", "gauge",
-             "1 when the compiled native kernel library is usable here.")
-    w.sample("repro_kernel_native_available", {},
-             1 if status["native_available"] else 0)
-    w.family("repro_kernel_calls_total", "counter",
-             "Kernel entry-point invocations by provider and operation "
-             "(one per chunk-level call, this process only).")
-    for key, count in kernel_counters().items():
-        provider, _, op = key.partition(":")
-        w.sample("repro_kernel_calls_total",
-                 {"provider": provider, "op": op}, count)
-
-    # ------------------------------------------------------- V_Pr plane
-    vpr_info = getattr(gateway.service, "vpr_info", None)
-    if vpr_info is not None:
-        info = vpr_info()
-        w.family("repro_vpr_built", "gauge",
-                 "1 when this process holds a built V_Pr diagram.")
-        w.sample("repro_vpr_built", {}, 1 if info.get("built") else 0)
-        w.family("repro_vpr_plane_resident", "gauge",
-                 "1 when the built V_Pr plane (face vectors + locator "
-                 "arrays) is encoded and served to executor workers — "
-                 "workers attach the build-once plane, zero per-worker "
-                 "diagram rebuilds (vpr.builds in "
-                 "repro_engine_events_total stays at the parent's one).")
-        w.sample("repro_vpr_plane_resident", {},
-                 1 if info.get("plane_served") else 0)
-        stats = info.get("locator_stats") or {}
-        if stats:
-            w.family("repro_vpr_plane_locator", "gauge",
-                     "1 when the built V_Pr diagram's point locator "
-                     "(the merged-slab tree) is resident.")
-            w.sample("repro_vpr_plane_locator", {"kind": stats["kind"]}, 1)
-            w.family("repro_vpr_plane_locator_bytes", "gauge",
-                     "Point-locator size in bytes (O(E log S) entries).")
-            w.sample("repro_vpr_plane_locator_bytes", {},
-                     stats.get("nbytes", 0))
-            w.family("repro_vpr_plane_locator_entries", "gauge",
-                     "Entries held by the point locator.")
-            w.sample("repro_vpr_plane_locator_entries", {},
-                     stats.get("entries", 0))
-            if stats.get("build_seconds") is not None:
-                w.family("repro_vpr_plane_locator_build_seconds", "gauge",
-                         "Wall time of the point-locator build.")
-                w.sample("repro_vpr_plane_locator_build_seconds", {},
-                         stats["build_seconds"])
-        if info.get("build_seconds") is not None:
-            w.family("repro_vpr_build_seconds", "gauge",
-                     "Wall time of the full V_Pr diagram build.")
-            w.sample("repro_vpr_build_seconds", {}, info["build_seconds"])
-        if info.get("plane_bytes") is not None:
-            w.family("repro_vpr_plane_bytes", "gauge",
-                     "Total bytes of the encoded shared-plane arrays.")
-            w.sample("repro_vpr_plane_bytes", {}, info["plane_bytes"])
-    return w.render()
 
 
 # ----------------------------------------------------------------------

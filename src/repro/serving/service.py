@@ -21,8 +21,10 @@ Seven query kinds share one dispatch spine: ``delta``, ``nonzero_nn``,
 ``threshold_nn`` — each available as a scalar
 call (cache -> engine), an async :meth:`submit` (cache -> coalescer),
 and a :meth:`batch` (row-wise cache for small batches, sharding for
-large ones).  Per-method hit/miss/latency statistics accumulate in
-:class:`~repro.serving.stats.ServiceStats`; :meth:`stats` snapshots them.
+large ones).  Per-kind request/hit/miss/latency families, and every
+other family the service exports, live in its one metrics
+:class:`~repro.obs.metrics.Registry` (:attr:`QueryService.registry`,
+the ``/metrics`` body); :meth:`stats` snapshots them.
 
 ``quantify_vpr`` serves exact quantification out of the probabilistic
 Voronoi diagram (Theorem 4.2): batches point-locate into precomputed
@@ -42,7 +44,8 @@ Construct via :meth:`PNNIndex.serve`::
 
 from __future__ import annotations
 
-import threading
+import functools
+import numbers
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -50,20 +53,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.metrics import ENGINE, KERNEL, Counter, Registry
 from ..obs.trace import NULL_SPAN, Tracer, current_span, use_span
 from ..quantification.batch_exact import check_tie_tol
 from ..spatial.batch import as_query_array, check_query_domain
 from ..spatial.codec import CodecUnsupported, plane_to_arrays
-from ..spatial.kernels import KERNELS
+from ..spatial.kernels import KERNELS, kernel_status
 from .cache import ResultCache
 from .coalesce import MicroBatcher
 from .executors import BACKENDS
 from .faults import (CircuitBreaker, Deadline, DeadlineExceeded, FaultPlan,
-                     ResilienceStats, RetryPolicy)
+                     RetryPolicy, resilience_counters)
 from .shard import SHARD_METHODS, ShardExecutor
-from .stats import ServiceStats
 
 __all__ = ["ServiceConfig", "QueryService"]
+
+
+def _int_param(name: str, value: object, minimum: Optional[int] = None
+               ) -> int:
+    """*value* as a plain int; ``ValueError`` for a bool, a non-integer
+    or a value below *minimum*."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        need = "an int" if minimum is None else f"an int >= {minimum}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -251,15 +265,18 @@ class QueryService:
                 self.plane = plane_to_arrays(index._vpr)
             except CodecUnsupported:
                 self.plane = None
-        self.tracer = Tracer(cfg.trace)
-        self.stats_registry = ServiceStats()
-        self.resilience = ResilienceStats()
+        self.registry = Registry()
+        self.tracer = Tracer(cfg.trace, self.registry)
+        self._register_families()
+        self.resilience = resilience_counters(self.registry)
         # The breaker's default threshold (3 consecutive failures) demotes
         # the executor one rung down shm -> process -> thread -> inline.
         self.breaker = CircuitBreaker()
         self.cache: Optional[ResultCache] = (
             ResultCache(cfg.cache_capacity, cell_size=cfg.cache_cell_size)
             if cfg.cache_capacity > 0 else None)
+        if self.cache is not None:
+            self.cache.register(self.registry)
         self.executor: Optional[ShardExecutor] = None
         if cfg.workers >= 2:
             self.executor = ShardExecutor(
@@ -275,8 +292,89 @@ class QueryService:
             self.batcher = MicroBatcher(
                 self._flush_group, max_batch=cfg.max_batch,
                 flush_window=cfg.flush_window)
-        self._lock = threading.RLock()
         self._closed = False
+
+    def _register_families(self) -> None:
+        """The per-kind families, and the backend, kernel and V_Pr state
+        read at scrape time (the process-wide ENGINE/KERNEL included)."""
+        reg = self.registry
+        self.requests, self.cache_hits, self.cache_misses, self.failures = (
+            reg.counter(f"repro_service_{name}_total", help_text, ("kind",))
+            for name, help_text in (
+                ("requests", "Query rows answered by the service per kind "
+                             "(HTTP and in-process callers)."),
+                ("cache_hits", "Result-cache hits per kind."),
+                ("cache_misses", "Result-cache misses per kind."),
+                ("failures", "Engine/executor invocations ending in an "
+                             "exception per kind (deadline expiry, "
+                             "exhausted retries).")))
+        self.latency = reg.summary("repro_service_latency_seconds",
+                                   "Engine batch execution time per kind.",
+                                   ("kind",))
+        # Reported by stats() only: the exported family set is fixed.
+        self.sharded = Counter("repro_service_sharded_calls_total",
+                               "Batch calls routed through the executor.",
+                               ("kind",))
+        for family in (self.requests, self.cache_hits, self.cache_misses,
+                       self.failures, self.latency, self.sharded):
+            family.declare(*SHARD_METHODS)
+        reg.gauge("repro_backend_state",
+                  "Executor backend currently serving this process "
+                  "(1 = active; moves down the ladder on degradation).",
+                  ("backend",), fn=lambda: None if self.executor is None
+                  else {mode: int(self.executor.mode == mode)
+                        for mode in BACKENDS if mode != "auto"})
+        reg.gauge("repro_backend_degraded",
+                  "1 when the executor has left its configured backend.",
+                  fn=lambda: None if self.executor is None
+                  else int(self.executor.degraded))
+        reg.gauge("repro_kernel_provider",
+                  "Compute-kernel provider the auto policy resolves in this "
+                  "process (1 = selected; worker processes resolve their "
+                  "own).", ("provider",),
+                  fn=lambda: {p: int(kernel_status()["selected"] == p)
+                              for p in ("native", "numpy")})
+        reg.gauge("repro_kernel_native_available",
+                  "1 when the compiled native kernel library is usable here.",
+                  fn=lambda: int(kernel_status()["native_available"]))
+        reg.register(ENGINE)
+        reg.register(KERNEL)
+
+        def locator_kind():
+            kind = self._vpr_value("locator_stats.kind")
+            return None if kind is None else {kind: 1}
+
+        reg.gauge("repro_vpr_plane_locator",
+                  "1 when the built V_Pr diagram's point locator (the "
+                  "merged-slab tree) is resident.", ("kind",),
+                  fn=locator_kind)
+        for name, path, help_text in (
+                ("built", "built",
+                 "1 when this process holds a built V_Pr diagram."),
+                ("plane_resident", "plane_served",
+                 "1 when the built V_Pr plane is encoded and served to "
+                 "executor workers (they attach it: zero per-worker "
+                 "diagram rebuilds)."),
+                ("build_seconds", "build_seconds",
+                 "Wall time of the full V_Pr diagram build."),
+                ("plane_bytes", "plane_bytes",
+                 "Total bytes of the encoded shared-plane arrays."),
+                ("plane_locator_bytes", "locator_stats.nbytes",
+                 "Point-locator size in bytes (O(E log S) entries)."),
+                ("plane_locator_entries", "locator_stats.entries",
+                 "Entries held by the point locator."),
+                ("plane_locator_build_seconds", "locator_stats.build_seconds",
+                 "Wall time of the point-locator build.")):
+            reg.gauge(f"repro_vpr_{name}", help_text,
+                      fn=functools.partial(self._vpr_value, path))
+
+    def _vpr_value(self, path: str) -> object:
+        """One :meth:`vpr_info` field (``locator_stats.nbytes``), a bool
+        as 0/1 and a missing one as ``None``."""
+        value: object = self.vpr_info()
+        for part in path.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        return int(value) if isinstance(value, bool) else value
 
     # ------------------------------------------------------------------
     # Parameter canonicalization — one stable signature per method, so
@@ -322,6 +420,11 @@ class QueryService:
             raise TypeError(f"{method} got unknown parameters "
                             f"{sorted(unknown)}")
         params.update(overrides)
+        # Integers only: a float k or seed would fail deep in an engine
+        # (a 500) or, as NaN, key a cache entry no lookup can ever hit.
+        params["seed"] = _int_param("seed", params["seed"])
+        if method == "top_k":
+            params["k"] = _int_param("k", params["k"], minimum=1)
         if method == "threshold_nn" and params["epsilon"] is None:
             params["epsilon"] = params["tau"] / 4.0
         # Resolve "auto" once: the choice depends only on the index, and a
@@ -373,13 +476,11 @@ class QueryService:
         """One engine/executor invocation over a validated query array."""
         if self._closed:
             raise RuntimeError("QueryService is closed")
-        mstats = self.stats_registry.method(method)
         if deadline is not None and deadline.expired:
             # Expired while queued (cache walk, coalesce window): don't
             # start an engine call whose answer nobody is waiting for.
-            self.resilience.bump("deadline_exceeded")
-            with self._lock:
-                mstats.failures += 1
+            self.resilience["deadline_exceeded"].inc()
+            self.failures.inc(method)
             raise DeadlineExceeded(
                 f"deadline of {deadline.timeout * 1e3:.0f} ms exceeded "
                 f"before {method} execution started")
@@ -436,16 +537,12 @@ class QueryService:
                         result = getattr(self.index,
                                          f"batch_{method}")(q, **params)
         except Exception:
-            with self._lock:
-                mstats.failures += 1
+            self.failures.inc(method)
             raise
-        elapsed = time.perf_counter() - start
-        with self._lock:
-            mstats.batch_calls += 1
-            mstats.requests += len(q)
-            if sharded:
-                mstats.sharded_calls += 1
-            mstats.latency.record(elapsed)
+        self.latency.observe(method, time.perf_counter() - start)
+        self.requests.inc(method, len(q))
+        if sharded:
+            self.sharded.inc(method)
         return result
 
     @staticmethod
@@ -522,13 +619,11 @@ class QueryService:
             hit, value = self.cache.get(
                 self.cache.key(method, q, self._params_key(params)))
             cspan.set(hit=hit)
-        mstats = self.stats_registry.method(method)
-        with self._lock:
-            if hit:
-                mstats.cache_hits += 1
-                mstats.requests += 1
-            else:
-                mstats.cache_misses += 1
+        if hit:
+            self.cache_hits.inc(method)
+            self.requests.inc(method)
+        else:
+            self.cache_misses.inc(method)
         return hit, value
 
     # ------------------------------------------------------------------
@@ -692,7 +787,6 @@ class QueryService:
         keys = [self.cache.key(method, p, pkey) for p in points]
         rows: List[object] = [None] * m
         miss_at: List[int] = []
-        mstats = self.stats_registry.method(method)
         hits = 0
         cspan = (self.tracer.start_span("service.cache", method=method)
                  if self.tracer.enabled else NULL_SPAN)
@@ -705,10 +799,9 @@ class QueryService:
                 else:
                     miss_at.append(j)
             cspan.set(hits=hits, misses=len(miss_at))
-        with self._lock:
-            mstats.cache_hits += hits
-            mstats.cache_misses += len(miss_at)
-            mstats.requests += hits
+        self.cache_hits.inc(method, hits)
+        self.cache_misses.inc(method, len(miss_at))
+        self.requests.inc(method, hits)
         if miss_at:
             computed = self._compute_rows(
                 method, [points[j] for j in miss_at], params, deadline)
@@ -771,29 +864,42 @@ class QueryService:
                 pass
         return info
 
+    def method_stats(self, method: str) -> Dict[str, object]:
+        """One kind's counters, hit rate and engine-latency summary."""
+        hits = self.cache_hits.get(method)
+        misses = self.cache_misses.get(method)
+        latency = self.latency.snapshot(method)
+        out: Dict[str, object] = {
+            "requests": self.requests.get(method),
+            "batch_calls": latency["count"],
+            "sharded_calls": self.sharded.get(method),
+            "failures": self.failures.get(method),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "hit_rate": round(hits / (hits + misses) if hits + misses
+                              else 0.0, 4),
+        }
+        out.update(latency)
+        return out
+
     def stats(self) -> Dict[str, object]:
         """A point-in-time snapshot of every counter the service keeps."""
         snap: Dict[str, object] = {
-            "methods": self.stats_registry.snapshot(),
-            "total_requests": self.stats_registry.total_requests,
+            "methods": {kind: self.method_stats(kind)
+                        for kind in sorted(SHARD_METHODS)},
+            "total_requests": self.requests.total(),
         }
         if self.tracer.enabled:
             snap["trace"] = self.tracer.snapshot()
         if self.cache is not None:
             snap["cache"] = self.cache.snapshot()
-        snap["resilience"] = self.resilience.snapshot()
+        snap["resilience"] = {name: counter.get() for name, counter
+                              in self.resilience.items()}
         if self.executor is not None:
-            snap["executor"] = {
-                "backend": self.executor.backend,
-                "mode": self.executor.mode,
-                "workers": self.executor.workers,
-                "start_method": self.executor.start_method,
-                "degraded": self.executor.degraded,
-                "initial_mode": self.executor._initial_mode,
-                "serves_plane": bool(getattr(self.executor.impl,
-                                             "serves_plane", False)),
-                "breaker": self.breaker.snapshot(),
-            }
+            health = self.executor.health()
+            del health["resilience"]  # reported above
+            snap["executor"] = dict(health,
+                                    start_method=self.executor.start_method)
         snap["vpr"] = self.vpr_info()
         if self.batcher is not None:
             snap["coalescer"] = {

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..obs.metrics import Counter, Registry
 from ..obs.trace import NULL_SPAN, current_span
 from ..uncertain.base import UncertainPoint
 from .executors import (
@@ -50,9 +51,9 @@ from .faults import (
     DeadlineExceeded,
     FaultInjected,
     FaultPlan,
-    ResilienceStats,
     RetryPolicy,
     WorkerFailure,
+    resilience_counters,
 )
 
 __all__ = ["IndexReplica", "ShardExecutor", "SHARD_METHODS"]
@@ -116,9 +117,10 @@ class ShardExecutor:
         Optional fault-injection plan (anything
         :meth:`FaultPlan.coerce` accepts); ``None`` disables injection.
     resilience:
-        Optional shared :class:`~repro.serving.faults.ResilienceStats`
-        (the service passes its own so ``/metrics`` sees executor
-        counters); ``None`` makes a private one.
+        Optional shared resilience counters
+        (:func:`~repro.serving.faults.resilience_counters`; the service
+        passes its own so ``/metrics`` sees executor counters); ``None``
+        makes private ones.
     breaker:
         Optional shared :class:`~repro.serving.faults.CircuitBreaker`
         gating the runtime degradation ladder; ``None`` makes one with
@@ -139,7 +141,7 @@ class ShardExecutor:
                  index=None, tracer=None,
                  policy: Optional[RetryPolicy] = None,
                  faults=None,
-                 resilience: Optional[ResilienceStats] = None,
+                 resilience: Optional[Dict[str, Counter]] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  plane=None) -> None:
         if not points:
@@ -154,7 +156,7 @@ class ShardExecutor:
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = FaultPlan.coerce(faults)
         self.resilience = (resilience if resilience is not None
-                           else ResilienceStats())
+                           else resilience_counters(Registry()))
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._index = index
         self._plane = plane
@@ -194,7 +196,8 @@ class ShardExecutor:
                 "serves_plane": bool(getattr(self.impl, "serves_plane",
                                              False)),
                 "breaker": self.breaker.snapshot(),
-                "resilience": self.resilience.snapshot()}
+                "resilience": {name: counter.get() for name, counter
+                               in self.resilience.items()}}
 
     # ------------------------------------------------------------------
     def _chunks(self, q: np.ndarray) -> List[np.ndarray]:
@@ -327,7 +330,7 @@ class ShardExecutor:
             degrade (and reset chunk state) when it trips."""
             if not self.breaker.record_failure():
                 return False
-            self.resilience.bump("breaker_trips")
+            self.resilience["breaker_trips"].inc()
             if self._degrade(why):
                 reset_after_degrade()
                 return True
@@ -335,7 +338,7 @@ class ShardExecutor:
 
         def fail(i: int, why: str, breaker_event: bool = True) -> None:
             """One chunk attempt failed: retry, degrade, or give up."""
-            self.resilience.bump("worker_failures")
+            self.resilience["worker_failures"].inc()
             if breaker_event and trip_check(why):
                 return
             if attempts[i] > policy.retries:
@@ -347,7 +350,7 @@ class ShardExecutor:
 
         while remaining:
             if deadline is not None and deadline.expired:
-                self.resilience.bump("deadline_exceeded")
+                self.resilience["deadline_exceeded"].inc()
                 raise DeadlineExceeded(
                     f"deadline of {deadline.timeout * 1e3:.0f} ms exceeded "
                     f"({method}: {remaining}/{n} chunks unanswered)")
@@ -365,14 +368,14 @@ class ShardExecutor:
                     # replica segment itself is bad, so go straight down
                     # the ladder instead of burning retries on it.
                     attempts[i] += 1
-                    self.resilience.bump("faults_injected")
-                    self.resilience.bump("worker_failures")
+                    self.resilience["faults_injected"].inc()
+                    self.resilience["worker_failures"].inc()
                     if self._degrade("shm segment failed validation "
                                      "(injected corruption)"):
                         reset_after_degrade()
                     break  # chunk state was reset; restart the sweep
                 if attempts[i] > 0:
-                    self.resilience.bump("retries")
+                    self.resilience["retries"].inc()
                 handle = self.impl.dispatch(build_task(i))
                 attempts[i] += 1
                 pending[i] = (handle, now)
@@ -388,7 +391,7 @@ class ShardExecutor:
                         value = handle.result()
                     except Exception as exc:  # noqa: BLE001 — worker-side
                         if isinstance(exc, FaultInjected):
-                            self.resilience.bump("faults_injected")
+                            self.resilience["faults_injected"].inc()
                         fail(i, repr(exc))
                     else:
                         admit(value, i)
@@ -433,7 +436,7 @@ class ShardExecutor:
     def _heal(self, reason: str) -> bool:
         """Rebuild the backend's worker pool; returns ``True`` when the
         rebuild itself failed and forced a degradation instead."""
-        self.resilience.bump("rebuilds")
+        self.resilience["rebuilds"].inc()
         _LOG.warning("rebuilding %s executor pool: %s",
                      self.impl.mode, reason)
         try:
@@ -455,7 +458,7 @@ class ShardExecutor:
             if nxt is None:
                 return False
             old = self.impl
-            self.resilience.bump("degradations")
+            self.resilience["degradations"].inc()
             _LOG.error("degrading executor backend %s -> %s: %s",
                        old.mode, nxt, reason)
             try:

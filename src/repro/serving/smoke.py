@@ -355,7 +355,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               f"{phase1}: request survived the fault ({status})")
         check(status == 200 and doc["results"] == oracle["delta"],
               "recovered answers differ from the unsharded oracle")
-        snap = service.resilience.snapshot()
+        snap = service.stats()["resilience"]
         check(snap["retries"] >= 1 and snap["worker_failures"] >= 1,
               f"failed chunk was not retried (retries={snap['retries']}, "
               f"worker_failures={snap['worker_failures']})")
@@ -388,7 +388,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         check(gw._inflight == 0 and gw._pending == 0,
               f"admission slots leaked (inflight={gw._inflight}, "
               f"pending={gw._pending})")
-        check(service.resilience.get("deadline_exceeded") >= 1,
+        check(service.resilience["deadline_exceeded"].get() >= 1,
               "deadline_exceeded counter did not move")
         log("phase 2: hung chunk answered 504 at its deadline")
 
@@ -402,7 +402,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                                      _bulk(queries))
         check(status == 500, "persistently faulted kind did not fail "
                              f"loudly ({status})")
-        check(service.resilience.get("breaker_trips") >= 1,
+        check(service.resilience["breaker_trips"].get() >= 1,
               "circuit breaker never tripped")
         health = executor.health()
         if backend == "inline":
@@ -414,7 +414,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
             check(bool(health["degraded"]) and health["mode"] == "inline",
                   f"breaker did not walk the ladder to inline "
                   f"(mode={health['mode']}, degradations="
-                  f"{service.resilience.get('degradations')})")
+                  f"{service.resilience['degradations'].get()})")
         status, doc, _, _ = _http_json(port, "POST", "/v1/query/nonzero_nn",
                                        _bulk(queries))
         check(status == 200 and doc["results"] == oracle["nonzero_nn"],

@@ -82,7 +82,7 @@ class NativeProvider:
         self._lib = lib
 
     def _count(self, op: str) -> None:
-        KERNEL.inc(f"{self.name}:{op}")
+        KERNEL.inc((self.name, op))
 
     # ------------------------------------------------------------------
     def distance_matrix(self, qx, qy, px, py) -> np.ndarray:

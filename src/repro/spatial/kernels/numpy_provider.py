@@ -35,7 +35,7 @@ class NumpyProvider:
     name = "numpy"
 
     def _count(self, op: str) -> None:
-        KERNEL.inc(f"{self.name}:{op}")
+        KERNEL.inc((self.name, op))
 
     # ------------------------------------------------------------------
     def distance_matrix(self, qx: np.ndarray, qy: np.ndarray,

@@ -40,7 +40,6 @@ from repro.serving.faults import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
-    ResilienceStats,
     RetryPolicy,
     WorkerFailure,
 )
@@ -191,9 +190,9 @@ class TestRecovery:
             out = ex.run("delta", qs)
             np.testing.assert_array_equal(out, oracle)
             # Within retries + 1 attempts, counted exactly once.
-            assert ex.resilience.get("retries") == 1
-            assert ex.resilience.get("worker_failures") == 1
-            assert ex.resilience.get("faults_injected") == 1
+            assert ex.resilience["retries"].get() == 1
+            assert ex.resilience["worker_failures"].get() == 1
+            assert ex.resilience["faults_injected"].get() == 1
             assert not ex.degraded
         finally:
             ex.close()
@@ -205,9 +204,9 @@ class TestRecovery:
         try:
             out = ex.run("delta", qs)
             np.testing.assert_array_equal(out, oracle)
-            assert ex.resilience.get("rebuilds") >= 1
-            assert ex.resilience.get("worker_failures") >= 1
-            assert ex.resilience.get("retries") >= 1
+            assert ex.resilience["rebuilds"].get() >= 1
+            assert ex.resilience["worker_failures"].get() >= 1
+            assert ex.resilience["retries"].get() >= 1
             assert not ex.degraded  # healed in place, no ladder walk
         finally:
             ex.close()
@@ -223,9 +222,41 @@ class TestRecovery:
             elapsed = time.perf_counter() - t0
             np.testing.assert_array_equal(out, oracle)
             assert elapsed < 4.0  # did not wait out the 5 s hang
-            assert ex.resilience.get("rebuilds") >= 1
+            assert ex.resilience["rebuilds"].get() >= 1
         finally:
             ex.close()
+
+    def test_dispose_spares_a_lock_held_by_a_live_thread(self):
+        """A live parent thread may hold a pool queue lock while the pool
+        is disposed (the task handler sends its exit sentinel under
+        ``outqueue._wlock``).  Disposal waits that hold out instead of
+        releasing the lock from under its holder, whose own release()
+        would then raise."""
+        import multiprocessing
+
+        from repro.serving.executors.process import _dispose
+
+        pool = multiprocessing.get_context("spawn").Pool(1)
+        lock = pool._outqueue._wlock
+        held = threading.Event()
+        errors = []
+
+        def holder():
+            lock.acquire()
+            held.set()
+            time.sleep(0.3)
+            try:
+                lock.release()
+            except ValueError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(5)
+        assert _dispose(pool)
+        thread.join(5)
+        assert not thread.is_alive()
+        assert errors == []
 
     def test_exhausted_retries_raise_worker_failure(self, fleet):
         index, qs, _ = fleet
@@ -238,7 +269,7 @@ class TestRecovery:
         try:
             with pytest.raises(WorkerFailure):
                 ex.run("delta", qs)
-            assert ex.resilience.get("worker_failures") == 2  # 1 + 1 retry
+            assert ex.resilience["worker_failures"].get() == 2  # 1 + 1 retry
         finally:
             ex.close()
 
@@ -259,7 +290,7 @@ class TestDeadlines:
             elapsed = time.perf_counter() - t0
             # Within the deadline plus one poll interval (plus margin).
             assert 0.25 <= elapsed < 1.0
-            assert ex.resilience.get("deadline_exceeded") == 1
+            assert ex.resilience["deadline_exceeded"].get() == 1
         finally:
             ex.close()
 
@@ -291,8 +322,8 @@ class TestDegradation:
             with pytest.raises(WorkerFailure):
                 ex.run("delta", qs)
             assert ex.degraded and ex.mode == "inline"
-            assert ex.resilience.get("degradations") == 2  # -> thread -> inline
-            assert ex.resilience.get("breaker_trips") >= 2
+            assert ex.resilience["degradations"].get() == 2  # -> thread -> inline
+            assert ex.resilience["breaker_trips"].get() >= 2
         finally:
             ex.close()
 
@@ -322,8 +353,8 @@ class TestDegradation:
             out = ex.run("delta", qs)
             np.testing.assert_array_equal(out, oracle)
             assert ex.degraded and ex.mode == "process"
-            assert ex.resilience.get("degradations") == 1
-            assert ex.resilience.get("faults_injected") == 1
+            assert ex.resilience["degradations"].get() == 1
+            assert ex.resilience["faults_injected"].get() == 1
         finally:
             ex.close()
 
@@ -361,10 +392,10 @@ class TestSigkill:
             np.testing.assert_array_equal(results[0], oracle)
             # Exactly one pending chunk was lost to exactly one death
             # event: each counter moved once, no double accounting.
-            assert ex.resilience.get("worker_failures") == 1
-            assert ex.resilience.get("retries") == 1
-            assert ex.resilience.get("rebuilds") == 1
-            assert ex.resilience.get("faults_injected") == 0
+            assert ex.resilience["worker_failures"].get() == 1
+            assert ex.resilience["retries"].get() == 1
+            assert ex.resilience["rebuilds"].get() == 1
+            assert ex.resilience["faults_injected"].get() == 0
             assert not ex.degraded
         finally:
             ex.close()
@@ -495,11 +526,11 @@ class TestHttpResilience:
                 assert gw._pending == 1
                 sock.close()  # client gives up while queued
                 deadline_at = time.monotonic() + 10
-                while (gw._pending > 0 or gw.disconnects_total < 1) \
+                while (gw._pending > 0 or gw.disconnects_total.get() < 1) \
                         and time.monotonic() < deadline_at:
                     time.sleep(0.01)
                 assert gw._pending == 0
-                assert gw.disconnects_total == 1
+                assert gw.disconnects_total.get() == 1
                 assert gw.requests_total.get(("delta", 499)) == 1
             finally:
                 gate.set()

@@ -208,6 +208,56 @@ class TestValidation:
                                "/v1/query/quantify_exact", {"q": [0.5, 0.5]})
         assert status == 200 and doc["result"]
 
+    @pytest.mark.parametrize("kind,params,name", [
+        ("top_k", '{"k": 1.5}', "k"),
+        ("top_k", '{"k": "3"}', "k"),
+        ("top_k", '{"k": 0}', "k"),
+        ("top_k", '{"k": -2}', "k"),
+        ("top_k", '{"k": NaN}', "k"),
+        ("quantify", '{"seed": "x"}', "seed"),
+        ("quantify", '{"seed": NaN}', "seed"),
+    ])
+    def test_bad_int_param_400(self, server, kind, params, name):
+        """Non-integer ``k``/``seed`` answer 400 naming the parameter —
+        never a 500 from inside an engine, never an empty answer."""
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            conn.request("POST", f"/v1/query/{kind}",
+                         body=f'{{"q": [0.5, 0.5], "params": {params}}}',
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            doc = json.loads(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 400, params
+        assert name in doc["error"]
+
+    @pytest.mark.parametrize("body,where", [
+        ("NaN", "top level"),
+        ('{"q": [0.5, 0.5], "timeout_ms": Infinity}', "timeout_ms"),
+        ('{"q": [0.5, 0.5], "params": {"k": -Infinity}}', "params.k"),
+        ('{"queries": [[0, 0], [1.0, NaN]]}', "queries[1][1]"),
+    ])
+    def test_non_standard_json_constants_400(self, server, body, where):
+        """Request JSON is parsed strictly: NaN/Infinity are not JSON."""
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            conn.request("POST", "/v1/query/top_k", body=body,
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            doc = json.loads(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert doc["error"].startswith("invalid JSON body:")
+        assert where in doc["error"]
+
     def test_wrong_verb_405(self, server):
         assert _http(server.port, "GET", "/v1/query/delta")[0] == 405
         assert _http(server.port, "POST", "/metrics", {})[0] == 405
@@ -266,11 +316,11 @@ class TestAdmissionControl:
                 time.sleep(0.01)
             else:
                 raise AssertionError("admission gauges never saturated")
-            shed_before = sum(gateway.shed_total.values())
+            shed_before = gateway.shed_total.total()
             status, doc, _ = _http(server.port, "POST", "/v1/query/delta",
                                    {"queries": [[0.0, 0.0]]})
             assert status == 429 and doc["shed"] is True
-            assert sum(gateway.shed_total.values()) == shed_before + 1
+            assert gateway.shed_total.total() == shed_before + 1
         finally:
             gate.set()
             for t in threads:
@@ -359,13 +409,13 @@ class TestObservability:
             assert f'repro_http_shed_total{{kind="{kind}"}}' in raw
 
     def test_requests_total_counts_by_code(self, server):
-        before = dict(server.gateway.requests_total)
+        before = server.gateway.requests_total.snapshot()
         _http(server.port, "POST", "/v1/query/delta", {"q": [0.5, 0.5]})
         _http(server.port, "POST", "/v1/query/delta",
               {"q": [0.5, 0.5], "params": {"bogus": 1}})
-        after = server.gateway.requests_total
-        assert after[("delta", 200)] == before.get(("delta", 200), 0) + 1
-        assert after[("delta", 400)] == before.get(("delta", 400), 0) + 1
+        after = server.gateway.requests_total.snapshot()
+        assert after[("delta", "200")] == before.get(("delta", "200"), 0) + 1
+        assert after[("delta", "400")] == before.get(("delta", "400"), 0) + 1
 
     def test_healthz_gates_on_warmup(self, service):
         """503 while warm-up is held, 200 after it completes."""

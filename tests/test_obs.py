@@ -23,7 +23,7 @@ import pytest
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.obs.logging import RequestLog, summarize_trace
-from repro.obs.metrics import ENGINE, CounterSet
+from repro.obs.metrics import ENGINE, Counter
 from repro.obs.trace import (
     NULL_SPAN,
     TraceConfig,
@@ -42,7 +42,6 @@ from repro.serving.http import (
     ServerThread,
     create_asgi_app,
     encode_result,
-    render_prometheus,
 )
 
 
@@ -110,7 +109,7 @@ class TestTraceConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"sample": -0.1}, {"sample": 1.5}, {"max_spans": 0},
-        {"slow_ms": -1.0}, {"stage_window": 0},
+        {"slow_ms": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -320,7 +319,7 @@ class TestRequestLog:
 
 class TestEngineCounters:
     def test_counter_set(self):
-        c = CounterSet()
+        c = Counter("repro_test_total", "test", ("name",))
         c.inc("a")
         c.inc("a", 4)
         c.inc("b")
@@ -703,7 +702,7 @@ class TestPrometheusRendering:
         index = _index(6)
         with index.serve(workers=0, trace=True) as service:
             gateway = QueryGateway(service, HttpConfig(port=0))
-            text = render_prometheus(gateway)
+            text = service.registry.render()
             assert "repro_trace_sampled 1.0" in text
             assert "repro_slow_requests_total 0" in text
             asyncio.run(gateway.shutdown())
@@ -712,6 +711,6 @@ class TestPrometheusRendering:
         index = _index(6)
         with index.serve(workers=0) as service:
             gateway = QueryGateway(service, HttpConfig(port=0))
-            text = render_prometheus(gateway)
+            text = service.registry.render()
             assert "repro_trace_sampled 0" in text
             asyncio.run(gateway.shutdown())

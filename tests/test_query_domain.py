@@ -203,6 +203,38 @@ class TestTieTol:
             assert math.isclose(sum(row.values()), 1.0, abs_tol=1e-9)
 
 
+class TestIntParams:
+    """``k`` and ``seed`` are integers: anything else fails at the
+    validation gate instead of deep in an engine (a 500) or, as NaN, in
+    a cache key no lookup can ever hit."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        index = PNNIndex(random_discrete_points(6, 2, seed=3, spread=2.0))
+        with index.serve(workers=0, cache_capacity=0) as svc:
+            yield svc
+
+    @pytest.mark.parametrize("k", [1.5, math.nan, "3", 0, -2, True, None])
+    def test_top_k_needs_a_positive_int(self, service, k):
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            service.canonicalize("top_k", {"k": k})
+        with pytest.raises(ValueError, match="k must be"):
+            service.top_k((0.5, 0.5), k=k)
+
+    @pytest.mark.parametrize("seed", [math.nan, "x", 1.0, False, None])
+    @pytest.mark.parametrize("kind", ["quantify", "top_k", "threshold_nn"])
+    def test_seed_needs_an_int(self, service, kind, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            service.canonicalize(kind, {"seed": seed})
+
+    def test_integral_values_canonicalize_to_int(self, service):
+        params = service.canonicalize(
+            "top_k", {"k": np.int64(2), "seed": np.int32(7)})
+        assert type(params["k"]) is int and params["k"] == 2
+        assert type(params["seed"]) is int and params["seed"] == 7
+        assert params == service.canonicalize("top_k", {"k": 2, "seed": 7})
+
+
 def _post_raw(port, kind, body):
     import http.client
 

@@ -397,9 +397,9 @@ class TestQueryService:
                          cache_capacity=64) as service:
             q = (1.5, 2.5)
             first = service.delta(q)
-            calls = service.stats_registry.method("delta").batch_calls
+            calls = service.method_stats("delta")["batch_calls"]
             assert service.delta(q) == first
-            assert service.stats_registry.method("delta").batch_calls == calls
+            assert service.method_stats("delta")["batch_calls"] == calls
             assert service.cache.hits == 1
 
     def test_batch_empty(self):
@@ -420,8 +420,8 @@ class TestQueryService:
                 service.delta((float(x), float(y)))
             merged = service.batch_delta(qs)
             assert np.array_equal(merged, expected)
-            mstats = service.stats_registry.method("delta")
-            assert mstats.cache_hits == 10
+            mstats = service.method_stats("delta")
+            assert mstats["cache_hits"] == 10
 
     def test_large_batch_bypasses_cache_and_matches(self):
         index, extent = _disk_index(50)
@@ -440,9 +440,9 @@ class TestQueryService:
         with QueryService(index, cfg) as service:
             result = service.batch_delta(qs)
             assert np.array_equal(result, index.batch_delta(qs))
-            mstats = service.stats_registry.method("delta")
+            mstats = service.method_stats("delta")
             if service.executor.mode != "inline":
-                assert mstats.sharded_calls == 1
+                assert mstats["sharded_calls"] == 1
 
     def test_submit_coalesces_and_agrees(self):
         index, extent = _disk_index(80)
@@ -655,9 +655,9 @@ class TestResultCacheConcurrency:
                 t.join()
             assert not errors
             total = n_threads * requests_per_thread
-            mstats = service.stats_registry.method("quantify_exact")
-            assert mstats.cache_hits + mstats.cache_misses == total
-            assert mstats.requests == total
+            mstats = service.method_stats("quantify_exact")
+            assert mstats["cache_hits"] + mstats["cache_misses"] == total
+            assert mstats["requests"] == total
             snap = service.stats()["cache"]
             assert snap["mode"] == "region"
             assert snap["hits"] + snap["misses"] == total
@@ -760,12 +760,12 @@ class TestQuantifyVprServing:
                 if service.executor.mode == "inline":  # pragma: no cover
                     continue  # pool-less sandbox: nothing to assert
                 assert service.batch_quantify_vpr(qs) == expected
-                mstats = service.stats_registry.method("quantify_vpr")
-                assert mstats.sharded_calls == (1 if fans_out else 0)
+                mstats = service.method_stats("quantify_vpr")
+                assert mstats["sharded_calls"] == (1 if fans_out else 0)
                 # The other kinds still fan out on every live backend.
                 service.batch("quantify_exact", qs)
-                assert service.stats_registry.method(
-                    "quantify_exact").sharded_calls == 1
+                assert service.method_stats(
+                    "quantify_exact")["sharded_calls"] == 1
 
 
 class TestServiceLifecycle:
@@ -951,39 +951,42 @@ class TestLatencyStatsEmptyWindow:
     into a /metrics scrape."""
 
     def test_percentile_on_empty_window_is_zero(self):
-        from repro.serving import LatencyRecorder
+        from repro.obs.metrics import Summary
 
-        rec = LatencyRecorder(window=8)
-        for p in (0, 50, 90, 99, 100):
-            assert rec.percentile(p) == 0.0
+        rec = Summary("repro_test_seconds", "test", ("kind",))
+        rec.declare("delta")
+        snap = rec.snapshot("delta")
+        for key in ("p50_ms", "p90_ms", "p99_ms"):
+            assert snap[key] == 0.0
+        assert 'repro_test_seconds{kind="delta",quantile="0.99"} 0.0' \
+            in rec.render()
 
     def test_snapshot_on_empty_window_is_all_zeros(self):
-        from repro.serving import LatencyRecorder
+        from repro.obs.metrics import Summary
 
-        snap = LatencyRecorder(window=8).snapshot()
+        snap = Summary("repro_test_seconds", "test", ("kind",)) \
+            .snapshot("delta")
         assert snap == {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0,
                         "p90_ms": 0.0, "p99_ms": 0.0}
 
     def test_never_hit_method_snapshots_clean(self):
-        from repro.serving import ServiceStats
-
-        stats = ServiceStats(window=16)
-        stats.method("quantify_vpr")  # registered (e.g. by the HTTP
-        stats.method("top_k")         # gateway), never actually queried
-        snap = stats.snapshot()
+        index, _ = _disk_index(10)
+        with index.serve(workers=0) as service:
+            snap = service.stats()
         for name in ("quantify_vpr", "top_k"):
-            m = snap[name]
+            m = snap["methods"][name]
             assert m["requests"] == 0 and m["count"] == 0
             assert m["hit_rate"] == 0.0 and m["p99_ms"] == 0.0
-        assert stats.total_requests == 0
+        assert snap["total_requests"] == 0
 
     def test_single_sample_percentiles(self):
-        from repro.serving import LatencyRecorder
+        from repro.obs.metrics import Summary
 
-        rec = LatencyRecorder(window=8)
-        rec.record(0.25)
-        assert rec.percentile(50) == 0.25
-        assert rec.percentile(99) == 0.25
+        rec = Summary("repro_test_seconds", "test", ("kind",))
+        rec.observe("delta", 0.25)
+        snap = rec.snapshot("delta")
+        assert snap["p50_ms"] == 250.0
+        assert snap["p99_ms"] == 250.0
 
 
 class TestCacheHitRateTornRead:
