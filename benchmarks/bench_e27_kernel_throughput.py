@@ -9,8 +9,9 @@ head-to-head on the two hot-loop shapes the tier was built for —
   ``_CHUNK_ELEMENTS`` budget both batch engines size their work
   matrices to, so the benchmark times the loop the way production runs
   it: cache-resident chunks, not one memory-bound mega-matrix);
-* the **Eq. (2) sweep step loop** at the E21 exact-quantification shape
-  (sorted ``(m, N)`` distance rows, per-parent survival products);
+* the **fused Eq. (2) prefix kernel** at the E21 exact-quantification
+  shape (unordered ``(m, N)`` distance rows in; per-row prefix
+  selection, ordering, step loop and widening inside the call);
 
 plus the geometry batch kernels (segment intersections, line-box clip)
 and the merged-slab point locator's tree descent (``plane_locate``).
@@ -62,7 +63,8 @@ from _common import best_of, cores, env_float, env_int, write_json
 from repro.core.workloads import random_discrete_points
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
-from repro.quantification.batch_exact import BatchExactQuantifier
+from repro.quantification.batch_exact import (_PREFIX_START,
+                                              BatchExactQuantifier)
 from repro.spatial.kernels import get_provider, native_available, native_error
 from repro.spatial.planelocate import PersistentPlaneLocator
 
@@ -138,23 +140,19 @@ def test_e27_sweep_parity_and_speedup():
     extent = (N ** 0.5) * 2.2
     q = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
                   for _ in range(M)])
-    # Prepare the sorted inputs once — the sweep step loop is what the
-    # providers differ on; orchestration (sorting, scatter) is shared.
+    # The distance matrix is computed once — the fused call (prefix
+    # selection, ordering, step loop, widening) is what is timed.
     d = oracle.distance_matrix(q[:, 0], q[:, 1], quant._sx, quant._sy)
-    order = np.argsort(d, axis=1, kind="stable")
-    ds = np.take_along_axis(d, order, axis=1)
-    pp, pw = quant._parent[order], quant._weight[order]
 
     def run(provider):
-        return provider.sweep_eq2(ds, pp, pw, quant._totals, N, 0.0,
-                                  final=True)
+        return provider.sweep_eq2(d, quant._parent, quant._weight,
+                                  quant._totals, N, 0.0, _PREFIX_START)
 
-    numpy_t, (res_numpy, done_numpy) = best_of(lambda: run(oracle))
-    native_t, (res_native, done_native) = best_of(lambda: run(native))
-    assert np.array_equal(done_numpy, done_native)
+    numpy_t, (res_numpy, widened_numpy) = best_of(lambda: run(oracle))
+    native_t, (res_native, widened_native) = best_of(lambda: run(native))
+    assert widened_numpy == widened_native
     assert np.array_equal(res_numpy, res_native), \
         "native Eq. (2) sweep is not bitwise-equal to the NumPy oracle"
-    assert done_numpy.all()  # final=True retires every row
     _finish("sweep_eq2", numpy_t, native_t, gated=True)
 
 

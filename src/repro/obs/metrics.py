@@ -252,8 +252,9 @@ class Registry:
 #: Process-wide engine work counters (see module docstring).
 ENGINE = Counter(
     "repro_engine_events_total",
-    "Engine-level work counters (chunks swept, rows retired, prefix "
-    "widenings, locator passes), worker processes included.", ("event",))
+    "Engine-level work counters (chunks swept, rows retired, rows "
+    "re-swept at a wider prefix, locator passes), worker processes "
+    "included.", ("event",))
 
 #: Kernel-provider calls keyed ``(provider, op)``, one per entry-point
 #: call (chunk-level, like :data:`ENGINE`).

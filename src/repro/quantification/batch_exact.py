@@ -2,21 +2,27 @@
 
 :mod:`.exact_discrete` answers one query with an ``O(N log N)`` sweep over
 all ``N = sum k_i`` sites in pure Python.  This module answers an
-``(m, 2)`` array of queries through the *same* sweep, vectorized across
-queries: one ``(mc, N)`` distance matrix per chunk (chunks sized to bound
-memory), a stable per-row argsort, and then the sweep step loop — served
-by a pluggable kernel provider (:mod:`repro.spatial.kernels`): the NumPy
-oracle advances all still-active rows one sorted *position* per handful
-of array passes, the native provider runs the identical expression
-sequence row-scalar in compiled C.
+``(m, 2)`` array of queries through the *same* sweep.  Per chunk of
+query rows (chunks sized to bound memory) the engine makes exactly two
+kernel-provider calls (:mod:`repro.spatial.kernels`):
+
+* ``distance_matrix`` — the chunk's unordered ``(mc, N)`` distances;
+* ``sweep_eq2`` — the whole per-row prefix: select each row's ``K``
+  nearest sites, order them, gather their parents and weights, run the
+  sweep step loop, and re-sweep the rows still live at the prefix end
+  ``4x`` wider.  The native provider does all of that row-scalar in
+  compiled C; the NumPy provider (``argpartition`` → ``lexsort`` →
+  gathers → a step loop vectorized across rows → widening) is the
+  bitwise oracle and the fallback on hosts without a compiler.
 
 The step loop reproduces the scalar sweep's arithmetic operation for
 operation, which is what makes the results **bitwise identical** to
 ``quantification_vector``:
 
-* distances use the library's shared ``sqrt(dx*dx + dy*dy)`` form, and the
-  stable argsort orders exact-equal distances by flattened site index —
-  the same order the scalar code's stable ``sorted`` produces;
+* distances use the library's shared ``sqrt(dx*dx + dy*dy)`` form, and
+  the prefix is ordered by (distance, flattened site index) — a total
+  order, so the prefix is exactly the first ``K`` positions of the
+  scalar code's stable ``sorted``, ties cut by the prefix end included;
 * per-parent survival factors update by the same sequential subtraction
   (``new = old - w``), with the same count-based *exact zero* once a
   parent's sites are exhausted and the same ``1e-15`` underflow clamp;
@@ -29,19 +35,18 @@ operation, which is what makes the results **bitwise identical** to
 
 Rows retire as soon as their zero counter reaches two (every further
 contribution is exactly zero — the scalar sweep breaks at the same
-moment), and the active set is compacted periodically, so the loop length
-tracks how quickly the two nearest parents exhaust rather than ``N``.
+moment), so a row consults only a short sorted prefix: the nearest
+sites until two parents are exhausted, which is the paper's output
+sensitivity.  The prefix is swept without flushing its final tie group.
+A row that retires inside the prefix provably computed the full sweep's
+answer (every complete group it flushed is identical, and the truncated
+final group would have contributed exactly zero); a row still live at
+the prefix end is re-swept ``4x`` wider, ending in the full sort at
+``K >= N``.  ``exact_sweep.prefix_widenings`` counts those re-sweeps,
+equal across providers.
 
-Because of that early exit, the full per-row sort is usually wasted work:
-the sweep consults only a short sorted prefix.  The engine therefore
-partitions each row to its ``K`` nearest sites (``argpartition``), orders
-just that prefix — ``lexsort`` on (distance, flattened site index), which
-reproduces the stable full sort exactly — and sweeps it without flushing
-the final tie group.  A row that retires inside the prefix provably
-computed the full sweep's answer (every complete group it flushed is
-identical, and the truncated final group would have contributed exactly
-zero); the rare rows still live at the prefix end are re-swept with a
-``4x`` wider prefix, falling back to the full sort at ``K >= N``.
+The engine then emits rows: :func:`sparse_rows` turns the dense matrix
+into the ``{i: pi_i(q)}`` dicts of the serving API in one pass.
 """
 
 from __future__ import annotations
@@ -55,16 +60,19 @@ from ..obs.metrics import ENGINE
 from ..spatial.kernels import get_provider
 from ..uncertain.discrete import DiscreteUncertainPoint
 
-__all__ = ["BatchExactQuantifier", "check_tie_tol"]
+__all__ = ["BatchExactQuantifier", "check_tie_tol", "sparse_rows"]
 
 # Target element count of the per-chunk (mc, N) distance matrix.  Larger
 # than the batch engine's work-matrix budget: the step loop's Python-level
 # overhead amortizes over the chunk's rows, and an 8 MB matrix is still a
 # single pass of streaming reductions.
 _CHUNK_ELEMENTS = 1 << 20
-# First sorted-prefix width tried per chunk; widened 4x for rows whose
-# sweep is still live at the prefix end, up to the full site count.
-_PREFIX_START = 256
+# First sorted-prefix width of every row; widened 4x for rows whose sweep
+# is still live at the prefix end, up to the full site count.  Rows of
+# the bulk_exact shape (n = 200, k = 5) retire after 32-128 positions,
+# 94% of them by 64: a narrower start widens most rows, a wider one sorts
+# positions no row reads.
+_PREFIX_START = 64
 
 
 def check_tie_tol(tie_tol: float) -> float:
@@ -76,6 +84,24 @@ def check_tie_tol(tie_tol: float) -> float:
     if not (math.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
     return float(tie_tol)
+
+
+def sparse_rows(mat: np.ndarray,
+                mask: np.ndarray) -> List[Dict[int, float]]:
+    """One ``{i: mat[j, i]}`` dict per row ``j``, over the entries where
+    *mask* is true, keys ascending.
+
+    The row emitter of every sparse batch answer: one ``np.nonzero``
+    pass over the whole matrix, CSR-style row bounds, and ``.tolist()``
+    conversion, so the dicts hold plain ``int`` keys and ``float``
+    values.
+    """
+    rows, cols = np.nonzero(mask)
+    bounds = np.searchsorted(rows, np.arange(len(mat) + 1)).tolist()
+    keys = cols.tolist()
+    vals = mat[rows, cols].tolist()
+    return [dict(zip(keys[a:b], vals[a:b]))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 class BatchExactQuantifier:
@@ -91,7 +117,7 @@ class BatchExactQuantifier:
         processed as one tie group, exactly as in
         :func:`~repro.quantification.exact_discrete.sweep_quantification`.
     kernel:
-        Kernel provider for the distance matrix and the sweep step loop:
+        Kernel provider for the distance matrix and the fused prefix sweep:
         ``"auto"`` (default), ``"native"``, or ``"numpy"`` — see
         :mod:`repro.spatial.kernels`.  Providers are bitwise-identical,
         so the choice is purely operational.
@@ -175,59 +201,22 @@ class BatchExactQuantifier:
         <repro.core.index.PNNIndex.quantify>` returns.
         """
         mat = self.matrix(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
-                for row in mat]
+        return sparse_rows(mat, mat > 0.0)
 
     # ------------------------------------------------------------------
     # The vectorized sweep core.
     # ------------------------------------------------------------------
     def _chunk_matrix(self, qc: np.ndarray) -> np.ndarray:
-        mc = len(qc)
-        result = np.zeros((mc, self.n), dtype=np.float64)
-        if mc == 0:
-            return result
-        big_n = self.total_sites
         provider = get_provider(self.kernel)
-        # (mc, N) distances in the shared sqrt(dx*dx + dy*dy) form.
+        # (mc, N) distances in the shared sqrt(dx*dx + dy*dy) form; the
+        # provider selects, orders and sweeps each row's prefix.
         d = provider.distance_matrix(qc[:, 0], qc[:, 1],
                                      self._sx, self._sy)
-        pending = np.arange(mc, dtype=np.intp)
-        width = min(big_n, _PREFIX_START)
+        result, widened = provider.sweep_eq2(d, self._parent, self._weight,
+                                             self._totals, self.n,
+                                             self.tie_tol, _PREFIX_START)
         ENGINE.inc("exact_sweep.chunks")
-        first_pass = True
-        while pending.size:
-            if not first_pass:
-                # Rows still live at the prefix end: the sweep re-runs
-                # them 4x wider (observable as prefix pressure).
-                ENGINE.inc("exact_sweep.prefix_widenings")
-            first_pass = False
-            dsub = d[pending] if len(pending) < mc else d
-            if width >= big_n:
-                order = np.argsort(dsub, axis=1, kind="stable")
-                ds = np.take_along_axis(dsub, order, axis=1)
-            else:
-                part = np.argpartition(dsub, width - 1, axis=1)[:, :width]
-                dpref = np.take_along_axis(dsub, part, axis=1)
-                # Primary key distance, secondary flattened site index:
-                # exactly the stable full sort, restricted to the prefix.
-                rank = np.lexsort((part, dpref), axis=-1)
-                order = np.take_along_axis(part, rank, axis=1)
-                ds = np.take_along_axis(dpref, rank, axis=1)
-            res, done = provider.sweep_eq2(ds, self._parent[order],
-                                           self._weight[order],
-                                           self._totals, self.n,
-                                           self.tie_tol,
-                                           final=width >= big_n)
-            finished = np.flatnonzero(done)
-            ENGINE.inc("exact_sweep.rows_retired", int(finished.size))
-            result[pending[finished]] = res[finished]
-            pending = pending[~done]
-            width = min(big_n, width * 4)
+        ENGINE.inc("exact_sweep.rows_retired", len(qc))
+        if widened:
+            ENGINE.inc("exact_sweep.prefix_widenings", widened)
         return result
-
-    # The sweep step loop itself lives behind the kernel-provider
-    # protocol (repro.spatial.kernels): the NumPy implementation —
-    # this module's original ``_sweep``, verbatim — is the bitwise
-    # oracle, and the native provider replays the identical expression
-    # sequence row-scalar in C.  Orchestration above (chunk planning,
-    # prefix ordering, widening, result scatter) is shared by both.

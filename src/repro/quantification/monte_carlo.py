@@ -40,6 +40,7 @@ import numpy as np
 from ..geometry.primitives import Point
 from ..uncertain.base import UncertainPoint
 from ..uncertain.discrete import DiscreteUncertainPoint
+from .batch_exact import sparse_rows
 
 __all__ = [
     "MonteCarloQuantifier",
@@ -185,8 +186,7 @@ class MonteCarloQuantifier:
     def estimate_batch(self, queries) -> List[Dict[int, float]]:
         """Sparse ``{i: pi_hat_i}`` dicts (zeros omitted), one per query."""
         mat = self.estimate_matrix(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row)}
-                for row in mat]
+        return sparse_rows(mat, mat != 0)
 
     def estimate(self, q: Point) -> Dict[int, float]:
         """Sparse estimates ``{i: pi_hat_i(q)}`` (zeros omitted).

@@ -80,6 +80,16 @@ def _int_param(name: str, value: object, minimum: Optional[int] = None
     return int(value)
 
 
+def _unit_param(name: str, value: object) -> float:
+    """*value* as a float inside ``(0, 1)``; ``ValueError`` for a bool,
+    a non-number, a non-finite value or one outside the interval."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < 1.0):
+        raise ValueError(f"{name} must be a number in (0, 1), "
+                         f"got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ServiceConfig:
     """Tunables of one :class:`QueryService` instance.
@@ -425,8 +435,18 @@ class QueryService:
         params["seed"] = _int_param("seed", params["seed"])
         if method == "top_k":
             params["k"] = _int_param("k", params["k"], minimum=1)
-        if method == "threshold_nn" and params["epsilon"] is None:
-            params["epsilon"] = params["tau"] / 4.0
+        # Probabilities in (0, 1), checked before admission: a bad one
+        # would otherwise fail inside an engine, after coalescing, or key
+        # a cache entry for a request no estimator can serve.
+        if method == "threshold_nn":
+            params["tau"] = _unit_param("tau", params["tau"])
+            if params["epsilon"] is None:
+                params["epsilon"] = params["tau"] / 4.0
+        params["epsilon"] = _unit_param("epsilon", params["epsilon"])
+        params["delta"] = _unit_param("delta", params["delta"])
+        if method == "threshold_nn" and not params["epsilon"] < params["tau"]:
+            raise ValueError(f"epsilon must be below tau={params['tau']!r}, "
+                             f"got {params['epsilon']!r}")
         # Resolve "auto" once: the choice depends only on the index, and a
         # resolved name keeps cache keys stable across call styles.
         if params["method"] == "auto":

@@ -14,7 +14,7 @@ pluggable; this package does the same for *compute*.  One protocol
 ========== ==========================================================
 
 Entry points cover the library's measured single-core hot loops: the
-pairwise distance matrix (E19), the Eq. (2) sweep step loop (E21), the
+pairwise distance matrix (E19), the fused Eq. (2) prefix sweep (E21), the
 batched segment intersection / line-box clip kernels (E22), and the
 merged-slab tree descent (``plane_locate``) of the point locator behind
 ``quantify_vpr`` (E28).
@@ -73,9 +73,11 @@ class KernelProvider(Protocol):
     """The flat-array entry points every provider implements.
 
     All providers return bitwise-identical outputs on the lanes each
-    contract specifies; Python-level orchestration (chunk planning,
-    prefix widening, gather/scatter post-processing) stays with the
-    calling engines and is shared across providers.
+    contract specifies.  Chunk planning stays with the calling engines;
+    everything inside a chunk's Eq. (2) prefix — selection, ordering,
+    gathers, the step loop and the prefix widening — is one
+    ``sweep_eq2`` call, so the native provider runs it without NumPy
+    glue.
     """
 
     name: str
@@ -84,10 +86,17 @@ class KernelProvider(Protocol):
                         px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """``(m, n)`` pairwise ``sqrt(dx*dx + dy*dy)`` distances."""
 
-    def sweep_eq2(self, ds: np.ndarray, pp: np.ndarray, pw: np.ndarray,
-                  totals: np.ndarray, n: int, tie_tol: float,
-                  final: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """The Eq. (2) sweep over ``(r, K)`` prefix-ordered columns."""
+    def sweep_eq2(self, d: np.ndarray, parent: np.ndarray,
+                  weight: np.ndarray, totals: np.ndarray, n: int,
+                  tie_tol: float, width: int) -> Tuple[np.ndarray, int]:
+        """The fused Eq. (2) prefix of one chunk.
+
+        For each of the ``(r, N)`` unordered distance rows: select the
+        ``width`` smallest (distance, flat site index) keys, order them,
+        gather ``parent`` / ``weight``, sweep; re-sweep a row still live
+        at the prefix end ``4x`` wider, the last pass (``width >= N``)
+        being the full sort.  Returns the ``(r, n)`` quantification rows
+        and the number of row re-sweeps."""
 
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):
         """Batched segment-pair intersection ``(px, py, hit)``."""

@@ -21,6 +21,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* Pairwise distance matrix: out[i, j] = sqrt(dx*dx + dy*dy) — the     */
@@ -43,29 +44,191 @@ void repro_distance_matrix(const double *qx, const double *qy, int64_t m,
 }
 
 /* ------------------------------------------------------------------ */
-/* The Eq. (2) sweep step loop (quantification/batch_exact.py).        */
+/* The fused Eq. (2) prefix kernel (quantification/batch_exact.py).    */
 /*                                                                     */
-/* Inputs are the (r, width) prefix-ordered distance / parent / weight */
-/* rows; totals[n] the per-parent site counts.  result (r, n) must be  */
-/* zero-initialized by the caller; done[r] receives the retire flags.  */
+/* Input: the (r, big_n) unordered distance rows of one chunk, the     */
+/* flat per-site parent / weight arrays, totals[n] the per-parent site */
+/* counts.  result (r, n) must be zero-initialized by the caller.      */
+/* Per row, all in one pass:                                           */
 /*                                                                     */
-/* The NumPy sweep vectorizes across rows but is strictly sequential   */
-/* in sorted position within a row: tie groups anchored at their first */
-/* member, a full group absorbed (phase 1) before any member           */
-/* contributes (phase 2), survival updated by new = old - w with the   */
-/* 1e-15 underflow clamp and the count-based exact zero, the running   */
-/* product by prod *= new/old or prod /= old with an explicit zero     */
-/* counter, retirement at zero_count >= 2.  This scalar row loop       */
-/* replays those expressions in the same order, so every row is        */
-/* bitwise the NumPy row.  Rows retired past zero_count >= 2 only      */
-/* ever scatter +0.0 in the oracle, so breaking early is exact.        */
+/*   select   the width smallest (distance, flat site index) keys —    */
+/*            a total order, so the selected set and its ascending     */
+/*            order are exactly the stable full sort's first width     */
+/*            positions (any correct select-then-sort reproduces it);  */
+/*   order    a bucket scatter of the candidates by distance, a key    */
+/*            sort inside the buckets reaching the prefix, then the    */
+/*            parent / weight gathers (select_prefix below);           */
+/*   sweep    the row-scalar step loop below;                          */
+/*   widen    a row still live at the prefix end is swept again,       */
+/*            4x wider, the last pass at width >= big_n being          */
+/*            the full sort, which flushes the final tie group.        */
+/*                                                                     */
+/* *widened receives the number of row re-sweeps — the NumPy oracle's  */
+/* sum of pending rows over its widening passes.                       */
+/*                                                                     */
+/* The step loop replays the NumPy oracle's expressions in the same    */
+/* order, strictly sequential in sorted position within a row: tie     */
+/* groups anchored at their first member, a full group absorbed        */
+/* (phase 1) before any member contributes (phase 2), survival updated */
+/* by new = old - w with the 1e-15 underflow clamp and the count-based */
+/* exact zero, the running product by prod *= new/old or prod /= old   */
+/* with an explicit zero counter, retirement at zero_count >= 2.  Rows */
+/* retired past zero_count >= 2 only ever scatter +0.0 in the oracle,  */
+/* so breaking early is exact.                                         */
 /*                                                                     */
 /* Scratch: survival/seen are n-sized but only the <= width parents a  */
 /* row touches are reset between rows (the touched list), keeping the  */
-/* per-row cost O(width), not O(n).                                    */
+/* per-row sweep cost O(width), not O(n).                              */
 /*                                                                     */
 /* Returns 0, or -1 when scratch allocation failed.                    */
 /* ------------------------------------------------------------------ */
+
+/* The sort key packs the distance's order-preserving bit image over   */
+/* the flat site index into one unsigned 128-bit integer, so a key      */
+/* compare is one branch-free integer compare.  The image follows       */
+/* NumPy's sort order: -0.0 sorts as +0.0 and every NaN after +inf,     */
+/* ties by index — a total order on any input.  (A compiler without     */
+/* __int128 fails the build, and the tier falls back to NumPy.)         */
+typedef unsigned __int128 sort_key;
+
+static inline uint64_t dist_image(double d)
+{
+    if (d != d)
+        return UINT64_MAX;
+    d += 0.0;                   /* -0.0 -> +0.0 */
+    uint64_t u;
+    memcpy(&u, &d, sizeof u);
+    return (u >> 63) ? ~u : (u | ((uint64_t)1 << 63));
+}
+
+static void sort_keys(sort_key *a, int64_t len)
+{
+    while (len > 16) {
+        /* Median-of-three quicksort; keys are distinct (the index). */
+        sort_key x = a[0], y = a[len / 2], z = a[len - 1];
+        const sort_key pivot = x < y ? (y < z ? y : (x < z ? z : x))
+                                     : (x < z ? x : (y < z ? z : y));
+        int64_t i = 0, j = len - 1;
+        for (;;) {
+            while (a[i] < pivot)
+                ++i;
+            while (pivot < a[j])
+                --j;
+            if (i >= j)
+                break;
+            const sort_key t = a[i];
+            a[i++] = a[j];
+            a[j--] = t;
+        }
+        /* [0, j] <= pivot <= [j + 1, len); recurse on the smaller side. */
+        if (j + 1 < len - j - 1) {
+            sort_keys(a, j + 1);
+            a += j + 1;
+            len -= j + 1;
+        } else {
+            sort_keys(a + j + 1, len - j - 1);
+            len = j + 1;
+        }
+    }
+    for (int64_t i = 1; i < len; ++i) {
+        const sort_key t = a[i];
+        int64_t j = i;
+        while (j > 0 && t < a[j - 1]) {
+            a[j] = a[j - 1];
+            --j;
+        }
+        a[j] = t;
+    }
+}
+
+/* The width smallest keys of row[0, big_n), ascending, into keys.     */
+/*                                                                     */
+/* Candidates: a distance cutoff read off a strided sample keeps a few  */
+/* more than width sites; every site above it is farther than all      */
+/* candidates, so the width smallest keys are among them.  A cutoff    */
+/* that keeps too few falls back to the whole row.                     */
+/* Order: a stable scatter into equal-width distance buckets (bucket    */
+/* index is monotone in the distance, and equal distances stay in      */
+/* index order), then a key sort inside each bucket up to position     */
+/* width — linear on the usual spread.  A non-finite candidate range    */
+/* sorts all candidates by key instead.                                */
+/* cand / keys / spill hold big_n entries, count big_n + 1.            */
+#define PREFIX_SAMPLE 64
+static void select_prefix(const double *row, int64_t big_n, int64_t width,
+                          int64_t *cand, sort_key *keys, sort_key *spill,
+                          int64_t *count)
+{
+    int64_t c = big_n;
+    if (width * 2 < big_n) {
+        /* The rank-th smallest of a strided sample, rank leaving a    */
+        /* generous margin over width's share of the row.              */
+        const int64_t s = big_n < PREFIX_SAMPLE ? big_n : PREFIX_SAMPLE;
+        const int64_t rank = (2 * width * s) / big_n + 2;
+        double low[PREFIX_SAMPLE];
+        int64_t have = 0;
+        for (int64_t k = 0; k < s && rank < s; ++k) {
+            const double v = row[(k * big_n) / s];
+            if (!(v == v))
+                continue;
+            if (have > rank && !(v < low[rank]))
+                continue;
+            int64_t j = have <= rank ? have++ : rank;
+            while (j > 0 && v < low[j - 1]) {
+                low[j] = low[j - 1];
+                --j;
+            }
+            low[j] = v;
+        }
+        if (rank < s && have > rank) {
+            const double cutoff = low[rank];
+            int64_t kept = 0;
+            for (int64_t j = 0; j < big_n; ++j) {
+                cand[kept] = j;
+                kept += row[j] <= cutoff;
+            }
+            if (kept >= width)
+                c = kept;
+        }
+    }
+    if (c == big_n)
+        for (int64_t j = 0; j < big_n; ++j)
+            cand[j] = j;
+    double lo = INFINITY, hi = -INFINITY;
+    for (int64_t k = 0; k < c; ++k) {
+        const double v = row[cand[k]];
+        lo = v < lo ? v : lo;
+        hi = v > hi ? v : hi;
+    }
+    const double scale = (double)c / (hi - lo);
+    if (!(isfinite(lo) && isfinite(hi) && hi > lo && isfinite(scale))) {
+        for (int64_t k = 0; k < c; ++k) {
+            const int64_t j = cand[k];
+            keys[k] = ((sort_key)dist_image(row[j]) << 64) | (uint64_t)j;
+        }
+        sort_keys(keys, c);
+        return;
+    }
+    const double top = (double)(c - 1);
+    for (int64_t b = 0; b <= c; ++b)
+        count[b] = 0;
+    for (int64_t k = 0; k < c; ++k) {
+        const double v = row[cand[k]];
+        const double t = (v - lo) * scale;
+        const int64_t b = t < top ? (int64_t)t : c - 1;
+        spill[k] = ((sort_key)dist_image(v) << 64) | (uint64_t)cand[k];
+        cand[k] = b;
+        count[b + 1] += 1;
+    }
+    for (int64_t b = 0; b < c; ++b)
+        count[b + 1] += count[b];
+    for (int64_t k = 0; k < c; ++k)
+        keys[count[cand[k]]++] = spill[k];
+    /* count[b] is now bucket b's end; sort buckets covering [0, width). */
+    for (int64_t b = 0, lo_pos = 0; lo_pos < width; lo_pos = count[b++])
+        if (count[b] - lo_pos > 1)
+            sort_keys(keys + lo_pos, count[b] - lo_pos);
+}
+
 static void sweep_contribute(const int64_t *par, const double *w,
                              const double *survival, double prod,
                              int64_t zero_count, int64_t lo, int64_t hi,
@@ -85,87 +248,132 @@ static void sweep_contribute(const int64_t *par, const double *w,
     }
 }
 
-int repro_sweep_eq2(const double *ds, const int64_t *pp, const double *pw,
-                    int64_t r, int64_t width, int64_t n,
-                    const int64_t *totals, double tie_tol, int final_pass,
-                    double *result, uint8_t *done)
+/* One row's step loop over a sorted prefix of width sites.  Returns    */
+/* whether the row's answer is complete; an incomplete row's res is     */
+/* reset to zeros for the wider re-sweep.  Leaves survival / seen reset. */
+static int sweep_row(const double *d, const int64_t *par, const double *w,
+                     int64_t width, const int64_t *totals, double tie_tol,
+                     int final_pass, double *survival, int64_t *seen,
+                     int64_t *touched, double *res)
 {
+    int64_t n_touched = 0;
+    int64_t zero_count = 0;
+    double prod = 1.0;
+    double anchor = 0.0;
+    int64_t glen = 0;
+    int retired = 0;
+    for (int64_t t = 0; t < width; ++t) {
+        const double dt = d[t];
+        if (t == 0 || dt - anchor > tie_tol) {
+            /* Phase 2 for the completed group [t - glen, t). */
+            sweep_contribute(par, w, survival, prod, zero_count,
+                             t - glen, t, res);
+            anchor = dt;
+            glen = 0;
+        }
+        /* Phase 1: absorb the t-th nearest site. */
+        const int64_t p_t = par[t];
+        const double old = survival[p_t];
+        if (seen[p_t] == 0)
+            touched[n_touched++] = p_t;
+        const int64_t cnt = seen[p_t] + 1;
+        seen[p_t] = cnt;
+        double fresh = old - w[t];
+        if (fresh < 1e-15)
+            fresh = 0.0;
+        if (cnt >= totals[p_t])
+            fresh = 0.0;
+        survival[p_t] = fresh;
+        if (old > 0.0) {
+            if (fresh > 0.0) {
+                prod *= fresh / old;
+            } else {
+                prod /= old;
+                zero_count += 1;
+            }
+        }
+        glen += 1;
+        if (zero_count >= 2) {
+            /* Every further contribution is exactly zero. */
+            retired = 1;
+            break;
+        }
+    }
+    if (!retired && final_pass) {
+        /* The prefix is the whole site set: flush the last group. */
+        sweep_contribute(par, w, survival, prod, zero_count,
+                         width - glen, width, res);
+    }
+    const int done = retired || final_pass;
+    for (int64_t k = 0; k < n_touched; ++k) {
+        /* Contributions only ever land on touched parents. */
+        if (!done)
+            res[touched[k]] = 0.0;
+        survival[touched[k]] = 1.0;
+        seen[touched[k]] = 0;
+    }
+    return done;
+}
+
+int repro_sweep_eq2(const double *dist, int64_t r, int64_t big_n,
+                    const int64_t *parent, const double *weight,
+                    const int64_t *totals, int64_t n, double tie_tol,
+                    int64_t start_width, double *result, int64_t *widened)
+{
+    const size_t nb = (size_t)big_n;
     double *survival = (double *)malloc((size_t)n * sizeof(double));
     int64_t *seen = (int64_t *)malloc((size_t)n * sizeof(int64_t));
-    int64_t *touched = (int64_t *)malloc((size_t)width * sizeof(int64_t));
-    if (survival == NULL || seen == NULL || touched == NULL) {
-        free(survival);
-        free(seen);
-        free(touched);
-        return -1;
+    int64_t *touched = (int64_t *)malloc(nb * sizeof(int64_t));
+    int64_t *cand = (int64_t *)malloc(nb * sizeof(int64_t));
+    sort_key *keys = (sort_key *)malloc(nb * sizeof(sort_key));
+    sort_key *spill = (sort_key *)malloc(nb * sizeof(sort_key));
+    int64_t *count = (int64_t *)malloc((nb + 1) * sizeof(int64_t));
+    double *ds = (double *)malloc(nb * sizeof(double));
+    int64_t *pp = (int64_t *)malloc(nb * sizeof(int64_t));
+    double *pw = (double *)malloc(nb * sizeof(double));
+    int rc = 0;
+    if (survival == NULL || seen == NULL || touched == NULL || cand == NULL
+            || keys == NULL || spill == NULL || count == NULL || ds == NULL
+            || pp == NULL || pw == NULL) {
+        rc = -1;
+        goto out;
     }
     for (int64_t p = 0; p < n; ++p) {
         survival[p] = 1.0;
         seen[p] = 0;
     }
+    *widened = 0;
     for (int64_t row = 0; row < r; ++row) {
-        const double *d = ds + row * width;
-        const int64_t *par = pp + row * width;
-        const double *w = pw + row * width;
+        const double *d = dist + row * big_n;
         double *res = result + row * n;
-        int64_t n_touched = 0;
-        int64_t zero_count = 0;
-        double prod = 1.0;
-        double anchor = 0.0;
-        int64_t glen = 0;
-        int retired = 0;
-        for (int64_t t = 0; t < width; ++t) {
-            const double dt = d[t];
-            if (t == 0 || dt - anchor > tie_tol) {
-                /* Phase 2 for the completed group [t - glen, t). */
-                sweep_contribute(par, w, survival, prod, zero_count,
-                                 t - glen, t, res);
-                anchor = dt;
-                glen = 0;
+        int64_t width = start_width < big_n ? start_width : big_n;
+        for (;;) {
+            select_prefix(d, big_n, width, cand, keys, spill, count);
+            for (int64_t t = 0; t < width; ++t) {
+                const int64_t j = (int64_t)(uint64_t)keys[t];
+                ds[t] = d[j];
+                pp[t] = parent[j];
+                pw[t] = weight[j];
             }
-            /* Phase 1: absorb the t-th nearest site. */
-            const int64_t p_t = par[t];
-            const double old = survival[p_t];
-            if (seen[p_t] == 0)
-                touched[n_touched++] = p_t;
-            const int64_t cnt = seen[p_t] + 1;
-            seen[p_t] = cnt;
-            double fresh = old - w[t];
-            if (fresh < 1e-15)
-                fresh = 0.0;
-            if (cnt >= totals[p_t])
-                fresh = 0.0;
-            survival[p_t] = fresh;
-            if (old > 0.0) {
-                if (fresh > 0.0) {
-                    prod *= fresh / old;
-                } else {
-                    prod /= old;
-                    zero_count += 1;
-                }
-            }
-            glen += 1;
-            if (zero_count >= 2) {
-                /* Every further contribution is exactly zero. */
-                retired = 1;
+            if (sweep_row(ds, pp, pw, width, totals, tie_tol,
+                          width >= big_n, survival, seen, touched, res))
                 break;
-            }
-        }
-        if (!retired && final_pass) {
-            /* The prefix is the whole site set: flush the last group. */
-            sweep_contribute(par, w, survival, prod, zero_count,
-                             width - glen, width, res);
-        }
-        done[row] = (uint8_t)(retired || final_pass);
-        for (int64_t k = 0; k < n_touched; ++k) {
-            survival[touched[k]] = 1.0;
-            seen[touched[k]] = 0;
+            *widened += 1;
+            width = width > big_n / 4 ? big_n : width * 4;
         }
     }
+out:
     free(survival);
     free(seen);
     free(touched);
-    return 0;
+    free(cand);
+    free(keys);
+    free(spill);
+    free(count);
+    free(ds);
+    free(pp);
+    free(pw);
+    return rc;
 }
 
 /* ------------------------------------------------------------------ */

@@ -3,9 +3,9 @@
 Thin flat-array marshalling over the functions in ``_kernels.c``.  All
 array arguments are coerced to C-contiguous ``float64`` / ``int64``
 (views, not copies, for the already-contiguous arrays the engines pass)
-and handed over as raw pointers; shapes and Python-level orchestration
-(chunking, prefix widening, gather/scatter post-processing) stay with
-the callers, identical for both providers.
+and handed over as raw pointers.  ``sweep_eq2`` is the whole per-chunk
+Eq. (2) prefix — selection, ordering, gathers, the step loop and the
+prefix widening run per row in C; chunking stays with the callers.
 
 Construction compiles the library on demand (:mod:`.build`) and raises
 :class:`~repro.spatial.kernels.build.BuildError` when the host cannot —
@@ -64,8 +64,8 @@ class NativeProvider:
             _F64, _F64, ctypes.c_int64, _F64, _F64, ctypes.c_int64, _F64]
         lib.repro_sweep_eq2.restype = ctypes.c_int
         lib.repro_sweep_eq2.argtypes = [
-            _F64, _I64, _F64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, _I64, ctypes.c_double, ctypes.c_int, _F64, _U8]
+            _F64, ctypes.c_int64, ctypes.c_int64, _I64, _F64, _I64,
+            ctypes.c_int64, ctypes.c_double, ctypes.c_int64, _F64, _I64]
         lib.repro_segment_intersections.restype = None
         lib.repro_segment_intersections.argtypes = [
             _F64, _F64, _F64, _F64, _I64, _I64, ctypes.c_int64,
@@ -99,25 +99,33 @@ class NativeProvider:
         return out
 
     # ------------------------------------------------------------------
-    def sweep_eq2(self, ds, pp, pw, totals, n: int, tie_tol: float,
-                  final: bool) -> Tuple[np.ndarray, np.ndarray]:
+    def sweep_eq2(self, d, parent, weight, totals, n: int, tie_tol: float,
+                  width: int) -> Tuple[np.ndarray, int]:
         self._count("sweep_eq2")
-        ds = _f64(ds)
-        pp = _i64(pp)
-        pw = _f64(pw)
+        if width < 1:
+            raise ValueError(f"prefix width must be >= 1, got {width!r}")
+        d = _f64(d)
+        parent = _i64(parent)
+        weight = _f64(weight)
         totals = _i64(totals)
-        r, width = ds.shape
+        r, big_n = d.shape
+        # The C loop indexes survival / totals by parent: check every
+        # bound it relies on here.
+        if (parent.shape != (big_n,) or weight.shape != (big_n,)
+                or totals.shape != (n,)
+                or (big_n and not 0 <= parent.min() <= parent.max() < n)):
+            raise ValueError("sweep_eq2: parent/weight must have one entry "
+                             "per distance column, with parents in "
+                             "[0, n), and totals one per parent")
         result = np.zeros((r, n), dtype=np.float64)
-        done = np.zeros(r, dtype=bool)
-        if r and width:
+        widened = np.zeros(1, dtype=np.int64)
+        if r:
             rc = self._lib.repro_sweep_eq2(
-                _pf(ds), _pi(pp), _pf(pw), r, width, n, _pi(totals),
-                float(tie_tol), 1 if final else 0, _pf(result), _pu(done))
+                _pf(d), r, big_n, _pi(parent), _pf(weight), _pi(totals), n,
+                float(tie_tol), int(width), _pf(result), _pi(widened))
             if rc != 0:
                 raise MemoryError("native sweep scratch allocation failed")
-        elif final:
-            done[:] = True
-        return result, done
+        return result, int(widened[0])
 
     # ------------------------------------------------------------------
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):

@@ -1,13 +1,14 @@
 """The NumPy kernel provider — the always-available bitwise oracle.
 
-These are the library's original vectorized inner loops, moved verbatim
-behind the :class:`~repro.spatial.kernels.KernelProvider` entry points:
-the chunked distance matrix (``spatial/batch.py``), the Eq. (2) sweep
-step loop (``quantification/batch_exact.py``), the batched segment
-kernels (``geometry/segments.py``), and the merged-slab locator's
-vectorized tree descent (``spatial/planelocate.py``).  Each was
-individually bit-pinned to its scalar reference implementation by the existing
-property suites; the native provider is in turn bit-pinned to *these*
+These are the library's original vectorized inner loops, moved behind
+the :class:`~repro.spatial.kernels.KernelProvider` entry points: the
+chunked distance matrix (``spatial/batch.py``), the Eq. (2) prefix
+ordering, step loop and widening (``quantification/batch_exact.py``),
+the batched segment kernels (``geometry/segments.py``), and the
+merged-slab locator's vectorized tree descent
+(``spatial/planelocate.py``).  Each was individually bit-pinned to its
+scalar reference implementation by the existing property suites; the
+native provider is in turn bit-pinned to *these*
 (``tests/test_kernels.py``), so the provider choice is purely
 operational.
 """
@@ -50,10 +51,71 @@ class NumpyProvider:
         return np.sqrt(dx, out=dx)
 
     # ------------------------------------------------------------------
-    def sweep_eq2(self, ds: np.ndarray, pp: np.ndarray, pw: np.ndarray,
-                  totals: np.ndarray, n: int, tie_tol: float,
-                  final: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the vectorized Eq. (2) sweep over prefix-ordered columns.
+    def sweep_eq2(self, d: np.ndarray, parent: np.ndarray,
+                  weight: np.ndarray, totals: np.ndarray, n: int,
+                  tie_tol: float, width: int) -> Tuple[np.ndarray, int]:
+        """The whole Eq. (2) prefix of one chunk: select, order, sweep.
+
+        ``d`` is the chunk's unordered ``(r, N)`` distance matrix;
+        ``parent`` / ``weight`` the flat per-site arrays and ``totals``
+        the per-parent site counts.  Each row is partitioned to its
+        ``width`` nearest sites (``argpartition``), that prefix ordered
+        by (distance, flat site index) — ``lexsort``, which reproduces
+        the stable full sort exactly, a tie group cut by the prefix end
+        included — and swept without flushing the final tie group.  Rows
+        still live at the prefix end are re-swept ``4x`` wider, ending in
+        the full sort at ``width >= N``.
+        Returns ``(result, widened)``: the ``(r, n)`` quantification
+        rows and the number of row re-sweeps.
+        """
+        self._count("sweep_eq2")
+        if width < 1:
+            raise ValueError(f"prefix width must be >= 1, got {width!r}")
+        r, big_n = d.shape
+        result = np.zeros((r, n), dtype=np.float64)
+        pending = np.arange(r, dtype=np.intp)
+        width = min(big_n, width)
+        widened = 0
+        while pending.size:
+            dsub = d[pending] if len(pending) < r else d
+            if width >= big_n:
+                order = np.argsort(dsub, axis=1, kind="stable")
+                ds = np.take_along_axis(dsub, order, axis=1)
+            else:
+                part = np.argpartition(dsub, width - 1, axis=1)[:, :width]
+                dpref = np.take_along_axis(dsub, part, axis=1)
+                # Primary key distance, secondary flattened site index:
+                # exactly the stable full sort, restricted to the prefix.
+                rank = np.lexsort((part, dpref), axis=-1)
+                order = np.take_along_axis(part, rank, axis=1)
+                ds = np.take_along_axis(dpref, rank, axis=1)
+                # argpartition keeps an arbitrary subset of a tie group
+                # the prefix end cuts; those rows take the stable full
+                # sort's prefix, so every prefix holds the width smallest
+                # (distance, index) keys, as the native kernel's does.
+                last = ds[:, -1:]
+                cut = np.flatnonzero((dsub == last).sum(axis=1)
+                                     > (ds == last).sum(axis=1))
+                if cut.size:
+                    dcut = dsub[cut]
+                    order[cut] = np.argsort(dcut, axis=1,
+                                            kind="stable")[:, :width]
+                    ds[cut] = np.take_along_axis(dcut, order[cut], axis=1)
+            res, done = self._sweep_prefix(ds, parent[order], weight[order],
+                                           totals, n, tie_tol,
+                                           final=width >= big_n)
+            finished = np.flatnonzero(done)
+            result[pending[finished]] = res[finished]
+            # Rows still live at the prefix end: re-swept 4x wider.
+            pending = pending[~done]
+            widened += len(pending)
+            width = min(big_n, width * 4)
+        return result, widened
+
+    def _sweep_prefix(self, ds: np.ndarray, pp: np.ndarray, pw: np.ndarray,
+                      totals: np.ndarray, n: int, tie_tol: float,
+                      final: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The vectorized Eq. (2) step loop over prefix-ordered columns.
 
         ``ds`` / ``pp`` / ``pw`` are ``(r, K)`` sorted distance / parent /
         weight arrays; ``totals`` the per-parent site counts.  Returns
@@ -62,7 +124,6 @@ class NumpyProvider:
         prefix, or ``final`` allowed the last tie group to flush because
         the prefix is the whole site set).
         """
-        self._count("sweep_eq2")
         r, width = ds.shape
         result = np.zeros((r, n), dtype=np.float64)
         rows = np.arange(r, dtype=np.intp)        # original row ids

@@ -47,7 +47,7 @@ from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
 from ..geometry.segments import line_box_clip_batch
 from ..obs.metrics import ENGINE
-from ..quantification.batch_exact import BatchExactQuantifier
+from ..quantification.batch_exact import BatchExactQuantifier, sparse_rows
 from ..quantification.exact_discrete import quantification_vector
 from ..spatial.planelocate import PersistentPlaneLocator, plane_locate_scalar
 from ..uncertain.discrete import DiscreteUncertainPoint
@@ -145,8 +145,7 @@ class _FaceVectorQueries:
         serves.
         """
         mat = self.query_batch(queries)
-        return [{int(i): float(row[i]) for i in np.flatnonzero(row > 0.0)}
-                for row in mat]
+        return sparse_rows(mat, mat > 0.0)
 
     def positive_probabilities(self, q: Point,
                                tol: float = 0.0) -> Dict[int, float]:

@@ -19,13 +19,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.spatial.kernels as kernels
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.geometry.segments import bisector_line
 from repro.obs.metrics import kernel_counters
-from repro.quantification.batch_exact import BatchExactQuantifier
+from repro.quantification.batch_exact import (_PREFIX_START,
+                                              BatchExactQuantifier)
+from repro.quantification.exact_discrete import (quantification_vector,
+                                                 sweep_quantification)
 from repro.spatial.kernels import (
     KERNEL_ENV,
     KERNELS,
@@ -36,6 +40,7 @@ from repro.spatial.kernels import (
     resolve_kernel,
 )
 from repro.spatial.kernels.build import CACHE_ENV, CC_ENV
+from repro.uncertain.discrete import DiscreteUncertainPoint
 
 needs_native = pytest.mark.skipif(
     not native_available(),
@@ -123,7 +128,7 @@ class TestDistanceMatrixParity:
 
 
 # ----------------------------------------------------------------------
-# Bitwise parity: the Eq. (2) sweep step loop.
+# The NumPy provider's internal Eq. (2) step loop (prefix-ordered input).
 # ----------------------------------------------------------------------
 def _sweep_inputs(points, queries):
     """Prepared (sorted) sweep inputs plus the quantifier they came from."""
@@ -136,12 +141,44 @@ def _sweep_inputs(points, queries):
     return quant, ds, quant._parent[order], quant._weight[order]
 
 
-@needs_native
+def _lattice_points():
+    """Sites on an integer lattice: masses of exactly-equal distances."""
+    points = []
+    for i in range(4):
+        for j in range(4):
+            sites = [(float(i + di), float(j + dj))
+                     for di in (0, 1) for dj in (0, 1)]
+            points.append(DiscreteUncertainPoint(
+                sites, [0.25] * 4, normalize=False))
+    q = [(float(x), float(y)) for x in range(5) for y in range(5)]
+    q += [(x + 0.5, y + 0.5) for x in range(4) for y in range(4)]
+    return points, q
+
+
+def _scalar_rows(points, queries, tie_tol=0.0):
+    return [quantification_vector(points, tuple(q), tie_tol=tie_tol)
+            for q in np.asarray(queries, dtype=np.float64).tolist()]
+
+
 class TestSweepParity:
+    """``NumpyProvider._sweep_prefix`` — the step loop both fused
+    providers run on each ordered prefix — against the scalar sweep:
+    every row it marks done holds the scalar answer bitwise."""
+
+    @staticmethod
+    def _check(points, queries, ds, pp, pw, totals, tie_tol, final):
+        res, done = get_provider("numpy")._sweep_prefix(
+            ds, pp, pw, totals, len(points), tie_tol, final)
+        scalar = _scalar_rows(points, queries, tie_tol)
+        if final:
+            assert done.all()
+        for j in np.flatnonzero(done):
+            assert res[j].tolist() == scalar[j]
+        return done
+
     @pytest.mark.parametrize("n,k,m", [(5, 2, 9), (30, 3, 40), (80, 5, 64)])
     @pytest.mark.parametrize("final", [False, True])
     def test_random_workloads(self, n, k, m, final):
-        oracle, native = _providers()
         points = random_discrete_points(n, k, seed=n + k, spread=2.0)
         rng = random.Random(m)
         extent = math.sqrt(n) * 2.2
@@ -149,65 +186,173 @@ class TestSweepParity:
              for _ in range(m)]
         quant, ds, pp, pw = _sweep_inputs(points, q)
         for tie_tol in (0.0, 1e-9):
-            res_o, done_o = oracle.sweep_eq2(ds, pp, pw, quant._totals,
-                                             n, tie_tol, final)
-            res_n, done_n = native.sweep_eq2(ds, pp, pw, quant._totals,
-                                             n, tie_tol, final)
-            assert np.array_equal(done_o, done_n)
-            assert np.array_equal(res_o, res_n)
+            self._check(points, q, ds, pp, pw, quant._totals, tie_tol,
+                        final)
 
     def test_tie_heavy_lattice(self):
-        # Sites on an integer lattice, queries on lattice points: masses
-        # of exactly-equal distances exercise the tie-group flush path
-        # (multi-member groups, descending-offset contribution order).
-        oracle, native = _providers()
-        from repro.uncertain.discrete import DiscreteUncertainPoint
-
-        points = []
-        for i in range(4):
-            for j in range(4):
-                sites = [(float(i + di), float(j + dj))
-                         for di in (0, 1) for dj in (0, 1)]
-                points.append(DiscreteUncertainPoint(
-                    sites, [0.25] * 4, normalize=False))
-        q = [(float(x), float(y)) for x in range(5) for y in range(5)]
-        q += [(x + 0.5, y + 0.5) for x in range(4) for y in range(4)]
+        # Multi-member tie groups, descending-offset contribution order.
+        points, q = _lattice_points()
         quant, ds, pp, pw = _sweep_inputs(points, q)
         for final in (False, True):
-            res_o, done_o = oracle.sweep_eq2(ds, pp, pw, quant._totals,
-                                             len(points), 0.0, final)
-            res_n, done_n = native.sweep_eq2(ds, pp, pw, quant._totals,
-                                             len(points), 0.0, final)
-            assert np.array_equal(done_o, done_n)
-            assert np.array_equal(res_o, res_n)
+            self._check(points, q, ds, pp, pw, quant._totals, 0.0, final)
 
     def test_prefix_narrower_than_sites(self):
-        # A truncated prefix (the widening loop's intermediate state):
-        # rows may finish or stay live; parity on both the results and
-        # the done mask.
-        oracle, native = _providers()
+        # A truncated prefix: a row retired inside it already holds its
+        # full answer; a live row is left for the wider re-sweep.
         points = random_discrete_points(40, 4, seed=11, spread=2.0)
         rng = random.Random(7)
         q = [(rng.uniform(0, 14), rng.uniform(0, 14)) for _ in range(25)]
         quant, ds, pp, pw = _sweep_inputs(points, q)
         for width in (1, 5, 40):
-            args = (ds[:, :width], pp[:, :width], pw[:, :width],
-                    quant._totals, 40, 0.0, False)
-            res_o, done_o = oracle.sweep_eq2(*args)
-            res_n, done_n = native.sweep_eq2(*args)
-            assert np.array_equal(done_o, done_n)
-            assert np.array_equal(res_o, res_n)
+            done = self._check(points, q, ds[:, :width], pp[:, :width],
+                               pw[:, :width], quant._totals, 0.0, False)
+            # One site cannot exhaust two parents; 40 sites usually do.
+            assert done.any() == (width == 40)
 
     def test_empty_rows(self):
-        oracle, native = _providers()
-        ds = np.empty((0, 3))
-        pp = np.empty((0, 3), dtype=np.intp)
-        pw = np.empty((0, 3))
-        totals = np.array([3], dtype=np.int64)
-        res_o, done_o = oracle.sweep_eq2(ds, pp, pw, totals, 1, 0.0, True)
-        res_n, done_n = native.sweep_eq2(ds, pp, pw, totals, 1, 0.0, True)
-        assert np.array_equal(res_o, res_n)
-        assert np.array_equal(done_o, done_n)
+        res, done = get_provider("numpy")._sweep_prefix(
+            np.empty((0, 3)), np.empty((0, 3), dtype=np.intp),
+            np.empty((0, 3)), np.array([3], dtype=np.int64), 1, 0.0, True)
+        assert res.shape == (0, 1) and done.shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Bitwise parity: the fused Eq. (2) prefix kernel (select, order, sweep).
+# ----------------------------------------------------------------------
+_AVAILABLE = ("numpy", "native") if native_available() else ("numpy",)
+
+
+def _fused_all(points, queries, tie_tol=0.0, width=_PREFIX_START):
+    """``sweep_eq2`` on every available provider, checked bitwise against
+    each other and the scalar sweep; returns the widened-row count."""
+    quant = BatchExactQuantifier(points, kernel="numpy")
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    d = get_provider("numpy").distance_matrix(q[:, 0], q[:, 1],
+                                              quant._sx, quant._sy)
+    outs = [get_provider(name).sweep_eq2(
+        d, quant._parent, quant._weight, quant._totals, quant.n, tie_tol,
+        width) for name in _AVAILABLE]
+    res, widened = outs[0]
+    assert res.shape == (len(q), quant.n)
+    for other, other_widened in outs[1:]:
+        assert np.array_equal(res, other)
+        assert widened == other_widened
+    assert res.tolist() == _scalar_rows(points, q, tie_tol)
+    return widened
+
+
+class TestFusedSweepParity:
+    """native == NumPy oracle == scalar ``quantification_vector``,
+    bitwise, with equal widened-row counts.  On hosts without a
+    compiler the oracle is still pinned to the scalar sweep."""
+
+    @pytest.mark.parametrize("n,k,m", [(5, 2, 9), (30, 3, 40), (80, 5, 64)])
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-9])
+    def test_random_workloads(self, n, k, m, tie_tol):
+        points = random_discrete_points(n, k, seed=n + k, spread=2.0)
+        rng = random.Random(m)
+        extent = math.sqrt(n) * 2.2
+        q = [(rng.uniform(0, extent), rng.uniform(0, extent))
+             for _ in range(m)]
+        for width in (1, 4, _PREFIX_START):
+            _fused_all(points, q, tie_tol, width)
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-9])
+    def test_tie_heavy_lattice(self, tie_tol):
+        points, q = _lattice_points()
+        _fused_all(points, q, tie_tol)
+
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-9])
+    def test_ties_straddling_the_prefix_cut(self, tie_tol):
+        # Lattice queries see groups of 4-8 equal distances; every narrow
+        # width cuts some group in two, so the truncated final group is
+        # left unflushed and the row either retired or widens.
+        points, q = _lattice_points()
+        widened = [_fused_all(points, q, tie_tol, width)
+                   for width in (2, 3, 5, 6, 7, 9)]
+        assert any(widened)
+
+    def test_rows_forced_to_widen(self):
+        # Hundreds of co-located parents: no parent exhausts until deep
+        # into the sorted order, so every row re-sweeps up to the full
+        # site set.
+        rng = random.Random(12)
+        points = []
+        for i in range(300):
+            base = (rng.uniform(0, 0.01), rng.uniform(0, 0.01))
+            far = (100.0 + i, 100.0 - i)
+            points.append(DiscreteUncertainPoint([base, far], [0.5, 0.5]))
+        q = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)]
+        # 64 -> 256 -> 600 (the full sort): two re-sweeps per row.
+        assert _fused_all(points, q) == 2 * len(q)
+
+    def test_sites_below_the_start_width(self):
+        # The bulk_vpr shape: N = 32 < the start width, one full sort.
+        points = random_discrete_points(16, 2, seed=7, spread=2.0)
+        rng = random.Random(5)
+        q = [(rng.uniform(-1, 11), rng.uniform(-1, 11)) for _ in range(50)]
+        assert _fused_all(points, q) == 0
+
+    def test_one_and_zero_rows(self):
+        points = random_discrete_points(12, 3, seed=2, spread=2.0)
+        _fused_all(points, [(1.0, 2.0)])
+        assert _fused_all(points, np.empty((0, 2))) == 0
+
+    def test_coincident_sites(self):
+        # Every parent shares its sites with the next: exact zero
+        # distances and cross-parent ties at each site.
+        spots = [(float(i % 3), float(i // 3)) for i in range(6)]
+        points = [DiscreteUncertainPoint([spots[i], spots[(i + 1) % 6]],
+                                         [0.5, 0.5]) for i in range(6)]
+        q = spots + [(0.5, 0.5), (1.0, 0.5), (7.0, -3.0)]
+        for width in (1, 2, 3, _PREFIX_START):
+            _fused_all(points, q, 0.0, width)
+
+    def test_zero_weight_sites(self):
+        # Zero weights (below the model's validation, at the kernel
+        # surface): a parent's count-based exact zero must still fire.
+        rng = np.random.default_rng(3)
+        sx, sy = rng.uniform(0, 5, 24), rng.uniform(0, 5, 24)
+        parent = np.repeat(np.arange(8, dtype=np.intp), 3)
+        weight = np.tile([0.0, 0.5, 0.5], 8)
+        totals = np.full(8, 3, dtype=np.int64)
+        q = rng.uniform(0, 5, size=(20, 2))
+        d = get_provider("numpy").distance_matrix(q[:, 0], q[:, 1], sx, sy)
+        scalar = [sweep_quantification(list(zip(row, parent.tolist(),
+                                                weight.tolist())), totals)
+                  for row in d.tolist()]
+        for width in (1, 2, 5, _PREFIX_START):
+            outs = [get_provider(name).sweep_eq2(d, parent, weight, totals,
+                                                 8, 0.0, width)
+                    for name in _AVAILABLE]
+            for res, widened in outs:
+                assert res.tolist() == scalar
+                assert widened == outs[0][1]
+
+    def test_width_must_be_positive(self):
+        d = np.zeros((1, 2))
+        for name in _AVAILABLE:
+            with pytest.raises(ValueError, match="width"):
+                get_provider(name).sweep_eq2(
+                    d, np.zeros(2, dtype=np.intp), np.full(2, 0.5),
+                    np.array([2]), 1, 0.0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 10_000),
+           st.sampled_from([1, 2, 5, _PREFIX_START]),
+           st.sampled_from([0.0, 1e-9, 0.25]), st.booleans())
+    def test_property_small_random_indexes(self, n, k, seed, width,
+                                           tie_tol, snap):
+        points = random_discrete_points(n, k, seed=seed, spread=2.0)
+        if snap:  # grid-snapped sites force exact ties
+            points = [DiscreteUncertainPoint(
+                [(round(x), round(y)) for x, y in p.points], p.weights,
+                normalize=False) for p in points]
+        rng = random.Random(seed)
+        q = [(rng.uniform(-1, 11), rng.uniform(-1, 11)) for _ in range(8)]
+        if snap:
+            q = [(float(round(x)), float(round(y))) for x, y in q]
+        _fused_all(points, q, tie_tol, width)
 
 
 # ----------------------------------------------------------------------

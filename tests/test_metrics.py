@@ -22,6 +22,7 @@ from repro.core.workloads import random_discrete_points
 from repro.obs import metrics
 from repro.serving import SHARD_METHODS
 from repro.serving.http import HttpConfig, QueryGateway, ServerThread
+from repro.spatial.kernels import native_available
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -155,6 +156,24 @@ class TestWorkerCounters:
                    if op == "sweep_eq2") == engine["exact_sweep.chunks"]
         assert deltas["process"] == deltas["thread"]
         assert deltas["shm"] == deltas["thread"]
+
+    def test_prefix_widenings_match_across_providers(self):
+        """``exact_sweep.prefix_widenings`` counts rows re-swept at a
+        wider prefix; every provider selects the same prefixes, so the
+        engine counters agree exactly."""
+        points = random_discrete_points(200, 5, seed=7, spread=1.0)
+        queries = np.random.default_rng(2).uniform(0, 10, size=(512, 2))
+        providers = ["numpy"] + (["native"] if native_available() else [])
+        deltas = {}
+        for name in providers:
+            index = PNNIndex(points, kernel=name)
+            _, (deltas[name], _) = metrics.count_shipped(
+                index.batch_quantify_exact, queries)
+        engine = deltas["numpy"]
+        assert 0 < engine["exact_sweep.prefix_widenings"] < len(queries)
+        assert engine["exact_sweep.rows_retired"] == len(queries)
+        for name in providers:
+            assert deltas[name] == engine
 
 
 class TestRegistry:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points, random_disks
+from repro.obs.metrics import ENGINE
 from repro.serving.http import QueryGateway, ServerThread
 from repro.serving.smoke import _http_json
 from repro.spatial.batch import (ABSOLUTE_WINDOW, EXTENT_REACH, MAX_COORD,
@@ -235,6 +236,65 @@ class TestIntParams:
         assert params == service.canonicalize("top_k", {"k": 2, "seed": 7})
 
 
+_BAD_UNIT = [0.0, 1.0, 2.0, -0.5, math.nan, math.inf, -math.inf, True,
+             "0.1", None]
+
+
+class TestFloatParams:
+    """``epsilon``, ``delta`` and ``tau`` are probabilities in (0, 1) and
+    ``threshold_nn`` needs ``epsilon < tau``: anything else fails at the
+    validation gate, before admission, coalescing or a cache key."""
+
+    BAD = _BAD_UNIT
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        index = PNNIndex(random_discrete_points(6, 2, seed=3, spread=2.0))
+        with index.serve(workers=0, cache_capacity=16) as svc:
+            yield svc
+
+    # threshold_nn's epsilon=None asks for the tau / 4 default.
+    @pytest.mark.parametrize("kind,name,bad", [
+        (kind, name, bad)
+        for kind in ("quantify", "top_k", "threshold_nn")
+        for name in ("epsilon", "delta") for bad in _BAD_UNIT
+        if not (kind == "threshold_nn" and name == "epsilon" and bad is None)
+    ])
+    def test_epsilon_and_delta_in_the_unit_interval(self, service, kind,
+                                                    name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            service.canonicalize(kind, {name: bad})
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_tau_in_the_unit_interval(self, service, bad):
+        with pytest.raises(ValueError, match="tau must be a number"):
+            service.canonicalize("threshold_nn", {"tau": bad})
+
+    @pytest.mark.parametrize("eps", [0.3, 0.45])
+    def test_threshold_epsilon_below_tau(self, service, eps):
+        with pytest.raises(ValueError, match="epsilon must be below tau"):
+            service.canonicalize("threshold_nn", {"tau": 0.3, "epsilon": eps})
+        with pytest.raises(ValueError, match="epsilon must be below tau"):
+            service.threshold_nn((0.5, 0.5), tau=0.3, epsilon=eps)
+
+    def test_rejected_before_admission(self, service):
+        before = service.stats()["methods"].get(
+            "quantify", {}).get("requests", 0)
+        with pytest.raises(ValueError, match="delta"):
+            service.quantify((0.5, 0.5), delta=2.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            service.submit("quantify", (0.5, 0.5), epsilon=0.0)
+        assert service.stats()["methods"].get(
+            "quantify", {}).get("requests", 0) == before
+
+    def test_valid_values_canonicalize_to_float(self, service):
+        params = service.canonicalize(
+            "threshold_nn", {"tau": np.float64(0.4), "delta": 0.1})
+        assert type(params["tau"]) is float and params["tau"] == 0.4
+        assert params["epsilon"] == 0.1 and params["delta"] == 0.1
+        assert params == service.canonicalize("threshold_nn", params)
+
+
 def _post_raw(port, kind, body):
     import http.client
 
@@ -296,6 +356,23 @@ class TestHttpFailsClosed:
             f'{{"q": [0.5, 0.5], "params": {{"tie_tol": {bad}}}}}')
         assert status == 400
         assert "tie_tol" in doc["error"]
+
+    @pytest.mark.parametrize("kind,params", [
+        ("quantify", {"delta": 2.0}),
+        ("quantify", {"epsilon": 0}),
+        ("top_k", {"epsilon": 1.5}),
+        ("threshold_nn", {"tau": 0.2, "epsilon": 0.5}),
+        ("threshold_nn", {"tau": -1}),
+    ])
+    def test_bad_float_param_400_moves_no_engine_counter(self, server, kind,
+                                                         params):
+        before = ENGINE.snapshot()
+        status, doc, raw, _ = _http_json(
+            server.port, "POST", f"/v1/query/{kind}",
+            {"queries": [[0.5, 0.5], [1.0, 1.0]], "params": params})
+        assert status == 400, raw
+        assert next(iter(params)) in doc["error"]
+        assert ENGINE.snapshot() == before
 
     def test_served_answers_stay_inside_the_domain(self, server):
         status, doc, raw, _ = _http_json(server.port, "POST",
