@@ -76,8 +76,12 @@ def circle_rect_area(center: Point, r: float,
     x1 = xmax - center[0]
     y0 = ymin - center[1]
     y1 = ymax - center[1]
-    return (_quadrant_area(x1, y1, r) - _quadrant_area(x0, y1, r)
+    area = (_quadrant_area(x1, y1, r) - _quadrant_area(x0, y1, r)
             - _quadrant_area(x1, y0, r) + _quadrant_area(x0, y0, r))
+    # Inclusion-exclusion cancels digits: clamp to the bounds the exact
+    # intersection obeys (a rectangle holding the whole disk read one
+    # part in 10**9 above the disk's own area).
+    return min(max(area, 0.0), disk_area(r), (xmax - xmin) * (ymax - ymin))
 
 
 def _quadrant_area(x: float, y: float, r: float) -> float:

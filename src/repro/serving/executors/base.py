@@ -45,6 +45,7 @@ import numpy as np
 
 from ...uncertain.base import UncertainPoint
 from ..faults import FaultPlan
+from ..wire import encode_rows
 
 __all__ = ["SHARD_METHODS", "BackendUnavailable", "ExecutorBackend",
            "IndexReplica", "PendingChunk", "Task", "reassemble"]
@@ -59,7 +60,10 @@ SHARD_METHODS = ("delta", "nonzero_nn", "quantify", "quantify_exact",
 #: annotated 4-tuple ``(method, query_chunk, params, meta)`` — *meta* is
 #: a small plain dict carrying the chunk ordinal and dispatch attempt,
 #: an optional fault-injection plan (``"faults"``/``"ppid"``, see
-#: :mod:`repro.serving.faults`), and marks that the caller wants a
+#: :mod:`repro.serving.faults`), an optional ``"encode": True`` asking
+#: for the answer as a JSON fragment (:func:`~repro.serving.wire.
+#: encode_rows`; a task field, not a param, because params are
+#: canonical and key the cache), and marks that the caller wants a
 #: worker-side compute span shipped back alongside the result (see
 #: :meth:`IndexReplica.run_task`).
 Task = Tuple[str, np.ndarray, Dict]
@@ -121,7 +125,9 @@ class IndexReplica:
         pool pipe and is re-parented into the live trace by
         :meth:`repro.obs.trace.Tracer.record_remote`.  The *result* is
         computed by the identical :meth:`run` call either way, so
-        tracing can never perturb answers.
+        tracing can never perturb answers.  With ``meta["encode"]`` the
+        result is encoded here, after the engine call and inside the
+        span: it ships home as the chunk's JSON fragment (bytes).
         """
         if len(task) == 3:
             return self.run(*task)
@@ -139,6 +145,8 @@ class IndexReplica:
         start = time.time()
         t0 = time.perf_counter()
         result = self.run(method, chunk, params)
+        if meta.get("encode"):
+            result = encode_rows(method, result)
         duration = time.perf_counter() - t0
         attrs = {"method": method, "rows": int(len(chunk)),
                  "chunk": meta.get("chunk", 0),
@@ -148,8 +156,15 @@ class IndexReplica:
                         "tid": threading.get_ident(), "attrs": attrs}
 
 
-def reassemble(method: str, parts: List[object]) -> object:
-    """Concatenate per-chunk results back into query order."""
+def reassemble(method: str, parts: List[object],
+               encoded: bool = False) -> object:
+    """Concatenate per-chunk results back into query order.
+
+    *encoded* parts are JSON fragments: joined with ``b", "``, empty
+    ones skipped, they are the fragment of the whole batch.
+    """
+    if encoded:
+        return b", ".join(p for p in parts if p)  # type: ignore[misc]
     if method == "delta":
         arrays = [p for p in parts if len(p)]  # type: ignore[arg-type]
         if not arrays:

@@ -7,10 +7,18 @@ all seven query kinds (``delta``, ``nonzero_nn``, ``quantify``,
 HTTP, single-point and bulk, and feeds them into the *existing* serving
 spine — singles go through :meth:`QueryService.submit` (so concurrent
 HTTP clients coalesce into vectorized micro-batches), bulks through
-:meth:`QueryService.batch` (so large arrays shard across the executor
-backend).  No request handling is forked: validation, caching, and
-dispatch are the service's own (:meth:`QueryService.canonicalize`,
+:meth:`QueryService.batch_encoded` (so large arrays shard across the
+executor backend).  No request handling is forked: validation, caching,
+and dispatch are the service's own (:meth:`QueryService.canonicalize`,
 ``_cache_lookup``, ``_run_batch``), identical to the in-process callers.
+
+Reply bytes come from the wire codec (:mod:`repro.serving.wire`, whose
+``encode_result``/``decode_result`` this module re-exports) and are
+byte-identical to ``json.dumps(doc, allow_nan=False)``.  A bulk reply is
+encoded where it is computed — by the shard workers when the batch
+shards — and framed on the gateway's pool thread inside the
+``http.request`` span; the event loop parses requests and writes bytes,
+and does no per-row work.  A non-finite answer fails closed as a 500.
 
 Endpoints
 ---------
@@ -71,10 +79,11 @@ from ..obs.logging import RequestLog
 from ..spatial.kernels import kernel_status
 from ..obs.trace import (NULL_SPAN, call_with_span, current_span,
                          format_traceparent, to_chrome, to_jsonl, use_span)
-from ..quantification.threshold import ThresholdResult
 from ..spatial.batch import check_query_domain
 from .faults import Deadline, DeadlineExceeded
 from .shard import SHARD_METHODS
+from .wire import (NonFiniteAnswer, bulk_reply, decode_result, dumps,
+                   encode_result)
 
 _LOG = logging.getLogger("repro.serving.http")
 
@@ -168,50 +177,6 @@ class HttpConfig:
         if unknown:
             raise ValueError(f"unknown warm_kinds {sorted(unknown)}; "
                              f"expected a subset of {SHARD_METHODS}")
-
-
-# ----------------------------------------------------------------------
-# Result codec: method-native python objects <-> JSON-safe structures.
-# JSON floats round-trip exactly (repr emits the shortest digits that
-# reparse to the same float64), so encoded answers stay bitwise-equal to
-# the in-process results — the property the parity tests pin.
-# ----------------------------------------------------------------------
-def encode_result(kind: str, row: object) -> object:
-    """One method-native answer row as a JSON-serializable structure."""
-    if kind == "delta":
-        return float(row)  # type: ignore[arg-type]
-    if kind in ("quantify", "quantify_exact", "quantify_vpr"):
-        return {str(int(i)): float(p)
-                for i, p in row.items()}  # type: ignore[union-attr]
-    if kind == "top_k":
-        return [[int(i), float(p)] for i, p in row]  # type: ignore[union-attr]
-    if kind == "threshold_nn":
-        return {"tau": float(row.tau),  # type: ignore[union-attr]
-                "epsilon": float(row.epsilon),
-                "certain": [int(i) for i in row.certain],
-                "candidates": [int(i) for i in row.candidates]}
-    return [int(i) for i in row]  # nonzero_nn  # type: ignore[union-attr]
-
-
-def decode_result(kind: str, obj: object) -> object:
-    """Invert :func:`encode_result` back to the method-native shape.
-
-    Client-side half of the codec (tests, smoke, benchmark clients):
-    ``decode_result(kind, json_response) == service.query(kind, q)``
-    exactly, floats included.
-    """
-    if kind == "delta":
-        return float(obj)  # type: ignore[arg-type]
-    if kind in ("quantify", "quantify_exact", "quantify_vpr"):
-        return {int(i): float(p) for i, p in obj.items()}  # type: ignore
-    if kind == "top_k":
-        return [(int(i), float(p)) for i, p in obj]  # type: ignore
-    if kind == "threshold_nn":
-        return ThresholdResult(float(obj["tau"]),  # type: ignore[index]
-                               float(obj["epsilon"]),
-                               [int(i) for i in obj["certain"]],
-                               [int(i) for i in obj["candidates"]])
-    return [int(i) for i in obj]  # type: ignore[union-attr]
 
 
 def _parse_point(value: object, window=None) -> Tuple[float, float]:
@@ -415,11 +380,18 @@ class QueryGateway:
                                    **params).result()
 
     def _run_bulk(self, kind: str, rows: List[Tuple[float, float]],
-                  params: Dict, deadline: Optional[Deadline]) -> object:
-        """Blocking bulk execution: the service's batch front door
-        (row-wise cache for small arrays, executor sharding for large).
+                  params: Dict, deadline: Optional[Deadline]) -> bytes:
+        """Blocking bulk execution, answered as the finished reply body.
+
+        The service's encoded batch front door (row-wise cache for small
+        arrays, executor sharding for large) returns the JSON fragment of
+        the rows — encoded by the shard workers when the batch shards —
+        and the framing happens here, on the pool thread and under the
+        request span, so the event loop only writes bytes.
         """
-        return self.service.batch(kind, rows, timeout=deadline, **params)
+        fragment = self.service.batch_encoded(kind, rows, timeout=deadline,
+                                              **params)
+        return bulk_reply(kind, len(rows), fragment)
 
     async def _admit_and_run(self, kind: str, fn: Callable[[], object]
                              ) -> object:
@@ -618,7 +590,9 @@ class QueryGateway:
                 span.trace_id, span.span_id, span.sampled)))
         self.request_log.record(kind, status, duration,
                                 tracer=self.tracer, span=span)
-        return status, extra, self._dump(payload)
+        if not isinstance(payload, bytes):
+            payload = self._dump(payload)
+        return status, extra, payload
 
     @staticmethod
     def _parse_deadline(doc: Dict, headers: Dict[str, str]
@@ -649,7 +623,10 @@ class QueryGateway:
         return Deadline.from_timeout_ms(ms)
 
     async def _query_response(self, kind: str, body: bytes,
-                              headers: Dict[str, str]) -> Tuple[int, Dict]:
+                              headers: Dict[str, str]
+                              ) -> Tuple[int, object]:
+        """``(status, payload)``: a 200's payload is the finished body
+        bytes, an error's the document :meth:`_dump` writes."""
         try:
             doc = _loads_strict(body) if body else {}
         except ValueError as exc:
@@ -678,8 +655,8 @@ class QueryGateway:
                                                    deadline))
                 if result is _SHED:
                     return 429, self._shed_doc()
-                return 200, {"kind": kind,
-                             "result": encode_result(kind, result)}
+                return 200, dumps({"kind": kind,
+                                   "result": encode_result(kind, result)})
             rows_doc = doc["queries"]
             if not isinstance(rows_doc, list):
                 return 400, {"error": '"queries" must be a list of '
@@ -694,16 +671,17 @@ class QueryGateway:
                     rows.append(_parse_point(r))
                 except ValueError as exc:
                     raise ValueError(f"queries[{j}]: {exc}") from None
-            result = await self._admit_and_run(
+            reply = await self._admit_and_run(
                 kind, lambda: self._run_bulk(kind, rows, params, deadline))
-            if result is _SHED:
+            if reply is _SHED:
                 return 429, self._shed_doc()
-            encoded = [encode_result(kind, row) for row in
-                       (result if kind != "delta" else list(result))]
-            return 200, {"kind": kind, "count": len(encoded),
-                         "results": encoded}
+            return 200, reply
         except DeadlineExceeded as exc:
             return 504, {"error": str(exc), "deadline_exceeded": True}
+        except NonFiniteAnswer as exc:
+            # A fault of the answer, never of the request: fail closed
+            # with a 500 naming the value, and keep the connection.
+            return 500, {"error": f"non-finite answer: {exc}"}
         except ValueError as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 — engine failure -> 500
@@ -755,10 +733,7 @@ class QueryGateway:
         return self._json(200 if self.ready else 503, doc)
 
     # -------------------------------------------------- helpers
-    @staticmethod
-    def _dump(doc: Dict) -> bytes:
-        # Strict JSON: a non-finite float is a bug, never "Infinity".
-        return json.dumps(doc, allow_nan=False).encode("utf-8")
+    _dump = staticmethod(dumps)
 
     def _json(self, status: int, doc: Dict
               ) -> Tuple[int, List[Tuple[str, str]], bytes]:

@@ -65,8 +65,14 @@ from .executors import BACKENDS
 from .faults import (CircuitBreaker, Deadline, DeadlineExceeded, FaultPlan,
                      RetryPolicy, resilience_counters)
 from .shard import SHARD_METHODS, ShardExecutor
+from .wire import check_finite, encode_rows
 
-__all__ = ["ServiceConfig", "QueryService"]
+__all__ = ["ESTIMATORS", "ServiceConfig", "QueryService"]
+
+#: The estimator names the ``method`` parameter of ``quantify``,
+#: ``top_k`` and ``threshold_nn`` accepts (``spiral`` on an all-discrete
+#: index only).
+ESTIMATORS = ("auto", "exact", "monte_carlo", "spiral")
 
 
 def _int_param(name: str, value: object, minimum: Optional[int] = None
@@ -447,9 +453,19 @@ class QueryService:
         if method == "threshold_nn" and not params["epsilon"] < params["tau"]:
             raise ValueError(f"epsilon must be below tau={params['tau']!r}, "
                              f"got {params['epsilon']!r}")
+        # The estimator, checked before admission: an unknown name would
+        # otherwise fail in every shard worker, where a deterministic
+        # error walks the retry ladder and demotes the backend.
+        estimator = params["method"]
+        if not isinstance(estimator, str) or estimator not in ESTIMATORS:
+            raise ValueError(f"method must be one of {ESTIMATORS}, "
+                             f"got {estimator!r}")
+        if estimator == "spiral" and not self.index.all_discrete():
+            raise ValueError("method 'spiral' requires an index of discrete "
+                             "uncertain points")
         # Resolve "auto" once: the choice depends only on the index, and a
         # resolved name keeps cache keys stable across call styles.
-        if params["method"] == "auto":
+        if estimator == "auto":
             params["method"] = ("spiral" if self.index.all_discrete()
                                 else "monte_carlo")
         return params
@@ -492,8 +508,11 @@ class QueryService:
         return Deadline.coerce(timeout)
 
     def _run_batch(self, method: str, q: np.ndarray, params: Dict,
-                   deadline: Optional[Deadline] = None) -> object:
-        """One engine/executor invocation over a validated query array."""
+                   deadline: Optional[Deadline] = None,
+                   encode: bool = False) -> object:
+        """One engine/executor invocation over a validated query array;
+        with *encode* the answer is the rows' JSON fragment (bytes),
+        encoded by the shard workers when the batch shards."""
         if self._closed:
             raise RuntimeError("QueryService is closed")
         if deadline is not None and deadline.expired:
@@ -532,30 +551,28 @@ class QueryService:
                                    rows=int(len(q)), sharded=sharded)
                  if tracer.enabled else NULL_SPAN)
         start = time.perf_counter()
+
+        def execute() -> object:
+            if sharded:
+                return self.executor.run(method, q, params,
+                                         deadline=deadline, encode=encode)
+            # Same mapping the shard replicas use: every query kind is an
+            # index batch_<method> front door (method already validated).
+            # An in-process engine call cannot be preempted mid-kernel,
+            # so only sharded execution enforces the deadline *during*
+            # compute.
+            result = getattr(self.index, f"batch_{method}")(q, **params)
+            return encode_rows(method, result) if encode else result
+
         try:
             if espan is NULL_SPAN:
-                if sharded:
-                    result = self.executor.run(method, q, params,
-                                               deadline=deadline)
-                else:
-                    # Same mapping the shard replicas use: every query
-                    # kind is an index batch_<method> front door (method
-                    # already validated).  An in-process engine call
-                    # cannot be preempted mid-kernel, so only sharded
-                    # execution enforces the deadline *during* compute.
-                    result = getattr(self.index,
-                                     f"batch_{method}")(q, **params)
+                result = execute()
             else:
                 # Ambient for the duration so ShardExecutor.run parents
                 # its dispatch/reassembly spans (and the re-adopted
                 # worker chunk spans) under this execution.
                 with use_span(espan), espan:
-                    if sharded:
-                        result = self.executor.run(method, q, params,
-                                                   deadline=deadline)
-                    else:
-                        result = getattr(self.index,
-                                         f"batch_{method}")(q, **params)
+                    result = execute()
         except Exception:
             self.failures.inc(method)
             raise
@@ -777,23 +794,48 @@ class QueryService:
         execution enforces it mid-flight, in-process execution at the
         engine boundary.
         """
+        return self._batch(method, queries, timeout, overrides, False)
+
+    def batch_encoded(self, method: str, queries, /, *, timeout=None,
+                      **overrides) -> bytes:
+        """:meth:`batch`, answered as JSON bytes for a reply body.
+
+        Returns the fragment of the rows (:func:`~repro.serving.wire.
+        encode_rows`: the encoded rows joined by ``", "``, the inside of
+        a bulk reply's ``results`` array).  A sharded batch is encoded
+        by the shard workers and only joined here; an unsharded one
+        (row-wise cache, inline backend, small arrays) is encoded
+        in-process by the same function.  A non-finite answer raises
+        :class:`~repro.serving.wire.NonFiniteAnswer`, checked here in
+        the parent so that it never reaches the retry ladder.
+        """
+        fragment = self._batch(method, queries, timeout, overrides, True)
+        check_finite(method, fragment)
+        return fragment
+
+    def _batch(self, method: str, queries, timeout, overrides: Dict,
+               encode: bool) -> object:
+        """The body of :meth:`batch` / :meth:`batch_encoded`."""
         params = self.canonicalize(method, overrides)
         deadline = self._deadline(timeout)
         q = as_query_array(queries, self.index.query_window)
         m = len(q)
         if m == 0:
+            if encode:
+                return b""
             return (np.empty(0, dtype=np.float64) if method == "delta"
                     else [])
         span = self._request_span("service.batch", method)
         if span is NULL_SPAN:
-            return self._batch_rows(method, q, params, deadline)
+            return self._batch_rows(method, q, params, deadline, encode)
         with use_span(span), span:
             span.set(rows=m)
-            return self._batch_rows(method, q, params, deadline)
+            return self._batch_rows(method, q, params, deadline, encode)
 
     def _batch_rows(self, method: str, q: np.ndarray,
                     params: Dict,
-                    deadline: Optional[Deadline] = None) -> object:
+                    deadline: Optional[Deadline] = None,
+                    encode: bool = False) -> object:
         """The batch body: row-wise cache for small arrays, else one
         engine/executor run (*q* validated, the request span ambient)."""
         m = len(q)
@@ -801,7 +843,7 @@ class QueryService:
         use_cache = (self.cache is not None
                      and 0 < m <= cfg.cache_batch_limit)
         if not use_cache:
-            return self._run_batch(method, q, params, deadline)
+            return self._run_batch(method, q, params, deadline, encode)
         pkey = self._params_key(params)
         points = [(float(x), float(y)) for x, y in q]
         keys = [self.cache.key(method, p, pkey) for p in points]
@@ -827,6 +869,8 @@ class QueryService:
                 method, [points[j] for j in miss_at], params, deadline)
             for j, row in zip(miss_at, computed):
                 rows[j] = row
+        if encode:
+            return encode_rows(method, rows)
         if method == "delta":
             return np.array(rows, dtype=np.float64)
         return rows

@@ -210,12 +210,15 @@ class ShardExecutor:
         return [q[s:s + step] for s in range(0, m, step)]
 
     def run(self, method: str, queries, params: Optional[Dict] = None,
-            *, deadline=None) -> object:
+            *, deadline=None, encode: bool = False) -> object:
         """Answer *queries* for *method*; results in query order.
 
         ``delta`` returns a float array; the other methods return lists
         (of index lists, estimate dicts, ranked pairs, or
-        :class:`~repro.quantification.threshold.ThresholdResult`).
+        :class:`~repro.quantification.threshold.ThresholdResult`).  With
+        *encode* every worker encodes its chunk
+        (:func:`~repro.serving.wire.encode_rows`) and the call returns
+        the JSON fragment of the whole batch as bytes.
 
         *deadline* (``None`` | seconds | :class:`Deadline`) bounds the
         whole call: expiry raises
@@ -238,14 +241,14 @@ class ShardExecutor:
         params = dict(params or {})
         q = as_query_array(queries)
         if len(q) == 0:
-            return reassemble(method, [])
+            return reassemble(method, [], encode)
         tasks = [(method, chunk, params) for chunk in self._chunks(q)]
         tracer = self.tracer
         parent = current_span() if (tracer is not None
                                     and tracer.enabled) else NULL_SPAN
         if not parent.sampled:
-            return reassemble(
-                method, self._collect(method, tasks, deadline, None, None))
+            return reassemble(method, self._collect(
+                method, tasks, deadline, None, None, encode), encode)
         # Traced dispatch: 4-tuple tasks make every backend worker time
         # its chunk (IndexReplica.run_task) and ship the span spec back
         # with the result; the specs are grafted into the live trace
@@ -256,16 +259,17 @@ class ShardExecutor:
             backend=self.impl.mode, workers=self.workers,
             chunks=len(tasks), rows=int(len(q)))
         with dspan:
-            parts = self._collect(method, tasks, deadline, tracer, dspan)
+            parts = self._collect(method, tasks, deadline, tracer, dspan,
+                                  encode)
         with tracer.start_span("shard.reassemble", parent=parent,
                                method=method, chunks=len(parts)):
-            return reassemble(method, parts)
+            return reassemble(method, parts, encode)
 
     # ------------------------------------------------------------------
     # The resilient collection loop.
     # ------------------------------------------------------------------
     def _collect(self, method: str, tasks: List[tuple], deadline,
-                 tracer, dspan) -> List[object]:
+                 tracer, dspan, encode: bool = False) -> List[object]:
         """Dispatch every chunk task and collect results, surviving
         faults.
 
@@ -285,7 +289,7 @@ class ShardExecutor:
         policy = self.policy
         plan = self.faults
         n = len(tasks)
-        annotate = dspan is not None or plan is not None
+        annotate = dspan is not None or plan is not None or encode
         plan_doc = plan.to_dict() if plan is not None else None
         ppid = os.getpid()
         results: List[object] = [None] * n
@@ -298,7 +302,8 @@ class ShardExecutor:
         def build_task(i: int) -> tuple:
             if not annotate:
                 return tasks[i]
-            meta: Dict[str, object] = {"chunk": i, "attempt": attempts[i]}
+            meta: Dict[str, object] = {"chunk": i, "attempt": attempts[i],
+                                       "encode": encode}
             if plan_doc is not None:
                 meta["faults"] = plan_doc
                 meta["ppid"] = ppid

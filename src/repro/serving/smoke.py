@@ -129,6 +129,13 @@ def _encoded(kind: str, rows) -> List[object]:
             (list(rows) if kind == "delta" else rows)]
 
 
+def _reply(kind: str, encoded: List[object]) -> str:
+    """The exact bulk reply body for *encoded* rows: replies are
+    byte-identical to this ``json.dumps`` wherever they were encoded."""
+    return json.dumps({"kind": kind, "count": len(encoded),
+                       "results": encoded}, allow_nan=False)
+
+
 def _queries(seed: int, m: int) -> List[Tuple[float, float]]:
     rng = random.Random(seed)
     return [(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0))
@@ -181,7 +188,9 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                                             slow_ms=0.0))
     config = HttpConfig(port=0, max_inflight=2, max_pending=2,
                         warm_kinds=("delta", "nonzero_nn"))
-    queries = _queries(99, 6)
+    # Above cache_batch_limit (1024) a bulk bypasses the row cache and,
+    # on the worker backends, shards: the workers encode the reply.
+    queries = _queries(99, 1100)
     with _booted(service, config, check) as server:
         port = server.port
         answers = {}
@@ -196,13 +205,17 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                       f"{kind} single result differs from service.batch")
             check(len(hdrs.get("x-request-id", "")) == 32,
                   f"{kind} single response is missing X-Request-Id")
-            status, doc, _, _ = _http_json(
+            status, _, raw, _ = _http_json(
                 port, "POST", f"/v1/query/{kind}", _bulk(queries))
             check(status == 200, f"{kind} bulk returned {status}")
             if status == 200:
-                check(doc["results"] == rows,
-                      f"{kind} bulk results differ from service.batch")
-        log(f"all {len(SHARD_METHODS)} kinds: single + bulk parity checked")
+                check(raw == _reply(kind, rows),
+                      f"{kind} bulk reply bytes differ from service.batch")
+        sharded = sum(service.sharded.get(kind) for kind in SHARD_METHODS)
+        check(backend == "inline" or sharded >= len(SHARD_METHODS),
+              f"only {sharded} bulk calls sharded on {backend}")
+        log(f"all {len(SHARD_METHODS)} kinds: single + bulk parity checked "
+            f"(bulk reply bytes)")
         # The paper's invariants on the served rows: NN!=0(q) is never
         # empty (Lemma 2.1) and the Eq. (2) probabilities sum to 1.
         check(all(answers["nonzero_nn"]), "an NN!=0 answer is empty")
@@ -348,12 +361,12 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
 
         # Phase 1: recovery.
         t0 = time.perf_counter()
-        status, doc, _, _ = _http_json(port, "POST", "/v1/query/delta",
+        status, _, raw, _ = _http_json(port, "POST", "/v1/query/delta",
                                        _bulk(queries))
         recovery_ms = (time.perf_counter() - t0) * 1e3
         check(status == 200,
               f"{phase1}: request survived the fault ({status})")
-        check(status == 200 and doc["results"] == oracle["delta"],
+        check(status == 200 and raw == _reply("delta", oracle["delta"]),
               "recovered answers differ from the unsharded oracle")
         snap = service.stats()["resilience"]
         check(snap["retries"] >= 1 and snap["worker_failures"] >= 1,
@@ -415,9 +428,10 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                   f"breaker did not walk the ladder to inline "
                   f"(mode={health['mode']}, degradations="
                   f"{service.resilience['degradations'].get()})")
-        status, doc, _, _ = _http_json(port, "POST", "/v1/query/nonzero_nn",
+        status, _, raw, _ = _http_json(port, "POST", "/v1/query/nonzero_nn",
                                        _bulk(queries))
-        check(status == 200 and doc["results"] == oracle["nonzero_nn"],
+        check(status == 200
+              and raw == _reply("nonzero_nn", oracle["nonzero_nn"]),
               "unfaulted kinds answer wrongly while degraded")
         status, hdoc, _, _ = _http_json(port, "GET", "/healthz")
         want = "ok" if backend == "inline" else "degraded"
@@ -468,10 +482,10 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         check(info["plane_served"] is True,
               "the live backend does not serve the shared plane")
 
-        status, doc, _, _ = _http_json(
+        status, _, raw, _ = _http_json(
             port, "POST", "/v1/query/quantify_vpr", _bulk(queries))
         check(status == 200, f"bulk quantify_vpr answered {status}")
-        check(status == 200 and doc["results"] == oracle,
+        check(status == 200 and raw == _reply("quantify_vpr", oracle),
               "fan-out answers differ from the parent oracle")
         sharded = service.stats()["methods"].get(
             "quantify_vpr", {}).get("sharded_calls", 0)

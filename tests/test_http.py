@@ -543,8 +543,8 @@ class TestSmoke:
     socket, on the in-process backend and on a worker pool."""
 
     @pytest.mark.parametrize("backend,checks", [
-        ("inline", 77),    # http + chaos; plane skipped
-        ("process", 96),   # http + chaos + plane
+        ("inline", 78),    # http + chaos; plane skipped
+        ("process", 97),   # http + chaos + plane
     ])
     def test_driver_passes(self, backend, checks, tmp_path):
         lines = []
@@ -568,4 +568,4 @@ class TestSmoke:
         assert smoke.run("inline", log=lines.append) == 1
         assert [line for line in lines if line.startswith("FAIL")] == \
             ["FAIL /metrics lacks request/shed counts or p99 quantiles"]
-        assert lines[-1] == "smoke [inline]: 1 of 55 checks FAILED"
+        assert lines[-1] == "smoke [inline]: 1 of 56 checks FAILED"

@@ -236,6 +236,51 @@ class TestIntParams:
         assert params == service.canonicalize("top_k", {"k": 2, "seed": 7})
 
 
+class TestEstimatorMethod:
+    """``method`` names an estimator: ``auto``, ``exact``,
+    ``monte_carlo``, or ``spiral`` on an all-discrete index.  Anything
+    else is a 400 before admission; in the shard workers the same error
+    would walk the retry ladder and demote the backend for good."""
+
+    @pytest.mark.parametrize("bad", ["bogus", "", "Spiral", 3, None,
+                                     ["exact"]])
+    @pytest.mark.parametrize("kind", ["quantify", "top_k", "threshold_nn"])
+    def test_unknown_method_rejected(self, kind, bad):
+        with _discrete().serve(workers=0, cache_capacity=0) as svc:
+            with pytest.raises(ValueError, match="method must be one of"):
+                svc.canonicalize(kind, {"method": bad})
+
+    def test_spiral_needs_a_discrete_index(self):
+        with _disks().serve(workers=0, cache_capacity=0) as svc:
+            with pytest.raises(ValueError, match="spiral"):
+                svc.canonicalize("quantify", {"method": "spiral"})
+            for name in ("auto", "exact", "monte_carlo"):
+                assert svc.canonicalize("top_k", {"method": name})
+        with _discrete().serve(workers=0, cache_capacity=0) as svc:
+            assert svc.canonicalize(
+                "quantify", {"method": "spiral"})["method"] == "spiral"
+
+    @pytest.mark.parametrize("index,method", [(_discrete, "bogus"),
+                                              (_disks, "spiral")])
+    def test_sharded_bulk_400_leaves_the_backend_alone(self, index, method):
+        from repro.serving.http import HttpConfig
+
+        service = index().serve(workers=2, backend="shm", cache_capacity=0)
+        with service, ServerThread(service, HttpConfig(
+                port=0, warm_kinds=())) as server:
+            mode = service.executor.mode
+            rows = np.random.default_rng(3).uniform(
+                0.0, 10.0, (service.config.shard_min_batch, 2))
+            status, doc, raw, _ = _http_json(
+                server.port, "POST", "/v1/query/quantify",
+                {"queries": rows.tolist(), "params": {"method": method}})
+            assert status == 400, raw[:300]
+            assert "method" in doc["error"]
+            assert service.executor.mode == mode
+            assert not service.executor.degraded
+            assert not any(c.get() for c in service.resilience.values())
+
+
 _BAD_UNIT = [0.0, 1.0, 2.0, -0.5, math.nan, math.inf, -math.inf, True,
              "0.1", None]
 
