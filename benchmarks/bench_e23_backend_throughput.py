@@ -1,10 +1,10 @@
-"""E23 — executor-backend throughput: process vs thread vs shm vs V_Pr.
+"""E23 — executor-backend throughput: process vs thread vs V_Pr.
 
 The acceptance workload of the pluggable-backend refactor.  Two headline
 assertions:
 
-* **bitwise identity** — every backend (``process``, ``thread``,
-  ``shm``) returns, for every probed query kind, exactly the unsharded
+* **bitwise identity** — every backend (``process``, ``thread``)
+  returns, for every probed query kind, exactly the unsharded
   ``PNNIndex.batch_*`` output (the full property grid lives in
   ``tests/test_executors.py``; this benchmark re-checks it on the
   measured workload so the timing rows are guaranteed comparable);
@@ -45,7 +45,7 @@ MIN_SPEEDUP = gated_speedup("E23_MIN_SPEEDUP", 1.5, workers=WORKERS)
 # disables it on pathologically noisy runners, per the file convention.
 VPR_MAX_RATIO = env_float("E23_VPR_MAX_RATIO", 25.0)
 
-BACKENDS = ("process", "thread", "shm")
+BACKENDS = ("process", "thread")
 
 EXTENT = math.sqrt(N) * 2.0
 _DISKS = random_disks(N, seed=2323, extent=EXTENT, r_min=0.1, r_max=0.4)

@@ -4,7 +4,7 @@ The acceptance workload of the robustness layer (:mod:`repro.serving.faults`).
 Three claims, two of them barred:
 
 * **bitwise identity through failure** — a run that loses a worker to a
-  crash (``process``/``shm``), survives an in-compute raise (``thread``/
+  crash (``process``), survives an in-compute raise (``thread``/
   ``inline``), or rides out a pool rebuild still returns exactly the
   unsharded ``PNNIndex.batch_delta`` output.  Never gated.
 * **steady-state overhead bar** — with faults disabled, the resilient
@@ -58,7 +58,6 @@ QUERIES = np.array([(RNG.uniform(0, EXTENT), RNG.uniform(0, EXTENT))
 #: process to kill, take an in-compute raise — the same retry path.
 RECOVERY_GRID = (
     ("process", "crash_worker:chunk=0"),
-    ("shm", "crash_worker:chunk=0"),
     ("thread", "raise_in_compute:chunk=0"),
     ("inline", "raise_in_compute:chunk=0"),
 )

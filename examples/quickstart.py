@@ -75,8 +75,8 @@ def main() -> None:
     #    submits coalesce into vectorized micro-batches, repeat queries hit
     #    an exact-keyed LRU cache, and large batches shard across a
     #    pluggable executor backend (with bitwise-identical answers):
-    #    backend="auto" picks shared-memory worker replicas where
-    #    possible, backend="thread"/"process"/"shm" forces one.
+    #    backend="auto" picks process worker replicas where the host
+    #    can start a pool, backend="thread"/"process" forces one.
     #    `workers=0` keeps this quickstart single-process; try
     #    index.serve(workers=4, backend="thread") on a real machine.
     with index.serve(workers=0, cache_capacity=1024, max_batch=32) as svc:

@@ -22,7 +22,7 @@ Commands
     The serving stack's end-to-end self-test over live HTTP, one
     scenario after another on one backend: seven-kind parity, shedding,
     tracing and /metrics (``http``); crash recovery, deadline 504s and
-    the breaker ladder (``chaos``); and, on process and shm, the
+    the breaker ladder (``chaos``); and, on process, the
     build-once shared V_Pr plane (``plane``).  ``--out`` saves each
     scenario's /metrics scrape and the Chrome trace export.
 ``trace-dump [--host H] [--port P] [--format chrome|jsonl]``
@@ -100,9 +100,9 @@ def _serve_demo() -> int:
     disks = random_disks(n, seed=11, extent=extent, r_min=0.1, r_max=0.4)
     index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
     print(f"serve-demo: QueryService over {n} uncertain disks")
-    # backend= picks the executor: "auto" resolves to shared-memory
-    # worker replicas when the models are codec-encodable, and degrades
-    # through process -> thread -> inline where the host lacks support.
+    # backend= picks the executor: "auto" resolves to process worker
+    # replicas and degrades through thread -> inline where the host
+    # cannot start a process pool.
     with index.serve(workers=2, backend="auto", cache_capacity=4096,
                      max_batch=128, flush_window=0.002,
                      shard_min_batch=4096) as service:
@@ -234,7 +234,7 @@ def _serve_http(argv: list) -> int:
     parser.add_argument("--port", type=int, default=8080,
                         help="bind port (0 picks an ephemeral port)")
     parser.add_argument("--backend", default="auto",
-                        help="executor backend: auto, shm, process, "
+                        help="executor backend: auto, process, "
                              "thread, inline")
     parser.add_argument("--workers", type=int, default=2,
                         help="executor worker count (0 forces inline)")
@@ -351,7 +351,7 @@ def _smoke(argv: list) -> int:
         prog="python -m repro smoke",
         description="End-to-end self-test of the serving stack over live "
                     "HTTP: every scenario that applies to the backend "
-                    "(http, chaos, and plane on process/shm).")
+                    "(http, chaos, and plane on process).")
     parser.add_argument("--backend", default="inline",
                         choices=[b for b in BACKENDS if b != "auto"],
                         help="executor backend under test")
@@ -413,7 +413,7 @@ def _vpr_info(argv: list) -> int:
         plane = plane_to_arrays(vpr)
         nbytes = sum(a.nbytes for a in plane.values())
         print(f"  shared plane: {len(plane)} arrays, "
-              f"{nbytes / 1e6:.2f} MB — process/shm workers attach "
+              f"{nbytes / 1e6:.2f} MB — process workers attach "
               f"zero-rebuild")
     except CodecUnsupported as exc:
         print(f"  shared plane: not exportable ({exc})")

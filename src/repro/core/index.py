@@ -414,13 +414,12 @@ class PNNIndex:
         return self.cached_vpr().quantify_batch(q)
 
     # ------------------------------------------------------------------
-    # The flat-array codec (shared-memory serving, compact persistence).
+    # The flat-array codec (compact persistence).
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Encode the point set into flat NumPy arrays.
 
-        The :mod:`repro.spatial.codec` wire format the shared-memory
-        executor backend maps into worker processes; decoding
+        The :mod:`repro.spatial.codec` format; decoding
         (:meth:`from_arrays`) is bitwise-faithful, so a decoded replica
         answers every query with identical bits.  Raises
         :class:`~repro.spatial.codec.CodecUnsupported` when the set

@@ -14,11 +14,11 @@ Two counter families are process-wide: :data:`ENGINE` (work units —
 chunks swept by the batch engine, rows retired by the exact Eq. (2)
 sweep, prefix widenings, bisection passes of the merged-slab locator)
 and :data:`KERNEL` (kernel-provider entry-point calls).  Both are bumped
-once per *chunk or pass*, never per row.  Process and shm executor
-workers count into their own copies and ship each chunk's increments
-home with its result (:func:`count_shipped` in the worker,
-:func:`merge_shipped` in the parent), so the parent's families count
-sharded work on every backend.
+once per *chunk or pass*, never per row.  Process executor workers
+count into their own copies and ship each chunk's increments home with
+its result (:func:`count_shipped` in the worker, :func:`merge_shipped`
+in the parent), so the parent's families count sharded work on every
+backend.
 """
 
 from __future__ import annotations

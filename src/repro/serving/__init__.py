@@ -10,9 +10,9 @@ sustain bursty multi-client traffic against one shared
 * :class:`MicroBatcher` — request coalescing into vectorized batches;
 * :class:`ShardExecutor` — the dispatch/reassembly plan over a pluggable
   :class:`ExecutorBackend` (:mod:`repro.serving.executors`): ``process``
-  worker replicas, a ``thread`` pool over the shared index, ``shm``
-  workers mapping one shared-memory replica segment, or ``inline``
-  serial execution — all with ordered, bitwise-identical reassembly;
+  worker replicas, a ``thread`` pool over the shared index, or
+  ``inline`` serial execution — all with ordered, bitwise-identical
+  reassembly;
 * :class:`ResultCache` — exact- or region-keyed LRU over the
   piecewise-stable answer fields, with hit/miss/eviction accounting;
 * :class:`QueryGateway` / :class:`ServerThread` (:mod:`repro.serving.http`)
@@ -42,7 +42,6 @@ from .executors import (
     InlineBackend,
     ProcessBackend,
     SHARD_METHODS,
-    SharedMemoryBackend,
     ThreadBackend,
     create_backend,
 )
@@ -56,7 +55,6 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    SegmentCorrupted,
     WorkerFailure,
 )
 from .service import QueryService, ServiceConfig
@@ -84,10 +82,8 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "SHARD_METHODS",
-    "SegmentCorrupted",
     "ServerThread",
     "ServiceConfig",
-    "SharedMemoryBackend",
     "ShardExecutor",
     "ThreadBackend",
     "WorkerFailure",

@@ -1,14 +1,13 @@
 """``repro.serving.executors`` — pluggable execution backends for sharding.
 
 One protocol (:class:`~repro.serving.executors.base.ExecutorBackend`),
-four implementations, one factory.  The
+three implementations, one factory.  The
 :class:`~repro.serving.shard.ShardExecutor` plans chunks and reassembles
 answers; a backend from this package executes the chunk tasks:
 
 ========== ===========================================================
-``process`` multiprocessing pool, one pickled replica per worker
+``process`` multiprocessing pool, one replica per worker
 ``thread``  thread pool over one shared index (NumPy releases the GIL)
-``shm``     worker processes mapping one shared-memory replica segment
 ``inline``  serial in-process execution (the degradation floor)
 ========== ===========================================================
 
@@ -34,7 +33,6 @@ from .base import (
 )
 from .inline import InlineBackend
 from .process import ProcessBackend
-from .shm import SharedMemoryBackend
 from .thread import ThreadBackend
 
 __all__ = [
@@ -46,14 +44,13 @@ __all__ = [
     "PendingChunk",
     "ProcessBackend",
     "SHARD_METHODS",
-    "SharedMemoryBackend",
     "ThreadBackend",
     "create_backend",
     "reassemble",
 ]
 
 #: Backend names accepted by the factory (and ``ServiceConfig.backend``).
-BACKENDS = ("auto", "shm", "process", "thread", "inline")
+BACKENDS = ("auto", "process", "thread", "inline")
 
 #: Env knob consulted by the ``"auto"`` policy only: operators (and the
 #: CI backend matrix) can steer every auto-configured service onto one
@@ -71,9 +68,7 @@ def create_backend(name: str, points: Sequence[UncertainPoint],
     answers — parallelism is best-effort, never correctness.  Each name
     has its own degradation chain, ending at inline:
 
-    * ``"auto"`` — ``shm`` (when the point set is codec-encodable and
-      the host supports it) -> ``process`` -> ``thread`` -> ``inline``;
-    * ``"shm"`` — ``shm`` -> ``process`` -> ``inline``;
+    * ``"auto"`` — ``process`` -> ``thread`` -> ``inline``;
     * ``"process"`` — ``process`` -> ``inline`` (an explicit process
       request never silently becomes threads);
     * ``"thread"`` — always available, so it only degrades via the
@@ -84,18 +79,18 @@ def create_backend(name: str, points: Sequence[UncertainPoint],
 
     *kernel* names the compute provider
     (:mod:`repro.spatial.kernels`) worker replicas resolve: backends
-    that build their own replicas (process, shm, and thread/inline
-    without a shared *index*) construct them with this name, so every
-    worker process resolves its own provider — a worker that cannot
+    that build their own replicas (process, and thread/inline without
+    a shared *index*) construct them with this name, so every worker
+    process resolves its own provider — a worker that cannot
     build the native library degrades to NumPy on its own, and parity
     keeps the answers identical either way.
 
     *plane* is an optional dict of flat V_Pr plane arrays
-    (:func:`repro.spatial.codec.plane_to_arrays`).  Process and shm
-    backends ship it to their workers (pickled initargs / prefixed keys
-    in the shared segment) and report ``serves_plane=True``; thread and
-    inline backends ignore it — they share the caller's *index*, which
-    already holds the built diagram.
+    (:func:`repro.spatial.codec.plane_to_arrays`).  The process backend
+    ships it to its workers in the pool initargs (inherited copy-on-write
+    under ``fork``) and reports ``serves_plane=True``; thread and inline
+    backends ignore it — they share the caller's *index*, which already
+    holds the built diagram.
     """
     if name not in BACKENDS:
         raise ValueError(f"unknown executor backend {name!r}; "
@@ -109,20 +104,11 @@ def create_backend(name: str, points: Sequence[UncertainPoint],
             name = forced
     if workers < 2 or name == "inline":
         return InlineBackend(points, index=index, kernel=kernel)
-    chain = {"auto": ("shm", "process", "thread"),
-             "shm": ("shm", "process"),
-             "process": ("process",),
-             "thread": ("thread",)}[name]
-    for kind in chain:
+    if name != "thread":
         try:
-            if kind == "shm":
-                return SharedMemoryBackend(points, workers, kernel=kernel,
-                                           plane=plane)
-            if kind == "process":
-                return ProcessBackend(points, workers, kernel=kernel,
-                                      plane=plane)
-            return ThreadBackend(points, workers, index=index,
-                                 kernel=kernel)
+            return ProcessBackend(points, workers, kernel=kernel,
+                                  plane=plane)
         except BackendUnavailable:
-            continue
-    return InlineBackend(points, index=index, kernel=kernel)
+            if name == "process":  # never silently becomes threads
+                return InlineBackend(points, index=index, kernel=kernel)
+    return ThreadBackend(points, workers, index=index, kernel=kernel)

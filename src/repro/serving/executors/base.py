@@ -7,15 +7,12 @@ tasks is executed is the backend's job, behind one small protocol:
 
 * :class:`ProcessBackend <repro.serving.executors.process.ProcessBackend>`
   — a :mod:`multiprocessing` pool; each worker unpickles the uncertain
-  points once and holds a private :class:`IndexReplica`;
+  points once and holds a private :class:`IndexReplica` (with the
+  parent's ``V_Pr`` plane attached when one is shipped);
 * :class:`ThreadBackend <repro.serving.executors.thread.ThreadBackend>`
   — a :class:`~concurrent.futures.ThreadPoolExecutor` over **one shared
   index**: the batch engines release the GIL inside their NumPy kernels,
   so chunks genuinely overlap without any replica build at all;
-* :class:`SharedMemoryBackend <repro.serving.executors.shm.
-  SharedMemoryBackend>` — worker processes map the point data out of one
-  :mod:`multiprocessing.shared_memory` segment (the flat-array codec of
-  :mod:`repro.spatial.codec`) instead of each receiving a pickled stream;
 * :class:`InlineBackend <repro.serving.executors.inline.InlineBackend>`
   — the degraded mode: the same chunk walk, serially, in-process.
 
@@ -70,7 +67,7 @@ Task = Tuple[str, np.ndarray, Dict]
 
 
 class BackendUnavailable(RuntimeError):
-    """This backend cannot run on this host (no pools, no shm, ...)."""
+    """This backend cannot run on this host (no process pools, ...)."""
 
 
 class IndexReplica:
@@ -211,7 +208,7 @@ class ExecutorBackend(abc.ABC):
     """The execution half of the sharding layer (see module docstring).
 
     Concrete backends set :attr:`mode` (the resolved execution mode, one
-    of ``"process"``, ``"thread"``, ``"shm"``, ``"inline"``),
+    of ``"process"``, ``"thread"``, ``"inline"``),
     :attr:`workers` (parallel lanes actually available), and
     :attr:`start_method` (the :mod:`multiprocessing` start method for
     process-based modes, ``None`` otherwise).
@@ -227,11 +224,10 @@ class ExecutorBackend(abc.ABC):
     shares_index: bool = False
     #: Whether this backend's workers hold an attached
     #: :class:`~repro.voronoi.vpr.SharedPlaneDiagram` built once by the
-    #: parent and shipped through the backend's transport (pickle stream
-    #: or shared-memory segment).  The ``quantify_vpr`` fan-out policy
-    #: keys off ``shares_index or serves_plane`` — a plane-serving
-    #: process/shm backend answers V_Pr chunks in parallel with zero
-    #: per-worker diagram builds.
+    #: parent and shipped in the pool initargs.  The ``quantify_vpr``
+    #: fan-out policy keys off ``shares_index or serves_plane`` — a
+    #: plane-serving process backend answers V_Pr chunks in parallel with
+    #: zero per-worker diagram builds.
     serves_plane: bool = False
 
     def __init__(self) -> None:
@@ -270,7 +266,7 @@ class ExecutorBackend(abc.ABC):
         """
 
     def _close_impl(self) -> None:
-        """Release backend resources (pools, segments); default no-op."""
+        """Release backend resources (worker pools); default no-op."""
 
     # ------------------------------------------------------------------
     @property
@@ -278,7 +274,7 @@ class ExecutorBackend(abc.ABC):
         return self._closed
 
     def close(self) -> None:
-        """Tear down worker pools and shared resources (idempotent)."""
+        """Tear down worker pools (idempotent)."""
         if self._closed:
             return
         self._closed = True

@@ -1,11 +1,10 @@
 """The inline (serial, in-process) executor backend.
 
 The degradation floor of every backend chain — sandboxes without process
-pools, single-worker configurations, hosts where shared memory cannot be
-created — and also the *correctness oracle*: it walks exactly the chunk
-list any parallel backend would, through the same
-:class:`~repro.serving.executors.base.IndexReplica` code path, so "inline
-answers == pool answers" is chunking invariance alone.
+pools, single-worker configurations — and also the *correctness oracle*:
+it walks exactly the chunk list any parallel backend would, through the
+same :class:`~repro.serving.executors.base.IndexReplica` code path, so
+"inline answers == pool answers" is chunking invariance alone.
 """
 
 from __future__ import annotations

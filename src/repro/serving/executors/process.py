@@ -1,4 +1,4 @@
-"""The multiprocessing-pool executor backend (pickled worker replicas).
+"""The multiprocessing-pool executor backend (one replica per worker).
 
 The original ``ShardExecutor`` execution engine, refactored onto the
 :class:`~repro.serving.executors.base.ExecutorBackend` protocol: a
@@ -11,13 +11,13 @@ Replicas are built from the same points with the same seeds, so every
 worker computes exactly the parent's numbers — sharded output is bitwise
 identical to the unsharded batch call.
 
-The worker-process globals here (:data:`_REPLICA`, :func:`_run_chunk`,
-:func:`_set_replica`) are shared with the shared-memory backend, which
-swaps only the *transport* (a mapped segment instead of a pickle stream)
-and reuses the same execution entry point.  Each chunk result carries
-the worker's engine/kernel counter increments home
-(:func:`~repro.obs.metrics.count_shipped`); the parent merges them as
-it takes the result.
+The pool's initargs (the point payload and the optional ``V_Pr`` plane
+arrays) reach the workers without pickling under the ``fork`` start
+method, which :func:`start_pool` tries first: the children inherit them
+copy-on-write, so a 50 MB plane is shared by every worker rather than
+copied into each.  Each chunk result carries the worker's engine/kernel
+counter increments home (:func:`~repro.obs.metrics.count_shipped`); the
+parent merges them as it takes the result.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ __all__ = ["ProcessBackend"]
 _REPLICA: Optional[IndexReplica] = None
 
 
-def _set_replica(replica: IndexReplica) -> None:
-    """Install this worker process's replica (shared with the shm backend)."""
-    global _REPLICA
-    _REPLICA = replica
-
-
 def _init_worker(payload: bytes, kernel: str = "auto",
                  plane=None) -> None:
     """Pool initializer: build this worker's replica from pickled points.
@@ -60,8 +54,9 @@ def _init_worker(payload: bytes, kernel: str = "auto",
     over them and forbids any lazy diagram build, so ``quantify_vpr``
     chunks are answered from the parent's build-once plane.
     """
-    _set_replica(IndexReplica(pickle.loads(payload), kernel=kernel,
-                              plane=plane))
+    global _REPLICA
+    _REPLICA = IndexReplica(pickle.loads(payload), kernel=kernel,
+                            plane=plane)
 
 
 def _run_chunk(task) -> object:
@@ -73,7 +68,8 @@ def _run_chunk(task) -> object:
     The whole answer is paired with the chunk's counter increments,
     which :func:`~repro.obs.metrics.merge_shipped` unpacks parent-side.
     """
-    assert _REPLICA is not None, "worker initializer did not run"
+    if _REPLICA is None:
+        raise RuntimeError("worker initializer did not run")
     return count_shipped(_REPLICA.run_task, task)
 
 
@@ -83,8 +79,8 @@ def start_pool(workers: int, preferred: Optional[str],
 
     *preferred* (the method a rebuilt pool started with last time) goes
     first; then ``fork`` (cheapest), ``forkserver`` and ``spawn``.  An
-    unavailable or failing method falls through to the next.  Raises :class:`BackendUnavailable` when none starts — shared
-    by the process and shared-memory backends.
+    unavailable or failing method falls through to the next.  Raises
+    :class:`BackendUnavailable` when none starts.
     """
     tried = [preferred] if preferred else []
     tried += [m for m in ("fork", "forkserver", "spawn") if m not in tried]
@@ -112,7 +108,7 @@ class _PoolPending(PendingChunk):
     Wraps the ``AsyncResult`` of ``apply_async``.  If the worker holding
     the chunk dies, the result never becomes ready — by design the
     handle stays pending forever and the caller's broken-pool detection
-    (:meth:`PoolWorkersMixin.broken`) decides to abandon it.
+    (:meth:`ProcessBackend.broken`) decides to abandon it.
     """
 
     __slots__ = ("_res",)
@@ -203,17 +199,36 @@ def _dispose(pool, timeout: float = 2.0) -> bool:
     return done.wait(timeout)
 
 
-class PoolWorkersMixin:
-    """Dispatch + self-healing shared by the process and shm backends.
+class ProcessBackend(ExecutorBackend):
+    """Execute chunk tasks on a pool of replica worker processes.
 
-    Expects the concrete class to keep the live pool in ``self._pool``
-    and to implement :meth:`_start_pool` (build a fresh pool from the
-    retained initializer state).  Worker death is detected by pid-set
-    churn: a snapshot of the pool's live worker pids is kept, and any
-    pid *vanishing* from it means chunks dispatched to that worker are
-    lost (``multiprocessing.Pool`` respawns the worker but the in-flight
-    task's result never arrives).
+    Worker death is detected by pid-set churn: a snapshot of the pool's
+    live worker pids is kept, and any pid *vanishing* from it means
+    chunks dispatched to that worker are lost (``multiprocessing.Pool``
+    respawns the worker but the in-flight task's result never arrives).
     """
+
+    mode = "process"
+
+    def __init__(self, points: Sequence[UncertainPoint],
+                 workers: int,
+                 kernel: str = "auto",
+                 plane=None) -> None:
+        super().__init__()
+        self.workers = int(workers)
+        self._payload = pickle.dumps(list(points))
+        self._kernel = kernel
+        # The plane arrays ride the initializer args with the point
+        # payload: inherited under fork, pickled once per worker under
+        # forkserver/spawn.  Pool rebuilds re-ship them.
+        self._plane = plane
+        self.serves_plane = plane is not None
+        self._pool, self.start_method = self._start_pool()
+        self._pids = self._worker_pids()
+
+    def _start_pool(self):
+        return start_pool(self.workers, self.start_method, _init_worker,
+                          (self._payload, self._kernel, self._plane))
 
     def _worker_pids(self) -> frozenset:
         pool = self._pool
@@ -224,9 +239,6 @@ class PoolWorkersMixin:
         except (AttributeError, TypeError):  # pragma: no cover
             return frozenset()
         return frozenset(p.pid for p in procs if p.exitcode is None)
-
-    def _snapshot_workers(self) -> None:
-        self._pids = self._worker_pids()
 
     def dispatch(self, task: Task) -> PendingChunk:
         return _PoolPending(self._pool.apply_async(_run_chunk, (task,)))
@@ -259,37 +271,12 @@ class PoolWorkersMixin:
             # terminate() (see _dispose).
             _dispose(pool)
         self._pool, self.start_method = self._start_pool()
-        self._snapshot_workers()
-
-
-class ProcessBackend(PoolWorkersMixin, ExecutorBackend):
-    """Execute chunk tasks on a pool of pickled-replica worker processes."""
-
-    mode = "process"
-
-    def __init__(self, points: Sequence[UncertainPoint],
-                 workers: int,
-                 kernel: str = "auto",
-                 plane=None) -> None:
-        super().__init__()
-        self.workers = int(workers)
-        self._payload = pickle.dumps(list(points))
-        self._kernel = kernel
-        # The plane arrays ride the initializer args (pickled once per
-        # worker, like the point payload); pool rebuilds re-ship them.
-        self._plane = plane
-        self.serves_plane = plane is not None
-        self._pool, self.start_method = self._start_pool()
-        self._snapshot_workers()
-
-    def _start_pool(self):
-        return start_pool(self.workers, self.start_method, _init_worker,
-                          (self._payload, self._kernel, self._plane))
+        self._pids = self._worker_pids()
 
     def _close_impl(self) -> None:
-        # Same interrupted-teardown contract as the shm backend: a
-        # KeyboardInterrupt landing in join() (server killed mid-request)
-        # terminates the pool instead of blocking on a worker mid-chunk.
+        # A KeyboardInterrupt landing in join() (server killed
+        # mid-request) terminates the pool instead of blocking on a
+        # worker mid-chunk.
         pool, self._pool = self._pool, None
         if pool is None:
             return

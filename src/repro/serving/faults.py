@@ -2,10 +2,9 @@
 
 Production serving dies in ways the happy path never exercises: a pool
 worker is OOM-killed mid-chunk, a worker wedges on a kernel call and
-never answers, a shared-memory segment is scribbled over, a backend
-starts failing every request.  This module is the policy half of the
-resilience layer threaded through :class:`~repro.serving.shard.
-ShardExecutor` and the HTTP gateway:
+never answers, a backend starts failing every request.  This module is
+the policy half of the resilience layer threaded through
+:class:`~repro.serving.shard.ShardExecutor` and the HTTP gateway:
 
 * :class:`Deadline` — a monotonic-clock budget carried end to end
   (HTTP ``timeout_ms`` body field / ``X-Request-Deadline-Ms`` header ->
@@ -18,7 +17,7 @@ ShardExecutor` and the HTTP gateway:
   health-poll interval of the collection loop;
 * :class:`CircuitBreaker` — consecutive-failure counting per backend;
   a tripped breaker degrades the executor down the runtime ladder
-  ``shm -> process -> thread -> inline`` (the same order as the
+  ``process -> thread -> inline`` (the same order as the
   ``backend="auto"`` build-time policy);
 * :func:`resilience_counters` — the fault/recovery counter families
   (``repro_retries_total``, ``repro_worker_failures_total``,
@@ -29,8 +28,8 @@ ShardExecutor` and the HTTP gateway:
   E26 recovery benchmark, and the ``chaos`` scenario of ``python -m
   repro smoke``.  Faults ride inside chunk-task metadata as plain
   picklable dicts, so the same plan perturbs every backend (process
-  pools, shm workers, threads, inline) with zero global state and zero
-  cost when disabled.
+  pools, threads, inline) with zero global state and zero cost when
+  disabled.
 
 Fault kinds
 -----------
@@ -45,10 +44,6 @@ Fault kinds
     ``RetryPolicy.chunk_timeout`` or a request deadline.
 ``raise_in_compute``
     The chunk raises :class:`FaultInjected` instead of computing.
-``corrupt_shm_segment``
-    Parent-side: the shared-memory backend reports its replica segment
-    corrupted (checksum-mismatch style), which is unrecoverable by a
-    pool rebuild — the executor degrades ``shm -> process`` at runtime.
 
 Every firing decision is a pure function of ``(plan seed, fault kind,
 method, chunk ordinal, dispatch attempt)`` — no shared counters, no
@@ -80,14 +75,13 @@ __all__ = [
     "FaultSpec",
     "RESILIENCE",
     "RetryPolicy",
-    "SegmentCorrupted",
     "WorkerFailure",
     "resilience_counters",
 ]
 
 #: Injectable fault kinds (see the module docstring for semantics).
 FAULT_KINDS = ("crash_worker", "hang_chunk", "slow_chunk",
-               "raise_in_compute", "corrupt_shm_segment")
+               "raise_in_compute")
 
 #: Environment fallback for :attr:`ServiceConfig.faults` — lets the CI
 #: chaos jobs (and operators reproducing an incident) inject a plan into
@@ -106,10 +100,6 @@ class WorkerFailure(RuntimeError):
 
 class FaultInjected(RuntimeError):
     """An injected (``raise_in_compute`` / simulated-crash) chunk failure."""
-
-
-class SegmentCorrupted(RuntimeError):
-    """The shm backend's replica segment failed validation (injected)."""
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +275,7 @@ RESILIENCE = {
                        "timeout.",
     "rebuilds": "Worker-pool rebuilds by the self-healing path.",
     "degradations": "Runtime backend downgrades along the "
-                    "shm->process->thread->inline ladder.",
+                    "process->thread->inline ladder.",
     "breaker_trips": "Circuit-breaker trips (each one triggers a "
                      "degradation attempt).",
     "deadline_exceeded": "Requests abandoned at their end-to-end deadline "
@@ -492,16 +482,6 @@ class FaultPlan:
         key = f"{self.seed}|{spec.kind}|{method}|{chunk}|{attempt}"
         return random.Random(key).random() < spec.p
 
-    def fires_parent(self, kind: str, method: str, attempt: int) -> bool:
-        """Parent-side firing check for backend-level faults
-        (``corrupt_shm_segment`` is decided by the dispatching process,
-        not inside a worker)."""
-        return any(spec.kind == kind
-                   and self.fires(spec, method,
-                                  chunk=-1 if spec.chunk is None
-                                  else spec.chunk, attempt=attempt)
-                   for spec in self.specs)
-
     def perturb(self, method: str, chunk: int, attempt: int,
                 worker_pid: Optional[int] = None,
                 parent_pid: Optional[int] = None) -> None:
@@ -517,8 +497,6 @@ class FaultPlan:
         import os
 
         for spec in self.specs:
-            if spec.kind == "corrupt_shm_segment":
-                continue  # parent-side fault; see fires_parent()
             if not self.fires(spec, method, chunk, attempt):
                 continue
             if spec.kind in ("hang_chunk", "slow_chunk"):

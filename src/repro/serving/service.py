@@ -10,11 +10,10 @@ the three mechanisms bursty multi-client traffic needs:
   concurrent scalar :meth:`submit` calls into vectorized batches;
 * a :class:`~repro.serving.shard.ShardExecutor` that fans large batches
   out over a pluggable executor backend
-  (:mod:`repro.serving.executors`: ``process`` worker replicas,
-  ``thread`` pool over the shared index, ``shm`` workers mapping one
-  shared-memory segment — selected by ``ServiceConfig(backend=...)``,
-  ``"auto"`` by default) with ordered reassembly and bitwise-identical
-  answers.
+  (:mod:`repro.serving.executors`: ``process`` worker replicas or a
+  ``thread`` pool over the shared index — selected by
+  ``ServiceConfig(backend=...)``, ``"auto"`` by default) with ordered
+  reassembly and bitwise-identical answers.
 
 Seven query kinds share one dispatch spine: ``delta``, ``nonzero_nn``,
 ``quantify``, ``quantify_exact``, ``quantify_vpr``, ``top_k``,
@@ -111,7 +110,7 @@ class ServiceConfig:
         :class:`~repro.serving.shard.ShardExecutor` (which itself falls
         back to inline mode where its backend cannot start).
     backend:
-        Executor backend: ``"auto"`` (default), ``"shm"``, ``"process"``,
+        Executor backend: ``"auto"`` (default), ``"process"``,
         ``"thread"``, or ``"inline"`` — see
         :func:`repro.serving.executors.create_backend` for the auto
         policy and degradation chain.  All backends return
@@ -122,7 +121,7 @@ class ServiceConfig:
         leaves the served index's own selection untouched (which itself
         honors the ``REPRO_KERNEL`` environment steer); a concrete name
         is applied to the index and forwarded to every worker replica,
-        so process/shm workers resolve the same provider.  All providers
+        so process workers resolve the same provider.  All providers
         return bitwise-identical answers; the choice is operational.
     locator:
         Accepts only ``"auto"`` and does nothing.  ``V_Pr`` diagrams have
@@ -271,7 +270,7 @@ class QueryService:
             # untouched.
             index.set_kernel(cfg.kernel)
         # Encode the already-built V_Pr (adopted above, or prebuilt on
-        # the index) into flat plane arrays once: process/shm executor
+        # the index) into flat plane arrays once: process executor
         # workers attach the build-once plane instead of each rebuilding
         # the Theta(N^4) diagram.  Planes exist only for discrete
         # diagrams; anything else serves V_Pr from the parent index.
@@ -286,7 +285,7 @@ class QueryService:
         self._register_families()
         self.resilience = resilience_counters(self.registry)
         # The breaker's default threshold (3 consecutive failures) demotes
-        # the executor one rung down shm -> process -> thread -> inline.
+        # the executor one rung down process -> thread -> inline.
         self.breaker = CircuitBreaker()
         self.cache: Optional[ResultCache] = (
             ResultCache(cfg.cache_capacity, cell_size=cfg.cache_cell_size)
@@ -526,7 +525,7 @@ class QueryService:
         cfg = self.config
         # quantify_vpr only fans out over backends that either share
         # this service's index or hold an attached copy of its built
-        # plane (serves_plane) — a plain process/shm worker replica
+        # plane (serves_plane) — a plain process worker replica
         # would otherwise lazily rebuild its own Theta(N^4) diagram
         # (once per worker, default window) and silently ignore an
         # adopted prebuilt V_Pr.
@@ -994,8 +993,8 @@ class QueryService:
 
     def __del__(self) -> None:
         # A service dropped without a context manager must still tear
-        # down its worker pool and flusher thread — no leaked processes,
-        # semaphores, or shared-memory segments.
+        # down its worker pool and flusher thread — no leaked processes
+        # or semaphores.
         try:
             self.close()
         except Exception:  # noqa: BLE001 — interpreter-shutdown noise

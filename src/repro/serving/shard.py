@@ -4,10 +4,9 @@ The batch engine is single-threaded NumPy; one process tops out at one
 core.  :class:`ShardExecutor` scales the same work across parallel
 workers: large ``(m, 2)`` query arrays are split into shard-sized
 chunks, chunks are dispatched to a pluggable **executor backend**
-(:mod:`repro.serving.executors` — a multiprocessing pool of pickled
-replicas, a thread pool over one shared index, worker processes mapping
-a shared-memory replica segment, or serial inline execution), and the
-per-chunk answers are reassembled in query order.
+(:mod:`repro.serving.executors` — a multiprocessing pool of worker
+replicas, a thread pool over one shared index, or serial inline
+execution), and the per-chunk answers are reassembled in query order.
 
 Determinism is structural, not coincidental: every reduction in the
 batch engines is per query row, so chunk boundaries never change an
@@ -17,11 +16,11 @@ output is therefore **bitwise identical** to the unsharded batch call on
 every backend at every worker count — the property
 ``tests/test_executors.py`` and benchmarks E20/E23 assert.
 
-When a parallel backend cannot start on this host — sandboxed CI without
-``/dev/shm``, restricted seccomp profiles, interpreters without
-``fork``/``spawn`` — the factory degrades along the documented chain
-down to *inline* mode: the same chunked code path, serially, in the
-calling process.  Same answers, no parallelism, no crash.
+When a parallel backend cannot start on this host — sandboxed CI
+without POSIX semaphores, restricted seccomp profiles, interpreters
+without ``fork``/``spawn`` — the factory degrades along the documented
+chain down to *inline* mode: the same chunked code path, serially, in
+the calling process.  Same answers, no parallelism, no crash.
 """
 
 from __future__ import annotations
@@ -78,13 +77,13 @@ class ShardExecutor:
         worker receives about :data:`_TASKS_PER_WORKER` tasks — small
         enough to balance load, large enough to amortize dispatch.
     backend:
-        ``"auto"`` (default), ``"shm"``, ``"process"``, ``"thread"``, or
+        ``"auto"`` (default), ``"process"``, ``"thread"``, or
         ``"inline"`` — see :func:`repro.serving.executors.create_backend`
         for the auto policy and degradation chain.
     kernel:
         Compute-kernel provider (:mod:`repro.spatial.kernels`) the
         worker replicas resolve: ``"auto"`` (default), ``"native"``, or
-        ``"numpy"``.  Process/shm workers build their replica indexes
+        ``"numpy"``.  Process workers build their replica indexes
         with this name (each worker resolves its own provider — the
         compiled library loads once per process); thread/inline backends
         share the caller's index and therefore its provider.  Bitwise
@@ -96,8 +95,8 @@ class ShardExecutor:
         entirely — and share its lazy artifacts (engines, ``V_Pr``).
     plane:
         Optional dict of flat ``V_Pr`` plane arrays
-        (:func:`repro.spatial.codec.plane_to_arrays`).  Process and shm
-        backends ship the build-once plane to their workers — which
+        (:func:`repro.spatial.codec.plane_to_arrays`).  The process
+        backend ships the build-once plane to its workers — which
         then answer ``quantify_vpr`` chunks in parallel with **zero**
         per-worker diagram builds — and the plane survives pool rebuilds
         and degradations down the ladder (thread/inline rungs ignore it
@@ -131,7 +130,7 @@ class ShardExecutor:
     _MIN_CHUNK = 256
     #: The runtime degradation ladder — same order as the build-time
     #: ``backend="auto"`` policy; inline is the cannot-fail floor.
-    _LADDER = {"shm": "process", "process": "thread", "thread": "inline"}
+    _LADDER = {"process": "thread", "thread": "inline"}
 
     def __init__(self, points: Sequence[UncertainPoint],
                  workers: Optional[int] = None,
@@ -171,8 +170,8 @@ class ShardExecutor:
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        """The resolved execution mode (``process``/``thread``/``shm``/
-        ``inline``) — may differ from the requested :attr:`backend` when
+        """The resolved execution mode (``process``/``thread``/``inline``)
+        — may differ from the requested :attr:`backend` when
         the host forced a degradation."""
         return self.impl.mode
 
@@ -280,7 +279,7 @@ class ShardExecutor:
         sweeps for dead pool workers (pid churn), and re-dispatches
         failed chunks with exponential backoff — at most
         ``retries + 1`` dispatch attempts each.  A circuit-breaker trip
-        (or an unrecoverable shm fault) demotes the backend one rung
+        (or a failed pool rebuild) demotes the backend one rung
         down :attr:`_LADDER`; the chunks then restart on the new backend
         with a fresh attempt budget.  Results are admitted first-wins
         per ordinal, so a duplicate answer from an abandoned attempt is
@@ -366,19 +365,6 @@ class ShardExecutor:
                     continue
                 if attempts[i] > policy.retries:
                     continue  # exhausted; its fail() already raised
-                if (plan is not None and self.impl.mode == "shm"
-                        and plan.fires_parent("corrupt_shm_segment",
-                                              method, attempts[i])):
-                    # Parent-side, unrecoverable by a pool rebuild: the
-                    # replica segment itself is bad, so go straight down
-                    # the ladder instead of burning retries on it.
-                    attempts[i] += 1
-                    self.resilience["faults_injected"].inc()
-                    self.resilience["worker_failures"].inc()
-                    if self._degrade("shm segment failed validation "
-                                     "(injected corruption)"):
-                        reset_after_degrade()
-                    break  # chunk state was reset; restart the sweep
                 if attempts[i] > 0:
                     self.resilience["retries"].inc()
                 handle = self.impl.dispatch(build_task(i))

@@ -17,9 +17,9 @@ executor backend, checking each answer against the in-process index:
     admission slots); a persistent fault walking the circuit breaker
     down the backend ladder; and nonzero resilience counters.
 ``plane``
-    Shared-plane ``V_Pr`` serving (``process`` and ``shm`` only): the
-    parent builds the diagram once, workers attach the exported plane,
-    ``quantify_vpr`` fans out bitwise-equal, and no worker rebuilds.
+    Shared-plane ``V_Pr`` serving (``process`` only): the parent builds
+    the diagram once, workers attach the exported plane, ``quantify_vpr``
+    fans out bitwise-equal, and no worker rebuilds.
 
 Every check lands in one ledger; the driver logs each failure as it
 happens and ends with one summary line carrying the check count.  The
@@ -49,7 +49,7 @@ __all__ = ["PLANE_BACKENDS", "SCENARIOS", "run"]
 #: Backends whose workers attach a shipped ``V_Pr`` plane; thread and
 #: inline share the parent's index, so the plane scenario proves nothing
 #: there.
-PLANE_BACKENDS = ("process", "shm")
+PLANE_BACKENDS = ("process",)
 
 
 def _http_json(port: int, method: str, path: str,
@@ -346,7 +346,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
     oracle = {"delta": _encoded("delta", index.batch_delta(queries)),
               "nonzero_nn": _encoded("nonzero_nn",
                                      index.batch_nonzero_nn(queries))}
-    crashy = backend in ("process", "shm")
+    crashy = backend == "process"
     phase1 = ("crash_worker:chunk=0" if crashy
               else "raise_in_compute:chunk=0")
     service = index.serve(workers=2, backend=backend, shard_min_batch=8,

@@ -710,7 +710,7 @@ class BatchQueryEngine:
         np.not_equal(qidx[1:], qidx[:-1], out=change[1:])
         starts = np.flatnonzero(change)
         if len(starts) != m:
-            raise AssertionError("a query lost all candidates during pruning")
+            raise RuntimeError("a query lost all candidates during pruning")
         return starts
 
     @staticmethod

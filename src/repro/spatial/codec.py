@@ -1,14 +1,12 @@
-"""Flat-array codec for uncertain-point sets (the shared-memory wire format).
+"""Flat-array codec for uncertain-point sets and built ``V_Pr`` planes.
 
-The serving layer's process backends ship every worker its own read-only
-replica of the index.  Pickling the model objects works, but each worker
-then receives its own copy of the whole object graph through a pipe.  This
-module flattens a point set into a handful of **plain float64/int64 NumPy
-arrays** — a representation that can live in one
-:mod:`multiprocessing.shared_memory` segment which every worker maps
-instead of receiving a private pickled stream
-(:class:`~repro.serving.executors.shm.SharedMemoryBackend`), and that also
-makes a compact persistence format.
+This module flattens a point set into a handful of **plain float64/int64
+NumPy arrays** — a compact persistence format
+(:meth:`~repro.core.index.PNNIndex.to_arrays`; the HTTP benchmark hands
+its point sets to the server process this way).  The same kind of flat
+arrays carries a built probabilistic Voronoi diagram
+(:func:`plane_to_arrays`) to the process executor's workers, which
+attach it instead of rebuilding.
 
 Round-tripping is **bitwise faithful**: decoding reproduces each model's
 stored floats exactly (no re-normalization — a decoded
@@ -52,11 +50,10 @@ from ..uncertain.histogram import HistogramUncertainPoint
 from ..uncertain.polygon import ConvexPolygonUniformPoint
 
 __all__ = ["CodecUnsupported", "points_to_arrays", "points_from_arrays",
-           "ARRAY_KEYS", "PLANE_ARRAY_KEYS", "PLANE_KEY_PREFIX",
+           "ARRAY_KEYS", "PLANE_ARRAY_KEYS",
            "check_plane_arrays", "plane_to_arrays", "plane_from_arrays"]
 
-#: The arrays every encoded point set consists of, in a fixed order (the
-#: shared-memory backend packs them into one segment in this order).
+#: The arrays every encoded point set consists of, in a fixed order.
 ARRAY_KEYS = ("types", "scalars", "aux", "offsets", "rows")
 
 #: The arrays of an encoded V_Pr plane (``plane_to_arrays``), in a fixed
@@ -67,10 +64,6 @@ ARRAY_KEYS = ("types", "scalars", "aux", "offsets", "rows")
 #: without rebuilding the diagram.
 PLANE_ARRAY_KEYS = ("meta", "xs", "offs", "ent_u", "ent_v", "ent_row",
                     "vx", "vy", "faces", "box")
-
-#: Manifest-key prefix under which the plane arrays ride in the same
-#: shared-memory segment as the index arrays (``executors/shm.py``).
-PLANE_KEY_PREFIX = "plane:"
 
 #: Expected dtype per plane array (shape checks are in
 #: ``check_plane_arrays``).
@@ -198,9 +191,8 @@ def points_from_arrays(arrays: Dict[str, np.ndarray]
 # ----------------------------------------------------------------------
 # The V_Pr shared-plane extension: the *built* diagram — persistent
 # locator arrays plus face quantification vectors — as the same kind of
-# flat float64/int64 arrays, so it can ride in the shared-memory
-# segment (or a pickled payload) next to the encoded index and be
-# served by workers that never pay the Theta(N^4) build.
+# flat float64/int64 arrays, so it can ride in a worker pool's initargs
+# and be served by workers that never pay the Theta(N^4) build.
 # ----------------------------------------------------------------------
 
 def check_plane_arrays(arrays: Dict[str, np.ndarray]) -> None:
@@ -208,7 +200,7 @@ def check_plane_arrays(arrays: Dict[str, np.ndarray]) -> None:
 
     Raises ``ValueError`` on a malformed dict.  Decoding is otherwise
     zero-copy, so this is the only guard between a (possibly truncated
-    or reordered) segment and out-of-bounds gathers at query time.
+    or reordered) array dict and out-of-bounds gathers at query time.
     """
     for key in PLANE_ARRAY_KEYS:
         if key not in arrays:

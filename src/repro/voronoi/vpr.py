@@ -397,8 +397,8 @@ class SharedPlaneDiagram(_FaceVectorQueries):
 
     The parent process builds the diagram once, exports it with
     :meth:`ProbabilisticVoronoiDiagram.to_plane_arrays`, and ships the
-    arrays to workers — pickled for the ``process`` backend, zero-copy
-    through the shared-memory segment for ``shm``.  A worker wraps them
+    arrays to the ``process`` backend's workers in the pool initargs
+    (inherited copy-on-write under ``fork``).  A worker wraps them
     in this class and answers the same ``query`` / ``query_batch`` /
     ``quantify_batch`` surface **bitwise identically**: in-window
     queries run the ``plane_locate`` kernel over the attached locator

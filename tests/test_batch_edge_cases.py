@@ -285,3 +285,14 @@ class TestQuantifyFallbacks:
     def test_batch_top_k_zero_k(self):
         index = PNNIndex([certain(0, 0), certain(1, 0)])
         assert index.batch_top_k([(0.5, 0.0)], 0) == [[]]
+
+
+class TestSegmentGuards:
+    def test_query_without_candidates_is_a_runtime_error(self):
+        """A pruning bug that drops every candidate of a query raises a
+        typed error (not an ``assert``, which ``python -O`` strips)."""
+        qidx = np.array([0, 0, 2, 2])  # query 1 lost all its candidates
+        with pytest.raises(RuntimeError, match="lost all candidates"):
+            BatchQueryEngine._seg_starts(qidx, 3)
+        assert BatchQueryEngine._seg_starts(
+            np.array([0, 0, 1, 2]), 3).tolist() == [0, 2, 3]

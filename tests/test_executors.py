@@ -24,15 +24,16 @@ from repro.serving.executors import (
     BackendUnavailable,
     InlineBackend,
     ProcessBackend,
-    SharedMemoryBackend,
     ThreadBackend,
     create_backend,
+    reassemble,
 )
 from repro.serving.executors import BACKEND_ENV
+from repro.serving.executors import process as process_module
 from repro.uncertain.base import UncertainPoint
 from repro.uncertain.disk_uniform import DiskUniformPoint
 
-PARALLEL_BACKENDS = ("process", "thread", "shm")
+PARALLEL_BACKENDS = ("process", "thread")
 
 
 def _disk_index(n, seed=3):
@@ -48,7 +49,8 @@ def _queries(m, extent, seed=17):
 
 
 class _OpaqueModel(DiskUniformPoint):
-    """A user-defined subclass the array codec must refuse to encode."""
+    """A user-defined subclass the array codec refuses to encode; worker
+    replicas receive it pickled like any other model."""
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +80,7 @@ class TestBackendParityGrid:
 
     @pytest.fixture(scope="class")
     def vpr_case(self):
-        # Kept deliberately small: every process/shm worker builds its
+        # Kept deliberately small: every process worker builds its
         # own Theta(N^4) diagram, so the instance size — not the query
         # count — is the grid's cost driver.
         pts = random_discrete_points(8, 2, seed=13, spread=2.0)
@@ -161,8 +163,7 @@ class TestBackendFactory:
     def test_requested_modes(self):
         index, _ = _disk_index(5)
         for name, cls in (("process", ProcessBackend),
-                          ("thread", ThreadBackend),
-                          ("shm", SharedMemoryBackend)):
+                          ("thread", ThreadBackend)):
             impl = create_backend(name, index.points, workers=2)
             try:
                 # Pool-less sandboxes may degrade; a live backend must
@@ -173,13 +174,54 @@ class TestBackendFactory:
             finally:
                 impl.close()
 
-    def test_auto_prefers_shm_for_encodable_points(self):
+    def test_auto_resolves_to_process_and_serves_the_plane(
+            self, monkeypatch):
+        """``auto`` is the process pool: an adopted V_Pr's plane reaches
+        its workers, ``/healthz`` says so, and ``quantify_vpr`` fans out
+        bitwise-equal with zero per-worker diagram builds."""
+        import json
+        import urllib.request
+
+        from repro.obs.metrics import ENGINE
+        from repro.serving.http import HttpConfig, ServerThread
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        index = PNNIndex(random_discrete_points(5, 2, seed=11, spread=2.0))
+        index.use_vpr(index.build_vpr())
+        qs = _queries(64, 9.0, seed=41)
+        want = index.batch_quantify_vpr(qs)
+        builds = ENGINE.get("vpr.builds")
+        with index.serve(workers=2, coalesce=False, cache_capacity=0,
+                         shard_min_batch=8, shard_chunk=8) as service, \
+                ServerThread(service, HttpConfig(port=0,
+                                                 warm_kinds=())) as server:
+            url = f"http://127.0.0.1:{server.port}/healthz"
+            with urllib.request.urlopen(url, timeout=30) as resp:
+                health = json.loads(resp.read())
+            assert health["executor"]["mode"] == "process"
+            assert health["executor"]["serves_plane"] is True
+            assert health["vpr"]["plane_served"] is True
+            assert service.batch_quantify_vpr(qs) == want
+            assert service.method_stats(
+                "quantify_vpr")["sharded_calls"] == 1
+        assert ENGINE.get("vpr.builds") == builds
+
+    def test_auto_degrades_to_threads_without_process_pools(
+            self, monkeypatch):
+        """A host that cannot start a pool: ``auto`` falls to threads,
+        while an explicit ``process`` request falls to inline."""
+        def no_pools(*args, **kwargs):
+            raise BackendUnavailable("no pools on this host")
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.setattr(process_module, "start_pool", no_pools)
         index, _ = _disk_index(5)
-        impl = create_backend("auto", index.points, workers=2)
-        try:
-            assert impl.mode in ("shm", "process", "thread")
-        finally:
-            impl.close()
+        for name, mode in (("auto", "thread"), ("process", "inline")):
+            impl = create_backend(name, index.points, workers=2)
+            try:
+                assert impl.mode == mode
+            finally:
+                impl.close()
 
     def test_auto_env_override(self, monkeypatch):
         index, _ = _disk_index(5)
@@ -200,34 +242,35 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match=BACKEND_ENV):
             create_backend("auto", index.points, workers=2)
 
-    def test_shm_falls_back_to_process_for_opaque_models(self):
-        """A model outside the codec's inventory cannot ride shared
-        memory; the chain degrades to pickled process replicas with the
-        same answers."""
-        points = [_OpaqueModel((float(i), 0.0), 0.5) for i in range(6)]
-        with pytest.raises(BackendUnavailable):
-            SharedMemoryBackend(points, workers=2)
-        index = PNNIndex(points)
-        qs = _queries(60, 6.0)
-        with ShardExecutor(points, workers=2, backend="shm") as executor:
-            assert executor.mode in ("process", "inline")
-            assert np.array_equal(executor.run("delta", qs),
-                                  index.batch_delta(qs))
+    @pytest.mark.parametrize("surface", ["service_config", "factory",
+                                         "auto_env", "cli", "fault_plan"])
+    def test_retired_shm_names_fail_closed(self, surface, monkeypatch):
+        """The shared-memory backend is gone: every surface that used to
+        accept its names raises a ValueError listing the valid choices
+        instead of quietly running another backend."""
+        from repro.__main__ import main
+        from repro.serving import ServiceConfig
+        from repro.serving.faults import FAULT_KINDS, FaultPlan
 
-    def test_shm_releases_segment_on_close(self):
-        index, _ = _disk_index(30)
-        impl = create_backend("shm", index.points, workers=2)
-        if impl.mode != "shm":  # pragma: no cover — pool-less sandbox
-            impl.close()
-            pytest.skip("shared-memory backend unavailable here")
-        name = impl._shm.name
-        assert impl.segment_bytes > 0
-        impl.close()
-        assert impl._shm is None
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        index, _ = _disk_index(5)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        attempts = {
+            "service_config": lambda: ServiceConfig(backend="shm"),
+            "factory": lambda: create_backend("shm", index.points,
+                                              workers=2),
+            "auto_env": lambda: (monkeypatch.setenv(BACKEND_ENV, "shm"),
+                                 create_backend("auto", index.points,
+                                                workers=2)),
+            "cli": lambda: main(["serve-http", "--backend", "shm",
+                                 "--port", "0", "--n", "3"]),
+            "fault_plan": lambda: FaultPlan.coerce(
+                "corrupt_shm_segment:chunk=0"),
+        }
+        with pytest.raises(ValueError) as info:
+            attempts[surface]()
+        choices = FAULT_KINDS if surface == "fault_plan" else BACKENDS
+        assert str(choices) in str(info.value)
+        assert "shm" in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +352,8 @@ class TestLifecycle:
         assert pool._state != "RUN"  # pool closed, not leaked
 
     def test_executor_usable_after_backend_degradation(self):
-        """An executor that degraded still answers correctly."""
+        """An executor over models the codec cannot encode still answers
+        correctly (pickled replicas need no codec)."""
         points = [_OpaqueModel((float(i), 0.0), 0.5) for i in range(4)]
         index = PNNIndex(points)
         qs = _queries(20, 4.0)
@@ -317,72 +361,14 @@ class TestLifecycle:
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
 
-# ----------------------------------------------------------------------
-# Shared-memory teardown: exactly-once unlink, no leaks, no double-free.
-# ----------------------------------------------------------------------
-
-class TestShmTeardown:
-    def _shm_backend(self, n=10):
-        index, _ = _disk_index(n)
-        impl = create_backend("shm", index.points, workers=2)
-        if impl.mode != "shm":  # pragma: no cover — pool-less sandbox
+    def test_interrupted_close_terminates_the_pool(self):
+        """A pool whose graceful close() blows up (a KeyboardInterrupt
+        landing in join()) is terminated rather than left running."""
+        index, _ = _disk_index(10)
+        impl = create_backend("process", index.points, workers=2)
+        if impl.mode != "process":  # pragma: no cover — pool-less sandbox
             impl.close()
-            pytest.skip("shared-memory backend unavailable here")
-        return impl
-
-    def _count_unlinks(self, impl):
-        """Instrument the live segment handle to count unlink() calls."""
-        shm = impl._shm
-        counter = {"unlinks": 0}
-        original = shm.unlink
-
-        def counting_unlink():
-            counter["unlinks"] += 1
-            return original()
-
-        shm.unlink = counting_unlink
-        return counter
-
-    def test_close_then_close_unlinks_exactly_once(self):
-        impl = self._shm_backend()
-        counter = self._count_unlinks(impl)
-        impl.close()
-        impl.close()
-        assert counter["unlinks"] == 1
-        assert impl._shm is None
-
-    def test_close_then_del_unlinks_exactly_once(self):
-        """__del__ after an explicit close() (the interpreter-exit order)
-        must not re-release — the OS may have re-issued the name."""
-        import gc
-
-        impl = self._shm_backend()
-        counter = self._count_unlinks(impl)
-        impl.close()
-        impl.__del__()
-        del impl
-        gc.collect()
-        assert counter["unlinks"] == 1
-
-    def test_del_alone_releases_segment(self):
-        import gc
-        from multiprocessing import shared_memory
-
-        impl = self._shm_backend()
-        name = impl._shm.name
-        del impl
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_failed_pool_teardown_still_unlinks(self):
-        """A pool whose close() blows up must not leak the named
-        segment: the release runs in a finally, and the pool is
-        terminated rather than left running."""
-        from multiprocessing import shared_memory
-
-        impl = self._shm_backend()
-        name = impl._shm.name
+            pytest.skip("process pools unavailable here")
         pool = impl._pool
         terminated = {"called": False}
         original_terminate = pool.terminate
@@ -397,34 +383,242 @@ class TestShmTeardown:
         with pytest.raises(RuntimeError, match="teardown exploded"):
             impl.close()
         assert terminated["called"], "interrupted teardown must terminate"
-        assert impl._shm is None and impl._pool is None
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert impl._pool is None
         impl.close()  # and a retried close stays a clean no-op
 
-    def test_half_built_constructor_releases_segment(self, monkeypatch):
-        """A constructor that dies after packing the segment but before
-        its pool starts must unlink the segment on the way out."""
-        from multiprocessing import shared_memory
 
-        from repro.serving.executors import shm as shm_module
+# ----------------------------------------------------------------------
+# Worker entry point: a typed error, not an assert.
+# ----------------------------------------------------------------------
 
-        created = {}
-        original_pack = shm_module.pack_arrays
+class TestWorkerEntry:
+    def test_run_chunk_without_replica_raises(self, monkeypatch):
+        monkeypatch.setattr(process_module, "_REPLICA", None)
+        with pytest.raises(RuntimeError, match="initializer did not run"):
+            process_module._run_chunk(("delta", np.zeros((1, 2)), {}))
 
-        def spy_pack(arrays):
-            seg, manifest = original_pack(arrays)
-            created["name"] = seg.name
-            return seg, manifest
+    def test_run_chunk_without_replica_raises_under_optimize(self):
+        """``python -O`` strips asserts; the guard must survive it."""
+        import subprocess
+        import sys
 
-        def failing_start_pool(*args, **kwargs):
-            raise BackendUnavailable("no pools on this host")
+        code = ("import numpy as np\n"
+                "from repro.serving.executors.process import _run_chunk\n"
+                "try:\n"
+                "    _run_chunk(('delta', np.zeros((1, 2)), {}))\n"
+                "except RuntimeError as exc:\n"
+                "    print('RuntimeError:', exc)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == \
+            "RuntimeError: worker initializer did not run"
 
-        monkeypatch.setattr(shm_module, "pack_arrays", spy_pack)
-        monkeypatch.setattr(shm_module, "start_pool", failing_start_pool)
-        index, _ = _disk_index(8)
-        with pytest.raises(BackendUnavailable):
-            SharedMemoryBackend(index.points, workers=2)
-        assert "name" in created
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=created["name"])
+
+# ----------------------------------------------------------------------
+# Start-method fallback: fork -> forkserver -> spawn, preferred first.
+# ----------------------------------------------------------------------
+
+class _FakeContext:
+    """A stand-in multiprocessing context whose ``Pool`` logs the start
+    method it was asked for and optionally fails."""
+
+    def __init__(self, method, log, failures):
+        self.method, self.log, self.failures = method, log, failures
+
+    def Pool(self, workers, initializer=None, initargs=()):
+        self.log.append(self.method)
+        error = self.failures.get(self.method)
+        if error is not None:
+            raise error
+        return ("pool", self.method, workers)
+
+
+class TestStartPool:
+    def _patch(self, monkeypatch, available=("fork", "forkserver", "spawn"),
+               failures=None):
+        import multiprocessing
+
+        log = []
+        failures = failures or {}
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: list(available))
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda m: _FakeContext(m, log, failures))
+        return log
+
+    def test_fork_is_tried_first(self, monkeypatch):
+        log = self._patch(monkeypatch)
+        pool, method = process_module.start_pool(2, None, None, ())
+        assert method == "fork" and pool == ("pool", "fork", 2)
+        assert log == ["fork"]
+
+    def test_preferred_method_goes_first(self, monkeypatch):
+        """A rebuilt pool restarts with the method that worked before."""
+        log = self._patch(monkeypatch)
+        _, method = process_module.start_pool(2, "spawn", None, ())
+        assert method == "spawn" and log == ["spawn"]
+
+    def test_failing_preferred_falls_back_to_fork(self, monkeypatch):
+        log = self._patch(monkeypatch,
+                          failures={"spawn": OSError("no spawn")})
+        _, method = process_module.start_pool(2, "spawn", None, ())
+        assert method == "fork" and log == ["spawn", "fork"]
+
+    @pytest.mark.parametrize("error", [OSError, ValueError, ImportError,
+                                       RuntimeError])
+    def test_start_failure_falls_through(self, monkeypatch, error):
+        log = self._patch(monkeypatch, failures={"fork": error("boom")})
+        _, method = process_module.start_pool(2, None, None, ())
+        assert method == "forkserver" and log == ["fork", "forkserver"]
+
+    def test_unavailable_methods_are_skipped(self, monkeypatch):
+        log = self._patch(monkeypatch, available=("spawn",))
+        _, method = process_module.start_pool(2, "fork", None, ())
+        assert method == "spawn" and log == ["spawn"]
+
+    def test_no_method_starts_raises_with_every_reason(self, monkeypatch):
+        log = self._patch(monkeypatch, failures={
+            "fork": OSError("f"), "forkserver": ValueError("fs"),
+            "spawn": RuntimeError("s")})
+        with pytest.raises(BackendUnavailable) as info:
+            process_module.start_pool(2, None, None, ())
+        assert log == ["fork", "forkserver", "spawn"]
+        for reason in ("fork: f", "forkserver: fs", "spawn: s"):
+            assert reason in str(info.value)
+
+    def test_no_method_available_raises(self, monkeypatch):
+        log = self._patch(monkeypatch, available=())
+        with pytest.raises(BackendUnavailable, match="no multiprocessing"):
+            process_module.start_pool(2, None, None, ())
+        assert log == []
+
+
+# ----------------------------------------------------------------------
+# The process pool: plane shipping, death detection, rebuild, abort.
+# ----------------------------------------------------------------------
+
+def _process_backend(points, **kw):
+    try:
+        return ProcessBackend(points, workers=2, **kw)
+    except BackendUnavailable:  # pragma: no cover — pool-less sandbox
+        pytest.skip("process pools unavailable here")
+
+
+def _wait_until(predicate, timeout=10.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestProcessPool:
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_every_start_method_ships_the_plane(self, monkeypatch, method):
+        """The plane rides the initargs whatever the start method:
+        inherited under fork, pickled once per worker otherwise."""
+        import multiprocessing
+
+        from repro.obs.metrics import ENGINE
+        from repro.spatial.codec import plane_to_arrays
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} unavailable on this platform")
+        index = PNNIndex(random_discrete_points(5, 2, seed=11, spread=2.0))
+        index.use_vpr(index.build_vpr())
+        qs = _queries(48, 9.0, seed=43)
+        want = index.batch_quantify_vpr(qs)
+        monkeypatch.setattr(ProcessBackend, "start_method", method)
+        impl = _process_backend(index.points,
+                                plane=plane_to_arrays(index.cached_vpr()))
+        try:
+            assert impl.start_method == method and impl.serves_plane
+            builds = ENGINE.get("vpr.builds")
+            parts = impl.map([("quantify_vpr", qs[:24], {}),
+                              ("quantify_vpr", qs[24:], {})])
+            assert parts[0] + parts[1] == want
+            # Worker counters ship home: a chunk-time build would show.
+            assert ENGINE.get("vpr.builds") == builds
+        finally:
+            impl.close()
+
+    def test_opaque_models_ride_pickled_replicas(self):
+        """Models the array codec refuses still reach process workers:
+        the payload is pickled points, so every kind answers bitwise."""
+        points = [_OpaqueModel((float(i), 0.5 * i), 0.5) for i in range(6)]
+        index = PNNIndex(points)
+        qs = _queries(40, 6.0)
+        impl = _process_backend(points)
+        try:
+            assert np.array_equal(
+                reassemble("delta", impl.map([("delta", qs, {})])),
+                index.batch_delta(qs))
+            for method, params in (("nonzero_nn", {}),
+                                   ("quantify", {"epsilon": 0.25}),
+                                   ("top_k", {"k": 2, "epsilon": 0.25}),
+                                   ("threshold_nn", {"tau": 0.4})):
+                want = getattr(index, f"batch_{method}")(qs, **params)
+                assert impl.map([(method, qs, params)]) == [want]
+        finally:
+            impl.close()
+
+    def test_killed_worker_is_reported_once(self):
+        """A vanished worker pid reads as broken exactly once; the
+        pool's own respawn is not a fresh failure."""
+        import signal
+
+        index, _ = _disk_index(10)
+        impl = _process_backend(index.points)
+        try:
+            assert not impl.broken()
+            victim = next(iter(impl._pids))
+            os.kill(victim, signal.SIGKILL)
+            assert _wait_until(impl.broken)
+            assert victim not in impl._pids
+            assert _wait_until(lambda: len(impl._worker_pids()) == 2)
+            assert not impl.broken()
+        finally:
+            impl.abort()
+
+    def test_rebuild_starts_fresh_workers(self):
+        index, _ = _disk_index(20)
+        qs = _queries(60, 8.0)
+        impl = _process_backend(index.points)
+        try:
+            old_pool, old_pids, method = impl._pool, impl._pids, \
+                impl.start_method
+            impl.rebuild()
+            assert impl._pool is not old_pool
+            assert old_pool._state != "RUN"
+            assert impl._pids and not impl._pids & old_pids
+            assert impl.start_method == method
+            assert not impl.broken()
+            assert np.array_equal(
+                reassemble("delta", impl.map([("delta", qs, {})])),
+                index.batch_delta(qs))
+        finally:
+            impl.close()
+
+    def test_abort_tears_down_without_joining(self):
+        """abort() kills the workers outright instead of waiting on a
+        chunk still in flight."""
+        import time
+
+        from repro.serving.faults import FaultPlan
+
+        index, _ = _disk_index(10)
+        impl = _process_backend(index.points)
+        procs = list(impl._pool._pool)
+        plan = FaultPlan.coerce("hang_chunk:delay=30").to_dict()
+        impl.dispatch(("delta", np.zeros((1, 2)), {}, {"faults": plan}))
+        t0 = time.perf_counter()
+        impl.abort()
+        assert time.perf_counter() - t0 < 10.0
+        assert impl.closed and impl._pool is None
+        assert all(p.exitcode is not None for p in procs)

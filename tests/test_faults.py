@@ -13,7 +13,7 @@ that, this suite pins the operational semantics:
   raising :class:`DeadlineExceeded` without stranding inflight state —
   over HTTP, the 504 leaves the admission gauges at zero;
 * the circuit breaker only trips on *consecutive* failures and walks
-  the shm -> process -> thread -> inline ladder, after which unfaulted
+  the process -> thread -> inline ladder, after which unfaulted
   traffic keeps answering correctly;
 * :class:`FaultPlan` parsing and firing are deterministic — the same
   seed produces the same chaos, which is what makes these tests
@@ -44,8 +44,8 @@ from repro.serving.faults import (
     WorkerFailure,
 )
 
-ALL_BACKENDS = ("inline", "thread", "process", "shm")
-POOL_BACKENDS = ("process", "shm")
+ALL_BACKENDS = ("inline", "thread", "process")
+POOL_BACKENDS = ("process",)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +327,30 @@ class TestDegradation:
         finally:
             ex.close()
 
+    def test_failed_rebuild_degrades_process_to_thread(self, fleet,
+                                                       monkeypatch):
+        """A crashed pool that cannot restart walks one rung down the
+        ladder at once, and the lost chunk is answered there."""
+        from repro.serving.executors import BackendUnavailable, \
+            ProcessBackend
+
+        def no_restart(self):
+            raise BackendUnavailable("pool cannot restart")
+
+        index, qs, oracle = fleet
+        monkeypatch.setattr(ProcessBackend, "rebuild", no_restart)
+        ex = _executor(index, "process", faults="crash_worker:chunk=0")
+        try:
+            if ex.mode != "process":
+                pytest.skip("process pools unavailable on this host")
+            out = ex.run("delta", qs)
+            np.testing.assert_array_equal(out, oracle)
+            assert ex.degraded and ex.mode == "thread"
+            assert ex.resilience["rebuilds"].get() == 1
+            assert ex.resilience["degradations"].get() == 1
+        finally:
+            ex.close()
+
     def test_degraded_executor_still_answers(self, fleet):
         index, qs, oracle = fleet
         ex = _executor(index, "thread",
@@ -341,20 +365,6 @@ class TestDegradation:
             # The unfaulted kind keeps bitwise parity on the fallback.
             np.testing.assert_array_equal(ex.run("delta", qs), oracle)
             assert ex.health()["degraded"] is True
-        finally:
-            ex.close()
-
-    def test_corrupt_shm_segment_degrades_immediately(self, fleet):
-        index, qs, oracle = fleet
-        ex = _executor(index, "shm", faults="corrupt_shm_segment:chunk=0")
-        try:
-            if ex.mode != "shm":
-                pytest.skip("shm backend unavailable on this host")
-            out = ex.run("delta", qs)
-            np.testing.assert_array_equal(out, oracle)
-            assert ex.degraded and ex.mode == "process"
-            assert ex.resilience["degradations"].get() == 1
-            assert ex.resilience["faults_injected"].get() == 1
         finally:
             ex.close()
 

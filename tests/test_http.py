@@ -555,7 +555,7 @@ class TestSmoke:
         if backend == "process":
             saved.add("plane-metrics.txt")
         else:
-            assert "plane: skipped (needs one of process, shm)" in lines
+            assert "plane: skipped (needs one of process)" in lines
         assert {p.name for p in tmp_path.iterdir()} == saved
 
     def test_failed_check_exits_1(self, monkeypatch):

@@ -1,14 +1,13 @@
 """Tests for the flat-array codec (``repro.spatial.codec``).
 
-The shared-memory backend's correctness reduces to one property: a
-decoded replica is **bitwise-faithful** — every stored float survives
-the round trip exactly, so every query kind answers with identical bits.
+The codec's correctness reduces to one property: a decoded replica is
+**bitwise-faithful** — every stored float survives the round trip
+exactly, so every query kind answers with identical bits.
 These tests pin that per model class (including the normalization traps:
 decoded weights must *not* be re-normalized) and the exact-type refusal
 for user subclasses.
 """
 
-import math
 import random
 
 import numpy as np
@@ -154,27 +153,3 @@ class TestRefusals:
         arrays["types"][0] = 99
         with pytest.raises(ValueError, match="unknown model tag"):
             points_from_arrays(arrays)
-
-
-def test_segment_pack_unpack_round_trip():
-    """The shm packing layer: arrays survive the segment bitwise."""
-    from repro.serving.executors.shm import pack_arrays, unpack_arrays
-
-    fleet = _mixed_fleet()
-    arrays = points_to_arrays(fleet)
-    shm, manifest = pack_arrays(arrays)
-    try:
-        views = unpack_arrays(shm.buf, manifest)
-        for key in ARRAY_KEYS:
-            assert np.array_equal(views[key], arrays[key])
-            assert views[key].dtype == arrays[key].dtype
-        decoded = points_from_arrays(views)
-        del views  # release buffer references before close
-        assert len(decoded) == len(fleet)
-        q = (1.5, math.pi)
-        for orig, copy in zip(fleet, decoded):
-            assert copy.min_dist(q) == orig.min_dist(q)
-            assert copy.max_dist(q) == orig.max_dist(q)
-    finally:
-        shm.close()
-        shm.unlink()

@@ -46,7 +46,7 @@ needs_native = pytest.mark.skipif(
     not native_available(),
     reason="no C compiler on this host; the tier degrades to numpy")
 
-ALL_BACKENDS = ("inline", "thread", "process", "shm")
+ALL_BACKENDS = ("inline", "thread", "process")
 
 
 @pytest.fixture

@@ -133,14 +133,14 @@ class TestExpositionContract:
 
 class TestWorkerCounters:
     """Engine and kernel counters count sharded work on every backend:
-    process and shm workers ship their per-chunk increments home with
+    process workers ship their per-chunk increments home with
     the chunk result, thread workers count in-process."""
 
     def test_sharded_bulk_counts_match_across_backends(self):
         points = random_discrete_points(60, 3, seed=5, spread=2.0)
         queries = np.random.default_rng(1).uniform(-5, 15, size=(4096, 2))
         deltas = {}
-        for backend in ("thread", "process", "shm"):
+        for backend in ("thread", "process"):
             index = PNNIndex(points)
             with index.serve(workers=2, backend=backend, cache_capacity=0,
                              coalesce=False) as service:
@@ -155,7 +155,6 @@ class TestWorkerCounters:
         assert sum(n for (_, op), n in kernel.items()
                    if op == "sweep_eq2") == engine["exact_sweep.chunks"]
         assert deltas["process"] == deltas["thread"]
-        assert deltas["shm"] == deltas["thread"]
 
     def test_prefix_widenings_match_across_providers(self):
         """``exact_sweep.prefix_widenings`` counts rows re-swept at a

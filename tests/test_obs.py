@@ -383,8 +383,7 @@ def _assert_well_formed(records):
 
 
 class TestTracedParity:
-    @pytest.mark.parametrize("backend",
-                             ("inline", "thread", "process", "shm"))
+    @pytest.mark.parametrize("backend", ("inline", "thread", "process"))
     def test_batch_parity_and_span_tree(self, backend):
         index = _index(10)
         qs = _queries(60)

@@ -265,7 +265,8 @@ class TestEstimatorMethod:
     def test_sharded_bulk_400_leaves_the_backend_alone(self, index, method):
         from repro.serving.http import HttpConfig
 
-        service = index().serve(workers=2, backend="shm", cache_capacity=0)
+        service = index().serve(workers=2, backend="process",
+                                cache_capacity=0)
         with service, ServerThread(service, HttpConfig(
                 port=0, warm_kinds=())) as server:
             mode = service.executor.mode

@@ -744,7 +744,7 @@ class TestQuantifyVprServing:
                 service.quantify_vpr((0.0, 0.0))
 
     def test_large_batches_only_shard_on_index_sharing_backends(self):
-        """quantify_vpr must not fan out to process/shm worker replicas
+        """quantify_vpr must not fan out to process worker replicas
         (each would rebuild its own Theta(N^4) diagram and ignore an
         adopted prebuilt one); the index-sharing thread backend shards."""
         index = self._fleet(n=8, seed=5)
@@ -793,7 +793,7 @@ class TestServiceLifecycle:
 
     def test_double_close_every_backend(self):
         index, _ = _disk_index(15)
-        for backend in ("process", "thread", "shm", "inline"):
+        for backend in ("process", "thread", "inline"):
             executor = ShardExecutor(index.points, workers=2,
                                      backend=backend)
             executor.close()

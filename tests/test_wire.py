@@ -30,7 +30,7 @@ from repro.serving.wire import (NonFiniteAnswer, bulk_reply, check_finite,
                                 decode_result, encode_result, encode_rows)
 from repro.uncertain.discrete import DiscreteUncertainPoint
 
-BACKENDS = ("inline", "thread", "process", "shm")
+BACKENDS = ("inline", "thread", "process")
 #: Row counts: the row-cache path, its largest size, and a size that
 #: shards (the service below sets ``shard_min_batch`` to it).
 SHARD_MIN = 2048
@@ -135,7 +135,7 @@ class TestFragments:
 @pytest.fixture(scope="module")
 def fleet():
     index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    # Built before serving, so process/shm workers attach its plane and
+    # Built before serving, so process workers attach its plane and
     # quantify_vpr shards (and encodes) there too.
     index.cached_vpr()
     want = {}
@@ -218,9 +218,9 @@ def _nan_delta(original):
     return batch_delta
 
 
-@pytest.mark.parametrize("backend", ["inline", "shm"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_non_finite_answer_is_a_500(monkeypatch, backend):
-    # Patched on the class before the pool forks, so shm workers answer
+    # Patched on the class before the pool forks, so process workers answer
     # with the NaN too.
     monkeypatch.setattr(PNNIndex, "batch_delta",
                         _nan_delta(PNNIndex.batch_delta))
@@ -230,7 +230,8 @@ def test_non_finite_answer_is_a_500(monkeypatch, backend):
     with service, ServerThread(service, HttpConfig(
             port=0, warm_kinds=("nonzero_nn",))) as server:
         if service.executor.mode != backend or (
-                backend == "shm" and service.executor.start_method != "fork"):
+                backend == "process"
+                and service.executor.start_method != "fork"):
             pytest.skip(f"{backend} workers do not inherit the patch here")
         _wait_ready(server.port)
         before = _resilience(service)
@@ -259,7 +260,7 @@ def test_non_finite_answer_is_a_500(monkeypatch, backend):
 # The event loop stays responsive while a max-size bulk is in flight.
 # ----------------------------------------------------------------------
 #: Largest /healthz round trip allowed while a 100,000-row
-#: quantify_exact bulk (an 18.6 MB reply) runs on a 2-worker shm
+#: quantify_exact bulk (an 18.6 MB reply) runs on a 2-worker process
 #: service.  Measured on a 2-vCPU container: 56-98 ms worst case with
 #: worker-side encoding (the reply write is what is left on the loop),
 #: 1.0-1.4 s when the loop encoded the reply itself.
@@ -268,7 +269,7 @@ HEALTHZ_BOUND_S = 0.5
 
 def test_healthz_answers_during_a_max_size_bulk():
     index = PNNIndex(random_discrete_points(40, 3, seed=7, spread=2.0))
-    service = index.serve(workers=2, backend="shm", cache_capacity=0)
+    service = index.serve(workers=2, backend="process", cache_capacity=0)
     config = HttpConfig(port=0, warm_kinds=("quantify_exact",))
     rows = config.max_bulk_rows
     body = json.dumps(
