@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_eXX_*.py`` file regenerates one paper artifact (see DESIGN.md
-§3): the benchmark fixture times the experiment's hot kernel, and plain
+Each ``bench_eXX_*.py`` file (E1–E18) regenerates one paper artifact
+(its runner's docstring in ``repro.experiments.runners`` names it): the
+pytest-benchmark fixture times the experiment's hot kernel, and plain
 assertions re-check the paper's shape claim on the same data.
 """
 

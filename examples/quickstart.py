@@ -106,19 +106,21 @@ def main() -> None:
     print(f"\nexact batch: {len(grid)} Eq. (2) vectors, "
           f"{certain} grid points with a certain nearest neighbor")
 
-    # 5c. Region-keyed caching: with cache_cell_size > 0 the service
-    #     quantizes coordinates to a grid, so jittered repeat traffic
-    #     (GPS noise around fixed beacons) shares entries instead of
-    #     missing on every distinct float.  pi(q) is piecewise-constant,
-    #     so cells below the Voronoi feature scale stay faithful.
-    with tracked.serve(workers=0, cache_capacity=512, coalesce=False,
-                       cache_cell_size=0.25) as svc:
+    # 5c. Exact-keyed caching: the service caches answers under the
+    #     exact query coordinates, so beacons polled at fixed positions
+    #     hit after their first request, and every hit is bit-for-bit
+    #     the engine's answer.
+    beacons = [(1.0 + 0.01 * (j - 3), 1.0 - 0.01 * (j - 3))
+               for j in range(7)]
+    with tracked.serve(workers=0, cache_capacity=512,
+                       coalesce=False) as svc:
         for j in range(200):
-            jitter = 0.01 * ((j % 7) - 3)
-            svc.quantify_exact((1.0 + jitter, 1.0 - jitter))
-        region = svc.stats()["cache"]
-        print(f"region-keyed cache: mode={region['mode']}, "
-              f"hit rate {region['hit_rate']:.0%} on jittered repeats")
+            svc.quantify_exact(beacons[j % len(beacons)])
+        assert svc.quantify_exact(beacons[0]) == \
+            tracked.quantify(beacons[0], method="exact")
+        cache = svc.stats()["cache"]
+        print(f"exact-keyed cache: hit rate {cache['hit_rate']:.0%} on "
+              f"{len(beacons)} polled beacons")
 
     # 6. The heavy artifact: the nonzero Voronoi diagram of the supports.
     diagram = index.build_nonzero_voronoi()

@@ -21,8 +21,9 @@ Quick start::
     index.nonzero_nn((2.0, 0.5))           # -> indices with pi > 0
     index.quantify((2.0, 0.5), "exact")    # -> {index: probability}
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced theorem/figure.
+See README.md for the system inventory (its "Layout" section) and the
+reproduction notes; ``python -m repro.experiments`` writes EXPERIMENTS.md,
+the paper-vs-measured record of every reproduced theorem/figure.
 """
 
 from .core.index import PNNIndex

@@ -154,23 +154,22 @@ def _serve_demo() -> int:
                   f"p99 {snap['p99_ms']:.2f} ms")
         cache = service.cache.snapshot()
         print(f"cache: {cache['entries']}/{cache['capacity']} entries, "
-              f"hit rate {cache['hit_rate']:.0%} ({cache['mode']} keys), "
+              f"hit rate {cache['hit_rate']:.0%}, "
               f"{cache['evictions']} evictions")
         co = service.batcher
         print(f"coalescer: {co.submitted} submitted in {co.flushes} "
               f"batches (largest {co.largest_batch})")
 
-    # Burst 4: exact quantification over a discrete fleet, served with a
-    # region-keyed cache — the vectorized Eq. (2) sweep answers misses,
-    # jittered repeat queries collapse onto grid-cell entries.
+    # Burst 4: exact quantification over a discrete fleet — the
+    # vectorized Eq. (2) sweep answers misses, and beacons polled at
+    # fixed positions hit their exact-keyed cache entries.
     from .core.workloads import random_discrete_points
 
     fleet = random_discrete_points(400, 5, seed=17, spread=2.0)
     discrete_index = PNNIndex(fleet)
     d_extent = math.sqrt(400) * 2.2
     with discrete_index.serve(workers=0, cache_capacity=8192,
-                              coalesce=False,
-                              cache_cell_size=0.2) as service:
+                              coalesce=False) as service:
         rng = random.Random(29)
         batch = np.array([(rng.uniform(0, d_extent),
                            rng.uniform(0, d_extent))
@@ -187,16 +186,12 @@ def _serve_demo() -> int:
                    for _ in range(50)]
         start = time.perf_counter()
         for _ in range(2000):
-            bx, by = beacons[rng.randrange(len(beacons))]
-            service.quantify_exact((bx + rng.uniform(-0.03, 0.03),
-                                    by + rng.uniform(-0.03, 0.03)))
+            service.quantify_exact(beacons[rng.randrange(len(beacons))])
         elapsed = time.perf_counter() - start
         cache = service.cache.snapshot()
-        print(f"region-keyed repeats: 2000 jittered quantify_exact "
-              f"requests in {elapsed * 1e3:.0f} ms "
-              f"({2000 / elapsed:,.0f} req/s), hit rate "
-              f"{cache['hit_rate']:.0%} with {cache['mode']} keys "
-              f"(cell {cache['cell_size']})")
+        print(f"beacon repeats: 2000 quantify_exact requests in "
+              f"{elapsed * 1e3:.0f} ms ({2000 / elapsed:,.0f} req/s), "
+              f"hit rate {cache['hit_rate']:.0%} with exact keys")
 
     # Burst 5: the seventh query kind — exact quantification served out
     # of the probabilistic Voronoi diagram (point location into
@@ -491,8 +486,9 @@ def _kernels() -> int:
         cached = " (cached)" if status.get("cached") else ""
         print(f"  library:          {status['library']}{cached}")
 
-    # Micro self-test: both entry points the E27 benchmark gates, on a
-    # small fixed workload — parity asserted, timings indicative only.
+    # Micro self-test: both arithmetic entry points (their speed bars
+    # live in tests/test_speed_bars.py), on a small fixed workload —
+    # parity asserted, timings indicative only.
     rng = np.random.default_rng(7)
     qx, qy = rng.uniform(0, 50, 2000), rng.uniform(0, 50, 2000)
     px, py = rng.uniform(0, 50, 600), rng.uniform(0, 50, 600)
@@ -527,7 +523,7 @@ def _kernels() -> int:
 
     # Merged-slab point location: build a small bisector arrangement and
     # run the plane_locate entry point on every provider — the answers
-    # must match the scalar reference bitwise (E28's gated kernel).
+    # must match the scalar reference bitwise.
     import random
 
     from .geometry.seg_arrangement import SegmentArrangement
@@ -575,7 +571,9 @@ def _info() -> int:
           "'Nearest-Neighbor Searching Under Uncertainty II' (PODS 2013)")
     print("subpackages: core, geometry, spatial, uncertain, voronoi, "
           "quantification, serving, experiments, viz")
-    print("docs: README.md, DESIGN.md, EXPERIMENTS.md")
+    print("docs: README.md, PAPER.md")
+    print("experiments: python -m repro.experiments [--quick] [ids] "
+          "(writes the paper-vs-measured table)")
     return 0
 
 

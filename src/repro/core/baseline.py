@@ -3,8 +3,8 @@
 Section 1.2: "[CKP04] designed a branch-and-prune solution based on the
 R-tree ... These methods do not provide any nontrivial performance
 guarantees."  This module implements that baseline faithfully so the
-reproduction can *compare* against it (benchmark E17... see
-``bench_e17_baseline_comparison.py``):
+reproduction can *compare* against it (experiment E18: ``run_e18`` and
+``benchmarks/bench_e18_baseline_comparison.py``):
 
 1. each uncertain point's support is wrapped in its bounding rectangle and
    the rectangles are packed into an R-tree;

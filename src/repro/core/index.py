@@ -26,7 +26,7 @@ or, for exact discrete quantification, to the vectorized Eq. (2) sweep of
 The batch paths preserve the exact Lemma 2.1 semantics of the scalar ones
 (including the second-minimum threshold for a unique ``Delta`` argmin) and
 are one to two orders of magnitude faster per query on thousand-query
-workloads — benchmark E19 measures the speedup.
+workloads (``tests/test_speed_bars.py`` bars the speedup).
 
 For service-shaped traffic (many clients, bursty scalar streams, very
 large batches) :meth:`serve` wraps the index in a
@@ -306,8 +306,9 @@ class PNNIndex:
         :class:`~repro.quantification.batch_exact.BatchExactQuantifier`:
         bitwise-identical dicts to ``quantify(q, method="exact")`` per row
         (the documented tie-group convention on degenerate inputs), an
-        order of magnitude faster on thousand-query workloads — benchmark
-        E21 measures the speedup.  Discrete distributions only.
+        order of magnitude faster on thousand-query workloads
+        (``tests/test_speed_bars.py`` bars the speedup).  Discrete
+        distributions only.
         """
         if not self.all_discrete():
             raise ValueError(

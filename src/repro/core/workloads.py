@@ -3,7 +3,7 @@
 The paper motivates uncertain NN search with sensor databases,
 location-based services and moving-object tracking (Section 1); it has no
 public datasets, so these generators produce the corresponding synthetic
-regimes (see the substitution table in DESIGN.md).  Every generator is
+regimes (see "Reproduction notes" in README.md).  Every generator is
 seeded and deterministic.
 """
 

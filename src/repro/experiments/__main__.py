@@ -14,10 +14,10 @@ def render_markdown(results: list) -> str:
         "",
         "Generated by `python -m repro.experiments`.  Each experiment",
         "regenerates one artifact of *Nearest-Neighbor Searching Under*",
-        "*Uncertainty II* (PODS 2013); DESIGN.md §3 maps experiment ids to",
-        "paper artifacts and modules.  Timings are from the machine that",
-        "produced this file and matter only for growth trends, not absolute",
-        "values.",
+        "*Uncertainty II* (PODS 2013); each runner's docstring in",
+        "`repro.experiments.runners` names its paper artifact.  Timings",
+        "are from the machine that produced this file and matter only for",
+        "growth trends, not absolute values.",
         "",
     ]
     for res in results:

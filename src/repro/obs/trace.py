@@ -8,8 +8,8 @@ lookup, one worker chunk); a **trace** is the tree of spans sharing a
    :meth:`Tracer.start_span` / :meth:`Tracer.start_trace`, which return
    the singleton :data:`NULL_SPAN` unless this tracer is enabled *and*
    the surrounding trace was sampled.  The disabled path is one method
-   call and one attribute check — benchmark E25 pins the end-to-end
-   overhead at <= 3%.
+   call and one attribute check; perfbench runs every workload with
+   tracing off, so a tax on that path shows in its gated numbers.
 2. **Correct timing.**  Durations come from ``time.perf_counter()``
    (monotonic); wall-clock anchors come from ``time.time()`` so spans
    recorded in *other processes* (shard workers) stay comparable when

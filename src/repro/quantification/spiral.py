@@ -13,7 +13,8 @@ supports, so that is what we implement — the benchmark validates the error
 guarantee empirically.)
 
 The estimator retrieves the ``m`` nearest sites from one global kd-tree
-(standing in for the [AC09] k-NN structure, see DESIGN.md) and runs the
+(standing in for the [AC09] k-NN structure, see "Reproduction notes" in
+README.md) and runs the
 truncated Eq. (2) sweep on them; Lemma 4.6 gives
 ``pi_hat_i(q) in [pi_i(q) - eps, pi_i(q)]``... more precisely
 ``pi_hat_i <= pi_i <= pi_hat_i + eps`` — a one-sided guarantee the tests

@@ -13,8 +13,8 @@ sustain bursty multi-client traffic against one shared
   worker replicas, a ``thread`` pool over the shared index, or
   ``inline`` serial execution — all with ordered, bitwise-identical
   reassembly;
-* :class:`ResultCache` — exact- or region-keyed LRU over the
-  piecewise-stable answer fields, with hit/miss/eviction accounting;
+* :class:`ResultCache` — exact-keyed LRU over the piecewise-stable
+  answer fields, with hit/miss/eviction accounting;
 * :class:`QueryGateway` / :class:`ServerThread` (:mod:`repro.serving.http`)
   — the async HTTP front door: REST endpoints for all seven kinds with
   admission control (bounded pending queue, 429 shedding), ``/healthz``
@@ -25,8 +25,8 @@ sustain bursty multi-client traffic against one shared
   gating the runtime degradation ladder, and the deterministic
   :class:`FaultPlan` chaos-injection harness.
 
-Benchmarks E20/E23/E24 measure throughput against shard count, backend,
-cache hit rate, and HTTP concurrency; ``python -m repro serve-demo``
+``perfbench/`` measures the served throughput, latency and memory end
+to end over HTTP; ``python -m repro serve-demo``
 exercises the in-process stack and ``python -m repro serve-http`` boots
 the network front door.
 """

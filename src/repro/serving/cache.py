@@ -1,30 +1,13 @@
-"""LRU result cache for the query service: exact keys or region keys.
+"""LRU result cache for the query service, keyed by exact queries.
 
 Quantification probabilities are piecewise-stable in the query point —
 ``pi(q)`` is constant on each cell of the probabilistic Voronoi diagram,
 and ``NN!=0(q)`` on each cell of ``V!=0`` — so service traffic that
 revisits locations (fleet trackers polling fixed beacons, grid sweeps,
-dashboard refreshes) re-asks literally identical queries.  The default
-*exact* mode exploits exactly that: keys are the exact ``(method, x, y,
-params)`` tuple, so a hit is always bit-for-bit the answer the engine
-would return, and no spatial tolerance can ever blur two distinct cells
-together.
-
-Passing ``cell_size > 0`` switches the cache to *region* mode: the
-coordinates are quantized to a grid of that pitch (``floor(x / cell)``)
-before keying, so every query inside a grid cell shares one entry.  That
-trades exactness for hit rate — a hit returns the answer computed for
-*some* earlier query in the same cell, which is the served answer's value
-whenever the cell sits inside one region of the relevant (probabilistic)
-Voronoi subdivision, and an approximation when the cell straddles a
-boundary.  Pick ``cell_size`` below the feature scale of the workload
-(the E20/E21 cached-stream experiments show the hit-rate side of the
-trade).  Region keying only ever applies to the piecewise-constant query
-kinds; ``delta`` is a *continuous* function of the query point (sharing
-a cell entry would be wrong by up to a cell diagonal everywhere, not
-just at region boundaries), so it keeps exact keys even in region mode
-(:data:`CONTINUOUS_METHODS`).  :meth:`snapshot` labels its statistics
-with the active mode so dashboards can tell the two apart.
+dashboard refreshes) re-asks literally identical queries.  Keys are the
+exact ``(method, x, y, params)`` tuple, so a hit is always bit-for-bit
+the answer the engine would return, and no spatial tolerance can ever
+blur two distinct cells together.
 
 Eviction is plain LRU over a bounded :class:`~collections.OrderedDict`;
 the cache is thread-safe (one lock around the dict) because the service's
@@ -34,7 +17,6 @@ micro-batch flusher runs on a background thread.
 from __future__ import annotations
 
 import copy
-import math
 import threading
 from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
@@ -42,15 +24,7 @@ from typing import Dict, Hashable, Tuple
 from ..obs.metrics import Registry
 from ..quantification.threshold import ThresholdResult
 
-__all__ = ["ResultCache", "CONTINUOUS_METHODS"]
-
-#: Query kinds whose answers vary continuously with the query point.
-#: Every other kind (``nonzero_nn``, ``quantify``/``quantify_exact``/
-#: ``quantify_vpr`` and the quantify-derived ``top_k``/``threshold_nn``)
-#: is piecewise-constant over a Voronoi subdivision, which is what makes
-#: region keys faithful away from cell boundaries; these are not, so
-#: they always key exactly.
-CONTINUOUS_METHODS = frozenset({"delta"})
+__all__ = ["ResultCache"]
 
 _MISS = object()
 
@@ -86,22 +60,12 @@ class ResultCache:
     capacity:
         Maximum number of retained entries (must be positive; a service
         that wants no caching simply doesn't construct one).
-    cell_size:
-        ``0`` (default) keys requests by exact coordinates; a positive
-        pitch switches to region mode, quantizing coordinates to grid
-        cells so nearby queries share entries (see the module docstring
-        for the exactness trade).
     """
 
-    def __init__(self, capacity: int = 4096,
-                 cell_size: float = 0.0) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
-        if cell_size < 0:
-            raise ValueError("cell_size must be non-negative")
         self.capacity = capacity
-        self.cell_size = float(cell_size)
-        self.mode = "region" if cell_size > 0 else "exact"
         self._store: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -114,18 +78,12 @@ class ResultCache:
 
     def key(self, method: str, q: Tuple[float, float],
             params: Tuple) -> Hashable:
-        """The cache key of one scalar request under this cache's mode.
+        """The cache key of one scalar request.
 
         ``params`` must already be the canonical sorted items tuple the
-        service computes once per batch.  In exact mode two requests
-        share an entry iff method, coordinates, and every parameter agree
-        exactly; in region mode the coordinates are first quantized to
-        ``cell_size`` grid indices — except for the continuous-valued
-        kinds (:data:`CONTINUOUS_METHODS`), which key exactly always.
+        service computes once per batch.  Two requests share an entry iff
+        method, coordinates, and every parameter agree exactly.
         """
-        if self.mode == "region" and method not in CONTINUOUS_METHODS:
-            return (method, math.floor(q[0] / self.cell_size),
-                    math.floor(q[1] / self.cell_size), params)
         return (method, float(q[0]), float(q[1]), params)
 
     def __len__(self) -> int:
@@ -194,17 +152,17 @@ class ResultCache:
         time."""
         registry.gauge("repro_cache_entries",
                        "Entries currently held by the result cache.",
-                       ("mode",), fn=lambda: {self.mode: len(self)})
+                       fn=lambda: len(self))
         registry.counter("repro_cache_evictions_total",
-                         "LRU evictions from the result cache.", ("mode",),
-                         fn=lambda: {self.mode: self.evictions})
+                         "LRU evictions from the result cache.",
+                         fn=lambda: self.evictions)
         registry.counter("repro_cache_kind_evictions_total",
                          "LRU evictions from the result cache by query kind.",
                          ("kind",),
                          fn=lambda: self.snapshot()["evictions_by_kind"])
 
     def snapshot(self) -> Dict[str, object]:
-        """Counters labelled with the keying mode they were earned under.
+        """Counters, sizes and the derived hit rate.
 
         All counters are read under one lock acquisition so the snapshot
         is internally consistent (``hit_rate`` is derived from the same
@@ -219,8 +177,6 @@ class ResultCache:
             by_kind = dict(self.evictions_by_kind)
         seen = hits + misses
         return {
-            "mode": self.mode,
-            "cell_size": self.cell_size,
             "entries": entries,
             "capacity": self.capacity,
             "hits": hits,

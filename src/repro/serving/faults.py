@@ -24,9 +24,8 @@ the policy half of the resilience layer threaded through
   ``repro_deadline_exceeded_total``, ...) a service registers in its
   metrics registry and snapshots in ``service.stats()``;
 * :class:`FaultPlan` / :class:`FaultSpec` — **deterministic, seedable
-  fault injection** for the chaos suite (``tests/test_faults.py``), the
-  E26 recovery benchmark, and the ``chaos`` scenario of ``python -m
-  repro smoke``.  Faults ride inside chunk-task metadata as plain
+  fault injection** for the chaos suite (``tests/test_faults.py``) and
+  the ``chaos`` scenario of ``python -m repro smoke``.  Faults ride inside chunk-task metadata as plain
   picklable dicts, so the same plan perturbs every backend (process
   pools, threads, inline) with zero global state and zero cost when
   disabled.

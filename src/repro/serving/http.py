@@ -115,6 +115,9 @@ DEADLINE_HEADER = "x-request-deadline-ms"
 #: Sentinel distinguishing "request was shed" from any engine result.
 _SHED = object()
 
+#: Serializes the one-live-gateway-per-service claim.
+_CLAIM_LOCK = threading.Lock()
+
 
 @dataclass
 class HttpConfig:
@@ -242,12 +245,21 @@ class QueryGateway:
     The admission state (pending and in-flight counts) is touched only
     on the event-loop thread, so it needs no locks; the blocking service
     calls run on a bounded thread pool whose size *is* the in-flight
-    cap.  The gateway's metric families live in the service's registry.
+    cap.  The gateway's metric families live in the service's registry,
+    so a service has one live gateway at a time: constructing a second
+    raises ``RuntimeError`` until the first one's :meth:`shutdown`.
     """
 
     def __init__(self, service, config: Optional[HttpConfig] = None) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
+        with _CLAIM_LOCK:
+            if service.gateway is not None:
+                raise RuntimeError(
+                    "this service already has a live gateway; shut it "
+                    "down before starting another (both would scrape "
+                    "one set of HTTP families)")
+            service.gateway = self
         self.service = service
         self.config = config or HttpConfig()
         cfg = self.config
@@ -366,6 +378,9 @@ class QueryGateway:
                 await asyncio.sleep(0.05)
         finally:
             self.request_log.close()
+            with _CLAIM_LOCK:
+                if self.service.gateway is self:
+                    self.service.gateway = None
 
     # -------------------------------------------------- execution
     def _run_single(self, kind: str, point: Tuple[float, float],
@@ -410,7 +425,8 @@ class QueryGateway:
         Retry-After estimate) exactly when the thread actually finishes.
         """
         sem = self._slots
-        assert sem is not None, "gateway.startup() was not awaited"
+        if sem is None:
+            raise RuntimeError("gateway.startup() was not awaited")
         parent = current_span()
         if sem.locked():  # every slot busy -> this request must queue
             if self._pending >= self.config.max_pending:
@@ -919,12 +935,12 @@ async def _serve_async(gateway: QueryGateway, host: str, port: int,
                        started: Optional[Callable[[int], None]] = None,
                        stop: Optional[asyncio.Event] = None) -> None:
     await gateway.startup()
-    server = await asyncio.start_server(
-        lambda r, w: handle_connection(gateway, r, w), host, port)
-    bound = server.sockets[0].getsockname()[1]
-    if started is not None:
-        started(bound)
     try:
+        server = await asyncio.start_server(
+            lambda r, w: handle_connection(gateway, r, w), host, port)
+        bound = server.sockets[0].getsockname()[1]
+        if started is not None:
+            started(bound)
         async with server:
             if stop is None:
                 await server.serve_forever()
@@ -959,9 +975,9 @@ def serve_forever(service, config: Optional[HttpConfig] = None,
 class ServerThread:
     """The HTTP front door on a background event-loop thread.
 
-    The process-internal harness used by tests, the E24 benchmark, and
-    the CI smoke: start() returns once the socket is bound (the bound
-    port is in :attr:`port`), stop() shuts the loop down and joins.
+    The process-internal harness used by tests and the smoke driver:
+    start() returns once the socket is bound (the bound port is in
+    :attr:`port`), stop() shuts the loop down and joins.
     The gateway stays reachable for white-box assertions.
     """
 

@@ -139,16 +139,8 @@ class ServiceConfig:
         Micro-batcher knobs; ``coalesce=False`` makes :meth:`submit`
         answer synchronously (still through the cache).
     cache_capacity:
-        LRU entries (``0`` disables caching).
-    cache_cell_size:
-        ``0`` (default) keys the cache by exact coordinates — hits are
-        bit-for-bit the engine's answers.  A positive grid pitch switches
-        the cache to region mode (:class:`~repro.serving.cache.
-        ResultCache` quantizes coordinates to cells of this size), so
-        nearby queries share entries at the cost of cell-boundary
-        approximation for the piecewise-constant kinds; the
-        continuous-valued ``delta`` always keeps exact keys (see
-        :data:`~repro.serving.cache.CONTINUOUS_METHODS`).
+        LRU entries (``0`` disables caching).  Keys are exact query
+        coordinates, so a hit is bit-for-bit the engine's answer.
     cache_batch_limit:
         Largest batch that consults the cache row by row; bigger batches
         bypass it (a 100k-row python key loop would dominate the numpy
@@ -196,7 +188,6 @@ class ServiceConfig:
     flush_window: float = 0.005
     coalesce: bool = True
     cache_capacity: int = 4096
-    cache_cell_size: float = 0.0
     cache_batch_limit: int = 1024
     default_timeout: Optional[float] = None
     retries: int = 2
@@ -248,9 +239,6 @@ class ServiceConfig:
             if value < 0:
                 raise ValueError(
                     f"{field} must be >= 0 (0 disables), got {value}")
-        if self.cache_cell_size < 0:
-            raise ValueError(f"cache_cell_size must be >= 0, "
-                             f"got {self.cache_cell_size}")
 
 
 class QueryService:
@@ -281,6 +269,8 @@ class QueryService:
             except CodecUnsupported:
                 self.plane = None
         self.registry = Registry()
+        # The live QueryGateway whose families are in the registry.
+        self.gateway = None
         self.tracer = Tracer(cfg.trace, self.registry)
         self._register_families()
         self.resilience = resilience_counters(self.registry)
@@ -288,7 +278,7 @@ class QueryService:
         # the executor one rung down process -> thread -> inline.
         self.breaker = CircuitBreaker()
         self.cache: Optional[ResultCache] = (
-            ResultCache(cfg.cache_capacity, cell_size=cfg.cache_cell_size)
+            ResultCache(cfg.cache_capacity)
             if cfg.cache_capacity > 0 else None)
         if self.cache is not None:
             self.cache.register(self.registry)

@@ -14,7 +14,7 @@ answer, and every backend answers chunks through the index's own
 ``batch_<method>`` front doors over identical point data.  Sharded
 output is therefore **bitwise identical** to the unsharded batch call on
 every backend at every worker count — the property
-``tests/test_executors.py`` and benchmarks E20/E23 assert.
+``tests/test_executors.py`` asserts.
 
 When a parallel backend cannot start on this host — sandboxed CI
 without POSIX semaphores, restricted seccomp profiles, interpreters

@@ -3,7 +3,7 @@
 These stand in for the theoretical structures the paper cites (weighted
 Voronoi point location, [KMR+16] envelope reporting, partition trees,
 [AC09] halfspace reporting, [DSST89] persistence) — see the substitution
-table in DESIGN.md.
+table under "Reproduction notes" in README.md.
 """
 
 from .kdtree import KDTree

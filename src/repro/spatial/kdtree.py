@@ -7,8 +7,8 @@ The paper's NN!=0 query (Section 3) runs in two stages:
 2. report ``{i : d(q, c_i) - r_i < Delta(q)}`` — all disks intersecting the
    disk of radius ``Delta(q)`` around ``q`` (the structure of [KMR+16]).
 
-Neither structure has a practical published implementation, so (per
-DESIGN.md) both stages are served by one kd-tree whose nodes carry, besides
+Neither structure has a practical published implementation, so (see
+"Reproduction notes" in README.md) both stages are served by one kd-tree whose nodes carry, besides
 the bounding box, the *minimum* and *maximum* additive weight in their
 subtree:
 
@@ -174,7 +174,7 @@ class KDTree:
         Lazy best-first traversal over a heap of nodes and sites; pulling
         ``m`` results costs ``O((m + log n) log n)`` in practice.  This is
         the retrieval primitive behind the spiral-search estimator
-        (Theorem 4.7), replacing the [AC09] structure per DESIGN.md.
+        (Theorem 4.7), replacing the [AC09] structure (README.md, "Reproduction notes").
         """
         counter = itertools.count()  # tie-breaker: heap entries never compare nodes
         heap: List[Tuple[float, int, Optional[_Node], int]] = []

@@ -14,10 +14,10 @@ pluggable; this package does the same for *compute*.  One protocol
 ========== ==========================================================
 
 Entry points cover the library's measured single-core hot loops: the
-pairwise distance matrix (E19), the fused Eq. (2) prefix sweep (E21), the
-batched segment intersection / line-box clip kernels (E22), and the
-merged-slab tree descent (``plane_locate``) of the point locator behind
-``quantify_vpr`` (E28).
+pairwise distance matrix, the fused Eq. (2) prefix sweep, the batched
+segment intersection / line-box clip kernels of the ``V_Pr`` build, and
+the merged-slab tree descent (``plane_locate``) of the point locator
+behind ``quantify_vpr``.
 
 Selection mirrors ``backend="auto"``: by name through
 ``kernel="auto"|"native"|"numpy"`` on :class:`~repro.core.index.PNNIndex`

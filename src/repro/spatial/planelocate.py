@@ -80,8 +80,9 @@ def slab_table_rows(arrangement: SegmentArrangement) -> int:
     """Row count a slab table over *arrangement* would materialize.
 
     Computed analytically from the edge spans — no table is built — so
-    ``vpr-info`` and benchmark E28 can report the slab structure's
-    footprint at sizes where materializing it would not fit in memory.
+    ``vpr-info`` and the build-memory test can report the slab
+    structure's footprint at sizes where materializing it would not fit
+    in memory.
     """
     xs = np.unique(arrangement._vx)
     if len(xs) < 2 or arrangement.num_edges == 0:

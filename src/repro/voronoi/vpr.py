@@ -25,9 +25,9 @@ call labeling every bounded face at once.  Duck-typed site models outside
 engine, so their faces are labeled by the per-face Eq. (2) sweep.
 
 The original pure-Python pair loops and per-face sweeps are kept as the
-test oracle :class:`repro.testing.oracles.ScalarVPRDiagram`; benchmark E22
-measures the build speedup over it (~an order of magnitude on one core at
-tier-1-feasible sizes) and ``tests/test_vectorized_kernels.py`` asserts
+test oracle :class:`repro.testing.oracles.ScalarVPRDiagram`;
+``tests/test_speed_bars.py`` bars the build speedup over it (~6x on one
+core at ``N = 18``) and ``tests/test_vectorized_kernels.py`` asserts
 identical V/E/F counts and bitwise-equal face vectors.
 
 This structure is *meant* to be enormous — its ``Theta(N^4)`` size is the

@@ -46,6 +46,9 @@ from repro.serving.faults import (
 
 ALL_BACKENDS = ("inline", "thread", "process")
 POOL_BACKENDS = ("process",)
+#: Wall-time bound on a run that heals one injected failure (detect,
+#: retry or rebuild, re-dispatch): a guard against wedged teardown.
+MAX_RECOVERY_S = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +190,9 @@ class TestRecovery:
         index, qs, oracle = fleet
         ex = _executor(index, backend, faults="raise_in_compute:chunk=1")
         try:
+            t0 = time.perf_counter()
             out = ex.run("delta", qs)
+            assert time.perf_counter() - t0 < MAX_RECOVERY_S
             np.testing.assert_array_equal(out, oracle)
             # Within retries + 1 attempts, counted exactly once.
             assert ex.resilience["retries"].get() == 1
@@ -202,7 +207,9 @@ class TestRecovery:
         index, qs, oracle = fleet
         ex = _executor(index, backend, faults="crash_worker:chunk=0")
         try:
+            t0 = time.perf_counter()
             out = ex.run("delta", qs)
+            assert time.perf_counter() - t0 < MAX_RECOVERY_S
             np.testing.assert_array_equal(out, oracle)
             assert ex.resilience["rebuilds"].get() >= 1
             assert ex.resilience["worker_failures"].get() >= 1

@@ -72,6 +72,15 @@ def service():
         yield svc
 
 
+@pytest.fixture()
+def own_service():
+    """A service of the same fleet with no gateway on it: a service has
+    one live gateway at a time, and ``server`` holds ``service``'s."""
+    index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
+    with index.serve(workers=0, cache_capacity=2048) as svc:
+        yield svc
+
+
 @pytest.fixture(scope="module")
 def server(service):
     config = HttpConfig(port=0, max_inflight=2, max_pending=2,
@@ -266,9 +275,9 @@ class TestValidation:
     def test_unrouted_path_404(self, server):
         assert _http(server.port, "GET", "/nope")[0] == 404
 
-    def test_bulk_rows_cap_413(self, service):
+    def test_bulk_rows_cap_413(self, own_service):
         config = HttpConfig(port=0, max_bulk_rows=4)
-        with ServerThread(service, config) as srv:
+        with ServerThread(own_service, config) as srv:
             _wait_ready(srv.port)
             status, doc, _ = _http(
                 srv.port, "POST", "/v1/query/delta",
@@ -417,11 +426,11 @@ class TestObservability:
         assert after[("delta", "200")] == before.get(("delta", "200"), 0) + 1
         assert after[("delta", "400")] == before.get(("delta", "400"), 0) + 1
 
-    def test_healthz_gates_on_warmup(self, service):
+    def test_healthz_gates_on_warmup(self, own_service):
         """503 while warm-up is held, 200 after it completes."""
         gate = threading.Event()
         config = HttpConfig(port=0, warm_kinds=("delta",))
-        srv = ServerThread(service, config)
+        srv = ServerThread(own_service, config)
         original = srv.gateway._warm
         srv.gateway._warm = lambda: (gate.wait(30), original())[1]
         try:
@@ -436,9 +445,9 @@ class TestObservability:
             gate.set()
             srv.stop()
 
-    def test_healthz_reports_warm_failure(self, service):
+    def test_healthz_reports_warm_failure(self, own_service):
         config = HttpConfig(port=0)
-        srv = ServerThread(service, config)
+        srv = ServerThread(own_service, config)
 
         def boom():
             raise RuntimeError("cold start exploded")
@@ -456,6 +465,62 @@ class TestObservability:
             assert "cold start exploded" in doc["error"]
         finally:
             srv.stop()
+
+
+class TestOneGatewayPerService:
+    def test_second_live_gateway_refused_until_shutdown(self, own_service):
+        import asyncio
+
+        first = QueryGateway(own_service, HttpConfig(port=0))
+        families = own_service.registry.families()
+        with pytest.raises(RuntimeError, match="live gateway"):
+            QueryGateway(own_service, HttpConfig(port=0))
+        # The refused gateway left the first one's families in place.
+        assert own_service.registry.families() == families
+        assert own_service.gateway is first
+        asyncio.run(first.shutdown())
+        second = QueryGateway(own_service, HttpConfig(port=0))
+        assert own_service.gateway is second
+        asyncio.run(second.shutdown())
+        assert own_service.gateway is None
+
+    def test_sequential_servers_share_a_service(self, own_service):
+        for _ in range(2):
+            with ServerThread(own_service, HttpConfig(port=0)) as srv:
+                _wait_ready(srv.port)
+                assert own_service.gateway is srv.gateway
+                requests = srv.gateway.requests_total
+                _http(srv.port, "POST", "/v1/query/delta", {"q": [1, 1]})
+                assert requests.get(("delta", 200)) == 1
+        assert own_service.gateway is None
+
+    def test_unstarted_gateway_raises_under_optimize(self):
+        """``python -O`` strips asserts; running a request on a gateway
+        whose startup() was never awaited must still raise."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("import asyncio\n"
+                "from repro.core.index import PNNIndex\n"
+                "from repro.core.workloads import random_discrete_points\n"
+                "from repro.serving.http import QueryGateway\n"
+                "index = PNNIndex(random_discrete_points(4, 2, seed=1))\n"
+                "with index.serve(workers=0) as service:\n"
+                "    gateway = QueryGateway(service)\n"
+                "    try:\n"
+                "        asyncio.run(gateway._admit_and_run(\n"
+                "            'delta', lambda: None))\n"
+                "    except RuntimeError as exc:\n"
+                "        print('RuntimeError:', exc)\n"
+                "    asyncio.run(gateway.shutdown())\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == \
+            "RuntimeError: gateway.startup() was not awaited"
 
 
 class TestHttpConfigValidation:
@@ -495,14 +560,14 @@ class TestAsgiAdapter:
         payload = b"".join(m.get("body", b"") for m in sent[1:])
         return status, payload
 
-    def test_lifespan_and_query(self, service):
+    def test_lifespan_and_query(self, own_service):
         """One lifespan scope wraps queries, like a real ASGI server."""
         import asyncio
 
-        gateway = QueryGateway(service, HttpConfig(port=0, warm_kinds=()))
+        gateway = QueryGateway(own_service, HttpConfig(port=0, warm_kinds=()))
         app = create_asgi_app(gateway)
         q = _query_points(1)[0]
-        expected = service.query("delta", q)
+        expected = own_service.query("delta", q)
 
         async def drive():
             events: asyncio.Queue = asyncio.Queue()

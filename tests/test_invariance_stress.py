@@ -2,7 +2,8 @@
 
 The diagram combinatorics must be invariant under translation, uniform
 scaling and rotation of the input; the query semantics must survive large
-coordinate offsets.  These tests guard the tolerance model (DESIGN.md §6).
+coordinate offsets.  These tests guard the tolerance model (``repro.geometry.primitives``;
+"Reproduction notes" in README.md).
 """
 
 import math

@@ -137,6 +137,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro" in out and "PODS 2013" in out
 
+    def test_info_names_only_docs_that_exist(self, capsys):
+        import os
+
+        from repro.__main__ import main
+
+        main(["info"])
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("docs:")]
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        for name in line[len("docs:"):].split(","):
+            assert os.path.isfile(os.path.join(root, name.strip())), name
+
     def test_demo(self, capsys):
         from repro.__main__ import main
 

@@ -69,8 +69,8 @@ CONTRACT = {
     "repro_backend_degraded": ("gauge", [()]),
     "repro_backend_state": ("gauge", [("backend",)]),
     "repro_breaker_trips_total": ("counter", [()]),
-    "repro_cache_entries": ("gauge", [("mode",)]),
-    "repro_cache_evictions_total": ("counter", [("mode",)]),
+    "repro_cache_entries": ("gauge", [()]),
+    "repro_cache_evictions_total": ("counter", [()]),
     "repro_cache_kind_evictions_total": ("counter", []),
     "repro_deadline_exceeded_total": ("counter", [()]),
     "repro_degradations_total": ("counter", [()]),

@@ -469,6 +469,22 @@ class TestTracedParity:
         for records_ in _span_trees(traced.tracer).values():
             _assert_well_formed(records_)
 
+    def test_sampled_tracing_parity(self):
+        """At a mid sample rate both the sampled and the unsampled
+        request branches run; neither perturbs answers."""
+        index = _index(10)
+        qs = _queries(64)
+        with index.serve(workers=0, coalesce=False) as plain:
+            expected = [plain.query("nonzero_nn", q) for q in qs]
+            batch = plain.batch_delta(qs)
+        trace = TraceConfig(enabled=True, sample=0.5)
+        with index.serve(workers=0, coalesce=False, cache_capacity=0,
+                         trace=trace) as traced:
+            assert [traced.query("nonzero_nn", q) for q in qs] == expected
+            assert np.array_equal(traced.batch_delta(qs), batch)
+            started = traced.tracer.snapshot()["traces_started"]
+        assert 0 < started < len(qs) + 1
+
     def test_disabled_tracing_records_nothing(self):
         index = _index(8)
         with index.serve(workers=0) as service:

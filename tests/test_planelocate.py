@@ -14,11 +14,13 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.index import PNNIndex
+from repro.core.workloads import random_discrete_points
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
 from repro.spatial.kernels import native_available
 from repro.spatial.planelocate import (PersistentPlaneLocator,
-                                       plane_locate_scalar)
+                                       plane_locate_scalar, slab_table_rows)
 from repro.testing.oracles import SlabPointLocator
 
 
@@ -196,3 +198,17 @@ class TestKernelParity:
         assert stats["leaf_base"] >= stats["slabs"]
         assert stats["nbytes"] > 0
         assert stats["build_seconds"] >= 0.0
+
+
+class TestBuildMemory:
+    def test_tree_is_far_smaller_than_the_slab_table(self):
+        """The merged-slab tree stores O(E log S) entries where the slab
+        table needs Theta(V * S) rows: on a V_Pr diagram the table,
+        counted analytically (24 bytes a row plus its two x arrays),
+        is at least 5x the built locator's bytes (10.1x here)."""
+        vpr = PNNIndex(random_discrete_points(8, 2, seed=2028,
+                                              spread=2.0)).build_vpr()
+        arr = vpr.arrangement
+        slabs = max(len(np.unique(arr._vx)) - 1, 0)
+        slab_bytes = slab_table_rows(arr) * 24 + 2 * (slabs + 1) * 8
+        assert slab_bytes >= 5 * vpr.locator_stats()["nbytes"]

@@ -80,39 +80,9 @@ class TestResultCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
-        with pytest.raises(ValueError):
-            ResultCache(capacity=8, cell_size=-1.0)
-
-    def test_region_mode_shares_cells(self):
-        cache = ResultCache(capacity=8, cell_size=0.5)
-        assert cache.mode == "region"
-        cache.put(cache.key("nonzero_nn", (1.01, 2.02), ()), [0])
-        # Same 0.5-pitch grid cell -> same entry; next cell -> miss.
-        assert cache.get(
-            cache.key("nonzero_nn", (1.24, 2.24), ())) == (True, [0])
-        assert not cache.get(cache.key("nonzero_nn", (1.51, 2.02), ()))[0]
-        assert not cache.get(cache.key("nonzero_nn", (1.01, 2.51), ()))[0]
-        # Params and method still separate entries inside one cell.
-        assert not cache.get(cache.key("quantify", (1.01, 2.02), ()))[0]
-        assert not cache.get(
-            cache.key("nonzero_nn", (1.01, 2.02), (("seed", 1),)))[0]
-
-    def test_region_mode_keeps_delta_exact(self):
-        # delta is a continuous function of q — piecewise-constant region
-        # sharing would be wrong everywhere in a cell, so even a
-        # region-mode cache keys it exactly.
-        cache = ResultCache(capacity=8, cell_size=0.5)
-        cache.put(cache.key("delta", (1.01, 2.02), ()), 7.0)
-        assert not cache.get(cache.key("delta", (1.24, 2.24), ()))[0]
-        assert cache.get(cache.key("delta", (1.01, 2.02), ())) == (True, 7.0)
-
-    def test_snapshot_reports_mode(self):
-        exact = ResultCache(capacity=4)
-        region = ResultCache(capacity=4, cell_size=2.0)
-        assert exact.snapshot()["mode"] == "exact"
-        assert exact.snapshot()["cell_size"] == 0.0
-        snap = region.snapshot()
-        assert snap["mode"] == "region" and snap["cell_size"] == 2.0
+        # Keys are exact coordinates only; a region pitch fails closed.
+        with pytest.raises(TypeError):
+            ResultCache(capacity=8, cell_size=0.5)
 
     def test_mutating_served_answers_cannot_corrupt_entries(self):
         cache = ResultCache(capacity=8)
@@ -142,6 +112,7 @@ class TestMicroBatcher:
         assert len(calls) == 1 and len(calls[0][1]) == 4
         assert [f.result(timeout=0) for f in futures] == [1, 2, 3, 4]
         assert batcher.full_flushes == 1
+        assert batcher.largest_batch == 4
         assert batcher.pending == 0
 
     def test_explicit_flush_and_grouping(self):
@@ -364,33 +335,6 @@ class TestQueryService:
                        for q in qs[:8]]
             assert [f.result(timeout=2.0) for f in futures] == base[:8]
 
-    def test_region_keyed_service_cache(self):
-        index, extent = _disk_index(40)
-        rng = random.Random(31)
-        beacons = [(rng.uniform(0, extent), rng.uniform(0, extent))
-                   for _ in range(20)]
-        with index.serve(workers=0, coalesce=False, cache_capacity=256,
-                         cache_cell_size=0.25) as service:
-            # Jittered repeat traffic around fixed beacons: exact keys
-            # would never hit; region keys collapse each beacon's jitter
-            # cloud (±0.05 around a point stays within a 0.25 cell most
-            # of the time) into a handful of entries.
-            for _ in range(400):
-                bx, by = beacons[rng.randrange(len(beacons))]
-                q = (bx + rng.uniform(-0.05, 0.05),
-                     by + rng.uniform(-0.05, 0.05))
-                service.nonzero_nn(q)
-            snap = service.stats()["cache"]
-            assert snap["mode"] == "region"
-            assert snap["hit_rate"] >= 0.5
-            assert snap["entries"] <= 4 * len(beacons)
-            # Continuous-valued delta bypasses region sharing: distinct
-            # jittered coordinates never hit each other's entries.
-            before = service.cache.hits
-            service.delta((beacons[0][0] + 0.011, beacons[0][1]))
-            service.delta((beacons[0][0] + 0.012, beacons[0][1]))
-            assert service.cache.hits == before
-
     def test_cache_hits_skip_engine(self):
         index, extent = _disk_index(30)
         with index.serve(workers=0, coalesce=False,
@@ -401,6 +345,26 @@ class TestQueryService:
             assert service.delta(q) == first
             assert service.method_stats("delta")["batch_calls"] == calls
             assert service.cache.hits == 1
+
+    def test_repeat_stream_hit_rate_and_engine_calls(self):
+        index, extent = _disk_index(40)
+        hot = [tuple(q) for q in _queries(50, extent, seed=47)]
+        rng = random.Random(47)
+        stream = [hot[rng.randrange(len(hot))] for _ in range(500)]
+        with index.serve(workers=0, coalesce=False,
+                         cache_capacity=8192) as service:
+            for q in stream:
+                service.nonzero_nn(q)
+            snap = service.stats()
+            # <= 50 distinct keys in 500 requests: ~90% hits.
+            assert snap["cache"]["hit_rate"] >= 0.7
+            assert snap["cache"]["entries"] <= 8192
+            method = snap["methods"]["nonzero_nn"]
+            assert method["requests"] == len(stream)
+            # Every miss is one single-row engine call; hits skip it.
+            assert method["batch_calls"] == method["cache_misses"]
+            for q in hot[:10]:
+                assert service.nonzero_nn(q) == index.nonzero_nn(q)
 
     def test_batch_empty(self):
         index, _ = _disk_index(10)
@@ -534,7 +498,6 @@ class TestServiceConfigValidation:
         ("flush_window", -1.0),
         ("cache_capacity", -1),
         ("cache_batch_limit", -1),
-        ("cache_cell_size", -0.5),
     ])
     def test_non_positive_sizes_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -542,8 +505,17 @@ class TestServiceConfigValidation:
 
     def test_zero_disables_are_allowed(self):
         # 0 means "off" for these — not a size error.
-        ServiceConfig(workers=0, cache_capacity=0, cache_batch_limit=0,
-                      cache_cell_size=0.0)
+        ServiceConfig(workers=0, cache_capacity=0, cache_batch_limit=0)
+
+    def test_retired_cache_cell_size_rejected(self):
+        # Keys are exact coordinates only: a region pitch is an unknown
+        # field on the config and on the index.serve shortcut alike, so
+        # it cannot be silently ignored.
+        with pytest.raises(TypeError, match="cache_cell_size"):
+            ServiceConfig(cache_cell_size=0.25)
+        index, _ = _disk_index(5)
+        with pytest.raises(TypeError, match="cache_cell_size"):
+            index.serve(workers=0, cache_cell_size=0.25)
 
     def test_unknown_query_kind_rejected_with_known_list(self):
         index, _ = _disk_index(5)
@@ -553,14 +525,13 @@ class TestServiceConfigValidation:
 
 
 class TestResultCacheConcurrency:
-    """Region-mode cache under concurrent access (the thread backend's
-    world): stats must not be corrupted and snapshots must stay
+    """The cache under concurrent access (the thread backend's world): stats must not be corrupted and snapshots must stay
     consistent while other threads churn the store."""
 
     def test_concurrent_get_put_stats_consistent(self):
         import threading
 
-        cache = ResultCache(capacity=64, cell_size=0.5)
+        cache = ResultCache(capacity=64)
         per_thread = 400
         n_threads = 8
         errors = []
@@ -569,7 +540,8 @@ class TestResultCacheConcurrency:
             try:
                 rng = random.Random(tid)
                 for i in range(per_thread):
-                    q = (rng.uniform(0, 4), rng.uniform(0, 4))
+                    # A 9 x 9 lattice of points, so gets hit and miss.
+                    q = (rng.randrange(9) * 0.5, rng.randrange(9) * 0.5)
                     key = cache.key("nonzero_nn", q, ())
                     hit, value = cache.get(key)
                     if not hit:
@@ -590,21 +562,20 @@ class TestResultCacheConcurrency:
         assert cache.hits + cache.misses == n_threads * per_thread
         assert len(cache) <= 64
         snap = cache.snapshot()
-        assert snap["mode"] == "region"
         assert snap["hits"] == cache.hits
         assert snap["entries"] == len(cache)
 
     def test_snapshot_consistent_during_churn(self):
         import threading
 
-        cache = ResultCache(capacity=32, cell_size=0.25)
+        cache = ResultCache(capacity=32)
         stop = threading.Event()
         errors = []
 
         def churn():
             rng = random.Random(99)
             while not stop.is_set():
-                q = (rng.uniform(0, 2), rng.uniform(0, 2))
+                q = (rng.randrange(8) * 0.25, rng.randrange(8) * 0.25)
                 key = cache.key("quantify", q, ())
                 if not cache.get(key)[0]:
                     cache.put(key, {0: 1.0})
@@ -622,8 +593,8 @@ class TestResultCacheConcurrency:
             thread.join()
 
     def test_thread_backend_service_stats_not_corrupted(self):
-        """A region-keyed service hammered from many client threads over
-        the thread backend keeps its accounting exact."""
+        """A caching service hammered from many client threads over the
+        thread backend keeps its accounting exact."""
         import threading
 
         pts = random_discrete_points(15, 3, seed=21, spread=2.0)
@@ -632,18 +603,15 @@ class TestResultCacheConcurrency:
         n_threads = 6
         beacons = [(1.0 + i, 2.0 + i) for i in range(5)]
         with index.serve(workers=2, backend="thread", coalesce=False,
-                         cache_capacity=256,
-                         cache_cell_size=0.25) as service:
+                         cache_capacity=256) as service:
             errors = []
 
             def client(tid):
                 try:
                     rng = random.Random(tid)
                     for _ in range(requests_per_thread):
-                        bx, by = beacons[rng.randrange(len(beacons))]
-                        q = (bx + rng.uniform(-0.01, 0.01),
-                             by + rng.uniform(-0.01, 0.01))
-                        service.quantify_exact(q)
+                        service.quantify_exact(
+                            beacons[rng.randrange(len(beacons))])
                 except Exception as exc:  # noqa: BLE001
                     errors.append(repr(exc))
 
@@ -659,7 +627,6 @@ class TestResultCacheConcurrency:
             assert mstats["cache_hits"] + mstats["cache_misses"] == total
             assert mstats["requests"] == total
             snap = service.stats()["cache"]
-            assert snap["mode"] == "region"
             assert snap["hits"] + snap["misses"] == total
 
 
@@ -721,21 +688,6 @@ class TestQuantifyVprServing:
         other = self._fleet(n=6, seed=9)
         with pytest.raises(ValueError, match="prebuilt V_Pr"):
             index.serve(vpr=other.build_vpr(), workers=0)
-
-    def test_region_cache_hits_quantify_vpr(self):
-        index = self._fleet()
-        rng = random.Random(23)
-        beacons = [(rng.uniform(0, 6), rng.uniform(0, 6))
-                   for _ in range(10)]
-        with index.serve(workers=0, coalesce=False, cache_capacity=128,
-                         cache_cell_size=0.25) as service:
-            for _ in range(300):
-                bx, by = beacons[rng.randrange(len(beacons))]
-                service.quantify_vpr((bx + rng.uniform(-0.02, 0.02),
-                                      by + rng.uniform(-0.02, 0.02)))
-            snap = service.stats()["cache"]
-            assert snap["mode"] == "region"
-            assert snap["hit_rate"] >= 0.5
 
     def test_non_discrete_index_raises(self):
         index, _ = _disk_index(6)

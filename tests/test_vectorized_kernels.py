@@ -253,6 +253,7 @@ class TestVprModeParity:
         assert (s.num_vertices, s.arrangement.num_edges, s.num_faces) == \
             (v.num_vertices, v.arrangement.num_edges, v.num_faces)
         assert s.complexity == v.complexity
+        assert np.array_equal(s._face_matrix, v._face_matrix)
         assert set(s._face_vectors) == set(v._face_vectors)
         for loop, vec in s._face_vectors.items():
             assert_same_floats(vec, v._face_vectors[loop])

@@ -1,9 +1,13 @@
 """Unit tests for the exact probabilistic Voronoi diagram (Theorem 4.2)."""
 
 import random
+import time
 
+import numpy as np
 import pytest
 
+from repro.core.index import PNNIndex
+from repro.core.workloads import random_discrete_points
 from repro.quantification.exact_discrete import quantification_vector
 from repro.uncertain.discrete import DiscreteUncertainPoint
 from repro.voronoi.vpr import ProbabilisticVoronoiDiagram
@@ -58,6 +62,22 @@ class TestQueries:
             got = vpr.query(q)
             want = quantification_vector(pts, q)
             assert max(abs(a - b) for a, b in zip(got, want)) < 1e-9
+
+    def test_locator_is_built_lazily(self):
+        """Building the diagram leaves point location to the first query
+        (batch parity is pinned in test_vectorized_kernels)."""
+        vpr = PNNIndex(random_discrete_points(6, 2, seed=31,
+                                              spread=2.0)).build_vpr()
+        assert vpr._locator is None, "locator must not be built eagerly"
+        rng = random.Random(17)
+        qs = np.array([(rng.uniform(-1, 5), rng.uniform(-1, 5))
+                       for _ in range(500)])
+        start = time.perf_counter()
+        assert len(vpr.query_batch(qs)) == len(qs)
+        # Locator build plus 500 queries: a bound against a wedged or
+        # quadratic build, not a speed bar.
+        assert time.perf_counter() - start < 30.0
+        assert vpr._locator is not None
 
     def test_query_outside_box_falls_back(self):
         pts = random_points(3, 2, seed=7)
