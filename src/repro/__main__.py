@@ -265,8 +265,7 @@ def _serve_http(argv: list) -> int:
     parser.add_argument("--faults", default=None, metavar="PLAN",
                         help="fault-injection plan for chaos drills, "
                              "e.g. 'crash_worker:chunk=0' or "
-                             "'slow_chunk:delay=1,attempts=any;seed:3' "
-                             "(also settable via REPRO_FAULTS)")
+                             "'slow_chunk:delay=1,attempts=any;seed:3'")
     parser.add_argument("--trace-sample", type=float, default=0.0,
                         metavar="RATE",
                         help="trace this fraction of requests (0 disables "

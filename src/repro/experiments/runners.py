@@ -12,8 +12,9 @@ results into EXPERIMENTS.md.  The systems measurements are not runners:
 ``perfbench/`` measures the HTTP service end to end.
 
 Runners accept a ``quick`` flag: ``quick=True`` shrinks the sweeps for
-quick checks (CI runs ``--quick E8 E10 E11``); the defaults are sized for
-the full EXPERIMENTS.md regeneration (a few minutes total).
+quick checks (``tests/test_experiments.py`` runs every runner that way);
+the defaults are sized for the full EXPERIMENTS.md regeneration (a few
+minutes total).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ sustain bursty multi-client traffic against one shared
 * :class:`MicroBatcher` — request coalescing into vectorized batches;
 * :class:`ShardExecutor` — the dispatch/reassembly plan over a pluggable
   :class:`ExecutorBackend` (:mod:`repro.serving.executors`): ``process``
-  worker replicas, a ``thread`` pool over the shared index, or
-  ``inline`` serial execution — all with ordered, bitwise-identical
-  reassembly;
+  worker replicas, a ``thread`` pool over the served index, or
+  ``inline`` serial execution, degrading down that one ladder — all
+  with ordered, bitwise-identical reassembly;
 * :class:`ResultCache` — exact-keyed LRU over the piecewise-stable
   answer fields, with hit/miss/eviction accounting;
 * :class:`QueryGateway` / :class:`ServerThread` (:mod:`repro.serving.http`)
@@ -47,7 +47,6 @@ from .executors import (
 )
 from .faults import (
     FAULT_KINDS,
-    FAULTS_ENV,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -68,7 +67,6 @@ __all__ = [
     "DeadlineExceeded",
     "ExecutorBackend",
     "FAULT_KINDS",
-    "FAULTS_ENV",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",

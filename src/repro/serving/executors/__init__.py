@@ -1,28 +1,28 @@
 """``repro.serving.executors`` — pluggable execution backends for sharding.
 
 One protocol (:class:`~repro.serving.executors.base.ExecutorBackend`),
-three implementations, one factory.  The
+three implementations, one factory, one degradation ladder.  The
 :class:`~repro.serving.shard.ShardExecutor` plans chunks and reassembles
-answers; a backend from this package executes the chunk tasks:
+answers; a backend from this package, built over the served index,
+runs the chunk tasks it is handed through ``dispatch``:
 
 ========== ===========================================================
 ``process`` multiprocessing pool, one replica per worker
-``thread``  thread pool over one shared index (NumPy releases the GIL)
-``inline``  serial in-process execution (the degradation floor)
+``thread``  thread pool over the served index (NumPy releases the GIL)
+``inline``  serial in-process execution (the floor of the ladder)
 ========== ===========================================================
 
-Selection is by name or by the ``"auto"`` policy of
-:func:`create_backend`; every backend returns bitwise-identical results,
-so the choice is purely an operational one (see the README's
-backend-selection guide).
+:data:`LADDER` orders them.  :func:`create_backend` starts at the
+requested rung and walks down until a backend starts, and a runtime
+failure demotes a live executor one rung down the same ladder.  Every
+backend returns bitwise-identical results, so the choice is purely an
+operational one (see the README's backend-selection guide).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
-from ...uncertain.base import UncertainPoint
 from .base import (
     SHARD_METHODS,
     BackendUnavailable,
@@ -41,6 +41,7 @@ __all__ = [
     "ExecutorBackend",
     "IndexReplica",
     "InlineBackend",
+    "LADDER",
     "PendingChunk",
     "ProcessBackend",
     "SHARD_METHODS",
@@ -52,63 +53,61 @@ __all__ = [
 #: Backend names accepted by the factory (and ``ServiceConfig.backend``).
 BACKENDS = ("auto", "process", "thread", "inline")
 
+#: The one degradation ladder, fastest first: where a backend cannot
+#: start (or, at runtime, keeps failing) the next rung takes over.
+#: Inline cannot fail, so every walk ends with a working backend.
+LADDER = ("process", "thread", "inline")
+
 #: Env knob consulted by the ``"auto"`` policy only: operators (and the
 #: CI backend matrix) can steer every auto-configured service onto one
 #: backend without touching code.  Explicit names always win.
 BACKEND_ENV = "REPRO_SERVING_BACKEND"
 
 
-def create_backend(name: str, points: Sequence[UncertainPoint],
-                   workers: int,
-                   index=None, kernel: str = "auto",
+def create_backend(name: str, index, workers: int,
                    plane=None) -> ExecutorBackend:
-    """Build the requested backend, degrading instead of crashing.
+    """Build the requested backend over *index*, degrading instead of
+    crashing.
 
     Construction always succeeds and always returns bitwise-correct
-    answers — parallelism is best-effort, never correctness.  Each name
-    has its own degradation chain, ending at inline:
-
-    * ``"auto"`` — ``process`` -> ``thread`` -> ``inline``;
-    * ``"process"`` — ``process`` -> ``inline`` (an explicit process
-      request never silently becomes threads);
-    * ``"thread"`` — always available, so it only degrades via the
-      ``workers < 2`` short-circuit to inline.
+    answers — parallelism is best-effort, never correctness.  ``"auto"``
+    means ``"process"``; a concrete name starts at its rung of
+    :data:`LADDER` and walks down until a backend starts: a host
+    without process pools lands on ``thread``, and ``workers < 2``
+    always selects ``inline``.
 
     The :data:`BACKEND_ENV` environment variable overrides the
     ``"auto"`` resolution (explicit names are never overridden).
 
-    *kernel* names the compute provider
-    (:mod:`repro.spatial.kernels`) worker replicas resolve: backends
-    that build their own replicas (process, and thread/inline without
-    a shared *index*) construct them with this name, so every worker
-    process resolves its own provider — a worker that cannot
-    build the native library degrades to NumPy on its own, and parity
-    keeps the answers identical either way.
+    Process workers build replicas from the index's points and kernel
+    name, so every worker process resolves its own compute provider —
+    a worker that cannot build the native library degrades to NumPy on
+    its own, and parity keeps the answers identical either way.
 
     *plane* is an optional dict of flat V_Pr plane arrays
     (:func:`repro.spatial.codec.plane_to_arrays`).  The process backend
     ships it to its workers in the pool initargs (inherited copy-on-write
     under ``fork``) and reports ``serves_plane=True``; thread and inline
-    backends ignore it — they share the caller's *index*, which already
-    holds the built diagram.
+    backends ignore it — they share *index*, which already holds the
+    built diagram.
     """
     if name not in BACKENDS:
         raise ValueError(f"unknown executor backend {name!r}; "
                          f"expected one of {BACKENDS}")
     if name == "auto":
-        forced = os.environ.get(BACKEND_ENV, "").strip().lower()
-        if forced and forced != "auto":
-            if forced not in BACKENDS:
-                raise ValueError(
-                    f"{BACKEND_ENV}={forced!r} is not one of {BACKENDS}")
-            name = forced
-    if workers < 2 or name == "inline":
-        return InlineBackend(points, index=index, kernel=kernel)
-    if name != "thread":
+        forced = os.environ.get(BACKEND_ENV, "").strip().lower() or "auto"
+        if forced not in BACKENDS:
+            raise ValueError(
+                f"{BACKEND_ENV}={forced!r} is not one of {BACKENDS}")
+        name = "process" if forced == "auto" else forced
+    if workers < 2:
+        name = "inline"
+    for rung in LADDER[LADDER.index(name):]:
         try:
-            return ProcessBackend(points, workers, kernel=kernel,
-                                  plane=plane)
+            if rung == "process":
+                return ProcessBackend(index, workers, plane=plane)
+            if rung == "thread":
+                return ThreadBackend(index, workers)
         except BackendUnavailable:
-            if name == "process":  # never silently becomes threads
-                return InlineBackend(points, index=index, kernel=kernel)
-    return ThreadBackend(points, workers, index=index, kernel=kernel)
+            continue
+    return InlineBackend(index)

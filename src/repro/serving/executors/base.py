@@ -2,32 +2,33 @@
 
 :class:`~repro.serving.shard.ShardExecutor` owns the *dispatch plan* —
 validating the method, splitting an ``(m, 2)`` query array into chunks,
-and reassembling per-chunk answers in query order.  *How* a list of chunk
-tasks is executed is the backend's job, behind one small protocol:
+and reassembling per-chunk answers in query order.  *How* a chunk task
+is executed is the backend's job, behind one small protocol: every
+backend is built over the served index and answers chunk tasks through
+:meth:`ExecutorBackend.dispatch`.
 
 * :class:`ProcessBackend <repro.serving.executors.process.ProcessBackend>`
-  — a :mod:`multiprocessing` pool; each worker unpickles the uncertain
-  points once and holds a private :class:`IndexReplica` (with the
-  parent's ``V_Pr`` plane attached when one is shipped);
+  — a :mod:`multiprocessing` pool; each worker unpickles the index's
+  uncertain points once and holds a private :class:`IndexReplica` (with
+  the parent's ``V_Pr`` plane attached when one is shipped);
 * :class:`ThreadBackend <repro.serving.executors.thread.ThreadBackend>`
-  — a :class:`~concurrent.futures.ThreadPoolExecutor` over **one shared
-  index**: the batch engines release the GIL inside their NumPy kernels,
-  so chunks genuinely overlap without any replica build at all;
+  — a :class:`~concurrent.futures.ThreadPoolExecutor` over **the served
+  index itself**: the batch engines release the GIL inside their NumPy
+  kernels, so chunks genuinely overlap without any replica build at all;
 * :class:`InlineBackend <repro.serving.executors.inline.InlineBackend>`
-  — the degraded mode: the same chunk walk, serially, in-process.
+  — the degradation floor: the same chunk walk, serially, in-process.
 
 Every backend answers every chunk through the index's own
 ``batch_<method>`` front doors (via :class:`IndexReplica`), and every
 reduction in those engines is per query row — so any backend, at any
 worker count and any chunking, returns **bitwise-identical** results to
-the unsharded call.  That is the refactor's inviolable contract, pinned
-by ``tests/test_executors.py`` across the full method × backend × worker
-grid.
+the unsharded call, pinned by ``tests/test_executors.py`` across the
+full method × backend × worker grid.
 
 A backend that cannot start on this host raises
 :class:`BackendUnavailable` from its constructor; the factory
-(:func:`repro.serving.executors.create_backend`) falls through the
-documented degradation chain instead of crashing the service.
+(:func:`repro.serving.executors.create_backend`) then walks down the
+one degradation ladder instead of crashing the service.
 """
 
 from __future__ import annotations
@@ -53,17 +54,14 @@ __all__ = ["SHARD_METHODS", "BackendUnavailable", "ExecutorBackend",
 SHARD_METHODS = ("delta", "nonzero_nn", "quantify", "quantify_exact",
                  "quantify_vpr", "top_k", "threshold_nn")
 
-#: One unit of backend work: ``(method, query_chunk, params)``, or the
-#: annotated 4-tuple ``(method, query_chunk, params, meta)`` — *meta* is
-#: a small plain dict carrying the chunk ordinal and dispatch attempt,
-#: an optional fault-injection plan (``"faults"``/``"ppid"``, see
-#: :mod:`repro.serving.faults`), an optional ``"encode": True`` asking
-#: for the answer as a JSON fragment (:func:`~repro.serving.wire.
+#: One unit of backend work: ``(method, query_chunk, params, meta)``.
+#: *meta* is a small plain dict carrying the chunk ordinal and dispatch
+#: attempt, an optional fault-injection plan (``"faults"``/``"ppid"``,
+#: see :mod:`repro.serving.faults`) and an optional ``"encode": True``
+#: asking for the answer as a JSON fragment (:func:`~repro.serving.wire.
 #: encode_rows`; a task field, not a param, because params are
-#: canonical and key the cache), and marks that the caller wants a
-#: worker-side compute span shipped back alongside the result (see
-#: :meth:`IndexReplica.run_task`).
-Task = Tuple[str, np.ndarray, Dict]
+#: canonical and key the cache).
+Task = Tuple[str, np.ndarray, Dict, Dict]
 
 
 class BackendUnavailable(RuntimeError):
@@ -76,9 +74,9 @@ class IndexReplica:
     Wraps a :class:`~repro.core.index.PNNIndex` so every sharded method
     runs the *same* code path as the unsharded batch call — the
     bitwise-identity guarantee falls out of reusing the implementation
-    rather than re-deriving it.  Process backends build one per worker
-    from transferred point data; the thread backend wraps the caller's
-    own index (:meth:`of_index`) so nothing is rebuilt at all.
+    rather than re-deriving it.  Process workers build one from the
+    transferred point data; thread and inline backends wrap the served
+    index itself (:meth:`of_index`) so nothing is rebuilt at all.
     """
 
     def __init__(self, points: Sequence[UncertainPoint],
@@ -111,23 +109,18 @@ class IndexReplica:
             raise ValueError(f"unknown shardable method {method!r}")
         return getattr(self.index, f"batch_{method}")(chunk, **params)
 
-    def run_task(self, task: Task) -> object:
-        """The one task entry point every backend's ``map`` routes through.
+    def run_task(self, task: Task) -> Tuple[object, Dict]:
+        """The one task entry point every backend routes through.
 
-        A plain 3-tuple task returns the bare chunk result, untouched —
-        the untraced hot path stays exactly what it was.  A traced
-        4-tuple task returns ``(result, span_spec)``: the same result
-        plus a plain-dict ``worker.compute`` span (wall-clock start,
+        Returns ``(result, span_spec)``: the chunk result plus a
+        plain-dict ``worker.compute`` span (wall-clock start,
         perf_counter duration, pid/tid, attrs) that ships back over the
-        pool pipe and is re-parented into the live trace by
-        :meth:`repro.obs.trace.Tracer.record_remote`.  The *result* is
-        computed by the identical :meth:`run` call either way, so
-        tracing can never perturb answers.  With ``meta["encode"]`` the
-        result is encoded here, after the engine call and inside the
-        span: it ships home as the chunk's JSON fragment (bytes).
+        pool pipe and, when the request is traced, is re-parented into
+        the live trace by :meth:`repro.obs.trace.Tracer.record_remote`.
+        With ``meta["encode"]`` the result is encoded here, after the
+        engine call and inside the span: it ships home as the chunk's
+        JSON fragment (bytes).
         """
-        if len(task) == 3:
-            return self.run(*task)
         method, chunk, params, meta = task
         fault_doc = meta.get("faults")
         if fault_doc is not None:
@@ -217,27 +210,23 @@ class ExecutorBackend(abc.ABC):
     mode: str = "inline"
     workers: int = 1
     start_method: Optional[str] = None
-    #: Whether this backend answers through the *caller's* index object
-    #: (thread/inline sharing) rather than per-worker replicas.  Routing
-    #: policy for kinds whose replica state is expensive to duplicate
-    #: (``quantify_vpr``'s Theta(N^4) diagram) keys off this.
-    shares_index: bool = False
     #: Whether this backend's workers hold an attached
     #: :class:`~repro.voronoi.vpr.SharedPlaneDiagram` built once by the
-    #: parent and shipped in the pool initargs.  The ``quantify_vpr``
-    #: fan-out policy keys off ``shares_index or serves_plane`` — a
-    #: plane-serving process backend answers V_Pr chunks in parallel with
-    #: zero per-worker diagram builds.
+    #: parent and shipped in the pool initargs.  Thread and inline
+    #: backends answer through the served index itself, so
+    #: ``quantify_vpr`` fans out over them or over a plane-serving
+    #: process backend — never over process replicas that would each
+    #: rebuild the Theta(N^4) diagram.
     serves_plane: bool = False
+    #: Bumped by every :meth:`rebuild`.  A chunk dispatched under an
+    #: older generation sits on a pool that is gone, so the collection
+    #: loop dispatches it again instead of waiting on it forever.
+    generation: int = 0
 
     def __init__(self) -> None:
         self._closed = False
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def map(self, tasks: List[Task]) -> List[object]:
-        """Execute *tasks*, returning per-chunk results in task order."""
-
     @abc.abstractmethod
     def dispatch(self, task: Task) -> PendingChunk:
         """Start *task* asynchronously and return its pending handle.

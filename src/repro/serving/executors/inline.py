@@ -1,7 +1,7 @@
 """The inline (serial, in-process) executor backend.
 
-The degradation floor of every backend chain — sandboxes without process
-pools, single-worker configurations — and also the *correctness oracle*:
+The floor of the degradation ladder — sandboxes without process pools,
+single-worker configurations — and also the *correctness oracle*:
 it walks exactly the chunk list any parallel backend would, through the
 same :class:`~repro.serving.executors.base.IndexReplica` code path, so
 "inline answers == pool answers" is chunking invariance alone.
@@ -9,9 +9,6 @@ same :class:`~repro.serving.executors.base.IndexReplica` code path, so
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from ...uncertain.base import UncertainPoint
 from .base import ExecutorBackend, IndexReplica, PendingChunk, Task
 
 __all__ = ["InlineBackend"]
@@ -60,37 +57,13 @@ class _LazyPending(PendingChunk):
 
 
 class InlineBackend(ExecutorBackend):
-    """Serial execution against a local replica (or a shared index).
-
-    The replica is built lazily on first use: a service that only ever
-    routes large batches to a live pool should not pay for a duplicate
-    in-process index.  When *index* is given the caller's index is shared
-    instead and nothing is built at all.
-    """
+    """Serial execution over the served index, in the caller's thread."""
 
     mode = "inline"
 
-    def __init__(self, points: Sequence[UncertainPoint],
-                 index=None, kernel: str = "auto") -> None:
+    def __init__(self, index) -> None:
         super().__init__()
-        self.points = list(points)
-        self.workers = 1
-        self._index = index
-        self._kernel = kernel
-        self.shares_index = index is not None
-        self._local: Optional[IndexReplica] = None
-
-    def _replica(self) -> IndexReplica:
-        if self._local is None:
-            self._local = (IndexReplica.of_index(self._index)
-                           if self._index is not None
-                           else IndexReplica(self.points,
-                                             kernel=self._kernel))
-        return self._local
-
-    def map(self, tasks: List[Task]) -> List[object]:
-        replica = self._replica()
-        return [replica.run_task(task) for task in tasks]
+        self._replica = IndexReplica.of_index(index)
 
     def dispatch(self, task: Task) -> PendingChunk:
-        return _LazyPending(self._replica().run_task, task)
+        return _LazyPending(self._replica.run_task, task)

@@ -1,11 +1,10 @@
 """The multiprocessing-pool executor backend (one replica per worker).
 
-The original ``ShardExecutor`` execution engine, refactored onto the
-:class:`~repro.serving.executors.base.ExecutorBackend` protocol: a
-:mod:`multiprocessing` pool whose initializer builds, once per worker,
+A :mod:`multiprocessing` pool whose initializer builds, once per worker,
 a private :class:`~repro.serving.executors.base.IndexReplica` from the
-pickled uncertain points.  ``Pool.map`` preserves submission order, so
-per-chunk answers come back already in query order.
+served index's pickled uncertain points and kernel name.  Chunks are
+dispatched one ``apply_async`` each; the collection loop of
+:class:`~repro.serving.shard.ShardExecutor` puts them back in order.
 
 Replicas are built from the same points with the same seeds, so every
 worker computes exactly the parent's numbers — sharded output is bitwise
@@ -26,10 +25,9 @@ import multiprocessing
 import multiprocessing.pool
 import pickle
 import threading
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ...obs.metrics import count_shipped, merge_shipped
-from ...uncertain.base import UncertainPoint
 from .base import BackendUnavailable, ExecutorBackend, IndexReplica, \
     PendingChunk, Task
 
@@ -62,9 +60,9 @@ def _init_worker(payload: bytes, kernel: str = "auto",
 def _run_chunk(task) -> object:
     """Top-level (picklable) worker entry: answer one chunk.
 
-    Routes through :meth:`IndexReplica.run_task`, so traced 4-tuple
-    tasks come back as ``(result, worker_span_dict)`` pairs — the span
-    dict (plain picklable types only) rides the normal pool result pipe.
+    Routes through :meth:`IndexReplica.run_task`, so the answer is a
+    ``(result, worker_span_dict)`` pair — the span dict (plain picklable
+    types only) rides the normal pool result pipe.
     The whole answer is paired with the chunk's counter increments,
     which :func:`~repro.obs.metrics.merge_shipped` unpacks parent-side.
     """
@@ -210,25 +208,24 @@ class ProcessBackend(ExecutorBackend):
 
     mode = "process"
 
-    def __init__(self, points: Sequence[UncertainPoint],
-                 workers: int,
-                 kernel: str = "auto",
-                 plane=None) -> None:
+    def __init__(self, index, workers: int, plane=None) -> None:
         super().__init__()
         self.workers = int(workers)
-        self._payload = pickle.dumps(list(points))
-        self._kernel = kernel
         # The plane arrays ride the initializer args with the point
         # payload: inherited under fork, pickled once per worker under
         # forkserver/spawn.  Pool rebuilds re-ship them.
-        self._plane = plane
+        self._initargs = (pickle.dumps(list(index.points)), index.kernel,
+                          plane)
         self.serves_plane = plane is not None
+        # Guards the pool swap of rebuild() against concurrent dispatch,
+        # so no chunk is ever submitted to a pool being disposed.
+        self._lock = threading.Lock()
         self._pool, self.start_method = self._start_pool()
         self._pids = self._worker_pids()
 
     def _start_pool(self):
         return start_pool(self.workers, self.start_method, _init_worker,
-                          (self._payload, self._kernel, self._plane))
+                          self._initargs)
 
     def _worker_pids(self) -> frozenset:
         pool = self._pool
@@ -241,15 +238,14 @@ class ProcessBackend(ExecutorBackend):
         return frozenset(p.pid for p in procs if p.exitcode is None)
 
     def dispatch(self, task: Task) -> PendingChunk:
-        return _PoolPending(self._pool.apply_async(_run_chunk, (task,)))
-
-    def map(self, tasks: List[Task]) -> List[object]:
-        return [merge_shipped(r) for r in self._pool.map(_run_chunk, tasks)]
+        with self._lock:
+            return _PoolPending(self._pool.apply_async(_run_chunk, (task,)))
 
     def broken(self) -> bool:
-        current = self._worker_pids()
-        vanished = self._pids - current
-        self._pids = current
+        with self._lock:
+            current = self._worker_pids()
+            vanished = self._pids - current
+            self._pids = current
         # New pids without vanished ones are the pool's own respawns
         # after a death we already reported — not a fresh failure.
         return bool(vanished)
@@ -257,21 +253,28 @@ class ProcessBackend(ExecutorBackend):
     def abort(self) -> None:
         # Dispose first (bounded) so the graceful close()/join() inside
         # _close_impl cannot block behind a wedged or dead worker.
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             _dispose(pool)
         self.close()
 
     def rebuild(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # The old pool may hold wedged or half-dead workers; a
-            # graceful close() could block forever behind them — and a
-            # worker that died holding a queue lock would wedge even
-            # terminate() (see _dispose).
-            _dispose(pool)
-        self._pool, self.start_method = self._start_pool()
-        self._pids = self._worker_pids()
+        # Start the fresh pool first: a failed start raises
+        # BackendUnavailable with the old pool still installed, for the
+        # caller's degradation to abort.  Then swap, and only then
+        # dispose the old pool — it may hold wedged or half-dead
+        # workers, so a graceful close() could block forever, and a
+        # worker that died holding a queue lock would wedge even
+        # terminate() (see _dispose).
+        pool, start_method = self._start_pool()
+        with self._lock:
+            old, self._pool = self._pool, pool
+            self.start_method = start_method
+            self.generation += 1
+            self._pids = self._worker_pids()
+        if old is not None:
+            _dispose(old)
 
     def _close_impl(self) -> None:
         # A KeyboardInterrupt landing in join() (server killed

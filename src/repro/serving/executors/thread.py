@@ -15,17 +15,17 @@ construction and allocate per-call scratch; the one hazard is *lazy
 construction itself* (the batch engine, the Monte-Carlo tensor, ``V_Pr``
 all build on first use).  Racing threads would at worst build such a
 structure twice — wasteful, never wrong (every build is deterministic),
-but for the expensive ones genuinely wasteful — so :meth:`map` runs the
-first task synchronously to warm every lazy structure the method needs,
-then fans the rest out.
+but for the expensive ones genuinely wasteful — so :meth:`dispatch` runs
+the first chunk of each method synchronously to warm every lazy
+structure it needs, then fans later chunks out.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Set
+from typing import Set
 
-from ...uncertain.base import UncertainPoint
 from .base import ExecutorBackend, IndexReplica, PendingChunk, Task
 
 __all__ = ["ThreadBackend"]
@@ -65,59 +65,44 @@ class _DonePending(PendingChunk):
 
 
 class ThreadBackend(ExecutorBackend):
-    """Execute chunk tasks on a thread pool over one shared index."""
+    """Execute chunk tasks on a thread pool over the served index."""
 
     mode = "thread"
 
-    def __init__(self, points: Sequence[UncertainPoint],
-                 workers: int, index=None,
-                 kernel: str = "auto") -> None:
+    def __init__(self, index, workers: int) -> None:
         super().__init__()
         self.workers = int(workers)
-        self.shares_index = index is not None
-        self._replica = (IndexReplica.of_index(index)
-                         if index is not None
-                         else IndexReplica(points, kernel=kernel))
+        self._replica = IndexReplica.of_index(index)
         self._warm: Set[str] = set()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-shard")
+        # Guards the pool swap of rebuild() against concurrent submits.
+        self._lock = threading.Lock()
+        self._pool = self._new_pool()
 
-    def map(self, tasks: List[Task]) -> List[object]:
-        if not tasks:
-            return []
-        # Warm-up: the first chunk runs synchronously so every lazy
-        # structure (engines, tensors, V_Pr) is built exactly once
-        # before threads race over the shared index.
-        head = self._replica.run_task(tasks[0])
-        if len(tasks) == 1:
-            return [head]
-        rest = self._pool.map(self._replica.run_task, tasks[1:])
-        return [head] + list(rest)
+    def _new_pool(self) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=self.workers,
+                                  thread_name_prefix="repro-shard")
 
     def dispatch(self, task: Task) -> PendingChunk:
-        # Same warm-up discipline as map(), tracked per method: the
-        # first chunk of a never-seen method runs synchronously so lazy
-        # structures build once instead of racing across pool threads.
+        # The first chunk of a never-seen method runs synchronously so
+        # lazy structures build once instead of racing across threads.
         if task[0] not in self._warm:
             self._warm.add(task[0])
             try:
                 return _DonePending(result=self._replica.run_task(task))
             except Exception as exc:  # noqa: BLE001 — delivered via result()
                 return _DonePending(exc=exc)
-        return _FuturePending(self._pool.submit(self._replica.run_task,
-                                                task))
+        with self._lock:
+            return _FuturePending(self._pool.submit(self._replica.run_task,
+                                                    task))
 
     def rebuild(self) -> None:
         # Threads cannot be killed, but a rebuild still quarantines a
-        # pool whose threads are wedged behind a hung chunk: abandon it
-        # (without blocking on its shutdown) and start a fresh one.
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-shard")
+        # pool whose threads are wedged behind a hung chunk: swap in a
+        # fresh one and abandon the old (without blocking on it).
+        with self._lock:
+            old, self._pool = self._pool, self._new_pool()
+            self.generation += 1
+        old.shutdown(wait=False)
 
     def abort(self) -> None:
         # Threads cannot be joined if wedged on an in-flight chunk;
@@ -125,11 +110,7 @@ class ThreadBackend(ExecutorBackend):
         if self._closed:
             return
         self._closed = True
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+        self._pool.shutdown(wait=False)
 
     def _close_impl(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        self._pool = None
+        self._pool.shutdown(wait=True)

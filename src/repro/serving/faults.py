@@ -54,7 +54,6 @@ path.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -65,7 +64,6 @@ from ..obs.metrics import Counter, Registry
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULTS_ENV",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
@@ -81,12 +79,6 @@ __all__ = [
 #: Injectable fault kinds (see the module docstring for semantics).
 FAULT_KINDS = ("crash_worker", "hang_chunk", "slow_chunk",
                "raise_in_compute")
-
-#: Environment fallback for :attr:`ServiceConfig.faults` — lets the CI
-#: chaos jobs (and operators reproducing an incident) inject a plan into
-#: any service without touching code.  Compact spec or JSON (see
-#: :meth:`FaultPlan.coerce`).
-FAULTS_ENV = "REPRO_FAULTS"
 
 
 class DeadlineExceeded(TimeoutError):
@@ -346,12 +338,11 @@ class FaultPlan:
 
         FaultPlan([FaultSpec("crash_worker", chunk=0)])
         FaultPlan.coerce("crash_worker:chunk=0;slow_chunk:delay=0.1,p=0.5")
-        FaultPlan.coerce('[{"kind": "hang_chunk", "delay": 2.0}]')  # JSON
 
     The compact string form is ``kind:key=value,key=value;kind:...`` —
-    friendly to the :data:`FAULTS_ENV` environment variable and the
-    ``serve-http --faults`` flag.  ``attempts`` in the compact form is ``+``-
-    separated (``attempts=0+1``); ``attempts=any`` means every attempt.
+    the form of the ``serve-http --faults`` flag.  ``attempts`` in the
+    compact form is ``+``-separated (``attempts=0+1``); ``attempts=any``
+    means every attempt.
 
     Plans cross process boundaries as plain dicts inside chunk-task
     metadata (:meth:`to_dict` / :meth:`from_dict`), so worker processes
@@ -368,41 +359,22 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @classmethod
     def coerce(cls, value) -> Optional["FaultPlan"]:
-        """``None``/plan/spec-list/dict/compact-or-JSON string -> plan.
+        """``None``/plan/task-metadata dict/compact string -> plan.
 
         Returns ``None`` for ``None`` and empty specs (fault injection
-        fully disabled — the hot path then carries zero metadata).
+        fully disabled).
         """
         if value is None:
             return None
         if isinstance(value, FaultPlan):
             return value if value.specs else None
-        if isinstance(value, FaultSpec):
-            return cls(specs=(value,))
         if isinstance(value, dict):
             return cls.from_dict(value)
-        if isinstance(value, (list, tuple)):
-            specs = tuple(s if isinstance(s, FaultSpec)
-                          else FaultSpec(**s) for s in value)
-            return cls(specs=specs) if specs else None
         if isinstance(value, str):
             text = value.strip()
-            if not text:
-                return None
-            if text[0] in "[{":
-                return cls.from_dict(json.loads(text)
-                                     if text[0] == "{" else
-                                     {"specs": json.loads(text)})
-            return cls._parse_compact(text)
+            return cls._parse_compact(text) if text else None
         raise TypeError(f"cannot build a FaultPlan from "
                         f"{type(value).__name__}")
-
-    @classmethod
-    def from_env(cls, environ=None) -> Optional["FaultPlan"]:
-        import os
-
-        env = os.environ if environ is None else environ
-        return cls.coerce(env.get(FAULTS_ENV))
 
     @classmethod
     def _parse_compact(cls, text: str) -> "FaultPlan":

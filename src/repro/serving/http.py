@@ -803,7 +803,13 @@ async def handle_connection(gateway: QueryGateway,
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
+            raw_length = headers.get("content-length", "0") or "0"
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                await _write_response(
+                    writer, 400, [("Content-Type", _JSON)],
+                    b'{"error": "malformed Content-Length"}', close=True)
+                break
+            length = int(raw_length)
             if length > cfg.max_body_bytes:
                 await _write_response(
                     writer, 413, [("Content-Type", _JSON)],

@@ -107,13 +107,13 @@ class ServiceConfig:
     workers:
         Shard workers.  ``0``/``1`` disables sharding entirely (every
         batch runs in-process); ``>= 2`` starts a
-        :class:`~repro.serving.shard.ShardExecutor` (which itself falls
-        back to inline mode where its backend cannot start).
+        :class:`~repro.serving.shard.ShardExecutor` (which walks down
+        the degradation ladder where its backend cannot start).
     backend:
         Executor backend: ``"auto"`` (default), ``"process"``,
         ``"thread"``, or ``"inline"`` — see
         :func:`repro.serving.executors.create_backend` for the auto
-        policy and degradation chain.  All backends return
+        policy and the degradation ladder.  All backends return
         bitwise-identical answers; the choice is operational.
     kernel:
         Compute-kernel provider (:mod:`repro.spatial.kernels`):
@@ -160,11 +160,11 @@ class ServiceConfig:
         is re-dispatched.
     faults:
         Fault-injection plan for chaos testing — anything
-        :meth:`~repro.serving.faults.FaultPlan.coerce` accepts (spec
-        list, compact string, JSON).  ``None`` (default) reads the
-        :data:`~repro.serving.faults.FAULTS_ENV` environment variable;
-        injection is fully off when neither is set.  Faults apply to
-        sharded execution only (``workers >= 2``).
+        :meth:`~repro.serving.faults.FaultPlan.coerce` accepts (a
+        :class:`~repro.serving.faults.FaultPlan` or its compact string).
+        ``None`` (default) turns injection fully off; no environment
+        variable turns it on.  Faults apply to sharded execution only
+        (``workers >= 2``).
     trace:
         Request tracing (:mod:`repro.obs`): ``None``/``False`` off
         (default, near-zero cost — every instrumentation point is one
@@ -201,10 +201,8 @@ class ServiceConfig:
         # Coerce eagerly so an invalid trace spec fails at construction
         # (idempotent: a TraceConfig passes through unchanged).
         self.trace = TraceConfig.coerce(self.trace)
-        # Same eager policy for fault plans; None falls back to the
-        # REPRO_FAULTS environment variable (the CI chaos jobs' knob).
-        self.faults = (FaultPlan.from_env() if self.faults is None
-                       else FaultPlan.coerce(self.faults))
+        # Same eager policy for fault plans.
+        self.faults = FaultPlan.coerce(self.faults)
         if self.default_timeout is not None and not self.default_timeout > 0:
             raise ValueError(f"default_timeout must be positive (or None), "
                              f"got {self.default_timeout}")
@@ -285,9 +283,8 @@ class QueryService:
         self.executor: Optional[ShardExecutor] = None
         if cfg.workers >= 2:
             self.executor = ShardExecutor(
-                index.points, workers=cfg.workers, chunk_size=cfg.shard_chunk,
-                backend=cfg.backend, kernel=index.kernel, index=index,
-                tracer=self.tracer,
+                index, workers=cfg.workers, chunk_size=cfg.shard_chunk,
+                backend=cfg.backend, tracer=self.tracer,
                 policy=RetryPolicy(retries=cfg.retries,
                                    chunk_timeout=cfg.chunk_timeout),
                 faults=cfg.faults, resilience=self.resilience,
@@ -513,15 +510,15 @@ class QueryService:
                 f"deadline of {deadline.timeout * 1e3:.0f} ms exceeded "
                 f"before {method} execution started")
         cfg = self.config
-        # quantify_vpr only fans out over backends that either share
-        # this service's index or hold an attached copy of its built
-        # plane (serves_plane) — a plain process worker replica
-        # would otherwise lazily rebuild its own Theta(N^4) diagram
-        # (once per worker, default window) and silently ignore an
-        # adopted prebuilt V_Pr.
+        # quantify_vpr only fans out over backends that share this
+        # service's index (thread, inline) or hold an attached copy of
+        # its built plane (serves_plane) — a plain process worker
+        # replica would otherwise lazily rebuild its own Theta(N^4)
+        # diagram (once per worker, default window) and silently ignore
+        # an adopted prebuilt V_Pr.
         fan_out = (method != "quantify_vpr"
                    or (self.executor is not None
-                       and (self.executor.impl.shares_index
+                       and (self.executor.impl.mode != "process"
                             or self.executor.impl.serves_plane)))
         # An inline-mode executor adds chunking overhead for no
         # parallelism, so plain traffic takes the direct engine call —
@@ -900,9 +897,8 @@ class QueryService:
         info: Dict[str, object] = {
             "built": self.index._vpr is not None,
             "plane_encoded": self.plane is not None,
-            "plane_served": bool(
-                self.executor is not None
-                and getattr(self.executor.impl, "serves_plane", False)),
+            "plane_served": (self.executor is not None
+                             and self.executor.impl.serves_plane),
         }
         if self.plane is not None:
             info["plane_bytes"] = int(

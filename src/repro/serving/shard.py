@@ -18,9 +18,10 @@ every backend at every worker count — the property
 
 When a parallel backend cannot start on this host — sandboxed CI
 without POSIX semaphores, restricted seccomp profiles, interpreters
-without ``fork``/``spawn`` — the factory degrades along the documented
-chain down to *inline* mode: the same chunked code path, serially, in
-the calling process.  Same answers, no parallelism, no crash.
+without ``fork``/``spawn`` — the factory walks down the one degradation
+ladder (:data:`~repro.serving.executors.LADDER`: process, thread,
+inline), and a backend that keeps failing at runtime is demoted down
+the same ladder.  Same answers, less parallelism, no crash.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import math
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..obs.metrics import Counter, Registry
 from ..obs.trace import NULL_SPAN, current_span
-from ..uncertain.base import UncertainPoint
 from .executors import (
+    LADDER,
     SHARD_METHODS,
     ExecutorBackend,
     IndexReplica,
@@ -65,13 +66,14 @@ class ShardExecutor:
 
     Parameters
     ----------
-    points:
-        The uncertain points; process-based backends rebuild worker
-        replicas from them.
+    index:
+        The served :class:`~repro.core.index.PNNIndex`.  Thread and
+        inline backends answer through it directly — sharing its lazy
+        artifacts (engines, ``V_Pr``) and its kernel provider; process
+        workers build replicas from its points and kernel name.
     workers:
         Parallel worker count.  Defaults to ``min(4, cpu_count)``; any
-        value below 2 (or a backend that cannot start) selects inline
-        mode.
+        value below 2 selects inline mode.
     chunk_size:
         Query rows per dispatched task.  ``None`` sizes chunks so each
         worker receives about :data:`_TASKS_PER_WORKER` tasks — small
@@ -79,35 +81,14 @@ class ShardExecutor:
     backend:
         ``"auto"`` (default), ``"process"``, ``"thread"``, or
         ``"inline"`` — see :func:`repro.serving.executors.create_backend`
-        for the auto policy and degradation chain.
-    kernel:
-        Compute-kernel provider (:mod:`repro.spatial.kernels`) the
-        worker replicas resolve: ``"auto"`` (default), ``"native"``, or
-        ``"numpy"``.  Process workers build their replica indexes
-        with this name (each worker resolves its own provider — the
-        compiled library loads once per process); thread/inline backends
-        share the caller's index and therefore its provider.  Bitwise
-        parity across providers keeps sharded answers identical
-        regardless of what each side resolved.
-    index:
-        Optional already-built index over *points*; backends that share
-        the caller's index (thread, inline) then skip the replica build
-        entirely — and share its lazy artifacts (engines, ``V_Pr``).
-    plane:
-        Optional dict of flat ``V_Pr`` plane arrays
-        (:func:`repro.spatial.codec.plane_to_arrays`).  The process
-        backend ships the build-once plane to its workers — which
-        then answer ``quantify_vpr`` chunks in parallel with **zero**
-        per-worker diagram builds — and the plane survives pool rebuilds
-        and degradations down the ladder (thread/inline rungs ignore it
-        and serve the shared index's diagram instead).
+        for the auto policy and the degradation ladder.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When the ambient
         span of a :meth:`run` call is sampled, the dispatch and
-        reassembly phases get spans, tasks are sent as traced 4-tuples,
-        and the per-chunk ``worker.compute`` spans the workers ship
-        back are re-parented under the dispatch span.  ``None`` (or an
-        unsampled context) keeps the exact untraced code path.
+        reassembly phases get spans, and the per-chunk
+        ``worker.compute`` spans every task ships back are re-parented
+        under the dispatch span.  ``None`` (or an unsampled context)
+        records none of them.
     policy:
         The :class:`~repro.serving.faults.RetryPolicy` governing the
         collection loop (re-dispatch rounds, backoff, the per-chunk
@@ -124,34 +105,33 @@ class ShardExecutor:
         Optional shared :class:`~repro.serving.faults.CircuitBreaker`
         gating the runtime degradation ladder; ``None`` makes one with
         the default threshold.
+    plane:
+        Optional dict of flat ``V_Pr`` plane arrays
+        (:func:`repro.spatial.codec.plane_to_arrays`).  The process
+        backend ships the build-once plane to its workers — which
+        then answer ``quantify_vpr`` chunks in parallel with **zero**
+        per-worker diagram builds — and the plane survives pool rebuilds
+        and degradations down the ladder (thread/inline rungs ignore it
+        and serve the index's diagram instead).
     """
 
     _TASKS_PER_WORKER = 4
     _MIN_CHUNK = 256
-    #: The runtime degradation ladder — same order as the build-time
-    #: ``backend="auto"`` policy; inline is the cannot-fail floor.
-    _LADDER = {"process": "thread", "thread": "inline"}
 
-    def __init__(self, points: Sequence[UncertainPoint],
-                 workers: Optional[int] = None,
+    def __init__(self, index, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  backend: str = "auto",
-                 kernel: str = "auto",
-                 index=None, tracer=None,
+                 tracer=None,
                  policy: Optional[RetryPolicy] = None,
                  faults=None,
                  resilience: Optional[Dict[str, Counter]] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  plane=None) -> None:
-        if not points:
-            raise ValueError("ShardExecutor needs at least one uncertain point")
-        self.points = list(points)
         self.tracer = tracer
         cpus = os.cpu_count() or 1
         self.workers = min(4, cpus) if workers is None else int(workers)
         self.chunk_size = chunk_size
         self.backend = backend
-        self.kernel = kernel
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = FaultPlan.coerce(faults)
         self.resilience = (resilience if resilience is not None
@@ -162,8 +142,7 @@ class ShardExecutor:
         self._degrade_lock = threading.Lock()
         self._closed = False
         self.impl: ExecutorBackend = create_backend(
-            backend, self.points, self.workers, index=index, kernel=kernel,
-            plane=plane)
+            backend, index, self.workers, plane=plane)
         self.workers = self.impl.workers
         self._initial_mode = self.impl.mode
 
@@ -192,8 +171,7 @@ class ShardExecutor:
                 "initial_mode": self._initial_mode,
                 "degraded": self.degraded,
                 "workers": self.workers,
-                "serves_plane": bool(getattr(self.impl, "serves_plane",
-                                             False)),
+                "serves_plane": self.impl.serves_plane,
                 "breaker": self.breaker.snapshot(),
                 "resilience": {name: counter.get() for name, counter
                                in self.resilience.items()}}
@@ -241,24 +219,23 @@ class ShardExecutor:
         q = as_query_array(queries)
         if len(q) == 0:
             return reassemble(method, [], encode)
-        tasks = [(method, chunk, params) for chunk in self._chunks(q)]
+        chunks = self._chunks(q)
         tracer = self.tracer
         parent = current_span() if (tracer is not None
                                     and tracer.enabled) else NULL_SPAN
         if not parent.sampled:
             return reassemble(method, self._collect(
-                method, tasks, deadline, None, None, encode), encode)
-        # Traced dispatch: 4-tuple tasks make every backend worker time
-        # its chunk (IndexReplica.run_task) and ship the span spec back
-        # with the result; the specs are grafted into the live trace
-        # under the dispatch span.  The result objects themselves come
-        # from the identical run() call, so parity is untouched.
+                method, chunks, params, deadline, None, encode), encode)
+        # Traced dispatch: every worker times its chunk
+        # (IndexReplica.run_task) and ships the span spec back with the
+        # result; the specs are grafted into the live trace under the
+        # dispatch span.
         dspan = tracer.start_span(
             "shard.dispatch", parent=parent, method=method,
             backend=self.impl.mode, workers=self.workers,
-            chunks=len(tasks), rows=int(len(q)))
+            chunks=len(chunks), rows=int(len(q)))
         with dspan:
-            parts = self._collect(method, tasks, deadline, tracer, dspan,
+            parts = self._collect(method, chunks, params, deadline, dspan,
                                   encode)
         with tracer.start_span("shard.reassemble", parent=parent,
                                method=method, chunks=len(parts)):
@@ -267,55 +244,56 @@ class ShardExecutor:
     # ------------------------------------------------------------------
     # The resilient collection loop.
     # ------------------------------------------------------------------
-    def _collect(self, method: str, tasks: List[tuple], deadline,
-                 tracer, dspan, encode: bool = False) -> List[object]:
-        """Dispatch every chunk task and collect results, surviving
-        faults.
+    def _collect(self, method: str, chunks: List[np.ndarray], params: Dict,
+                 deadline, dspan, encode: bool) -> List[object]:
+        """Dispatch every chunk and collect results, surviving faults.
 
         Chunks are dispatched asynchronously
-        (:meth:`ExecutorBackend.dispatch`) and polled, which is what the
-        old blocking ``Pool.map`` could not do: between polls the loop
-        enforces the request deadline, runs the per-chunk hang watchdog,
-        sweeps for dead pool workers (pid churn), and re-dispatches
-        failed chunks with exponential backoff — at most
+        (:meth:`ExecutorBackend.dispatch`) and polled: between polls the
+        loop enforces the request deadline, runs the per-chunk hang
+        watchdog, sweeps for dead pool workers (pid churn), and
+        re-dispatches failed chunks with exponential backoff — at most
         ``retries + 1`` dispatch attempts each.  A circuit-breaker trip
-        (or a failed pool rebuild) demotes the backend one rung
-        down :attr:`_LADDER`; the chunks then restart on the new backend
-        with a fresh attempt budget.  Results are admitted first-wins
-        per ordinal, so a duplicate answer from an abandoned attempt is
-        harmless (every attempt computes identical bytes).
+        (or a failed pool rebuild) demotes the backend one rung down
+        :data:`~repro.serving.executors.LADDER`; the chunks then restart
+        on the new backend with a fresh attempt budget.
+
+        Each pending handle is tagged with the backend and pool
+        generation it was dispatched to.  A rebuild or degradation —
+        this request's or a concurrent one's — leaves handles on a pool
+        that is gone; such a stale handle is dispatched again, its
+        attempt given back because the chunk itself never failed.
+        Results are admitted first-wins per ordinal, so a duplicate
+        answer from an abandoned attempt is harmless (every attempt
+        computes identical bytes).
         """
         policy = self.policy
-        plan = self.faults
-        n = len(tasks)
-        annotate = dspan is not None or plan is not None or encode
-        plan_doc = plan.to_dict() if plan is not None else None
+        plan_doc = self.faults.to_dict() if self.faults is not None else None
         ppid = os.getpid()
+        n = len(chunks)
         results: List[object] = [None] * n
         done = [False] * n
         remaining = n
         attempts = [0] * n        # dispatch attempts used per chunk
         not_before = [0.0] * n    # backoff gate for re-dispatch
-        pending: Dict[int, tuple] = {}  # ordinal -> (handle, dispatched_at)
+        # ordinal -> (handle, dispatched_at, backend, pool generation)
+        pending: Dict[int, tuple] = {}
 
         def build_task(i: int) -> tuple:
-            if not annotate:
-                return tasks[i]
             meta: Dict[str, object] = {"chunk": i, "attempt": attempts[i],
                                        "encode": encode}
             if plan_doc is not None:
                 meta["faults"] = plan_doc
                 meta["ppid"] = ppid
-            return tasks[i] + (meta,)
+            return method, chunks[i], params, meta
 
         def admit(value: object, i: int) -> None:
             nonlocal remaining
             if done[i]:
                 return  # duplicate from an abandoned attempt; bitwise equal
-            if annotate:
-                value, spec = value
-                if dspan is not None:
-                    tracer.record_remote(dspan, spec)
+            value, spec = value
+            if dspan is not None:
+                self.tracer.record_remote(dspan, spec)
             results[i] = value
             done[i] = True
             remaining -= 1
@@ -365,13 +343,21 @@ class ShardExecutor:
                     continue
                 if attempts[i] > policy.retries:
                     continue  # exhausted; its fail() already raised
+                impl = self.impl
+                generation = impl.generation
+                try:
+                    handle = impl.dispatch(build_task(i))
+                except Exception:  # noqa: BLE001 — aborted under us?
+                    if impl is self.impl:
+                        raise
+                    continue  # degraded meanwhile: next round dispatches
                 if attempts[i] > 0:
                     self.resilience["retries"].inc()
-                handle = self.impl.dispatch(build_task(i))
                 attempts[i] += 1
-                pending[i] = (handle, now)
+                pending[i] = (handle, now, impl, generation)
             # Poll in-flight chunks; admit results, retry failures.
-            for i, (handle, started) in list(pending.items()):
+            for i, (handle, started, impl, generation) in list(
+                    pending.items()):
                 if i not in pending:  # evicted by a degrade mid-sweep
                     continue
                 if deadline is not None and deadline.expired:
@@ -387,6 +373,10 @@ class ShardExecutor:
                     else:
                         admit(value, i)
                         self.breaker.record_success()
+                elif impl is not self.impl or generation != impl.generation:
+                    # Stranded on a rebuilt pool or a demoted backend.
+                    del pending[i]
+                    attempts[i] -= 1
                 elif (policy.chunk_timeout is not None
                       and now - started > policy.chunk_timeout):
                     # Hung, not dead: the worker holding it is wedged,
@@ -438,28 +428,23 @@ class ShardExecutor:
                                  f"after {reason}")
 
     def _degrade(self, reason: str) -> bool:
-        """Demote the backend one rung down the runtime ladder.
+        """Demote the backend one rung down
+        :data:`~repro.serving.executors.LADDER`.
 
         Returns ``True`` when a new backend was installed (``False`` at
         the inline floor).  The old backend is aborted — torn down
         without waiting on wedged or dead workers.
         """
         with self._degrade_lock:
-            nxt = self._LADDER.get(self.impl.mode)
-            if nxt is None:
-                return False
             old = self.impl
+            rung = LADDER.index(old.mode) + 1
+            if rung == len(LADDER):
+                return False
             self.resilience["degradations"].inc()
             _LOG.error("degrading executor backend %s -> %s: %s",
-                       old.mode, nxt, reason)
-            try:
-                self.impl = create_backend(
-                    nxt, self.points, self.workers, index=self._index,
-                    kernel=self.kernel, plane=self._plane)
-            except Exception:  # noqa: BLE001 — inline floor cannot fail
-                self.impl = create_backend("inline", self.points, 1,
-                                           index=self._index,
-                                           kernel=self.kernel)
+                       old.mode, LADDER[rung], reason)
+            self.impl = create_backend(LADDER[rung], self._index,
+                                       self.workers, plane=self._plane)
             self.workers = self.impl.workers
             try:
                 old.abort()

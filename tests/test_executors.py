@@ -48,6 +48,16 @@ def _queries(m, extent, seed=17):
                      for _ in range(m)])
 
 
+def _answers(impl, tasks):
+    """Dispatch ``(method, chunk, params)`` tasks on *impl*; the chunk
+    results in task order."""
+    handles = [impl.dispatch((method, chunk, params, {"chunk": i}))
+               for i, (method, chunk, params) in enumerate(tasks)]
+    for handle in handles:
+        assert handle.wait(60.0), "chunk did not answer within 60 s"
+    return [handle.result()[0] for handle in handles]
+
+
 class _OpaqueModel(DiskUniformPoint):
     """A user-defined subclass the array codec refuses to encode; worker
     replicas receive it pickled like any other model."""
@@ -92,8 +102,8 @@ class TestBackendParityGrid:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_generic_kinds_bitwise(self, disk_case, backend, workers):
         index, qs, expected = disk_case
-        with ShardExecutor(index.points, workers=workers, chunk_size=64,
-                           backend=backend, index=index) as executor:
+        with ShardExecutor(index, workers=workers, chunk_size=64,
+                           backend=backend) as executor:
             assert np.array_equal(executor.run("delta", qs),
                                   expected["delta"])
             assert executor.run("nonzero_nn", qs) == expected["nonzero_nn"]
@@ -109,16 +119,16 @@ class TestBackendParityGrid:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_quantify_exact_bitwise(self, discrete_case, backend, workers):
         index, qs, expected = discrete_case
-        with ShardExecutor(index.points, workers=workers, chunk_size=32,
-                           backend=backend, index=index) as executor:
+        with ShardExecutor(index, workers=workers, chunk_size=32,
+                           backend=backend) as executor:
             assert executor.run("quantify_exact", qs) == expected
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_quantify_vpr_bitwise(self, vpr_case, backend, workers):
         index, qs, expected = vpr_case
-        with ShardExecutor(index.points, workers=workers, chunk_size=64,
-                           backend=backend, index=index) as executor:
+        with ShardExecutor(index, workers=workers, chunk_size=64,
+                           backend=backend) as executor:
             assert executor.run("quantify_vpr", qs) == expected
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
@@ -126,16 +136,15 @@ class TestBackendParityGrid:
         """Any chunk size reassembles to the same bits."""
         index, qs, expected = disk_case
         for chunk in (17, 100, 10_000):
-            with ShardExecutor(index.points, workers=2, chunk_size=chunk,
-                               backend=backend, index=index) as executor:
+            with ShardExecutor(index, workers=2, chunk_size=chunk,
+                               backend=backend) as executor:
                 assert np.array_equal(executor.run("delta", qs),
                                       expected["delta"])
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_empty_batch(self, backend):
         index, _ = _disk_index(10)
-        with ShardExecutor(index.points, workers=2,
-                           backend=backend) as executor:
+        with ShardExecutor(index, workers=2, backend=backend) as executor:
             result = executor.run("delta", np.empty((0, 2)))
             assert isinstance(result, np.ndarray) and result.shape == (0,)
             assert executor.run("nonzero_nn", []) == []
@@ -149,14 +158,14 @@ class TestBackendFactory:
     def test_unknown_backend_rejected(self):
         index, _ = _disk_index(5)
         with pytest.raises(ValueError, match="unknown executor backend"):
-            create_backend("gpu", index.points, workers=2)
+            create_backend("gpu", index, workers=2)
         with pytest.raises(ValueError, match="unknown executor backend"):
-            ShardExecutor(index.points, workers=2, backend="gpu")
+            ShardExecutor(index, workers=2, backend="gpu")
 
     def test_single_worker_is_inline(self):
         index, _ = _disk_index(5)
         for backend in BACKENDS:
-            impl = create_backend(backend, index.points, workers=1)
+            impl = create_backend(backend, index, workers=1)
             assert isinstance(impl, InlineBackend)
             impl.close()
 
@@ -164,7 +173,7 @@ class TestBackendFactory:
         index, _ = _disk_index(5)
         for name, cls in (("process", ProcessBackend),
                           ("thread", ThreadBackend)):
-            impl = create_backend(name, index.points, workers=2)
+            impl = create_backend(name, index, workers=2)
             try:
                 # Pool-less sandboxes may degrade; a live backend must
                 # resolve to the class (and mode) that was asked for.
@@ -208,16 +217,17 @@ class TestBackendFactory:
 
     def test_auto_degrades_to_threads_without_process_pools(
             self, monkeypatch):
-        """A host that cannot start a pool: ``auto`` falls to threads,
-        while an explicit ``process`` request falls to inline."""
+        """A host that cannot start a pool: ``auto`` and an explicit
+        ``process`` request both take the next rung of the one ladder,
+        threads."""
         def no_pools(*args, **kwargs):
             raise BackendUnavailable("no pools on this host")
 
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(process_module, "start_pool", no_pools)
         index, _ = _disk_index(5)
-        for name, mode in (("auto", "thread"), ("process", "inline")):
-            impl = create_backend(name, index.points, workers=2)
+        for name, mode in (("auto", "thread"), ("process", "thread")):
+            impl = create_backend(name, index, workers=2)
             try:
                 assert impl.mode == mode
             finally:
@@ -226,21 +236,21 @@ class TestBackendFactory:
     def test_auto_env_override(self, monkeypatch):
         index, _ = _disk_index(5)
         monkeypatch.setenv(BACKEND_ENV, "thread")
-        impl = create_backend("auto", index.points, workers=2)
+        impl = create_backend("auto", index, workers=2)
         try:
             assert impl.mode == "thread"
         finally:
             impl.close()
         # Explicit names are never overridden.
         monkeypatch.setenv(BACKEND_ENV, "process")
-        impl = create_backend("thread", index.points, workers=2)
+        impl = create_backend("thread", index, workers=2)
         try:
             assert impl.mode == "thread"
         finally:
             impl.close()
         monkeypatch.setenv(BACKEND_ENV, "gpu")
         with pytest.raises(ValueError, match=BACKEND_ENV):
-            create_backend("auto", index.points, workers=2)
+            create_backend("auto", index, workers=2)
 
     @pytest.mark.parametrize("surface", ["service_config", "factory",
                                          "auto_env", "cli", "fault_plan"])
@@ -256,11 +266,9 @@ class TestBackendFactory:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         attempts = {
             "service_config": lambda: ServiceConfig(backend="shm"),
-            "factory": lambda: create_backend("shm", index.points,
-                                              workers=2),
+            "factory": lambda: create_backend("shm", index, workers=2),
             "auto_env": lambda: (monkeypatch.setenv(BACKEND_ENV, "shm"),
-                                 create_backend("auto", index.points,
-                                                workers=2)),
+                                 create_backend("auto", index, workers=2)),
             "cli": lambda: main(["serve-http", "--backend", "shm",
                                  "--port", "0", "--n", "3"]),
             "fault_plan": lambda: FaultPlan.coerce(
@@ -281,12 +289,12 @@ class TestThreadBackend:
     def test_shares_the_caller_index(self):
         pts = random_discrete_points(10, 2, seed=7, spread=2.0)
         index = PNNIndex(pts)
-        impl = ThreadBackend(pts, workers=2, index=index)
+        impl = ThreadBackend(index, workers=2)
         try:
             assert impl._replica.index is index
             qs = _queries(150, 8.0)
-            parts = impl.map([("quantify_vpr", qs[:50], {}),
-                              ("quantify_vpr", qs[50:], {})])
+            parts = _answers(impl, [("quantify_vpr", qs[:50], {}),
+                                    ("quantify_vpr", qs[50:], {})])
             # The warm-up built V_Pr once, on the shared index itself.
             assert index._vpr is not None
             flat = [row for part in parts for row in part]
@@ -294,21 +302,21 @@ class TestThreadBackend:
         finally:
             impl.close()
 
-    def test_concurrent_maps_agree(self):
+    def test_concurrent_clients_agree(self):
         """Two client threads driving one thread backend stay bitwise."""
         import threading
 
         index, extent = _disk_index(60)
         qs = _queries(400, extent)
         expected = index.batch_delta(qs)
-        impl = ThreadBackend(index.points, workers=3, index=index)
+        impl = ThreadBackend(index, workers=3)
         results, errors = {}, []
 
         def client(tid):
             try:
                 tasks = [("delta", qs[s:s + 50], {})
                          for s in range(0, len(qs), 50)]
-                parts = impl.map(tasks)
+                parts = _answers(impl, tasks)
                 results[tid] = np.concatenate(parts)
             except Exception as exc:  # noqa: BLE001
                 errors.append(repr(exc))
@@ -333,7 +341,7 @@ class TestLifecycle:
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS + ("inline",))
     def test_close_is_idempotent(self, backend):
         index, _ = _disk_index(10)
-        impl = create_backend(backend, index.points, workers=2)
+        impl = create_backend(backend, index, workers=2)
         impl.close()
         impl.close()
         assert impl.closed
@@ -342,7 +350,7 @@ class TestLifecycle:
         import gc
 
         index, _ = _disk_index(10)
-        impl = create_backend("process", index.points, workers=2)
+        impl = create_backend("process", index, workers=2)
         if impl.mode != "process":  # pragma: no cover
             impl.close()
             pytest.skip("process pools unavailable here")
@@ -357,7 +365,7 @@ class TestLifecycle:
         points = [_OpaqueModel((float(i), 0.0), 0.5) for i in range(4)]
         index = PNNIndex(points)
         qs = _queries(20, 4.0)
-        with ShardExecutor(points, workers=2, backend="auto") as executor:
+        with ShardExecutor(index, workers=2, backend="auto") as executor:
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
 
@@ -365,7 +373,7 @@ class TestLifecycle:
         """A pool whose graceful close() blows up (a KeyboardInterrupt
         landing in join()) is terminated rather than left running."""
         index, _ = _disk_index(10)
-        impl = create_backend("process", index.points, workers=2)
+        impl = create_backend("process", index, workers=2)
         if impl.mode != "process":  # pragma: no cover — pool-less sandbox
             impl.close()
             pytest.skip("process pools unavailable here")
@@ -395,7 +403,7 @@ class TestWorkerEntry:
     def test_run_chunk_without_replica_raises(self, monkeypatch):
         monkeypatch.setattr(process_module, "_REPLICA", None)
         with pytest.raises(RuntimeError, match="initializer did not run"):
-            process_module._run_chunk(("delta", np.zeros((1, 2)), {}))
+            process_module._run_chunk(("delta", np.zeros((1, 2)), {}, {}))
 
     def test_run_chunk_without_replica_raises_under_optimize(self):
         """``python -O`` strips asserts; the guard must survive it."""
@@ -405,7 +413,7 @@ class TestWorkerEntry:
         code = ("import numpy as np\n"
                 "from repro.serving.executors.process import _run_chunk\n"
                 "try:\n"
-                "    _run_chunk(('delta', np.zeros((1, 2)), {}))\n"
+                "    _run_chunk(('delta', np.zeros((1, 2)), {}, {}))\n"
                 "except RuntimeError as exc:\n"
                 "    print('RuntimeError:', exc)\n")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -500,9 +508,9 @@ class TestStartPool:
 # The process pool: plane shipping, death detection, rebuild, abort.
 # ----------------------------------------------------------------------
 
-def _process_backend(points, **kw):
+def _process_backend(index, **kw):
     try:
-        return ProcessBackend(points, workers=2, **kw)
+        return ProcessBackend(index, workers=2, **kw)
     except BackendUnavailable:  # pragma: no cover — pool-less sandbox
         pytest.skip("process pools unavailable here")
 
@@ -535,13 +543,13 @@ class TestProcessPool:
         qs = _queries(48, 9.0, seed=43)
         want = index.batch_quantify_vpr(qs)
         monkeypatch.setattr(ProcessBackend, "start_method", method)
-        impl = _process_backend(index.points,
+        impl = _process_backend(index,
                                 plane=plane_to_arrays(index.cached_vpr()))
         try:
             assert impl.start_method == method and impl.serves_plane
             builds = ENGINE.get("vpr.builds")
-            parts = impl.map([("quantify_vpr", qs[:24], {}),
-                              ("quantify_vpr", qs[24:], {})])
+            parts = _answers(impl, [("quantify_vpr", qs[:24], {}),
+                                    ("quantify_vpr", qs[24:], {})])
             assert parts[0] + parts[1] == want
             # Worker counters ship home: a chunk-time build would show.
             assert ENGINE.get("vpr.builds") == builds
@@ -554,17 +562,17 @@ class TestProcessPool:
         points = [_OpaqueModel((float(i), 0.5 * i), 0.5) for i in range(6)]
         index = PNNIndex(points)
         qs = _queries(40, 6.0)
-        impl = _process_backend(points)
+        impl = _process_backend(index)
         try:
             assert np.array_equal(
-                reassemble("delta", impl.map([("delta", qs, {})])),
+                reassemble("delta", _answers(impl, [("delta", qs, {})])),
                 index.batch_delta(qs))
             for method, params in (("nonzero_nn", {}),
                                    ("quantify", {"epsilon": 0.25}),
                                    ("top_k", {"k": 2, "epsilon": 0.25}),
                                    ("threshold_nn", {"tau": 0.4})):
                 want = getattr(index, f"batch_{method}")(qs, **params)
-                assert impl.map([(method, qs, params)]) == [want]
+                assert _answers(impl, [(method, qs, params)]) == [want]
         finally:
             impl.close()
 
@@ -574,7 +582,7 @@ class TestProcessPool:
         import signal
 
         index, _ = _disk_index(10)
-        impl = _process_backend(index.points)
+        impl = _process_backend(index)
         try:
             assert not impl.broken()
             victim = next(iter(impl._pids))
@@ -589,7 +597,7 @@ class TestProcessPool:
     def test_rebuild_starts_fresh_workers(self):
         index, _ = _disk_index(20)
         qs = _queries(60, 8.0)
-        impl = _process_backend(index.points)
+        impl = _process_backend(index)
         try:
             old_pool, old_pids, method = impl._pool, impl._pids, \
                 impl.start_method
@@ -600,7 +608,7 @@ class TestProcessPool:
             assert impl.start_method == method
             assert not impl.broken()
             assert np.array_equal(
-                reassemble("delta", impl.map([("delta", qs, {})])),
+                reassemble("delta", _answers(impl, [("delta", qs, {})])),
                 index.batch_delta(qs))
         finally:
             impl.close()
@@ -613,7 +621,7 @@ class TestProcessPool:
         from repro.serving.faults import FaultPlan
 
         index, _ = _disk_index(10)
-        impl = _process_backend(index.points)
+        impl = _process_backend(index)
         procs = list(impl._pool._pool)
         plan = FaultPlan.coerce("hang_chunk:delay=30").to_dict()
         impl.dispatch(("delta", np.zeros((1, 2)), {}, {"faults": plan}))

@@ -34,9 +34,14 @@ class TestRegistry:
         for row in res.rows:
             assert row["max breakpoints"] <= row["bound 2n"]
 
-    def test_e14_matches_paper(self):
-        res = run_e14(quick=True)
-        assert res.passed
+    @pytest.mark.parametrize("exp_id", sorted(REGISTRY,
+                                              key=lambda k: int(k[1:])))
+    def test_quick_run_passes(self, exp_id):
+        """Every paper experiment E1–E18 reproduces its claim in quick
+        mode (E14's match with the paper's numbers included)."""
+        res = REGISTRY[exp_id](quick=True)
+        assert res.exp_id == exp_id
+        assert res.passed, res.conclusion
 
 
 class TestBruteForceAgreement:

@@ -33,7 +33,6 @@ from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.serving import ShardExecutor
 from repro.serving.faults import (
-    FAULTS_ENV,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -63,7 +62,7 @@ def fleet():
 def _executor(index, backend, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("chunk_size", 8)
-    return ShardExecutor(index.points, backend=backend, index=index, **kw)
+    return ShardExecutor(index, backend=backend, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -171,13 +170,6 @@ class TestFaultPlan:
             plan.perturb("delta", chunk=2, attempt=0)
         plan.perturb("delta", chunk=1, attempt=0)   # wrong chunk: no-op
         plan.perturb("delta", chunk=2, attempt=1)   # wrong attempt: no-op
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "hang_chunk:chunk=3,delay=9")
-        plan = FaultPlan.from_env()
-        assert plan is not None and plan.specs[0].delay == 9.0
-        monkeypatch.delenv(FAULTS_ENV)
-        assert FaultPlan.from_env() is None
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +410,96 @@ class TestSigkill:
             ex.close()
 
 
+class TestStrandedChunks:
+    @pytest.mark.parametrize("disruption", ["heal", "degrade"])
+    def test_pool_swap_under_a_running_request(self, fleet, disruption):
+        """A concurrent request rebuilds the pool (its dead-worker sweep
+        heals) or demotes the backend (its breaker trips) while this
+        request has chunks in flight on the old pool.  Those chunks are
+        dispatched again, so the request answers bitwise-equal well
+        inside its deadline instead of waiting on handles that can
+        never answer."""
+        index, qs, oracle = fleet
+        ex = _executor(index, "process", chunk_size=3,
+                       faults="slow_chunk:delay=0.3")
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(ex.run("delta", qs,
+                                      deadline=Deadline(15.0)))
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        try:
+            if ex.mode != "process":
+                pytest.skip("process pools unavailable on this host")
+            t = threading.Thread(target=run)
+            t.start()
+            time.sleep(0.5)  # 16 slow chunks: most still in flight
+            if disruption == "heal":
+                # The other request's sweep consumed the shared pid
+                # snapshot, so this request's own sweep sees no death.
+                ex.impl.broken = lambda: False
+                ex._heal("a concurrent request saw a worker die")
+            else:
+                ex._degrade("a concurrent request tripped the breaker")
+            t.join(timeout=30)
+            assert not t.is_alive() and not errors, f"run failed: {errors}"
+            np.testing.assert_array_equal(results[0], oracle)
+        finally:
+            ex.close()
+
+    def test_clients_survive_rebuild_storm(self, fleet):
+        """More client threads than cores keep answering bitwise-equal
+        while another thread rebuilds the pool under them, again and
+        again: no dispatch lands on a pool being swapped out, and no
+        chunk waits on a pool that is gone."""
+        import sys
+
+        index, qs, oracle = fleet
+        ex = _executor(index, "thread", chunk_size=4)
+        stop = threading.Event()
+        results, errors = [], []
+
+        def client():
+            try:
+                for _ in range(10):
+                    results.append(ex.run("delta", qs,
+                                          deadline=Deadline(20.0)))
+            except BaseException as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        def healer():
+            while not stop.is_set():
+                ex._heal("stress")
+                time.sleep(0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            storm = threading.Thread(target=healer)
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            storm.start()
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60)
+            stop.set()
+            storm.join(timeout=10)
+            assert not storm.is_alive()
+            assert not any(t.is_alive() for t in clients)
+            assert not errors, f"run failed: {errors}"
+            assert len(results) == 40
+            for out in results:
+                np.testing.assert_array_equal(out, oracle)
+            assert ex.resilience["rebuilds"].get() > 10
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            ex.close()
+
+
 # ----------------------------------------------------------------------
 # Service + HTTP: deadlines surface as 504, admission state stays clean.
 # ----------------------------------------------------------------------
@@ -587,12 +669,22 @@ class TestServiceConfigFaults:
             assert isinstance(service.config.faults, FaultPlan)
             assert service.executor.faults is service.config.faults
 
-    def test_env_plan_picked_up(self, fleet, monkeypatch):
-        index, _, _ = fleet
-        monkeypatch.setenv(FAULTS_ENV, "slow_chunk:delay=0.01")
-        service = index.serve(workers=2, backend="thread")
+    def test_environment_injects_nothing(self, fleet, monkeypatch):
+        """Faults come from the config alone: the retired REPRO_FAULTS
+        variable no longer reaches any service."""
+        index, qs, oracle = fleet
+        monkeypatch.setenv("REPRO_FAULTS", "raise_in_compute:attempts=any")
+        service = index.serve(workers=2, backend="thread",
+                              shard_min_batch=8, shard_chunk=8,
+                              cache_capacity=0, coalesce=False)
         with service:
-            assert isinstance(service.config.faults, FaultPlan)
+            assert service.config.faults is None
+            assert service.executor.faults is None
+            np.testing.assert_array_equal(service.batch("delta", qs),
+                                          oracle)
+            snap = service.stats()["resilience"]
+            assert snap["faults_injected"] == 0
+            assert snap["worker_failures"] == 0
 
     def test_invalid_plan_rejected(self, fleet):
         index, _, _ = fleet

@@ -182,6 +182,27 @@ class TestValidation:
                              {"q": [0, 0], "queries": [[0, 0]]})
         assert status == 400
 
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5"])
+    def test_malformed_content_length_400(self, server, length):
+        """A Content-Length that is not a decimal byte count answers 400
+        and closes the connection, like a malformed request line."""
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /v1/query/delta HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: %s\r\n\r\n{}" % length.encode())
+            reply = b""
+            while True:
+                data = sock.recv(4096)
+                if not data:
+                    break
+                reply += data
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body) == {"error": "malformed Content-Length"}
+
     def test_malformed_point_400(self, server):
         for bad in ([0], [0, 1, 2], ["x", "y"], [True, False], "nope"):
             status, _, _ = _http(server.port, "POST", "/v1/query/delta",

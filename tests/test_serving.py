@@ -186,7 +186,7 @@ class TestShardExecutor:
         base_nn = index.batch_nonzero_nn(qs)
         base_quant = index.batch_quantify(qs[:60], epsilon=0.25)
         for workers in (1, 2, 3):
-            with ShardExecutor(index.points, workers=workers,
+            with ShardExecutor(index, workers=workers,
                                chunk_size=64) as executor:
                 assert np.array_equal(executor.run("delta", qs), base_delta)
                 assert executor.run("nonzero_nn", qs) == base_nn
@@ -204,11 +204,11 @@ class TestShardExecutor:
         assert base == [index.quantify(tuple(q), method="exact")
                         for q in qs.tolist()]
         for workers in (1, 2, 3):
-            with ShardExecutor(pts, workers=workers,
+            with ShardExecutor(index, workers=workers,
                                chunk_size=32) as executor:
                 assert executor.run("quantify_exact", qs) == base
         # The inline fallback (no pool at all) walks the same chunks.
-        with ShardExecutor(pts, workers=1, chunk_size=32) as executor:
+        with ShardExecutor(index, workers=1, chunk_size=32) as executor:
             assert executor.mode == "inline"
             assert executor.run("quantify_exact", qs) == base
 
@@ -216,7 +216,7 @@ class TestShardExecutor:
         pts = random_discrete_points(10, 3, seed=5, spread=2.0)
         index = PNNIndex(pts)
         qs = _queries(40, 10.0)
-        with ShardExecutor(pts, workers=2, chunk_size=8) as executor:
+        with ShardExecutor(index, workers=2, chunk_size=8) as executor:
             assert executor.run("top_k", qs, {"k": 2}) == \
                 index.batch_top_k(qs, k=2)
             assert executor.run("threshold_nn", qs, {"tau": 0.4}) == \
@@ -224,14 +224,14 @@ class TestShardExecutor:
 
     def test_empty_batch(self):
         index, extent = _disk_index(20)
-        with ShardExecutor(index.points, workers=2) as executor:
+        with ShardExecutor(index, workers=2) as executor:
             result = executor.run("delta", np.empty((0, 2)))
             assert isinstance(result, np.ndarray) and result.shape == (0,)
             assert executor.run("nonzero_nn", []) == []
 
     def test_single_worker_is_inline(self):
         index, extent = _disk_index(20)
-        with ShardExecutor(index.points, workers=1) as executor:
+        with ShardExecutor(index, workers=1) as executor:
             assert executor.mode == "inline"
             qs = _queries(30, extent)
             assert np.array_equal(executor.run("delta", qs),
@@ -239,21 +239,21 @@ class TestShardExecutor:
 
     def test_unknown_method_rejected(self):
         index, _ = _disk_index(5)
-        with ShardExecutor(index.points, workers=1) as executor:
+        with ShardExecutor(index, workers=1) as executor:
             with pytest.raises(ValueError, match="unknown shardable"):
                 executor.run("voronoi", np.zeros((1, 2)))
 
     def test_run_after_close_raises_cleanly(self):
         index, extent = _disk_index(20)
-        executor = ShardExecutor(index.points, workers=2)
+        executor = ShardExecutor(index, workers=2)
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.run("delta", _queries(5, extent))
 
     def test_fallback_when_multiprocessing_unavailable(self, monkeypatch):
         """Sandboxes without process pools degrade instead of crashing:
-        an explicit process backend falls to inline, the auto policy
-        falls through to the (always-available) thread backend."""
+        an explicit process backend and the auto policy both fall to
+        the next rung of the one ladder, the thread backend."""
         def broken_get_context(method=None):
             raise ValueError(f"start method {method!r} unavailable")
 
@@ -264,13 +264,13 @@ class TestShardExecutor:
         monkeypatch.delenv("REPRO_SERVING_BACKEND", raising=False)
         index, extent = _disk_index(40)
         qs = _queries(50, extent)
-        with ShardExecutor(index.points, workers=4,
+        with ShardExecutor(index, workers=4,
                            backend="process") as executor:
-            assert executor.mode == "inline"
-            assert executor.workers == 1
+            assert executor.mode == "thread"
+            assert executor.workers == 4
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
-        with ShardExecutor(index.points, workers=4) as executor:
+        with ShardExecutor(index, workers=4) as executor:
             assert executor.mode == "thread"
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
@@ -289,9 +289,9 @@ class TestShardExecutor:
             process_module.multiprocessing, "get_context",
             lambda method=None: _BrokenContext(method or "fork"))
         index, extent = _disk_index(40)
-        with ShardExecutor(index.points, workers=2,
+        with ShardExecutor(index, workers=2,
                            backend="process") as executor:
-            assert executor.mode == "inline"
+            assert executor.mode == "thread"
             qs = _queries(20, extent)
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
@@ -735,7 +735,7 @@ class TestServiceLifecycle:
 
     def test_executor_del_closes_backend(self):
         index, _ = _disk_index(20)
-        executor = ShardExecutor(index.points, workers=2)
+        executor = ShardExecutor(index, workers=2)
         impl = executor.impl
         del executor
         import gc
@@ -746,7 +746,7 @@ class TestServiceLifecycle:
     def test_double_close_every_backend(self):
         index, _ = _disk_index(15)
         for backend in ("process", "thread", "inline"):
-            executor = ShardExecutor(index.points, workers=2,
+            executor = ShardExecutor(index, workers=2,
                                      backend=backend)
             executor.close()
             executor.close()  # second close is a no-op
