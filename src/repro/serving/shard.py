@@ -140,6 +140,7 @@ class ShardExecutor:
         self._index = index
         self._plane = plane
         self._degrade_lock = threading.Lock()
+        self._heal_lock = threading.Lock()
         self._closed = False
         self.impl: ExecutorBackend = create_backend(
             backend, index, self.workers, plane=plane)
@@ -383,16 +384,20 @@ class ShardExecutor:
                     # so quarantine the whole pool and re-dispatch.
                     del pending[i]
                     if self._heal(f"chunk {i} of {method} hung past "
-                                  f"{policy.chunk_timeout:g}s watchdog"):
+                                  f"{policy.chunk_timeout:g}s watchdog",
+                                  impl, generation):
                         reset_after_degrade()
                     fail(i, "chunk watchdog timeout (worker hung)")
             # Dead-worker sweep: a vanished pool pid means chunks
             # dispatched to it will never answer.
-            if pending and self.impl.broken():
+            impl = self.impl
+            generation = impl.generation
+            if pending and impl.broken():
                 lost = sorted(pending)
                 pending.clear()
                 degraded = self._heal(
-                    f"worker death detected ({len(lost)} chunks in flight)")
+                    f"worker death detected ({len(lost)} chunks in flight)",
+                    impl, generation)
                 degraded = trip_check("worker process died") or degraded
                 if degraded:
                     reset_after_degrade()
@@ -414,18 +419,28 @@ class ShardExecutor:
         return results
 
     # ------------------------------------------------------------------
-    def _heal(self, reason: str) -> bool:
-        """Rebuild the backend's worker pool; returns ``True`` when the
-        rebuild itself failed and forced a degradation instead."""
-        self.resilience["rebuilds"].inc()
-        _LOG.warning("rebuilding %s executor pool: %s",
-                     self.impl.mode, reason)
-        try:
-            self.impl.rebuild()
-            return False
-        except Exception as exc:  # noqa: BLE001 — any rebuild failure
-            return self._degrade(f"pool rebuild failed ({exc!r}) "
-                                 f"after {reason}")
+    def _heal(self, reason: str, impl: ExecutorBackend,
+               generation: int) -> bool:
+        """Rebuild the worker pool the caller saw fail: *impl* at pool
+        *generation*.  Returns ``True`` when the rebuild itself failed
+        and forced a degradation instead.
+
+        Concurrent requests wedged on one pool all see it fail; once one
+        of them has rebuilt or demoted it, the others' calls are no-ops
+        (their stranded chunks re-dispatch to the new pool).
+        """
+        with self._heal_lock:
+            if impl is not self.impl or impl.generation != generation:
+                return False
+            self.resilience["rebuilds"].inc()
+            _LOG.warning("rebuilding %s executor pool: %s", impl.mode,
+                         reason)
+            try:
+                impl.rebuild()
+                return False
+            except Exception as exc:  # noqa: BLE001 — any rebuild failure
+                return self._degrade(f"pool rebuild failed ({exc!r}) "
+                                     f"after {reason}")
 
     def _degrade(self, reason: str) -> bool:
         """Demote the backend one rung down

@@ -486,7 +486,8 @@ int repro_line_box_clip(const double *A, const double *B, const double *C,
 /* entry list is bisected for the first entry whose edge-y at qx is   */
 /* >= qy (pure compares plus the shared t / y interpolation), and the */
 /* best candidate minimizes the float triple (y at qx, y at the query */
-/* slab's midline, slope) — slope breaking the degenerate tie where a */
+/* slab's midline, slope) — slope, negated for an edge whose right   */
+/* end is nearer the midline, breaking the degenerate tie where a     */
 /* sliver slab's midline rounds onto qx.  The combine compares exact  */
 /* values, so the answer is independent of path order and bitwise     */
 /* equal to the NumPy lanes.                                          */
@@ -552,7 +553,8 @@ void repro_plane_locate(const double *qx, const double *qy, int64_t m,
                 const double dy = vy[v] - vy[u];
                 const double yc = vy[u] + ((x - pux) / dx) * dy;
                 const double ym = vy[u] + ((smid - pux) / dx) * dy;
-                const double sl2 = dy / dx;
+                const double sl2 = vx[v] - smid < smid - pux ? -(dy / dx)
+                                                           : dy / dx;
                 if (best < 0 || yc < best_y
                         || (yc == best_y && ym < best_m)
                         || (yc == best_y && ym == best_m && sl2 < best_s)) {

@@ -297,8 +297,10 @@ class NumpyProvider:
         Walks every query's leaf-to-root path, bisects each node's entry
         list for the first entry whose y at ``qx`` is ``>= qy``, and
         keeps the candidate minimizing the float triple ``(y at qx, y
-        at the query slab's midline, slope)`` — slope breaking the
-        degenerate tie where a sliver slab's midline rounds onto ``qx``.
+        at the query slab's midline, slope)`` — slope, negated for an
+        edge whose right end is nearer the midline, breaking the
+        degenerate tie where a sliver slab's midline rounds onto
+        ``qx``.
         The combine compares exact values (no accumulation), so the
         result is independent of the order in which path nodes are
         visited.  Returns ``(best, found)`` with ``best`` an entry
@@ -352,6 +354,7 @@ class NumpyProvider:
             yc = vy[u] + ((qx - pux) / dx) * dy
             ym = vy[u] + ((smid - pux) / dx) * dy
             sl = dy / dx
+            sl = np.where(vx[v] - smid < smid - pux, -sl, sl)
             better = has & ((best < 0) | (yc < best_y)
                             | ((yc == best_y) & (ym < best_m))
                             | ((yc == best_y) & (ym == best_m)

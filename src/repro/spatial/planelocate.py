@@ -17,7 +17,8 @@ A query walks the leaf-to-root path of its slab (``log S`` nodes),
 bisects each node's entry list with *exactly* the slab method's
 comparison arithmetic (same IEEE-754 expressions, same branch
 predicate), and keeps the candidate minimizing the exact float triple
-``(y at query x, y at the query slab's midline, slope)``.  The union
+``(y at query x, y at the query slab's midline, slope)``, the slope
+negated for an edge whose right end is nearer the midline.  The union
 of the path nodes' entries is precisely the slab's row set, each edge
 once, and within a slab y-at-query-x order refines midline order — so
 the winning candidate is provably the same edge a slab table's
@@ -26,9 +27,11 @@ parity suite checks this against the slab-table oracle in
 :mod:`repro.testing.oracles`, including on tie-heavy lattice inputs).
 The slope key exists for one degenerate case: a near-zero-width slab
 whose midline *rounds* onto its boundary collapses the first two keys
-for edges sharing a vertex there; slope orders lines through a common
-point, and the slab table breaks its sort ties the same way, so the
-two structures still agree bitwise.
+for edges sharing a vertex there.  Slope orders lines through a common
+point to its right, negated slope to its left, so edges meeting to the
+right (their nearer end is the right one) compare by negated slope;
+node entries and the slab table break their sort ties the same way, so
+the two structures still agree bitwise.
 
 Build is one sweep: spans by ``searchsorted`` (shared with the
 slab-table oracle), an ``O(E log S)`` vectorized canonical
@@ -91,6 +94,21 @@ def slab_table_rows(arrangement: SegmentArrangement) -> int:
     return int((i1 - i0).sum())
 
 
+def _tie_slope(pux, puy, pvx, pvy, x):
+    """The last sort key of x-ascending edges ``(pu, pv)`` at abscissa
+    *x*: slope, negated for edges whose right end is nearer *x* than
+    their left end.
+
+    Entries tie on the first keys only where they meet at a common
+    vertex within rounding of *x* (a range too thin for its midline to
+    separate them).  Lines through a common point are ordered by slope
+    to its right and by negated slope to its left, and edges meeting to
+    the right of *x* have that vertex as their nearer, right end.
+    """
+    slope = (pvy - puy) / (pvx - pux)
+    return np.where(pvx - x < x - pux, -slope, slope)
+
+
 def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
                         offs: np.ndarray, ent_u: np.ndarray,
                         ent_v: np.ndarray, vx: np.ndarray, vy: np.ndarray,
@@ -139,6 +157,8 @@ def plane_locate_scalar(qx: float, qy: float, xs: np.ndarray,
             yc = vy[u] + ((qx - pux) / dx) * dy
             ym = vy[u] + ((smid - pux) / dx) * dy
             sl = dy / dx
+            if vx[v] - smid < smid - pux:
+                sl = -sl
             if best < 0 or yc < best_y or (yc == best_y and ym < best_m) \
                     or (yc == best_y and ym == best_m and sl < best_s):
                 best = lo
@@ -226,7 +246,7 @@ class PersistentPlaneLocator:
         pvx, pvy = vx[ent_v0], vy[ent_v0]
         t = (repx - pux) / (pvx - pux)
         ymid = puy + t * (pvy - puy)
-        slope = (pvy - puy) / (pvx - pux)
+        slope = _tie_slope(pux, puy, pvx, pvy, repx)
         order = np.lexsort((slope, ymid, node_id))
         self._ent_u = np.ascontiguousarray(ent_u0[order], dtype=np.int64)
         self._ent_v = np.ascontiguousarray(ent_v0[order], dtype=np.int64)

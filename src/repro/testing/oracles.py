@@ -6,10 +6,12 @@ way (the merged-slab tree of :mod:`repro.spatial.planelocate`).  The
 straightforward implementations they replaced live on here, as the
 references the parity suites and benchmarks pin them to bit for bit:
 the pure-Python arrangement build (:class:`ScalarSegmentArrangement`,
-with :func:`interior_point`), the scalar ``V_Pr`` build
-(:class:`ScalarVPRDiagram`), and the ``Theta(V * S)`` slab table
-(:class:`SlabPointLocator`).  The library never imports this module; a
-subprocess test holds that.
+with :func:`interior_point`), the scalar build of the full ``V_Pr``
+arrangement (:class:`ScalarVPRDiagram`, which experiment E10 also
+measures), and the ``Theta(V * S)`` slab table
+(:class:`SlabPointLocator`).  The serving stack never imports this
+module (a subprocess test holds that); the experiments runner imports it
+lazily, for E10.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from ..geometry.segments import (bisector_line, line_box_clip,
                                  segment_intersection)
 from ..quantification.exact_discrete import quantification_vector
 from ..spatial.batch import as_query_array
-from ..spatial.planelocate import _edge_slab_spans, slab_table_rows
+from ..spatial.planelocate import (_edge_slab_spans, _tie_slope,
+                                   slab_table_rows)
 from ..voronoi.vpr import ProbabilisticVoronoiDiagram, box_boundary
 
 __all__ = ["ScalarSegmentArrangement", "ScalarVPRDiagram",
@@ -148,8 +151,9 @@ def scalar_bisector_segments(sites: List[Point],
     """Clipped bisectors of all site pairs, deduplicated (scalar loops).
 
     Same normalized, 9-decimal, sign-canonicalized line key as the
-    batched :meth:`~repro.voronoi.vpr.ProbabilisticVoronoiDiagram.
-    _bisector_segments_batch`, evaluated pair by pair in scan order.
+    batched :func:`~repro.voronoi.vpr.bisector_lines`, evaluated pair by
+    pair in scan order; every line is clipped to the box whole (the full
+    arrangement, without the served diagram's Delta clip).
     """
     seen = set()
     segments = []
@@ -180,9 +184,11 @@ class ScalarVPRDiagram(ProbabilisticVoronoiDiagram):
     """``V_Pr`` built by the pure-Python pipeline end to end.
 
     Scalar bisector loops, the :class:`ScalarSegmentArrangement`, and one
-    Eq. (2) sweep per bounded face.  Queries use the production locator
-    and fallback, so only the build differs; the face matrix and V/E/F
-    counts must equal the vectorized build's bit for bit.
+    Eq. (2) sweep per bounded face, over the *full* arrangement of Lemma
+    4.1.  Queries use the production locator and fallback, so only the
+    build differs.  The served build keeps only the Delta-clipped
+    bisector pieces, so its faces differ, and its answer at every face
+    interior point here must equal this face matrix bit for bit.
     """
 
     def _build_arrangement(self, sites, box) -> SegmentArrangement:
@@ -238,16 +244,17 @@ class SlabPointLocator:
         ru = eu[eidx]
         rv = ev[eidx]
         # Order rows within each slab by y at the slab midline, slope
-        # breaking exact ties: a near-zero-width slab can *round* its
-        # midline onto a boundary where edges share a vertex, so the
-        # tiebreak must be geometric (the merged-slab tree's) rather
-        # than positional.
+        # (negated for edges whose right end is nearer) breaking
+        # exact ties: a near-zero-width slab can *round* its midline
+        # onto a boundary where edges share a vertex, so the tiebreak
+        # must be geometric (the merged-slab tree's) rather than
+        # positional.
         mid = 0.5 * (xs[slab_ids] + xs[slab_ids + 1])
         pux, puy = vx[ru], vy[ru]
         pvx, pvy = vx[rv], vy[rv]
         t = (mid - pux) / (pvx - pux)
         ymid = puy + t * (pvy - puy)
-        slope = (pvy - puy) / (pvx - pux)
+        slope = _tie_slope(pux, puy, pvx, pvy, mid)
         order = np.lexsort((slope, ymid, slab_ids))
         self._row_u = ru[order]
         self._row_v = rv[order]

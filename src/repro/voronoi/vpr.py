@@ -7,33 +7,57 @@ quantification probability (Eq. 2) — is constant.  Theorem 4.2 preprocesses
 this refinement for point location, answering exact quantification queries
 in ``O(log N + t)``.
 
-Construction: bisector lines are clipped to a bounding box (chosen to
-contain the query region of interest plus every pairwise midpoint), the
-box boundary is added, and the segment arrangement's bounded faces each get
-their exact probability vector evaluated at an interior point.  Queries go
-through the merged-slab point locator
+Most of that refinement is invisible to Eq. (2).  Past the guaranteed-NN
+distance ``Delta(q) = min_i max_a d(q, p_i^a)`` some uncertain point has
+all its sites closer, every term carries the factor ``1 - F_i = 0``, and
+the sweep's sum never sees how the sites beyond ``Delta`` are ordered.  So
+the bisector of sites ``p`` and ``r`` matters only where ``d(x, p) <=
+Delta(x)``, and the served diagram keeps only those pieces
+(:func:`clipped_segments`):
+
+1. every pair's bisector line, deduplicated and clipped to a bounding box
+   (chosen to contain the query region of interest plus every pairwise
+   midpoint) by the batched clip kernel;
+2. along each line, the box chord minus at most ``n`` open gaps where
+   some uncertain point has every site strictly closer than ``p`` (each
+   term ``|x-p|^2 - |x-s|^2`` is linear along the line), united over all
+   pairs sharing the line and overshooting each gap end slightly;
+3. a vertical connector from every piece end inside the box up to the
+   top of the frame, so no piece ends inside a face and every face stays
+   simple;
+4. the box frame.
+
+The segment arrangement's bounded faces each get their exact probability
+vector evaluated at an interior point.  The clip merges cells with equal
+answers and the connectors cut some again, so faces, ids and V/E/F
+counts are not the full arrangement's; what is preserved is the
+*answer*: at every point of the box the served diagram returns the full
+arrangement's face vector bit for bit.  On the ``bulk_vpr`` benchmark's
+data set (16 points, ``k = 2``) that is 13,213 faces instead of
+107,587, and a 3.1 MB plane instead of 51.7 MB.  Queries go through the
+merged-slab point locator
 (:class:`~repro.spatial.planelocate.PersistentPlaneLocator`); queries
 outside the box fall back to the direct Eq. (2) sweep, preserving
 exactness everywhere.
 
 The build is vectorized end to end: pairwise bisector coefficients in one
 NumPy broadcast, normalized-key dedup via a stable ``unique``, the batched
-line-vs-box clip kernel, the vectorized arrangement build, and one
+line-vs-box clip kernel, the Delta clip as ``(pairs, sites)`` array
+passes, the vectorized arrangement build, and one
 :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.matrix`
 call labeling every bounded face at once.  Duck-typed site models outside
 :class:`~repro.uncertain.discrete.DiscreteUncertainPoint` have no batched
 engine, so their faces are labeled by the per-face Eq. (2) sweep.
 
-The original pure-Python pair loops and per-face sweeps are kept as the
-test oracle :class:`repro.testing.oracles.ScalarVPRDiagram`;
-``tests/test_speed_bars.py`` bars the build speedup over it (~6x on one
-core at ``N = 18``) and ``tests/test_vectorized_kernels.py`` asserts
-identical V/E/F counts and bitwise-equal face vectors.
-
-This structure is *meant* to be enormous — its ``Theta(N^4)`` size is the
-paper's motivation for the approximation algorithms of Sections 4.2/4.3 —
-so it is only practical for small instances, which is also all the
-``Omega(n^4)`` lower-bound experiment (E10) needs.
+The full arrangement, built by the original pure-Python pair loops and
+per-face sweeps, is the test oracle
+:class:`repro.testing.oracles.ScalarVPRDiagram`: ``tests/test_vpr_clip.py``
+asserts bitwise-equal answers at every one of its face interior points
+and at random queries, and experiment E10 fits Lemma 4.1's growth on it.
+Its ``Theta(N^4)`` size is the paper's motivation for the approximation
+algorithms of Sections 4.2/4.3; the served plane is far smaller, but the
+build still enumerates all ``O(N^2)`` lines and pairwise intersections of
+the kept pieces, so it remains practical only for small instances.
 """
 
 from __future__ import annotations
@@ -57,12 +81,275 @@ __all__ = ["ProbabilisticVoronoiDiagram", "SharedPlaneDiagram"]
 #: Version tag of the shared-plane array layout (``to_plane_arrays``).
 PLANE_FORMAT_VERSION = 1
 
+#: Kept bisector pieces reach this fraction of their box chord past every
+#: gap end.  Extra bisector only refines faces, so overshoot is safe; a
+#: piece stopping exactly at a gap end lands a rounding error (~1e-9) off
+#: the arrangement vertex there, just outside the vertex merge tolerance,
+#: and leaves a sliver corner whose label point sits on an edge.
+_OVERSHOOT = 1e-6
+#: Element budget of one (pairs, sites) block of the clip arrays.
+_CLIP_ELEMENTS = 1 << 20
+
 
 def box_boundary(box: Tuple[Point, Point]) -> List[Tuple[Point, Point]]:
     """The four sides of *box* as segments (the arrangement's frame)."""
     (xmin, ymin), (xmax, ymax) = box
     return [((xmin, ymin), (xmax, ymin)), ((xmax, ymin), (xmax, ymax)),
             ((xmax, ymax), (xmin, ymax)), ((xmin, ymax), (xmin, ymin))]
+
+
+def bisector_lines(sx: np.ndarray, sy: np.ndarray):
+    """Pairwise bisector coefficients and their deduplicated lines.
+
+    One broadcast computes the ``a*x + b*y = c`` coefficients of every
+    pair of distinct site coordinates (pairs of one uncertain point
+    included: swapping them reorders the sweep's sum).  The dedup key is
+    the coefficient triple normalized by its max-abs component, rounded
+    to 9 decimals and sign-canonicalized so that the first nonzero
+    component is positive (two opposite-orientation triples describe the
+    same line).  Lines are numbered in scan order of their first pair.
+
+    Returns ``(pi, pj, line, la, lb, lc)``: the site indices of every
+    pair, the line id of every pair, and each line's coefficients taken
+    from its first pair.
+    """
+    pi, pj = np.triu_indices(len(sx), 1)
+    distinct = (sx[pi] != sx[pj]) | (sy[pi] != sy[pj])
+    pi, pj = pi[distinct], pj[distinct]
+    px, py, rx, ry = sx[pi], sy[pi], sx[pj], sy[pj]
+    la = 2.0 * (rx - px)
+    lb = 2.0 * (ry - py)
+    lc = (rx * rx + ry * ry) - (px * px + py * py)
+    norm = np.maximum(np.maximum(np.abs(la), np.abs(lb)),
+                      np.maximum(np.abs(lc), 1e-30))
+    ka = np.rint((la / norm) * 1e9) / 1e9 + 0.0
+    kb = np.rint((lb / norm) * 1e9) / 1e9 + 0.0
+    kc = np.rint((lc / norm) * 1e9) / 1e9 + 0.0
+    flip = (ka < 0) | ((ka == 0) & ((kb < 0) | ((kb == 0) & (kc < 0))))
+    sign = np.where(flip, -1.0, 1.0)
+    trip = np.ascontiguousarray(np.stack(
+        (ka * sign + 0.0, kb * sign + 0.0, kc * sign + 0.0), axis=1))
+    keys = trip.view(np.dtype((np.void, trip.dtype.itemsize * 3))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    return (pi, pj, rank[inverse.ravel()], la[first], lb[first],
+            lc[first])
+
+
+def _kept_intervals(sx: np.ndarray, sy: np.ndarray, parent: np.ndarray,
+                    pi: np.ndarray, pj: np.ndarray,
+                    chords: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """Where each pair's bisector can reorder the Eq. (2) prefix.
+
+    Pair ``(p, r)`` is parameterized along its line's box chord
+    ``x(t) = A + t (B - A)``, ``t`` in ``[0, 1]`` (one ``chords`` row per
+    pair).  It matters where ``d(x, p) <= Delta(x)``, i.e. where every
+    uncertain point ``i`` has a site ``s`` with ``|x-p|^2 - |x-s|^2 <=
+    0``.  That term is linear in ``t``, so site ``s`` covers a half-line
+    and point ``i`` leaves at most one open gap ``(max of its left
+    half-line ends, min of its right half-line starts)``.  The uncertain
+    points owning ``p`` and ``r`` never leave a gap (``p``'s own term is
+    zero, and ``r``'s is zero on the bisector), nor does any point with a
+    site coincident with ``p`` or ``r`` (its term is identically zero;
+    evaluated, float noise would cut at random places).  Each gap shrinks
+    by :data:`_OVERSHOOT` at both ends, so kept pieces reach past the
+    arrangement vertex where the gap starts instead of stopping a rounding
+    error short of it.
+
+    Returns ``(pair, start, end)``: the kept ``t``-intervals, pair-major.
+    """
+    offs = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
+    ax, ay = chords[:, 0], chords[:, 1]
+    dx, dy = chords[:, 2] - ax, chords[:, 3] - ay
+    out_p, out_s, out_e = [], [], []
+    block = max(1, _CLIP_ELEMENTS // len(sx))
+    for lo in range(0, len(pi), block):
+        sl = slice(lo, lo + block)
+        p, r = pi[sl], pj[sl]
+        px, py = sx[p][:, None], sy[p][:, None]
+        ux, uy = ax[sl][:, None] - px, ay[sl][:, None] - py
+        vx, vy = ax[sl][:, None] - sx, ay[sl][:, None] - sy
+        f0 = (ux * ux + uy * uy) - (vx * vx + vy * vy)
+        slope = 2.0 * (dx[sl][:, None] * (sx - px)
+                       + dy[sl][:, None] * (sy - py))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = -f0 / slope
+        covered = ((slope == 0.0) & (f0 <= 0.0)) \
+            | ((sx == px) & (sy == py)) \
+            | ((sx == sx[r][:, None]) & (sy == sy[r][:, None])) \
+            | (parent == parent[p][:, None]) | (parent == parent[r][:, None])
+        left = np.where(covered, np.inf,
+                        np.where(slope > 0.0, cut, -np.inf))
+        right = np.where(~covered & (slope < 0.0), cut, np.inf)
+        gap_lo = np.maximum.reduceat(left, offs, axis=1) + _OVERSHOOT
+        gap_hi = np.minimum.reduceat(right, offs, axis=1) - _OVERSHOOT
+        gap = gap_lo < gap_hi
+        # Complement of the union of the gaps: sort by gap start, and
+        # between gaps keep [running max of gap ends, next gap start].
+        by_start = np.argsort(np.where(gap, gap_lo, np.inf), axis=1,
+                              kind="stable")
+        g_lo = np.take_along_axis(np.where(gap, gap_lo, np.inf), by_start, 1)
+        g_hi = np.take_along_axis(np.where(gap, gap_hi, -np.inf),
+                                  by_start, 1)
+        reach = np.maximum.accumulate(g_hi, axis=1)
+        rows = len(p)
+        start = np.maximum(np.concatenate(
+            (np.full((rows, 1), -np.inf), reach), axis=1), 0.0)
+        end = np.minimum(np.concatenate(
+            (g_lo, np.ones((rows, 1))), axis=1), 1.0)
+        emit = np.concatenate(
+            (np.take_along_axis(gap, by_start, 1),
+             np.ones((rows, 1), dtype=bool)), axis=1) & (start < end)
+        pr, col = np.nonzero(emit)
+        out_p.append(pr + lo)
+        out_s.append(start[pr, col])
+        out_e.append(end[pr, col])
+    return (np.concatenate(out_p), np.concatenate(out_s),
+            np.concatenate(out_e))
+
+
+def _share_columns(ex: np.ndarray, ey: np.ndarray, ox: np.ndarray,
+                   oy: np.ndarray, fixed: np.ndarray, needs: np.ndarray,
+                   box: Tuple[Point, Point],
+                   tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Move connector-bound piece ends whose ``x`` nearly agree onto one
+    ``x``.
+
+    Two vertical segments closer than the vertex merge tolerance *tol*
+    share merged vertices and overlap.  Ends meant to share a column
+    (mirror-image pieces overshooting one hub where many bisectors
+    cross) come out a few ulps apart, and a piece may end a rounding
+    error off a vertical bisector.  Ends (``needs``) whose sorted ``x``
+    lie within ``16 * tol`` (or 256 ulps of the box's largest
+    coordinate) of the previous one form one column, at the ``x`` of its
+    vertical piece (``fixed``) if it has one, else at its smallest
+    ``x``; every other end in the column slides along its piece (other
+    end ``(ox, oy)``) onto that ``x``.
+    """
+    idx = np.flatnonzero(needs)
+    if not len(idx):
+        return ex, ey
+    (xmin, _), (xmax, _) = box
+    snap = max(16.0 * tol, 256.0 * float(
+        np.spacing(max(abs(xmin), abs(xmax), 1.0))))
+    order = idx[np.argsort(ex[idx], kind="stable")]
+    xs = ex[order]
+    head = np.r_[True, np.diff(xs) > snap]
+    column = np.cumsum(head) - 1
+    target = xs[head][column]
+    pinned = fixed[order]
+    col_x = np.full(int(column[-1]) + 1, np.nan)
+    col_x[column[pinned][::-1]] = xs[pinned][::-1]
+    target = np.where(np.isnan(col_x[column]), target, col_x[column])
+    move = order[(target != xs) & ~pinned]
+    to = target[(target != xs) & ~pinned]
+    ex, ey = ex.copy(), ey.copy()
+    ey[move] = ey[move] + (to - ex[move]) * (
+        (ey[move] - oy[move]) / (ex[move] - ox[move]))
+    ex[move] = to
+    return ex, ey
+
+
+def clipped_segments(sx: np.ndarray, sy: np.ndarray, parent: np.ndarray,
+                     box: Tuple[Point, Point],
+                     tol: float = 1e-9) -> np.ndarray:
+    """The segments of the Delta-clipped ``V_Pr`` arrangement, ``(S, 4)``.
+
+    Sites ``(sx[j], sy[j])`` belong to uncertain point ``parent[j]``
+    (non-decreasing).  Past ``Delta(q) = min_i max_a d(q, p_i^a)`` every
+    Eq. (2) term is exactly zero, so the bisector of ``p`` and ``r``
+    matters only where ``d(x, p) <= Delta(x)``:
+
+    1. every pair's bisector line, deduplicated (:func:`bisector_lines`)
+       and clipped to *box* by the batched clip kernel;
+    2. the kept ``t``-intervals of every pair (:func:`_kept_intervals`),
+       united over all pairs sharing a line;
+    3. one vertical connector per distinct ``x`` of a piece endpoint
+       inside the box, from the lowest such endpoint up to the top of the
+       frame, at that endpoint's exact ``x`` (ends closer than the merge
+       tolerance share one ``x``: :func:`_share_columns`); a vertical
+       piece spans its whole chord and becomes its ``x``'s connector
+       rather than being overlapped by it.  No piece then ends inside a
+       face, every face stays simple, and the frame reaches every
+       component;
+    4. the box frame.
+
+    Every piece and connector lies on a full-arrangement bisector or
+    refines a face of the clipped one, so each face keeps one Eq. (2)
+    answer.  The full arrangement is the test oracle
+    :class:`repro.testing.oracles.ScalarVPRDiagram`.
+    """
+    frame = np.array([(a[0], a[1], b[0], b[1])
+                      for a, b in box_boundary(box)], dtype=np.float64)
+    pi, pj, line, la, lb, lc = bisector_lines(sx, sy)
+    chords, valid = line_box_clip_batch(la, lb, lc, box)
+    on_box = valid[line]
+    pi, pj, line = pi[on_box], pj[on_box], line[on_box]
+    if not len(pi):
+        return frame
+    pair, start, end = _kept_intervals(sx, sy, parent, pi, pj,
+                                       chords[line])
+    # Union per line: sort by (line, start); a run of intervals merges
+    # while the next start is within the running max of the ends.  The
+    # running max restarts per line through line-major integer keys.
+    kl = line[pair]
+    order = np.lexsort((start, kl))
+    kl, start, end = kl[order], start[order], end[order]
+    m = len(kl)
+    end_rank = np.empty(m, dtype=np.int64)
+    by_end = np.argsort(end, kind="stable")
+    end_rank[by_end] = np.arange(m)
+    run = np.maximum.accumulate(kl.astype(np.int64) * m + end_rank)
+    reach = end[by_end[run - kl.astype(np.int64) * m]]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (kl[1:] != kl[:-1]) | (start[1:] > reach[:-1])
+    heads = np.flatnonzero(new)
+    tails = np.r_[heads[1:], m] - 1
+    kl, t0, t1 = kl[heads], start[heads], reach[tails]
+
+    ax, ay, bx, by = (chords[kl, c] for c in range(4))
+    # A vertical piece would dangle from its lower end and overlap its
+    # x's connector, so it spans its whole chord and becomes that
+    # connector.
+    vertical = ax == bx
+    t0 = np.where(vertical, 0.0, t0)
+    t1 = np.where(vertical, 1.0, t1)
+    x0 = np.where(t0 == 0.0, ax, ax + t0 * (bx - ax))
+    y0 = np.where(t0 == 0.0, ay, ay + t0 * (by - ay))
+    x1 = np.where(t1 == 1.0, bx, ax + t1 * (bx - ax))
+    y1 = np.where(t1 == 1.0, by, ay + t1 * (by - ay))
+    # The arrangement's own zero-length filter, applied here so that a
+    # dropped piece leaves no connector behind.
+    ddx, ddy = x1 - x0, y1 - y0
+    live = np.sqrt(ddx * ddx + ddy * ddy) > tol
+    x0, y0, x1, y1 = x0[live], y0[live], x1[live], y1[live]
+    t0, t1, vertical = t0[live], t1[live], vertical[live]
+    # Piece ends: (x, y), the piece's other end, and whether it is inside
+    # the box (or on a vertical piece) and so needs a connector.
+    ex, ey = np.concatenate((x0, x1)), np.concatenate((y0, y1))
+    ox, oy = np.concatenate((x1, x0)), np.concatenate((y1, y0))
+    needs = np.concatenate(((t0 > 0.0) | vertical, (t1 < 1.0) | vertical))
+    ex, ey = _share_columns(ex, ey, ox, oy, np.concatenate((vertical,
+                                                            vertical)),
+                            needs, box, tol)
+    half = len(x0)
+    x0, y0, x1, y1 = ex[:half], ey[:half], ex[half:], ey[half:]
+    vertical = x0 == x1
+    top = float(box[1][1])
+    ux, inv = np.unique(ex[needs], return_inverse=True)
+    low = np.full(len(ux), np.inf)
+    np.minimum.at(low, inv.ravel(), ey[needs])
+    reach_top = top - low > tol
+    ux, low = ux[reach_top], low[reach_top]
+    keep = ~vertical
+    pieces = np.stack((x0[keep], y0[keep], x1[keep], y1[keep]), axis=1)
+    connectors = np.stack((ux, low, ux, np.full(len(ux), top)), axis=1)
+    return np.vstack((pieces, connectors, frame))
 
 
 class _FaceVectorQueries:
@@ -236,13 +523,13 @@ class ProbabilisticVoronoiDiagram(_FaceVectorQueries):
     # ------------------------------------------------------------------
     def _build_arrangement(self, sites: List[Point],
                            box: Tuple[Point, Point]) -> SegmentArrangement:
-        """Clipped pairwise bisectors plus the box frame, arranged."""
+        """The Delta-clipped bisector pieces, their connectors and the box
+        frame, arranged (see :func:`clipped_segments`)."""
+        counts = [len(p.sites_with_weights()) for p in self.points]
+        parent = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
         sx = np.array([s[0] for s in sites], dtype=np.float64)
         sy = np.array([s[1] for s in sites], dtype=np.float64)
-        segs = self._bisector_segments_batch(sx, sy, box)
-        frame = np.array([(a[0], a[1], b[0], b[1])
-                          for a, b in box_boundary(box)])
-        return SegmentArrangement(np.vstack([segs, frame]))
+        return SegmentArrangement(clipped_segments(sx, sy, parent, box))
 
     def _label_faces(self) -> np.ndarray:
         """The ``(F, n)`` matrix of exact face probability vectors.
@@ -271,46 +558,6 @@ class ProbabilisticVoronoiDiagram(_FaceVectorQueries):
         return self.locator.stats()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _bisector_segments_batch(sx: np.ndarray, sy: np.ndarray,
-                                 box: Tuple[Point, Point]) -> np.ndarray:
-        """Clipped bisectors of all site pairs, deduplicated (batched).
-
-        One broadcast computes every pair's coefficients.  The dedup key
-        is the line's coefficient triple normalized by its max-abs
-        component, rounded to 9 decimals, and sign-canonicalized so that
-        the first nonzero component is positive (two opposite-orientation
-        triples describe the same line); a stable ``unique`` over the keys
-        keeps each line's first pair in scan order.  The batched clip
-        kernel cuts the survivors to the box, returning an ``(S, 4)``
-        segment array bit-for-bit equal to the scalar oracle's list.
-        """
-        pi, pj = np.triu_indices(len(sx), 1)
-        px, py = sx[pi], sy[pi]
-        rx, ry = sx[pj], sy[pj]
-        distinct = (px != rx) | (py != ry)
-        px, py, rx, ry = px[distinct], py[distinct], rx[distinct], ry[distinct]
-        la = 2.0 * (rx - px)
-        lb = 2.0 * (ry - py)
-        lc = (rx * rx + ry * ry) - (px * px + py * py)
-        norm = np.maximum(np.maximum(np.abs(la), np.abs(lb)),
-                          np.maximum(np.abs(lc), 1e-30))
-        ka = np.rint((la / norm) * 1e9) / 1e9 + 0.0
-        kb = np.rint((lb / norm) * 1e9) / 1e9 + 0.0
-        kc = np.rint((lc / norm) * 1e9) / 1e9 + 0.0
-        flip = (ka < 0) | ((ka == 0) & ((kb < 0) | ((kb == 0) & (kc < 0))))
-        sign = np.where(flip, -1.0, 1.0)
-        ka = ka * sign + 0.0
-        kb = kb * sign + 0.0
-        kc = kc * sign + 0.0
-        trip = np.ascontiguousarray(np.stack((ka, kb, kc), axis=1))
-        keys = trip.view(np.dtype((np.void, trip.dtype.itemsize * 3)))
-        _, first = np.unique(keys.ravel(), return_index=True)
-        first.sort()
-        segs, valid = line_box_clip_batch(la[first], lb[first], lc[first],
-                                          box)
-        return segs[valid]
-
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:

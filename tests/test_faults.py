@@ -225,6 +225,39 @@ class TestRecovery:
         finally:
             ex.close()
 
+    def test_concurrent_watchdogs_rebuild_the_pool_once(self, fleet):
+        """Two requests wedged on one pool both trip their watchdog; the
+        first rebuilds it and the second finds it already healed."""
+        index, qs, oracle = fleet
+        ex = _executor(index, "process",
+                       policy=RetryPolicy(retries=2, chunk_timeout=0.3),
+                       faults="hang_chunk:chunk=0,delay=5")
+        outs, errors = [None, None], []
+        start = threading.Barrier(2)
+
+        def request(j):
+            try:
+                start.wait(5)
+                outs[j] = ex.run("delta", qs)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request, args=(j,))
+                   for j in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(MAX_RECOVERY_S)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            for out in outs:
+                np.testing.assert_array_equal(out, oracle)
+            assert ex.resilience["rebuilds"].get() == 1
+            assert not ex.degraded
+        finally:
+            ex.close()
+
     def test_dispose_spares_a_lock_held_by_a_live_thread(self):
         """A live parent thread may hold a pool queue lock while the pool
         is disposed (the task handler sends its exit sentinel under
@@ -441,7 +474,8 @@ class TestStrandedChunks:
                 # The other request's sweep consumed the shared pid
                 # snapshot, so this request's own sweep sees no death.
                 ex.impl.broken = lambda: False
-                ex._heal("a concurrent request saw a worker die")
+                ex._heal("a concurrent request saw a worker die", ex.impl,
+                         ex.impl.generation)
             else:
                 ex._degrade("a concurrent request tripped the breaker")
             t.join(timeout=30)
@@ -472,7 +506,7 @@ class TestStrandedChunks:
 
         def healer():
             while not stop.is_set():
-                ex._heal("stress")
+                ex._heal("stress", ex.impl, ex.impl.generation)
                 time.sleep(0.001)
 
         interval = sys.getswitchinterval()

@@ -14,14 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
 from repro.spatial.kernels import native_available
 from repro.spatial.planelocate import (PersistentPlaneLocator,
                                        plane_locate_scalar, slab_table_rows)
-from repro.testing.oracles import SlabPointLocator
+from repro.testing.oracles import ScalarVPRDiagram, SlabPointLocator
 
 
 def boxed(segments, box):
@@ -145,6 +144,25 @@ class TestTieHeavyLattice:
              for x in range(9) for y in range(11)]
         assert_locators_agree(arr, q)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_face_locates_its_own_interior_point(self, seed):
+        """Lattice sites put face interior points at the x of a vertex
+        a few ulps away, inside slabs too thin for their midline to
+        separate the edges meeting there.  Left of a common vertex,
+        lines through it are ordered by negated slope."""
+        rng = random.Random(seed)
+        sites = sorted({(float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+                        for _ in range(12)})
+        arr = bisector_arrangement(sites, ((-3.0, -3.0), (7.0, 7.0)))
+        want = np.flatnonzero(np.asarray(arr.face_areas) > arr.tol)
+        q = arr.face_interior_array()
+        assert np.array_equal(SlabPointLocator(arr).locate_batch(q), want)
+        kernels = ["numpy"] + (["native"] if native_available() else [])
+        for kernel in kernels:
+            got = PersistentPlaneLocator(arr, kernel=kernel).locate_batch(q)
+            assert np.array_equal(got, want), (kernel, np.flatnonzero(
+                got != want))
+
 
 class TestDegenerate:
     def test_single_segment_no_slab(self):
@@ -203,11 +221,13 @@ class TestKernelParity:
 class TestBuildMemory:
     def test_tree_is_far_smaller_than_the_slab_table(self):
         """The merged-slab tree stores O(E log S) entries where the slab
-        table needs Theta(V * S) rows: on a V_Pr diagram the table,
-        counted analytically (24 bytes a row plus its two x arrays),
-        is at least 5x the built locator's bytes (10.1x here)."""
-        vpr = PNNIndex(random_discrete_points(8, 2, seed=2028,
-                                              spread=2.0)).build_vpr()
+        table needs Theta(V * S) rows: on Lemma 4.1's full V_Pr
+        arrangement the table, counted analytically (24 bytes a row plus
+        its two x arrays), is at least 5x the built locator's bytes
+        (10.1x here).  The served diagram is Delta-clipped to a third of
+        the faces, and there the ratio is 2.6x."""
+        vpr = ScalarVPRDiagram(random_discrete_points(8, 2, seed=2028,
+                                                      spread=2.0))
         arr = vpr.arrangement
         slabs = max(len(np.unique(arr._vx)) - 1, 0)
         slab_bytes = slab_table_rows(arr) * 24 + 2 * (slabs + 1) * 8
