@@ -13,6 +13,8 @@ every query primitive the library offers:
 Run:  python examples/quickstart.py
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 from repro import (
     DiscreteUncertainPoint,
     DiskUniformPoint,
@@ -71,24 +73,29 @@ def main() -> None:
     print(f"grid point most favorable to P_2: {grid[favorite]} "
           f"(pi_2 ~ {estimates[favorite].get(2, 0.0):.2f})")
 
-    # 5. Service-shaped traffic: wrap the index in a QueryService.  Scalar
-    #    submits coalesce into vectorized micro-batches, repeat queries hit
+    # 5. Service-shaped traffic: wrap the index in a QueryService.
+    #    Concurrent scalar submits coalesce into vectorized micro-batches
+    #    (a request arriving while its group flushes joins the next
+    #    flush; a lone request runs at once), repeat queries hit
     #    an exact-keyed LRU cache, and large batches shard across a
     #    pluggable executor backend (with bitwise-identical answers):
     #    backend="auto" picks process worker replicas where the host
     #    can start a pool, backend="thread"/"process" forces one.
     #    `workers=0` keeps this quickstart single-process; try
     #    index.serve(workers=4, backend="thread") on a real machine.
-    with index.serve(workers=0, cache_capacity=1024, max_batch=32) as svc:
-        futures = [svc.submit("quantify", g, epsilon=0.1) for g in grid]
-        svc.flush()                       # or let the flush window expire
+    with index.serve(workers=0, cache_capacity=1024, max_batch=32) as svc, \
+            ThreadPoolExecutor(max_workers=4) as clients:
+        answers = list(clients.map(
+            lambda g: svc.submit("quantify", g, epsilon=0.1).result(), grid))
         hottest = max(range(len(grid)),
-                      key=lambda j: futures[j].result().get(2, 0.0))
+                      key=lambda j: answers[j].get(2, 0.0))
         svc.quantify(grid[hottest], epsilon=0.1)   # served from cache
         snap = svc.stats()
-        print(f"\nserving layer: {snap['total_requests']} requests in "
-              f"{snap['coalescer']['flushes']} coalesced batches, "
-              f"cache hit rate {snap['cache']['hit_rate']:.0%}")
+        co = snap["coalescer"]
+        rows_per_flush = co["submitted"] / max(co["flushes"], 1)
+        print(f"\nserving layer: {snap['total_requests']} requests from 4 "
+              f"client threads, {rows_per_flush:.2f} rows per coalesced "
+              f"flush, cache hit rate {snap['cache']['hit_rate']:.0%}")
 
     # 5b. Exact quantification in batch: for all-discrete indexes,
     #     batch_quantify_exact runs the paper's Eq. (2) sweep vectorized
@@ -112,8 +119,7 @@ def main() -> None:
     #     the engine's answer.
     beacons = [(1.0 + 0.01 * (j - 3), 1.0 - 0.01 * (j - 3))
                for j in range(7)]
-    with tracked.serve(workers=0, cache_capacity=512,
-                       coalesce=False) as svc:
+    with tracked.serve(workers=0, cache_capacity=512) as svc:
         for j in range(200):
             svc.quantify_exact(beacons[j % len(beacons)])
         assert svc.quantify_exact(beacons[0]) == \
@@ -154,8 +160,7 @@ def main() -> None:
     #    off the boundaries.)  A prebuilt diagram is adopted via
     #    serve(vpr=...); otherwise the first query builds it lazily.
     jittered = [(x + 0.013, y + 0.007) for x, y in grid]
-    with tracked.serve(vpr=vpr, workers=0, coalesce=False,
-                       cache_capacity=512) as svc:
+    with tracked.serve(vpr=vpr, workers=0, cache_capacity=512) as svc:
         served = svc.batch_quantify_vpr(jittered)
         assert served == tracked.batch_quantify_exact(jittered)
         one = svc.quantify_vpr(jittered[40])

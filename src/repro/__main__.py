@@ -88,6 +88,7 @@ def _serve_demo() -> int:
     import math
     import random
     import time
+    from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
@@ -104,25 +105,29 @@ def _serve_demo() -> int:
     # replicas and degrades through thread -> inline where the host
     # cannot start a process pool.
     with index.serve(workers=2, backend="auto", cache_capacity=4096,
-                     max_batch=128, flush_window=0.002,
-                     shard_min_batch=4096) as service:
+                     max_batch=128, shard_min_batch=4096) as service:
         ex = service.executor
         print(f"shard executor: backend={ex.backend} -> mode={ex.mode}, "
               f"workers={ex.workers}, start method={ex.start_method}")
         rng = random.Random(13)
 
-        # Burst 1: bursty scalar clients, coalesced into micro-batches.
+        # Burst 1: eight concurrent scalar clients.  A request that
+        # arrives while its group is flushing joins the next flush, so
+        # concurrent misses coalesce into micro-batches.
         hot = [(rng.uniform(0, extent), rng.uniform(0, extent))
                for _ in range(300)]
+        picks = [hot[rng.randrange(len(hot))] for _ in range(3000)]
         start = time.perf_counter()
-        futures = [service.submit("nonzero_nn", hot[rng.randrange(len(hot))])
-                   for _ in range(3000)]
-        service.flush()
-        answers = [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=8) as clients:
+            answers = list(clients.map(
+                lambda q: service.submit("nonzero_nn", q).result(), picks))
         elapsed = time.perf_counter() - start
-        print(f"coalesced stream: 3000 scalar requests in "
+        co = service.stats()["coalescer"]
+        print(f"coalesced stream: 3000 scalar requests from 8 clients in "
               f"{elapsed * 1e3:.0f} ms ({3000 / elapsed:,.0f} req/s), "
-              f"{len({tuple(a) for a in answers})} distinct NN!=0 sets")
+              f"{len({tuple(a) for a in answers})} distinct NN!=0 sets, "
+              f"{co['submitted'] / max(co['flushes'], 1):.2f} rows per "
+              f"flush")
 
         # Burst 2: one large batch, sharded across the worker pool.
         batch = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
@@ -156,9 +161,9 @@ def _serve_demo() -> int:
         print(f"cache: {cache['entries']}/{cache['capacity']} entries, "
               f"hit rate {cache['hit_rate']:.0%}, "
               f"{cache['evictions']} evictions")
-        co = service.batcher
-        print(f"coalescer: {co.submitted} submitted in {co.flushes} "
-              f"batches (largest {co.largest_batch})")
+        co = service.stats()["coalescer"]
+        print(f"coalescer: {co['submitted']} submitted in {co['flushes']} "
+              f"batches (largest {co['largest_batch']})")
 
     # Burst 4: exact quantification over a discrete fleet — the
     # vectorized Eq. (2) sweep answers misses, and beacons polled at
@@ -168,8 +173,7 @@ def _serve_demo() -> int:
     fleet = random_discrete_points(400, 5, seed=17, spread=2.0)
     discrete_index = PNNIndex(fleet)
     d_extent = math.sqrt(400) * 2.2
-    with discrete_index.serve(workers=0, cache_capacity=8192,
-                              coalesce=False) as service:
+    with discrete_index.serve(workers=0, cache_capacity=8192) as service:
         rng = random.Random(29)
         batch = np.array([(rng.uniform(0, d_extent),
                            rng.uniform(0, d_extent))
@@ -197,8 +201,7 @@ def _serve_demo() -> int:
     # of the probabilistic Voronoi diagram (point location into
     # precomputed face vectors; the Eq. (2) sweep only outside the box).
     small = PNNIndex(random_discrete_points(10, 2, seed=23, spread=2.0))
-    with small.serve(workers=0, coalesce=False,
-                     cache_capacity=2048) as service:
+    with small.serve(workers=0, cache_capacity=2048) as service:
         vqs = np.array([(rng.uniform(-1, 8), rng.uniform(-1, 8))
                         for _ in range(4000)])
         service.batch_quantify_vpr(vqs[:4])  # build V_Pr + locator
@@ -328,8 +331,7 @@ def _serve_http(argv: list) -> int:
         print(f"chaos: fault plan active — {args.faults!r}")
     with index.serve(workers=args.workers, backend=args.backend,
                      kernel=args.kernel, cache_capacity=8192, max_batch=128,
-                     flush_window=0.002, trace=trace,
-                     default_timeout=args.request_timeout,
+                     trace=trace, default_timeout=args.request_timeout,
                      faults=args.faults) as service:
         serve_forever(service, config)
     return 0

@@ -448,9 +448,9 @@ class PNNIndex:
         The service layers request coalescing, multi-core sharding over a
         pluggable executor backend, and exact-keyed result caching over
         the batch engine; close it (or use it as a context manager) to
-        stop its worker pool and flusher thread.  A prebuilt *vpr* is
-        adopted (:meth:`use_vpr`) for the ``quantify_vpr`` query kind;
-        otherwise the first such query builds the diagram lazily.
+        drain its running flushes and stop its worker pool.  A prebuilt
+        *vpr* is adopted (:meth:`use_vpr`) for the ``quantify_vpr`` query
+        kind; otherwise the first such query builds the diagram lazily.
         """
         from ..serving.service import QueryService, ServiceConfig
 

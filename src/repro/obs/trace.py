@@ -294,7 +294,7 @@ class Tracer:
     aggregation for one service's traces.
 
     Thread-safe: spans finish on gateway event-loop threads, pool
-    threads, and the micro-batch flusher concurrently; the store and
+    threads, and coalesced-flush leaders concurrently; the store and
     the stage summary take small locks per *finished sampled span*
     (never on the disabled path).  The tracer's families (sample rate,
     traces and spans counted, spans stored, per-stage durations) live

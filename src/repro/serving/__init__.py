@@ -7,7 +7,8 @@ sustain bursty multi-client traffic against one shared
 * :class:`QueryService` — the front door (scalar, coalesced-async, and
   batch calls for all seven query kinds, ``quantify_vpr`` included),
   built via ``PNNIndex.serve()``;
-* :class:`MicroBatcher` — request coalescing into vectorized batches;
+* :class:`MicroBatcher` — group-commit coalescing of concurrent scalar
+  requests into vectorized batches;
 * :class:`ShardExecutor` — the dispatch/reassembly plan over a pluggable
   :class:`ExecutorBackend` (:mod:`repro.serving.executors`): ``process``
   worker replicas, a ``thread`` pool over the served index, or
@@ -33,7 +34,7 @@ the network front door.
 
 from .cache import ResultCache
 from .coalesce import MicroBatcher
-from .http import HttpConfig, QueryGateway, ServerThread, create_asgi_app
+from .http import HttpConfig, QueryGateway, ServerThread
 from .executors import (
     BACKENDS,
     BackendUnavailable,
@@ -85,6 +86,5 @@ __all__ = [
     "ShardExecutor",
     "ThreadBackend",
     "WorkerFailure",
-    "create_asgi_app",
     "create_backend",
 ]

@@ -10,8 +10,9 @@ the answer the engine would return, and no spatial tolerance can ever
 blur two distinct cells together.
 
 Eviction is plain LRU over a bounded :class:`~collections.OrderedDict`;
-the cache is thread-safe (one lock around the dict) because the service's
-micro-batch flusher runs on a background thread.
+the cache is thread-safe (one lock around the dict) because the service
+answers requests on many threads at once (gateway pool threads, each
+running its own coalesced flush).
 """
 
 from __future__ import annotations

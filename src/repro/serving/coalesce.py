@@ -1,44 +1,52 @@
-"""Request coalescing: micro-batching scalar queries into engine calls.
+"""Request coalescing: group commit of scalar queries into engine calls.
 
 Service-shaped traffic arrives as many small independent requests, but the
 batch engine's cost per query collapses when queries share one vectorized
 pass (PR 1 measured 5-12x).  The :class:`MicroBatcher` bridges the two
-shapes: callers :meth:`submit` single queries and immediately receive a
-:class:`~concurrent.futures.Future`; pending requests accumulate per
-``(method, params)`` group and are flushed as one batch when
+shapes by *group commit*, keyed by the request's ``(method, params)``:
 
-* a group reaches ``max_batch`` requests (flushed inline by the
-  submitting caller — no thread handoff on the hot path), or
-* the oldest pending request in a group ages past ``flush_window``
-  seconds (flushed by a background daemon thread), or
-* the caller forces :meth:`flush` (used by synchronous drains, tests,
-  and service shutdown).
+* a submit whose key has no flush running becomes that key's leader: it
+  runs its request as a one-row flush inline, on the submitting thread,
+  so a lone request never waits for anything;
+* submits arriving while a flush of their key runs queue behind it, in
+  groups of at most ``max_batch`` rows, and wait in :meth:`submit`;
+* when a flush ends, the next queued group is handed to one of its own
+  waiting submitters, which runs it inline; the thread that ran the
+  finished flush returns.
 
-Flushing never holds the coalescer lock while running the engine: groups
-are detached under the lock, executed outside it, and each future is
-resolved in submission order.  An engine exception fails every future of
-its group — callers observe it exactly as if they had made the call.
+Batches therefore grow exactly as large as the traffic that arrived
+during the previous flush — coalescing by idleness, with no clock and no
+background thread — and every submit runs at most one flush, its own
+group's, so no caller's reply waits on traffic that arrived after it.
+Flushing never holds the coalescer lock while running the engine.  An
+engine exception fails every future of its group — callers observe it
+exactly as if they had made the call.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Callable, Dict, Hashable, List, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Tuple
 
 from .faults import Deadline
 
 __all__ = ["MicroBatcher"]
 
+# A group's life: queued behind a running flush, handed to its waiters
+# (its turn, no runner yet), running, done.
+_QUEUED, _READY, _RUNNING, _DONE = range(4)
+
 
 class _Group:
-    """Pending requests of one ``(method, params)`` signature."""
+    """Requests of one ``(method, params)`` signature flushed together."""
 
-    __slots__ = ("method", "params", "queries", "futures", "spans", "born",
-                 "deadline")
+    __slots__ = ("method", "params", "queries", "futures", "spans",
+                 "deadline", "state", "waiters")
 
-    def __init__(self, method: str, params: Tuple) -> None:
+    def __init__(self, method: str, params: Tuple, deadline,
+                 state: int) -> None:
         self.method = method
         self.params = params
         self.queries: List[Tuple[float, float]] = []
@@ -53,8 +61,11 @@ class _Group:
         # (one request cannot tighten the budget of the others it
         # happens to share a batch with), or None once any member has
         # no deadline.  Set by the first submit, merged by the rest.
-        self.deadline: object = None
-        self.born = time.monotonic()
+        self.deadline: object = deadline
+        self.state = state
+        # Submitters blocked in submit() on this group; one of them runs
+        # it once it is handed over.
+        self.waiters = 0
 
 
 class MicroBatcher:
@@ -66,56 +77,42 @@ class MicroBatcher:
         ``flush_fn(method, queries, params) -> list`` — answers one
         coalesced batch, one result per query row, in order.
     max_batch:
-        Group size that triggers an immediate (caller-inline) flush.
-    flush_window:
-        Seconds a pending request may wait before the background flusher
-        releases its group.  ``0`` (or ``auto_flush=False``) disables the
-        thread; callers must then flush explicitly or via ``max_batch``.
+        Most rows any one flush carries.
     """
 
     def __init__(self, flush_fn: Callable[[str, List[Tuple[float, float]],
                                            Tuple], List],
-                 max_batch: int = 256,
-                 flush_window: float = 0.005,
-                 auto_flush: bool = True) -> None:
+                 max_batch: int = 256) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if flush_window < 0:
-            raise ValueError("flush_window must be non-negative")
         self._flush_fn = flush_fn
         self.max_batch = max_batch
-        self.flush_window = flush_window
         self._cv = threading.Condition()
-        self._groups: Dict[Hashable, _Group] = {}
+        # A key is present exactly while a group of it is running or
+        # handed over; its value is the groups queued behind that one.
+        # Every queued group has waiting submitters, one of which will
+        # run it — the invariant close() relies on for drain-or-fail.
+        self._queues: Dict[Hashable, Deque[_Group]] = {}
         self._closed = False
-        # Groups detached from _groups but not yet resolved.  Every
-        # detachment happens under _cv and increments this counter; the
-        # finally-block of _run_group decrements it.  There is therefore
-        # never a moment when a pending future is neither reachable via
-        # _groups nor counted here — the invariant close() relies on to
-        # guarantee drain-or-fail for every submitted request.
-        self._inflight_groups = 0
         # Stats (read by QueryService.stats).
         self.submitted = 0
         self.flushes = 0
-        self.full_flushes = 0
-        self.timer_flushes = 0
         self.largest_batch = 0
-        self._thread: threading.Thread = None  # type: ignore[assignment]
-        if auto_flush and flush_window > 0:
-            self._thread = threading.Thread(
-                target=self._flusher_loop, name="repro-microbatcher",
-                daemon=True)
-            self._thread.start()
 
     # ------------------------------------------------------------------
     def submit(self, method: str, q: Tuple[float, float],
                params: Tuple, span=None, deadline=None) -> Future:
-        """Enqueue one scalar request; returns its future immediately.
+        """Answer one scalar request through its key's group commit.
+
+        Returns once the request's group is flushed, with the future
+        already resolved: at once when the key was idle (the request ran
+        inline as its own flush), otherwise after the running flush and
+        the request's own group — run by this thread or by another
+        submitter of the same group.
 
         *span* (optional) is the request's live ``coalesce.wait`` trace
         span; sampled spans ride with the group and are handed to the
-        flush callback (see :meth:`_run_group`) so the tracing layer can
+        flush callback (see :meth:`_flush`) so the tracing layer can
         link each waiting request to the engine execution that answered
         it.  ``None`` — the untraced default — costs nothing.
 
@@ -126,156 +123,143 @@ class MicroBatcher:
         so deadline-free traffic keeps the original callback signature.
         """
         fut: Future = Future()
-        full: _Group = None  # type: ignore[assignment]
+        key = (method, params)
         with self._cv:
             if self._closed:
                 raise RuntimeError("MicroBatcher is closed")
-            key = (method, params)
-            group = self._groups.get(key)
-            if group is None:
-                group = self._groups[key] = _Group(method, params)
-                group.deadline = deadline
+            self.submitted += 1
+            queue = self._queues.get(key)
+            if queue is None:
+                self._queues[key] = deque()
+                group = _Group(method, params, deadline, _RUNNING)
             else:
-                group.deadline = Deadline.merge(group.deadline, deadline)
+                if not queue or len(queue[-1].queries) >= self.max_batch:
+                    queue.append(_Group(method, params, deadline, _QUEUED))
+                else:
+                    queue[-1].deadline = Deadline.merge(queue[-1].deadline,
+                                                        deadline)
+                group = queue[-1]
             group.queries.append((float(q[0]), float(q[1])))
             group.futures.append(fut)
             if span is not None:
                 group.spans.append(span)
-            self.submitted += 1
-            if len(group.queries) >= self.max_batch:
-                del self._groups[key]
-                full = group
-                self._inflight_groups += 1
-                self.full_flushes += 1
-            else:
-                self._cv.notify()
-        if full is not None:
-            self._run_group(full)
+            if group.state == _QUEUED:
+                group.waiters += 1
+                try:
+                    while group.state in (_QUEUED, _RUNNING):
+                        self._cv.wait()
+                except BaseException:
+                    group.waiters -= 1
+                    if group.waiters == 0 and group.state in (_QUEUED,
+                                                              _READY):
+                        # Interrupted, and no one is left to run it.
+                        self._abandon(key, group)
+                    raise
+                group.waiters -= 1
+                if group.state == _DONE:
+                    return fut
+                group.state = _RUNNING
+            self.flushes += 1
+            self.largest_batch = max(self.largest_batch, len(group.queries))
+        self._run(key, group)
         return fut
-
-    def flush(self) -> int:
-        """Flush every pending group now; returns requests released."""
-        with self._cv:
-            groups = list(self._groups.values())
-            self._groups.clear()
-            self._inflight_groups += len(groups)
-        released = 0
-        for group in groups:
-            released += len(group.queries)
-            self._run_group(group)
-        return released
 
     @property
     def pending(self) -> int:
+        """Rows queued behind a running flush."""
         with self._cv:
-            return sum(len(g.queries) for g in self._groups.values())
+            return sum(len(g.queries) for queue in self._queues.values()
+                       for g in queue)
 
     # ------------------------------------------------------------------
-    def _run_group(self, group: _Group) -> None:
-        # The caller detached *group* under _cv and incremented
-        # _inflight_groups; whatever happens here — success, flush_fn
-        # failure, even a non-Exception like KeyboardInterrupt — every
-        # future is resolved and the in-flight count is released, so a
-        # concurrent close() can never return while this group's callers
-        # still block.
+    def _run(self, key: Hashable, group: _Group) -> None:
+        # Flush *group*, then hand the key to the next queued group's
+        # waiters, or release it (which wakes close()) — whatever
+        # escapes the flush.
         try:
-            # Counter updates take the lock: this runs concurrently on the
-            # flusher thread and on submitters doing inline full flushes.
-            with self._cv:
-                self.flushes += 1
-                self.largest_batch = max(self.largest_batch,
-                                         len(group.queries))
-            try:
-                # Traced groups (any waiting span) call the 4-argument
-                # form so the flush function can link waiters to the
-                # engine-execution span; plain groups keep the original
-                # 3-argument contract, so existing flush functions (and
-                # the untraced hot path) are untouched.  A group-wide
-                # deadline travels as a keyword, again only when set.
-                kwargs = ({} if group.deadline is None
-                          else {"deadline": group.deadline})
-                if group.spans:
-                    results = self._flush_fn(group.method, group.queries,
-                                             group.params, group.spans,
-                                             **kwargs)
-                else:
-                    results = self._flush_fn(group.method, group.queries,
-                                             group.params, **kwargs)
-                if len(results) != len(group.futures):
-                    raise RuntimeError(
-                        f"flush_fn returned {len(results)} results for "
-                        f"{len(group.futures)} requests")
-            except BaseException as exc:  # noqa: BLE001 — forwarded
-                for fut in group.futures:
-                    # A future the caller cancelled while pending must be
-                    # skipped: resolving it raises InvalidStateError, which
-                    # would kill the flusher thread and strand every other
-                    # pending request.
-                    if fut.set_running_or_notify_cancel():
-                        fut.set_exception(exc)
-                return
-            for fut, res in zip(group.futures, results):
-                if fut.set_running_or_notify_cancel():
-                    fut.set_result(res)
+            self._flush(group)
         finally:
             with self._cv:
-                self._inflight_groups -= 1
-                self._cv.notify_all()
+                self._finish(key, group, RuntimeError(
+                    "coalesced flush was interrupted"))
 
-    def _flusher_loop(self) -> None:
-        while True:
-            with self._cv:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                due = [key for key, g in self._groups.items()
-                       if now - g.born >= self.flush_window]
-                ripe = [self._groups.pop(key) for key in due]
-                if not ripe:
-                    oldest = min((g.born for g in self._groups.values()),
-                                 default=None)
-                    timeout = self.flush_window if oldest is None \
-                        else max(0.0, oldest + self.flush_window - now)
-                    self._cv.wait(timeout=timeout)
-                    continue
-                self._inflight_groups += len(ripe)
-                self.timer_flushes += len(ripe)
-            for group in ripe:
-                self._run_group(group)
+    def _finish(self, key: Hashable, group: _Group,
+                exc: BaseException) -> None:
+        # Under the lock: resolve what the flush left unresolved with
+        # *exc*, mark the group done and pass the key on.
+        for fut in group.futures:
+            if not fut.done():
+                fut.set_exception(exc)
+        group.state = _DONE
+        queue = self._queues[key]
+        if queue:
+            queue.popleft().state = _READY
+        else:
+            del self._queues[key]
+        self._cv.notify_all()
+
+    def _abandon(self, key: Hashable, group: _Group) -> None:
+        # Under the lock: every submitter of *group* was interrupted
+        # while waiting, so none of its futures was handed out.  Drop a
+        # queued group; fail a handed-over one and pass the key on.
+        if group.state == _QUEUED:
+            self._queues[key].remove(group)
+            group.state = _DONE
+        else:
+            self._finish(key, group, RuntimeError(
+                "every submitter of a coalesced group was interrupted"))
+
+    def _flush(self, group: _Group) -> None:
+        # A flush_fn failure — even a non-Exception like KeyboardInterrupt
+        # — resolves every future of the group with it.
+        try:
+            # Traced groups (any waiting span) call the 4-argument form so
+            # the flush function can link waiters to the engine-execution
+            # span; plain groups keep the original 3-argument contract, so
+            # existing flush functions (and the untraced hot path) are
+            # untouched.  A group-wide deadline travels as a keyword,
+            # again only when set.
+            kwargs = ({} if group.deadline is None
+                      else {"deadline": group.deadline})
+            if group.spans:
+                results = self._flush_fn(group.method, group.queries,
+                                         group.params, group.spans, **kwargs)
+            else:
+                results = self._flush_fn(group.method, group.queries,
+                                         group.params, **kwargs)
+            if len(results) != len(group.futures):
+                raise RuntimeError(
+                    f"flush_fn returned {len(results)} results for "
+                    f"{len(group.futures)} requests")
+        except BaseException as exc:  # noqa: BLE001 — forwarded
+            for fut in group.futures:
+                fut.set_exception(exc)
+            return
+        for fut, res in zip(group.futures, results):
+            fut.set_result(res)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain-or-fail every pending request, then stop the flusher.
+        """Refuse new submits, then wait until no flush is running.
 
-        When close() returns, every future handed out by an earlier
-        :meth:`submit` is resolved — with a result, or with the engine's
-        exception — regardless of which thread was about to flush it.
-        The guarantee is atomic against concurrent submitters: a submit
-        either lands before the closed flag (its group is drained below,
-        or it is counted in-flight and waited for) or after it (the
-        submit itself raises, so no orphan future exists).  That closes
-        the race where a group detached by an inline full flush or the
-        background flusher was still executing while close() returned —
-        the service would then tear down the executor underneath the
-        in-flight engine call, stranding its callers forever.
+        When close() returns, every request accepted by an earlier
+        :meth:`submit` has been flushed and its future resolved — with
+        a result, or with the engine's exception.  A queued request
+        exists only while its key is flushing, and each finished flush
+        hands the key to the next queued group until the queue is
+        empty, so waiting for every key to go idle drains every queued
+        request.  The guarantee is atomic against concurrent
+        submitters: a submit either lands before the closed flag (its
+        group runs before the key goes idle) or after it (the submit
+        itself raises).
 
-        Idempotent and safe to race: *every* closer (not just the first)
-        drains the backlog, waits for the in-flight count to hit zero,
-        and joins the flusher thread before returning.
+        Idempotent and safe to race: every closer waits for the same
+        condition.
         """
         with self._cv:
             self._closed = True
-            self._cv.notify_all()
-        self.flush()   # drains whatever is still queued (no-op if empty)
-        with self._cv:
-            # Wait out groups other threads detached (flusher timer
-            # flushes, submitters' inline full flushes, a racing closer's
-            # drain).  flush_fn invocations terminate (they are engine
-            # calls), so this cannot hang.
-            while self._inflight_groups > 0:
+            while self._queues:
                 self._cv.wait()
-        if self._thread is not None:
-            self._thread.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self

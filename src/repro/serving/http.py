@@ -48,16 +48,11 @@ with 429** (plus ``Retry-After``) — the server degrades by refusing
 early rather than by building an unbounded backlog whose every entry
 times out.  ``/metrics`` exports the shed count per kind.
 
-Transports
-----------
-Two adapters share one transport-agnostic core (:class:`QueryGateway`):
-
-* a **pure-stdlib asyncio HTTP/1.1 server** (:func:`handle_connection` /
-  :class:`ServerThread` / :func:`serve_forever`) — zero dependencies, the
-  tier-1 path;
-* a **thin ASGI app** (:func:`create_asgi_app`) with lifespan support,
-  mountable under uvicorn/hypercorn/FastAPI-style stacks when one is
-  installed (none is required).
+Transport
+---------
+A **pure-stdlib asyncio HTTP/1.1 server** (:func:`handle_connection` /
+:class:`ServerThread` / :func:`serve_forever`) drives the
+transport-agnostic core (:class:`QueryGateway`) — zero dependencies.
 
 ``python -m repro serve-http`` boots the stdlib server; ``python -m repro
 smoke`` (:mod:`repro.serving.smoke`) drives it end to end.
@@ -91,7 +86,6 @@ __all__ = [
     "HttpConfig",
     "QueryGateway",
     "ServerThread",
-    "create_asgi_app",
     "decode_result",
     "encode_result",
     "handle_connection",
@@ -500,9 +494,8 @@ class QueryGateway:
                      ) -> Tuple[int, List[Tuple[str, str]], bytes]:
         """Answer one HTTP request: ``(status, headers, payload)``.
 
-        The single routing table shared by the stdlib server and the
-        ASGI adapter, so both transports behave identically.  *path*
-        may carry a query string (``/debug/traces?format=jsonl``);
+        The transport-agnostic routing table the stdlib server drives.
+        *path* may carry a query string (``/debug/traces?format=jsonl``);
         *headers* (lowercase names) feed trace-context propagation
         (``traceparent``).
         """
@@ -757,7 +750,7 @@ class QueryGateway:
 
 
 # ----------------------------------------------------------------------
-# Transport 1: the pure-stdlib asyncio HTTP/1.1 server.
+# Transport: the pure-stdlib asyncio HTTP/1.1 server.
 # ----------------------------------------------------------------------
 async def _watch_disconnect(reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter,
@@ -879,59 +872,6 @@ async def _write_response(writer: asyncio.StreamWriter, status: int,
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
     writer.write(payload)
     await writer.drain()
-
-
-# ----------------------------------------------------------------------
-# Transport 2: the thin ASGI layer (FastAPI/uvicorn-style mounting).
-# ----------------------------------------------------------------------
-def create_asgi_app(gateway: QueryGateway):
-    """A minimal ASGI 3 application over *gateway*.
-
-    Handles the ``lifespan`` protocol (startup/shutdown map onto the
-    gateway's) and ``http`` scopes; mount it under any ASGI server —
-    none is required by this package, the stdlib transport serves the
-    same routes.
-    """
-
-    async def app(scope, receive, send):
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await gateway.startup()
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await gateway.shutdown()
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        if scope["type"] != "http":
-            raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
-        body = b""
-        while True:
-            message = await receive()
-            if message["type"] != "http.request":
-                break
-            body += message.get("body", b"")
-            if not message.get("more_body", False):
-                break
-        # Test scopes are minimal dicts; headers/query_string are
-        # optional per the spirit of ASGI's "may be empty" fields.
-        req_headers = {k.decode("latin-1").lower(): v.decode("latin-1")
-                       for k, v in scope.get("headers") or []}
-        path = scope["path"]
-        query_string = scope.get("query_string") or b""
-        if query_string:
-            path = f"{path}?{query_string.decode('latin-1')}"
-        status, headers, payload = await gateway.handle(
-            scope["method"], path, body, req_headers)
-        await send({"type": "http.response.start", "status": status,
-                    "headers": [(k.lower().encode("latin-1"),
-                                 v.encode("latin-1"))
-                                for k, v in headers]
-                    + [(b"content-length", str(len(payload)).encode())]})
-        await send({"type": "http.response.body", "body": payload})
-
-    return app
 
 
 # ----------------------------------------------------------------------

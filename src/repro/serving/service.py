@@ -6,7 +6,7 @@ the three mechanisms bursty multi-client traffic needs:
 * an exact-keyed LRU :class:`~repro.serving.cache.ResultCache` answering
   repeat queries without touching the engine (``pi(q)`` and ``NN!=0(q)``
   are piecewise-constant across Voronoi cells, so real workloads repeat);
-* a :class:`~repro.serving.coalesce.MicroBatcher` that coalesces
+* a :class:`~repro.serving.coalesce.MicroBatcher` that group-commits
   concurrent scalar :meth:`submit` calls into vectorized batches;
 * a :class:`~repro.serving.shard.ShardExecutor` that fans large batches
   out over a pluggable executor backend
@@ -135,9 +135,18 @@ class ServiceConfig:
         batches run in-process even when workers are available.
     shard_chunk:
         Fixed rows per shard task (``None`` = auto-sized).
-    max_batch / flush_window / coalesce:
-        Micro-batcher knobs; ``coalesce=False`` makes :meth:`submit`
-        answer synchronously (still through the cache).
+    max_batch:
+        Most rows one coalesced flush carries.  A
+        :meth:`QueryService.submit` whose group is idle runs inline;
+        requests arriving while a flush of their ``(method, params)``
+        group runs wait for it and are answered by the next flush, up
+        to ``max_batch`` rows at a time, run by one of them.
+    flush_window:
+        Accepted and ignored (it must still be positive).  The coalescer
+        has no timer: a group flushes as soon as no flush of it is
+        running.  The field remains so that callers that still pass it
+        — the HTTP benchmark launcher does — keep working, until it is
+        deleted together with ``locator``.
     cache_capacity:
         LRU entries (``0`` disables caching).  Keys are exact query
         coordinates, so a hit is bit-for-bit the engine's answer.
@@ -186,7 +195,6 @@ class ServiceConfig:
     shard_chunk: Optional[int] = None
     max_batch: int = 256
     flush_window: float = 0.005
-    coalesce: bool = True
     cache_capacity: int = 4096
     cache_batch_limit: int = 1024
     default_timeout: Optional[float] = None
@@ -289,11 +297,8 @@ class QueryService:
                                    chunk_timeout=cfg.chunk_timeout),
                 faults=cfg.faults, resilience=self.resilience,
                 breaker=self.breaker, plane=self.plane)
-        self.batcher: Optional[MicroBatcher] = None
-        if cfg.coalesce:
-            self.batcher = MicroBatcher(
-                self._flush_group, max_batch=cfg.max_batch,
-                flush_window=cfg.flush_window)
+        self.batcher = MicroBatcher(self._flush_group,
+                                    max_batch=cfg.max_batch)
         self._closed = False
 
     def _register_families(self) -> None:
@@ -502,7 +507,7 @@ class QueryService:
         if self._closed:
             raise RuntimeError("QueryService is closed")
         if deadline is not None and deadline.expired:
-            # Expired while queued (cache walk, coalesce window): don't
+            # Expired while queued (cache walk, coalesce wait): don't
             # start an engine call whose answer nobody is waiting for.
             self.resilience["deadline_exceeded"].inc()
             self.failures.inc(method)
@@ -706,13 +711,15 @@ class QueryService:
     # ------------------------------------------------------------------
     def submit(self, method: str, q: Tuple[float, float], /, *,
                timeout=None, **overrides) -> Future:
-        """Enqueue one query; the future resolves when its batch flushes.
+        """Answer one query through the coalescer; returns its future.
 
-        A cache hit resolves immediately.  Without a coalescer
-        (``coalesce=False``) the call computes synchronously and returns
-        an already-resolved future.  *timeout* (seconds or a
-        :class:`Deadline`) bounds the request including its coalescing
-        wait; expiry resolves the future with :class:`DeadlineExceeded`.
+        The future is resolved when this returns.  A cache hit returns
+        at once, and so does a miss whose group is idle: it runs inline
+        as a one-row flush.  A miss arriving while a flush of its group
+        runs waits for that flush, then for the next one, which carries
+        it.  *timeout* (seconds or a :class:`Deadline`) bounds the
+        request including its coalescing wait; expiry resolves the
+        future with :class:`DeadlineExceeded`.
         A *q* outside the index's query domain raises
         :class:`ValueError` here, before it can join (and fail) a shared
         coalesced batch.
@@ -735,20 +742,12 @@ class QueryService:
             fut: Future = Future()
             fut.set_result(value)
             return fut
-        if self.batcher is None:
-            fut = Future()
-            try:
-                fut.set_result(self._compute_rows(method, [q], params,
-                                                  deadline)[0])
-            except BaseException as exc:  # noqa: BLE001 — same as a batch
-                fut.set_exception(exc)
-            return fut
         if span is NULL_SPAN:
             return self.batcher.submit(method, q, self._params_key(params),
                                        deadline=deadline)
-        # The wait span outlives this call on purpose: it closes when the
-        # group flushes (see _flush_group), so its duration is the time
-        # the request actually spent coalescing.
+        # The wait span is closed by the flush that carries the request
+        # (see _flush_group), so its duration is the time the request
+        # spent coalescing and computing.
         wspan = self.tracer.start_span("coalesce.wait", parent=span,
                                        method=method)
         try:
@@ -759,10 +758,6 @@ class QueryService:
         except BaseException:
             wspan.finish()
             raise
-
-    def flush(self) -> int:
-        """Force pending coalesced requests through; returns how many."""
-        return self.batcher.flush() if self.batcher is not None else 0
 
     # ------------------------------------------------------------------
     # Batch front door.
@@ -950,23 +945,19 @@ class QueryService:
             snap["executor"] = dict(health,
                                     start_method=self.executor.start_method)
         snap["vpr"] = self.vpr_info()
-        if self.batcher is not None:
-            snap["coalescer"] = {
-                "submitted": self.batcher.submitted,
-                "flushes": self.batcher.flushes,
-                "full_flushes": self.batcher.full_flushes,
-                "timer_flushes": self.batcher.timer_flushes,
-                "largest_batch": self.batcher.largest_batch,
-                "pending": self.batcher.pending,
-            }
+        snap["coalescer"] = {
+            "submitted": self.batcher.submitted,
+            "flushes": self.batcher.flushes,
+            "largest_batch": self.batcher.largest_batch,
+            "pending": self.batcher.pending,
+        }
         return snap
 
     def close(self) -> None:
         """Drain the coalescer and stop the worker pool (idempotent)."""
         if self._closed:
             return
-        if self.batcher is not None:
-            self.batcher.close()   # drains pending groups first
+        self.batcher.close()   # waits out every running flush first
         self._closed = True
         if self.executor is not None:
             self.executor.close()
@@ -979,8 +970,7 @@ class QueryService:
 
     def __del__(self) -> None:
         # A service dropped without a context manager must still tear
-        # down its worker pool and flusher thread — no leaked processes
-        # or semaphores.
+        # down its worker pool — no leaked processes or semaphores.
         try:
             self.close()
         except Exception:  # noqa: BLE001 — interpreter-shutdown noise

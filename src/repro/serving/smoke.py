@@ -181,8 +181,7 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                    out: Optional[str], log: Callable[[str], None]) -> None:
     workers = 0 if backend == "inline" else 2
     service = index.serve(workers=workers, backend=backend,
-                          max_batch=64, flush_window=0.002,
-                          cache_capacity=4096,
+                          max_batch=64, cache_capacity=4096,
                           shard_min_batch=4096 if backend == "inline" else 32,
                           trace=TraceConfig(enabled=True, sample=1.0,
                                             slow_ms=0.0))
@@ -350,8 +349,8 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
     phase1 = ("crash_worker:chunk=0" if crashy
               else "raise_in_compute:chunk=0")
     service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0, coalesce=False,
-                          retries=2, faults=phase1)
+                          shard_chunk=8, cache_capacity=0, retries=2,
+                          faults=phase1)
     check(service.executor is not None, "service built a shard executor")
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
@@ -467,7 +466,7 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
     oracle = _encoded("quantify_vpr", index.batch_quantify_vpr(queries))
 
     service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0, coalesce=False)
+                          shard_chunk=8, cache_capacity=0)
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
     with _booted(service, config, check) as server:

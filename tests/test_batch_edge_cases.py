@@ -108,7 +108,7 @@ class TestNonFiniteQueries:
                 call(q)
 
     def test_service_submit_rejects_before_coalescing(self, index):
-        with index.serve(workers=0, coalesce=True, cache_capacity=0) as svc:
+        with index.serve(workers=0, cache_capacity=0) as svc:
             with pytest.raises(ValueError, match="finite"):
                 svc.submit("quantify_exact", (float("nan"), 0.0))
             good = svc.submit("quantify_exact", (0.5, 0.5))

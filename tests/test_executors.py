@@ -200,7 +200,7 @@ class TestBackendFactory:
         qs = _queries(64, 9.0, seed=41)
         want = index.batch_quantify_vpr(qs)
         builds = ENGINE.get("vpr.builds")
-        with index.serve(workers=2, coalesce=False, cache_capacity=0,
+        with index.serve(workers=2, cache_capacity=0,
                          shard_min_batch=8, shard_chunk=8) as service, \
                 ServerThread(service, HttpConfig(port=0,
                                                  warm_kinds=())) as server:

@@ -559,7 +559,7 @@ class TestHttpResilience:
         index, qs, _ = fleet
         service = index.serve(workers=2, backend="process",
                               shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0, coalesce=False,
+                              cache_capacity=0,
                               faults="hang_chunk:chunk=0,delay=2,"
                                      "attempts=any")
         config = HttpConfig(port=0, max_inflight=2, max_pending=2,
@@ -596,7 +596,7 @@ class TestHttpResilience:
         index, qs, _ = fleet
         service = index.serve(workers=2, backend="process",
                               shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0, coalesce=False,
+                              cache_capacity=0,
                               default_timeout=0.3,
                               faults="hang_chunk:chunk=0,delay=2,"
                                      "attempts=any")
@@ -623,7 +623,7 @@ class TestHttpResilience:
         from repro.serving.smoke import _http_json
 
         index, _, _ = fleet
-        service = index.serve(workers=0, cache_capacity=0, coalesce=False)
+        service = index.serve(workers=0, cache_capacity=0)
         config = HttpConfig(port=0, max_inflight=1, max_pending=4,
                             warm_kinds=())
         with service, ServerThread(service, config) as server:
@@ -674,7 +674,7 @@ class TestHttpResilience:
         from repro.serving.http import HttpConfig, QueryGateway
 
         index, _, _ = fleet
-        service = index.serve(workers=0, cache_capacity=0, coalesce=False)
+        service = index.serve(workers=0, cache_capacity=0)
         with service:
             gw = QueryGateway(service, HttpConfig(port=0))
             # No drain data, small backlog: the depth itself, floored.
@@ -710,7 +710,7 @@ class TestServiceConfigFaults:
         monkeypatch.setenv("REPRO_FAULTS", "raise_in_compute:attempts=any")
         service = index.serve(workers=2, backend="thread",
                               shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0, coalesce=False)
+                              cache_capacity=0)
         with service:
             assert service.config.faults is None
             assert service.executor.faults is None
@@ -729,7 +729,7 @@ class TestServiceConfigFaults:
         index, qs, _ = fleet
         service = index.serve(workers=2, backend="thread",
                               shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0, coalesce=False,
+                              cache_capacity=0,
                               faults="raise_in_compute:chunk=0")
         with service:
             service.batch("delta", qs)

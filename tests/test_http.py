@@ -25,7 +25,6 @@ from repro.serving.http import (
     HttpConfig,
     QueryGateway,
     ServerThread,
-    create_asgi_app,
     decode_result,
     encode_result,
 )
@@ -67,8 +66,7 @@ def service():
     # A small discrete fleet keeps all seven kinds answerable (the V_Pr
     # arrangement build is quartic in instance count) within test time.
     index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    with index.serve(workers=0, coalesce=True, max_batch=32,
-                     flush_window=0.002, cache_capacity=2048) as svc:
+    with index.serve(workers=0, max_batch=32, cache_capacity=2048) as svc:
         yield svc
 
 
@@ -558,70 +556,6 @@ class TestHttpConfigValidation:
 
     def test_zero_pending_is_valid(self):
         assert HttpConfig(max_pending=0).max_pending == 0
-
-
-class TestAsgiAdapter:
-    """The ASGI app answers the same routes as the stdlib transport."""
-
-    @staticmethod
-    async def _call(app, method, path, body=b""):
-        messages = [{"type": "http.request", "body": body,
-                     "more_body": False}]
-        sent = []
-
-        async def receive():
-            return messages.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        scope = {"type": "http", "method": method, "path": path}
-        await app(scope, receive, send)
-        status = sent[0]["status"]
-        payload = b"".join(m.get("body", b"") for m in sent[1:])
-        return status, payload
-
-    def test_lifespan_and_query(self, own_service):
-        """One lifespan scope wraps queries, like a real ASGI server."""
-        import asyncio
-
-        gateway = QueryGateway(own_service, HttpConfig(port=0, warm_kinds=()))
-        app = create_asgi_app(gateway)
-        q = _query_points(1)[0]
-        expected = own_service.query("delta", q)
-
-        async def drive():
-            events: asyncio.Queue = asyncio.Queue()
-            lifecycle = []
-
-            async def receive():
-                return await events.get()
-
-            async def send(message):
-                lifecycle.append(message)
-
-            lifespan = asyncio.ensure_future(
-                app({"type": "lifespan"}, receive, send))
-            await events.put({"type": "lifespan.startup"})
-            while not lifecycle:
-                await asyncio.sleep(0.005)
-            assert lifecycle[0] == {"type": "lifespan.startup.complete"}
-
-            status, payload = await self._call(
-                app, "POST", "/v1/query/delta",
-                json.dumps({"q": list(q)}).encode())
-            assert status == 200
-            doc = json.loads(payload)
-            assert decode_result("delta", doc["result"]) == expected
-            status, payload = await self._call(app, "GET", "/metrics")
-            assert status == 200
-            assert b"repro_http_requests_total" in payload
-
-            await events.put({"type": "lifespan.shutdown"})
-            await lifespan
-            assert lifecycle[-1] == {"type": "lifespan.shutdown.complete"}
-
-        asyncio.run(drive())
 
 
 class TestSmoke:

@@ -142,8 +142,8 @@ class TestWorkerCounters:
         deltas = {}
         for backend in ("thread", "process"):
             index = PNNIndex(points)
-            with index.serve(workers=2, backend=backend, cache_capacity=0,
-                             coalesce=False) as service:
+            with index.serve(workers=2, backend=backend,
+                             cache_capacity=0) as service:
                 assert service.executor.mode == backend
                 # The parent-side increments the bulk made, worker
                 # shipments merged in included.

@@ -15,6 +15,7 @@ The tracing layer's contract has three legs, each pinned here:
 import asyncio
 import io
 import json
+import threading
 import time
 
 import numpy as np
@@ -40,7 +41,6 @@ from repro.serving.http import (
     HttpConfig,
     QueryGateway,
     ServerThread,
-    create_asgi_app,
     encode_result,
 )
 
@@ -387,13 +387,12 @@ class TestTracedParity:
     def test_batch_parity_and_span_tree(self, backend):
         index = _index(10)
         qs = _queries(60)
-        with index.serve(workers=0, coalesce=False) as plain:
+        with index.serve(workers=0) as plain:
             expected = {kind: _encoded(kind, plain.batch(
                 kind, qs, **PARITY_PARAMS.get(kind, {})))
                 for kind in PARITY_KINDS}
         workers = 0 if backend == "inline" else 2
-        with index.serve(workers=workers, backend=backend,
-                         coalesce=False, shard_min_batch=16,
+        with index.serve(workers=workers, backend=backend, shard_min_batch=16,
                          trace=True) as traced:
             if backend != "inline" \
                     and traced.executor.mode != backend:
@@ -420,7 +419,7 @@ class TestTracedParity:
     def test_worker_spans_reparent_under_dispatch(self, backend):
         index = _index(10)
         qs = _queries(48)
-        with index.serve(workers=2, backend=backend, coalesce=False,
+        with index.serve(workers=2, backend=backend,
                          shard_min_batch=16, shard_chunk=16,
                          trace=True) as service:
             if service.executor.mode != backend:
@@ -445,26 +444,56 @@ class TestTracedParity:
     def test_scalar_parity_and_coalesce_linking(self):
         index = _index(10)
         qs = _queries(12)
-        with index.serve(workers=0, coalesce=False) as plain:
+        with index.serve(workers=0) as plain:
             expected = [plain.query("nonzero_nn", q) for q in qs]
-        with index.serve(workers=0, max_batch=64, flush_window=5.0,
-                         trace=True) as traced:
-            futures = [traced.submit("nonzero_nn", q) for q in qs]
-            traced.flush()
-            got = [f.result() for f in futures]
+        with index.serve(workers=0, max_batch=64, trace=True) as traced:
+            # Hold the first flush so the other eleven submits queue
+            # behind it and coalesce into the next one.
+            entered, release = threading.Event(), threading.Event()
+            inner = traced.batcher._flush_fn
+
+            def gated(*args, **kwargs):
+                if not entered.is_set():
+                    entered.set()
+                    assert release.wait(timeout=10)
+                return inner(*args, **kwargs)
+
+            traced.batcher._flush_fn = gated
+            futures = [None] * len(qs)
+
+            def submit(i):
+                futures[i] = traced.submit("nonzero_nn", qs[i])
+
+            threads = [threading.Thread(target=submit, args=(0,))]
+            threads[0].start()
+            assert entered.wait(timeout=5)
+            threads += [threading.Thread(target=submit, args=(i,))
+                        for i in range(1, len(qs))]
+            for t in threads[1:]:
+                t.start()
+            give_up = time.monotonic() + 5
+            while traced.batcher.pending < len(qs) - 1:
+                assert time.monotonic() < give_up
+                time.sleep(0.001)
+            release.set()
+            for t in threads:
+                t.join(timeout=5)
+            got = [f.result(timeout=0) for f in futures]
             assert got == expected
             records = traced.tracer.spans()
         flushes = [r for r in records if r["name"] == "coalesce.flush"]
         waits = [r for r in records if r["name"] == "coalesce.wait"]
-        assert len(flushes) == 1, "12 submits should coalesce into one"
-        assert flushes[0]["attrs"]["batch_size"] == len(qs)
+        assert sorted(f["attrs"]["batch_size"] for f in flushes) == \
+            [1, len(qs) - 1], "11 queued submits should coalesce into one"
         assert len(waits) == len(qs)
-        flush_id = flushes[0]["span_id"]
+        by_size = {f["attrs"]["batch_size"]: f for f in flushes}
         for w in waits:
-            assert {"trace_id": flushes[0]["trace_id"],
-                    "span_id": flush_id} in w["links"], \
+            flush = by_size[w["attrs"]["batch_size"]]
+            assert {"trace_id": flush["trace_id"],
+                    "span_id": flush["span_id"]} in w["links"], \
                 "waiting request is not linked to its flush span"
-            assert w["attrs"]["batch_size"] == len(qs)
+        assert sorted(w["attrs"]["batch_size"] for w in waits) == \
+            [1] + [len(qs) - 1] * (len(qs) - 1)
         # Every submit is its own trace (one root each), all well-formed.
         for records_ in _span_trees(traced.tracer).values():
             _assert_well_formed(records_)
@@ -474,12 +503,11 @@ class TestTracedParity:
         request branches run; neither perturbs answers."""
         index = _index(10)
         qs = _queries(64)
-        with index.serve(workers=0, coalesce=False) as plain:
+        with index.serve(workers=0) as plain:
             expected = [plain.query("nonzero_nn", q) for q in qs]
             batch = plain.batch_delta(qs)
         trace = TraceConfig(enabled=True, sample=0.5)
-        with index.serve(workers=0, coalesce=False, cache_capacity=0,
-                         trace=trace) as traced:
+        with index.serve(workers=0, cache_capacity=0, trace=trace) as traced:
             assert [traced.query("nonzero_nn", q) for q in qs] == expected
             assert np.array_equal(traced.batch_delta(qs), batch)
             started = traced.tracer.snapshot()["traces_started"]
@@ -504,8 +532,7 @@ class TestTracedParity:
 
     def test_eviction_counts_by_kind(self):
         index = _index(8)
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=8) as service:
+        with index.serve(workers=0, cache_capacity=8) as service:
             for q in _queries(20, seed=5):
                 service.query("delta", q)
             for q in _queries(20, seed=6):
@@ -549,7 +576,7 @@ def _http(port, method, path, doc=None, headers=None, timeout=30.0):
 @pytest.fixture(scope="module")
 def traced_server():
     index = _index(10)
-    service = index.serve(workers=0, max_batch=64, flush_window=0.002,
+    service = index.serve(workers=0, max_batch=64,
                           trace=TraceConfig(enabled=True, sample=1.0,
                                             slow_ms=0.0))
     config = HttpConfig(port=0, max_inflight=2, warm_kinds=("delta",))
@@ -640,76 +667,6 @@ class TestHttpTracing:
                        "repro_cache_kind_evictions_total"):
             assert family in raw, f"/metrics is missing {family}"
         assert 'stage="http.request"' in raw
-
-
-class TestAsgiTracing:
-    def _asgi(self, app, scope, body=b""):
-        """Drive one ASGI http request; returns (status, headers, body)."""
-        sent = []
-        received = [{"type": "http.request", "body": body}]
-
-        async def receive():
-            return received.pop(0)
-
-        async def send(message):
-            sent.append(message)
-
-        asyncio.run(app(dict(scope), receive, send))
-        start = next(m for m in sent
-                     if m["type"] == "http.response.start")
-        payload = b"".join(m.get("body", b"") for m in sent
-                           if m["type"] == "http.response.body")
-        headers = {k.decode("latin-1"): v.decode("latin-1")
-                   for k, v in start["headers"]}
-        return start["status"], headers, payload
-
-    @pytest.fixture()
-    def gateway(self):
-        index = _index(8)
-        service = index.serve(
-            workers=0, trace=TraceConfig(enabled=True, sample=1.0,
-                                         slow_ms=0.0))
-        gateway = QueryGateway(service, HttpConfig(port=0))
-        asyncio.run(gateway.startup())
-        yield gateway
-        asyncio.run(gateway.shutdown())
-        service.close()
-
-    def test_asgi_propagates_traceparent(self, gateway):
-        app = create_asgi_app(gateway)
-        trace_id = "ab" * 16
-        scope = {"type": "http", "method": "POST",
-                 "path": "/v1/query/delta",
-                 "headers": [(b"traceparent",
-                              format_traceparent(trace_id, "cd" * 8)
-                              .encode("latin-1"))]}
-        status, headers, _ = self._asgi(
-            app, scope, json.dumps({"q": [1.0, 1.0]}).encode())
-        assert status == 200
-        assert headers["x-request-id"] == trace_id
-
-    def test_asgi_query_string_reaches_debug_routes(self, gateway):
-        app = create_asgi_app(gateway)
-        self._asgi(app, {"type": "http", "method": "POST",
-                         "path": "/v1/query/delta",
-                         "headers": []},
-                   json.dumps({"q": [2.0, 2.0]}).encode())
-        status, _, payload = self._asgi(
-            app, {"type": "http", "method": "GET",
-                  "path": "/debug/traces",
-                  "query_string": b"format=jsonl"})
-        assert status == 200
-        assert all(line.startswith(b"{")
-                   for line in payload.splitlines() if line)
-
-    def test_asgi_minimal_scope_still_works(self, gateway):
-        # Scopes without headers/query_string keys (as built by older
-        # tests and bare-bones servers) must not crash the adapter.
-        app = create_asgi_app(gateway)
-        status, headers, _ = self._asgi(
-            app, {"type": "http", "method": "GET", "path": "/healthz"})
-        assert status in (200, 503)
-        assert "x-request-id" not in headers  # non-query routes untraced
 
 
 class TestPrometheusRendering:

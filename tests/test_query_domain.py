@@ -138,7 +138,7 @@ class TestEngineFailsClosed:
 
     @pytest.mark.parametrize("far", FAR)
     def test_service_rejects_before_any_work(self, index, far):
-        with index.serve(workers=0, coalesce=True, cache_capacity=16) as svc:
+        with index.serve(workers=0, cache_capacity=16) as svc:
             with pytest.raises(ValueError, match="domain"):
                 svc.submit("nonzero_nn", (far, 0.0))
             with pytest.raises(ValueError, match="domain"):
@@ -360,8 +360,7 @@ class TestHttpFailsClosed:
         from repro.serving.http import HttpConfig
 
         index = PNNIndex(random_discrete_points(8, 2, seed=5, spread=2.0))
-        service = index.serve(workers=0, cache_capacity=64, max_batch=8,
-                              flush_window=0.002)
+        service = index.serve(workers=0, cache_capacity=64, max_batch=8)
         srv = ServerThread(service, HttpConfig(port=0)).start()
         for _ in range(600):
             if _http_json(srv.port, "GET", "/healthz")[0] == 200:

@@ -12,6 +12,8 @@ across shard counts.
 
 import math
 import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -96,85 +98,367 @@ class TestResultCache:
         assert cache.get(key)[1] == [0, 2]
 
 
-class TestMicroBatcher:
-    def _echo_batcher(self, calls, **kwargs):
-        def flush_fn(method, queries, params):
-            calls.append((method, list(queries), params))
-            return [q[0] + q[1] for q in queries]
-        kwargs.setdefault("auto_flush", False)
-        return MicroBatcher(flush_fn, **kwargs)
+def _gated(flush_fn):
+    """Wrap *flush_fn* so its first call blocks until ``release`` is set.
 
-    def test_max_batch_triggers_inline_flush(self):
+    Returns ``(gated_fn, entered, release)``: ``entered`` is set once the
+    first flush is running.  While it is held, every submit of the same
+    ``(method, params)`` key queues behind it.
+    """
+    entered, release = threading.Event(), threading.Event()
+
+    def gated_fn(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=10)
+        return flush_fn(*args, **kwargs)
+
+    return gated_fn, entered, release
+
+
+def _spawn(submit, *args):
+    """Run ``submit(*args)`` on a new started thread.
+
+    Returns ``(thread, out)``; ``out`` receives the returned future.  A
+    submit whose key is idle leads; one whose key is flushing queues
+    and blocks in ``submit`` until its group has run.
+    """
+    out = []
+    thread = threading.Thread(target=lambda: out.append(submit(*args)),
+                              daemon=True)
+    thread.start()
+    return thread, out
+
+
+def _await_pending(batcher, rows):
+    """Wait until *rows* rows are queued behind the running flush."""
+    give_up = time.monotonic() + 5
+    while batcher.pending < rows:
+        assert time.monotonic() < give_up, \
+            f"{batcher.pending} of {rows} rows queued"
+        time.sleep(0.001)
+
+
+def _join(threads):
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestMicroBatcher:
+    def _echo_batcher(self, calls, max_batch):
+        def flush_fn(method, queries, params):
+            calls.append((method, list(queries), params,
+                          threading.current_thread()))
+            return [q[0] + q[1] for q in queries]
+        gated_fn, entered, release = _gated(flush_fn)
+        return MicroBatcher(gated_fn, max_batch=max_batch), entered, release
+
+    def test_max_batch_caps_each_queued_flush(self):
         calls = []
-        batcher = self._echo_batcher(calls, max_batch=4)
-        futures = [batcher.submit("delta", (float(i), 1.0), ())
-                   for i in range(4)]
-        assert len(calls) == 1 and len(calls[0][1]) == 4
-        assert [f.result(timeout=0) for f in futures] == [1, 2, 3, 4]
-        assert batcher.full_flushes == 1
+        batcher, entered, release = self._echo_batcher(calls, max_batch=4)
+        leader, _ = _spawn(batcher.submit, "delta", (0.0, 1.0), ())
+        assert entered.wait(timeout=5)
+        queued = [_spawn(batcher.submit, "delta", (float(i), 1.0), ())
+                  for i in range(1, 10)]
+        _await_pending(batcher, 9)
+        release.set()
+        _join([leader] + [t for t, _ in queued])
+        # Flush 1 held the leader's own row; the nine queued rows follow
+        # in groups of at most max_batch.
+        assert [len(c[1]) for c in calls] == [1, 4, 4, 1]
+        assert [out[0].result(timeout=0) for _, out in queued] == \
+            list(range(2, 11))
+        assert batcher.flushes == 4
         assert batcher.largest_batch == 4
         assert batcher.pending == 0
 
-    def test_explicit_flush_and_grouping(self):
+    def test_queued_requests_group_by_method_and_params(self):
         calls = []
-        batcher = self._echo_batcher(calls, max_batch=100)
-        batcher.submit("delta", (1.0, 1.0), ())
-        batcher.submit("quantify", (2.0, 2.0), (("epsilon", 0.1),))
-        batcher.submit("delta", (3.0, 3.0), ())
-        assert batcher.pending == 3
-        released = batcher.flush()
-        assert released == 3
-        # Two groups: (delta, ()) coalesced, quantify separate.
-        assert sorted(len(c[1]) for c in calls) == [1, 2]
+        batcher, entered, release = self._echo_batcher(calls, max_batch=100)
+        leader, _ = _spawn(batcher.submit, "delta", (1.0, 1.0), ())
+        assert entered.wait(timeout=5)
+        # Another key is idle, so it runs inline at once.
+        other = batcher.submit("quantify", (2.0, 2.0), (("epsilon", 0.1),))
+        assert other.result(timeout=0) == 4.0
+        queued = [_spawn(batcher.submit, "delta", (x, x), ())
+                  for x in (3.0, 4.0)]
+        _await_pending(batcher, 2)
+        release.set()
+        _join([leader] + [t for t, _ in queued])
+        assert sorted(out[0].result(timeout=0) for _, out in queued) == \
+            [6.0, 8.0]
+        # The gate releases the leader's own row only now, after the
+        # quantify flush.
+        assert [(c[0], len(c[1])) for c in calls] == [
+            ("quantify", 1), ("delta", 1), ("delta", 2)]
 
-    def test_flush_window_background_thread(self):
+    def test_queued_group_runs_on_one_of_its_submitters(self):
         calls = []
-        def flush_fn(method, queries, params):
-            calls.append(len(queries))
-            return [0.0] * len(queries)
-        batcher = MicroBatcher(flush_fn, max_batch=100, flush_window=0.01)
-        fut = batcher.submit("delta", (1.0, 1.0), ())
-        assert fut.result(timeout=2.0) == 0.0
-        assert batcher.timer_flushes >= 1
+        batcher, entered, release = self._echo_batcher(calls, max_batch=100)
+        leader, _ = _spawn(batcher.submit, "delta", (1.0, 1.0), ())
+        assert entered.wait(timeout=5)
+        follower, out = _spawn(batcher.submit, "delta", (2.0, 2.0), ())
+        _await_pending(batcher, 1)
+        release.set()
+        _join([leader, follower])
+        # The submit returns with its future already resolved.
+        assert out[0].done() and out[0].result(timeout=0) == 4.0
+        assert [c[3] for c in calls] == [leader, follower]
         batcher.close()
+
+    def test_leader_returns_after_its_own_flush_under_sustained_traffic(
+            self):
+        """A leader's submit returns after its own flush, while other
+        threads keep the key busy: no caller runs the flushes of traffic
+        that arrived after it."""
+        ran_on = []
+
+        def flush_fn(method, queries, params):
+            ran_on.append(threading.current_thread())
+            time.sleep(0.001)
+            return [q[0] for q in queries]
+
+        gated_fn, entered, release = _gated(flush_fn)
+        batcher = MicroBatcher(gated_fn, max_batch=2)
+        stop = threading.Event()
+        leader_done = []
+
+        def leader_fn():
+            batcher.submit("delta", (0.0, 0.0), ())
+            leader_done.append(batcher.flushes)
+
+        def spam():
+            while not stop.is_set():
+                assert batcher.submit("delta", (1.0, 0.0), ()).result(
+                    timeout=0) == 1.0
+
+        leader = threading.Thread(target=leader_fn)
+        leader.start()
+        assert entered.wait(timeout=5)
+        spammers = [threading.Thread(target=spam) for _ in range(4)]
+        for t in spammers:
+            t.start()
+        _await_pending(batcher, 4)
+        release.set()
+        leader.join(timeout=5)
+        assert not leader.is_alive()
+        # The spammers keep the key flushing after the leader returned.
+        give_up = time.monotonic() + 5
+        while batcher.flushes < leader_done[0] + 5:
+            assert time.monotonic() < give_up
+            time.sleep(0.001)
+        stop.set()
+        _join(spammers)
+        batcher.close()
+        assert ran_on.count(leader) == 1
+        assert leader_done[0] <= 3
 
     def test_flush_fn_error_propagates_to_futures(self):
         def flush_fn(method, queries, params):
             raise RuntimeError("engine exploded")
-        batcher = MicroBatcher(flush_fn, max_batch=100, auto_flush=False)
+        batcher = MicroBatcher(flush_fn, max_batch=100)
         fut = batcher.submit("delta", (1.0, 1.0), ())
-        batcher.flush()
         with pytest.raises(RuntimeError, match="engine exploded"):
             fut.result(timeout=0)
 
-    def test_cancelled_future_does_not_poison_its_group(self):
-        calls = []
-        batcher = self._echo_batcher(calls, max_batch=100)
-        kept = batcher.submit("delta", (1.0, 1.0), ())
-        doomed = batcher.submit("delta", (2.0, 2.0), ())
-        assert doomed.cancel()
-        batcher.flush()
-        # The cancelled future is skipped; its neighbors still resolve.
-        assert kept.result(timeout=0) == 2.0
-        assert doomed.cancelled()
-
-    def test_cancelled_future_does_not_kill_flusher_thread(self):
+    def test_queued_group_error_fails_only_its_group(self):
         def flush_fn(method, queries, params):
-            return [0.0] * len(queries)
-        batcher = MicroBatcher(flush_fn, max_batch=100, flush_window=0.01)
-        doomed = batcher.submit("delta", (1.0, 1.0), ())
-        assert doomed.cancel()
-        time.sleep(0.05)                       # let the timer flush fire
-        assert batcher._thread.is_alive()      # flusher survived
-        healthy = batcher.submit("delta", (2.0, 2.0), ())
-        assert healthy.result(timeout=2.0) == 0.0
+            if any(q[0] == 99.0 for q in queries):
+                raise RuntimeError("bad row")
+            return [q[0] for q in queries]
+
+        gated_fn, entered, release = _gated(flush_fn)
+        batcher = MicroBatcher(gated_fn, max_batch=2)
+        leader, _ = _spawn(batcher.submit, "delta", (0.0, 0.0), ())
+        assert entered.wait(timeout=5)
+        # Queued groups of two: [1, 99] fails as a unit, [3, 4] does not.
+        queued = []
+        for rows, x in enumerate((1.0, 99.0, 3.0, 4.0), start=1):
+            queued.append(_spawn(batcher.submit, "delta", (x, 0.0), ()))
+            _await_pending(batcher, rows)
+        release.set()
+        _join([leader] + [t for t, _ in queued])
+        futures = [out[0] for _, out in queued]
+        for fut in futures[:2]:
+            with pytest.raises(RuntimeError, match="bad row"):
+                fut.result(timeout=0)
+        assert [f.result(timeout=0) for f in futures[2:]] == [3.0, 4.0]
+        assert batcher.flushes == 3
+        # The key was released after the failure.
+        assert batcher.submit("delta", (5.0, 0.0), ()).result(
+            timeout=0) == 5.0
         batcher.close()
 
+    @pytest.mark.parametrize("max_batch", [0, -1])
+    def test_non_positive_max_batch_rejected(self, max_batch):
+        with pytest.raises(ValueError, match="max_batch"):
+            MicroBatcher(lambda m, qs, p: [0.0] * len(qs),
+                         max_batch=max_batch)
+
+    def test_interrupted_submitters_pass_the_key_on(self):
+        """A group whose every submitter is interrupted while waiting is
+        dropped, and the key still reaches the groups behind it."""
+        calls = []
+        batcher, entered, release = self._echo_batcher(calls, max_batch=1)
+        real_wait = batcher._cv.wait
+        victims = set()
+
+        def wait(timeout=None):
+            real_wait(timeout)
+            if threading.current_thread() in victims:
+                raise KeyboardInterrupt
+
+        batcher._cv.wait = wait
+        interrupted = []
+
+        def victim_fn(x):
+            victims.add(threading.current_thread())
+            try:
+                batcher.submit("delta", (x, 0.0), ())
+            except KeyboardInterrupt:
+                interrupted.append(x)
+
+        leader, _ = _spawn(batcher.submit, "delta", (0.0, 0.0), ())
+        assert entered.wait(timeout=5)
+        # Groups 2 and 3 lose their only submitter, whether still
+        # queued or already handed over; group 4 runs.
+        first = threading.Thread(target=victim_fn, args=(1.0,))
+        first.start()
+        _await_pending(batcher, 1)
+        second = threading.Thread(target=victim_fn, args=(2.0,))
+        second.start()
+        _await_pending(batcher, 2)
+        survivor, out = _spawn(batcher.submit, "delta", (3.0, 0.0), ())
+        _await_pending(batcher, 3)
+        release.set()
+        _join([leader, first, second, survivor])
+        assert sorted(interrupted) == [1.0, 2.0]
+        assert out[0].result(timeout=0) == 3.0
+        assert [c[1] for c in calls] == [[(0.0, 0.0)], [(3.0, 0.0)]]
+        batcher._cv.wait = real_wait
+        assert batcher.submit("delta", (4.0, 0.0), ()).result(
+            timeout=0) == 4.0
+        batcher.close()
+
+    def test_base_exception_escaping_a_flush_releases_the_key(self):
+        """An interrupt escaping the leader's flush fails its own
+        request, hands the key to the queued group and lets close()
+        return."""
+        calls = []
+        batcher, entered, release = self._echo_batcher(calls, max_batch=100)
+        real_flush = batcher._flush
+
+        def flush(group):
+            if not calls:
+                gated_fn = batcher._flush_fn
+                gated_fn(group.method, group.queries, group.params)
+                raise KeyboardInterrupt
+            return real_flush(group)
+
+        batcher._flush = flush
+        caught = []
+
+        def leader_fn():
+            try:
+                batcher.submit("delta", (0.0, 0.0), ())
+            except KeyboardInterrupt:
+                caught.append(True)
+
+        leader = threading.Thread(target=leader_fn, daemon=True)
+        leader.start()
+        assert entered.wait(timeout=5)
+        follower, out = _spawn(batcher.submit, "delta", (1.0, 1.0), ())
+        _await_pending(batcher, 1)
+        release.set()
+        _join([leader, follower])
+        assert caught == [True]
+        assert out[0].result(timeout=0) == 2.0
+        batcher.close()
+        assert not batcher._queues
+
     def test_submit_after_close_raises(self):
-        batcher = self._echo_batcher([], max_batch=4)
+        batcher, _, _ = self._echo_batcher([], max_batch=4)
         batcher.close()
         with pytest.raises(RuntimeError):
             batcher.submit("delta", (0.0, 0.0), ())
+
+    def test_concurrent_burst_coalesces_within_max_batch(self):
+        sizes = []
+
+        def flush_fn(method, queries, params):
+            sizes.append(len(queries))
+            time.sleep(0.001)
+            return [q[0] for q in queries]
+
+        batcher = MicroBatcher(flush_fn, max_batch=4)
+        start = threading.Barrier(8)
+        answers = [[] for _ in range(8)]
+
+        def client(tid):
+            start.wait()
+            for _ in range(25):
+                answers[tid].append(
+                    batcher.submit("delta", (float(tid), 0.0), ()).result())
+
+        threads = [threading.Thread(target=client, args=(t,))
+                   for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        batcher.close()
+        assert answers == [[float(t)] * 25 for t in range(8)]
+        assert batcher.submitted == sum(sizes) == 200
+        assert 1 < batcher.submitted / batcher.flushes
+        assert max(sizes) == batcher.largest_batch <= 4
+
+    def test_leader_loop_fairness_hammer(self):
+        """Eight threads under a tiny switch interval: every submit
+        returns, every future resolves, and no two flushes of one key
+        ever run at once."""
+        running, overlaps, lock = set(), [], threading.Lock()
+
+        def flush_fn(method, queries, params):
+            with lock:
+                if method in running:
+                    overlaps.append(method)
+                running.add(method)
+            try:
+                time.sleep(0)          # yield while the key is marked
+                return [q[0] for q in queries]
+            finally:
+                with lock:
+                    running.discard(method)
+
+        batcher = MicroBatcher(flush_fn, max_batch=8)
+        futures = [[] for _ in range(8)]
+
+        def client(tid):
+            for i in range(300):
+                method = ("delta", "nonzero_nn")[i % 2]
+                futures[tid].append(
+                    batcher.submit(method, (float(tid), 0.0), ()))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not [t for t in threads if t.is_alive()]
+        for tid, futs in enumerate(futures):
+            assert len(futs) == 300
+            assert [f.result(timeout=10) for f in futs] == \
+                [float(tid)] * 300
+        assert not overlaps
+        assert batcher.pending == 0
+        batcher.close()
 
 
 class TestShardExecutor:
@@ -302,7 +586,7 @@ class TestQueryService:
     def test_scalar_paths_match_index(self):
         index, extent = _disk_index(60)
         rng = random.Random(9)
-        with index.serve(workers=0, coalesce=False) as service:
+        with index.serve(workers=0) as service:
             for _ in range(25):
                 q = (rng.uniform(0, extent), rng.uniform(0, extent))
                 assert service.delta(q) == index.delta(q)
@@ -319,8 +603,7 @@ class TestQueryService:
         index = PNNIndex(pts)
         qs = _queries(40, 10.0, seed=29)
         base = index.batch_quantify_exact(qs)
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=64) as service:
+        with index.serve(workers=0, cache_capacity=64) as service:
             q0 = tuple(qs[0])
             assert service.quantify_exact(q0) == \
                 index.quantify(q0, method="exact")
@@ -329,16 +612,14 @@ class TestQueryService:
             with pytest.raises(TypeError, match="unknown parameters"):
                 service.quantify_exact(q0, epsilon=0.1)
         # Coalesced submits agree too.
-        with index.serve(workers=0, cache_capacity=0, max_batch=8,
-                         flush_window=10.0) as service:
+        with index.serve(workers=0, cache_capacity=0, max_batch=8) as service:
             futures = [service.submit("quantify_exact", tuple(q))
                        for q in qs[:8]]
             assert [f.result(timeout=2.0) for f in futures] == base[:8]
 
     def test_cache_hits_skip_engine(self):
         index, extent = _disk_index(30)
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=64) as service:
+        with index.serve(workers=0, cache_capacity=64) as service:
             q = (1.5, 2.5)
             first = service.delta(q)
             calls = service.method_stats("delta")["batch_calls"]
@@ -351,8 +632,7 @@ class TestQueryService:
         hot = [tuple(q) for q in _queries(50, extent, seed=47)]
         rng = random.Random(47)
         stream = [hot[rng.randrange(len(hot))] for _ in range(500)]
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=8192) as service:
+        with index.serve(workers=0, cache_capacity=8192) as service:
             for q in stream:
                 service.nonzero_nn(q)
             snap = service.stats()
@@ -368,7 +648,7 @@ class TestQueryService:
 
     def test_batch_empty(self):
         index, _ = _disk_index(10)
-        with index.serve(workers=0, coalesce=False) as service:
+        with index.serve(workers=0) as service:
             deltas = service.batch("delta", [])
             assert isinstance(deltas, np.ndarray) and deltas.shape == (0,)
             assert service.batch("nonzero_nn", np.empty((0, 2))) == []
@@ -377,7 +657,7 @@ class TestQueryService:
         index, extent = _disk_index(40)
         qs = _queries(20, extent)
         expected = index.batch_delta(qs)
-        with index.serve(workers=0, coalesce=False, cache_capacity=128,
+        with index.serve(workers=0, cache_capacity=128,
                          cache_batch_limit=64) as service:
             # Pre-warm half the rows as scalar queries.
             for x, y in qs[:10]:
@@ -390,7 +670,7 @@ class TestQueryService:
     def test_large_batch_bypasses_cache_and_matches(self):
         index, extent = _disk_index(50)
         qs = _queries(300, extent)
-        with index.serve(workers=0, coalesce=False, cache_capacity=16,
+        with index.serve(workers=0, cache_capacity=16,
                          cache_batch_limit=100) as service:
             assert np.array_equal(service.batch_delta(qs),
                                   index.batch_delta(qs))
@@ -400,7 +680,7 @@ class TestQueryService:
         index, extent = _disk_index(200)
         qs = _queries(900, extent)
         cfg = ServiceConfig(workers=2, shard_min_batch=100,
-                            cache_batch_limit=10, coalesce=False)
+                            cache_batch_limit=10)
         with QueryService(index, cfg) as service:
             result = service.batch_delta(qs)
             assert np.array_equal(result, index.batch_delta(qs))
@@ -411,18 +691,25 @@ class TestQueryService:
     def test_submit_coalesces_and_agrees(self):
         index, extent = _disk_index(80)
         qs = [tuple(map(float, q)) for q in _queries(40, extent)]
-        with index.serve(workers=0, max_batch=16, flush_window=10.0,
-                         cache_capacity=0) as service:
-            futures = [service.submit("nonzero_nn", q) for q in qs]
-            service.flush()
-            results = [f.result(timeout=5.0) for f in futures]
-            assert results == index.batch_nonzero_nn(np.array(qs))
-            assert service.batcher.full_flushes >= 2  # 40 req / max 16
+        with index.serve(workers=0, max_batch=16, cache_capacity=0) as service:
+            batcher = service.batcher
+            batcher._flush_fn, entered, release = _gated(batcher._flush_fn)
+            leader, _ = _spawn(service.submit, "nonzero_nn", qs[0])
+            assert entered.wait(timeout=5)
+            queued = [_spawn(service.submit, "nonzero_nn", q)
+                      for q in qs[1:]]
+            _await_pending(batcher, len(qs) - 1)
+            release.set()
+            _join([leader] + [t for t, _ in queued])
+            results = [out[0].result(timeout=0) for _, out in queued]
+            assert results == index.batch_nonzero_nn(np.array(qs[1:]))
+            # Flush 1 held one row; 39 queued rows / max 16 -> 3 more.
+            assert batcher.flushes == 4
+            assert batcher.largest_batch == 16
 
     def test_submit_cache_hit_resolves_immediately(self):
         index, extent = _disk_index(20)
-        with index.serve(workers=0, max_batch=8, flush_window=10.0,
-                         cache_capacity=32) as service:
+        with index.serve(workers=0, max_batch=8, cache_capacity=32) as service:
             q = (2.0, 3.0)
             service.delta(q)
             fut = service.submit("delta", q)
@@ -433,8 +720,7 @@ class TestQueryService:
         """auto resolves to a concrete method, so spellings share entries."""
         pts = random_discrete_points(6, 2, seed=11, spread=2.0)
         index = PNNIndex(pts)
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=32) as service:
+        with index.serve(workers=0, cache_capacity=32) as service:
             q = (1.0, 1.0)
             a = service.quantify(q, method="auto", epsilon=0.25)
             b = service.quantify(q, method="spiral", epsilon=0.25)
@@ -443,7 +729,7 @@ class TestQueryService:
 
     def test_unknown_method_and_params_rejected(self):
         index, _ = _disk_index(5)
-        with index.serve(workers=0, coalesce=False) as service:
+        with index.serve(workers=0) as service:
             with pytest.raises(ValueError, match="unknown query method"):
                 service.query("nearest", (0.0, 0.0))
             with pytest.raises(TypeError, match="no parameters"):
@@ -453,8 +739,7 @@ class TestQueryService:
 
     def test_stats_snapshot_shape(self):
         index, extent = _disk_index(25)
-        with index.serve(workers=0, cache_capacity=16,
-                         max_batch=4, flush_window=10.0) as service:
+        with index.serve(workers=0, cache_capacity=16, max_batch=4) as service:
             service.delta((1.0, 1.0))
             service.delta((1.0, 1.0))
             snap = service.stats()
@@ -467,11 +752,32 @@ class TestQueryService:
 
     def test_close_is_idempotent_and_drains(self):
         index, extent = _disk_index(15)
-        service = index.serve(workers=0, max_batch=64, flush_window=10.0,
-                              cache_capacity=0)
-        fut = service.submit("delta", (1.0, 2.0))
-        service.close()
-        assert fut.result(timeout=1.0) == index.delta((1.0, 2.0))
+        service = index.serve(workers=0, max_batch=2, cache_capacity=0)
+        batcher = service.batcher
+        inner, flushed = batcher._flush_fn, []
+
+        def counting(method, queries, *rest, **kwargs):
+            rows = inner(method, queries, *rest, **kwargs)
+            flushed.extend(queries)
+            return rows
+
+        batcher._flush_fn, entered, release = _gated(counting)
+        qs = [(1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (0.5, 4.0)]
+        leader, _ = _spawn(service.submit, "delta", qs[0])
+        assert entered.wait(timeout=5)
+        queued = [_spawn(service.submit, "delta", q) for q in qs[1:]]
+        _await_pending(batcher, len(qs) - 1)
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=0.05)
+        assert closer.is_alive()          # held by the running flush
+        release.set()
+        _join([closer])
+        # Every queued row was flushed by the time close() returned.
+        assert sorted(flushed) == sorted(qs)
+        _join([leader] + [t for t, _ in queued])
+        assert [out[0].result(timeout=0) for _, out in queued] == \
+            [index.delta(q) for q in qs[1:]]
         service.close()  # second close is a no-op
 
     def test_serve_rejects_config_plus_overrides(self):
@@ -503,6 +809,18 @@ class TestServiceConfigValidation:
         with pytest.raises(ValueError, match=field):
             ServiceConfig(**{field: value})
 
+    def test_flush_window_is_accepted_and_inert(self):
+        # A window far longer than the test still answers a lone submit
+        # before it returns: the field no longer drives any timer.
+        index, _ = _disk_index(10)
+        before = set(threading.enumerate())
+        with index.serve(ServiceConfig(workers=0, cache_capacity=0,
+                                       flush_window=30.0)) as service:
+            fut = service.submit("delta", (1.0, 1.0))
+            assert fut.done()
+            assert fut.result(timeout=0) == index.delta((1.0, 1.0))
+            assert not set(threading.enumerate()) - before
+
     def test_zero_disables_are_allowed(self):
         # 0 means "off" for these — not a size error.
         ServiceConfig(workers=0, cache_capacity=0, cache_batch_limit=0)
@@ -519,7 +837,7 @@ class TestServiceConfigValidation:
 
     def test_unknown_query_kind_rejected_with_known_list(self):
         index, _ = _disk_index(5)
-        with index.serve(workers=0, coalesce=False) as service:
+        with index.serve(workers=0) as service:
             with pytest.raises(ValueError, match="quantify_vpr"):
                 service.query("voronoi", (0.0, 0.0))
 
@@ -602,7 +920,7 @@ class TestResultCacheConcurrency:
         requests_per_thread = 50
         n_threads = 6
         beacons = [(1.0 + i, 2.0 + i) for i in range(5)]
-        with index.serve(workers=2, backend="thread", coalesce=False,
+        with index.serve(workers=2, backend="thread",
                          cache_capacity=256) as service:
             errors = []
 
@@ -657,8 +975,7 @@ class TestQuantifyVprServing:
         index = self._fleet()
         rng = random.Random(11)
         qs = [(rng.uniform(-1, 8), rng.uniform(-1, 8)) for _ in range(30)]
-        with index.serve(workers=0, coalesce=False,
-                         cache_capacity=64) as service:
+        with index.serve(workers=0, cache_capacity=64) as service:
             for q in qs[:10]:
                 assert service.quantify_vpr(q) == \
                     index.quantify(q, method="exact")
@@ -667,17 +984,15 @@ class TestQuantifyVprServing:
             with pytest.raises(TypeError, match="no parameters"):
                 service.query("quantify_vpr", qs[0], epsilon=0.1)
         # Coalesced submits agree too.
-        with index.serve(workers=0, cache_capacity=0, max_batch=8,
-                         flush_window=10.0) as service:
+        with index.serve(workers=0, cache_capacity=0, max_batch=8) as service:
             futures = [service.submit("quantify_vpr", q) for q in qs[:8]]
-            service.flush()
             assert [f.result(timeout=2.0) for f in futures] == \
                 index.batch_quantify_exact(np.array(qs[:8]))
 
     def test_prebuilt_vpr_adopted(self):
         index = self._fleet(n=8, seed=5)
         vpr = index.build_vpr()
-        with index.serve(vpr=vpr, workers=0, coalesce=False) as service:
+        with index.serve(vpr=vpr, workers=0) as service:
             assert index._vpr is vpr
             q = (1.0, 1.0)
             assert service.quantify_vpr(q) == \
@@ -691,7 +1006,7 @@ class TestQuantifyVprServing:
 
     def test_non_discrete_index_raises(self):
         index, _ = _disk_index(6)
-        with index.serve(workers=0, coalesce=False) as service:
+        with index.serve(workers=0) as service:
             with pytest.raises(ValueError, match="discrete"):
                 service.quantify_vpr((0.0, 0.0))
 
@@ -706,8 +1021,7 @@ class TestQuantifyVprServing:
         expected = index.batch_quantify_exact(qs)
         for backend, fans_out in (("process", False), ("thread", True)):
             cfg = ServiceConfig(workers=2, backend=backend,
-                                shard_min_batch=100, cache_batch_limit=10,
-                                coalesce=False)
+                                shard_min_batch=100, cache_batch_limit=10)
             with QueryService(index, cfg) as service:
                 if service.executor.mode == "inline":  # pragma: no cover
                     continue  # pool-less sandbox: nothing to assert
@@ -723,7 +1037,7 @@ class TestQuantifyVprServing:
 class TestServiceLifecycle:
     def test_service_del_closes_executor(self):
         index, _ = _disk_index(20)
-        service = index.serve(workers=2, coalesce=False)
+        service = index.serve(workers=2)
         executor = service.executor
         impl = executor.impl
         del service
@@ -777,23 +1091,26 @@ class TestBatchThresholdNN:
         assert index.batch_threshold_nn(np.empty((0, 2)), tau=0.5) == []
 
 
-def test_flush_window_latency_bound():
-    """A submitted request is answered within a few flush windows."""
+def test_lone_submit_resolves_inline_without_a_coalescer_thread():
+    """A lone submit is answered before it returns, and an open service
+    runs no coalescer thread."""
     index, extent = _disk_index(30)
+    before = set(threading.enumerate())
     with index.serve(workers=0, max_batch=10_000,
-                     flush_window=0.01, cache_capacity=0) as service:
-        start = time.perf_counter()
+                     cache_capacity=0) as service:
         fut = service.submit("delta", (1.0, 1.0))
-        value = fut.result(timeout=2.0)
-        elapsed = time.perf_counter() - start
-        assert value == index.delta((1.0, 1.0))
-        assert elapsed < 2.0
+        assert fut.done()
+        assert fut.result(timeout=0) == index.delta((1.0, 1.0))
+        assert not set(threading.enumerate()) - before
+        co = service.stats()["coalescer"]
+        assert (co["submitted"], co["flushes"], co["pending"]) == (1, 1, 0)
+
 
 class TestMicroBatcherCloseRace:
     """close() must be drain-or-fail atomic against concurrent flushes:
     every future handed out before the closed flag is resolved by the
-    time close() returns, even when its group was detached by an inline
-    full flush or the background flusher and is still mid-engine."""
+    time close() returns, even when its group is still queued behind a
+    leader's running flush or is itself mid-engine."""
 
     def test_close_waits_for_inflight_inline_flush(self):
         import threading
@@ -806,10 +1123,9 @@ class TestMicroBatcherCloseRace:
             release.wait(timeout=10)
             return [q[0] for q in queries]
 
-        batcher = MicroBatcher(slow_flush, max_batch=1, auto_flush=False)
-        # max_batch=1: the submit detaches its own group and runs it
-        # inline — from close()'s point of view, an in-flight group that
-        # is in neither _groups nor the flusher's hands.
+        batcher = MicroBatcher(slow_flush, max_batch=1)
+        # The key is idle, so the submit leads and runs its own group
+        # inline: close() must wait for that running flush.
         fut_holder = {}
 
         def submitter():
@@ -837,16 +1153,18 @@ class TestMicroBatcherCloseRace:
 
     def test_close_vs_submit_hammer_no_stranded_future(self):
         """Spam submits from many threads while closing: every accepted
-        future is resolved when close() returns; late submits raise."""
+        request is flushed when close() returns; late submits raise."""
         import threading
 
-        def flush_fn(method, queries, params):
-            time.sleep(0.0005)  # widen the detached-but-running window
-            return [q[0] for q in queries]
-
         for trial in range(5):
-            batcher = MicroBatcher(flush_fn, max_batch=2,
-                                   flush_window=0.001)
+            flushed = []
+
+            def flush_fn(method, queries, params):
+                time.sleep(0.0005)  # widen the running-flush window
+                flushed.append(len(queries))
+                return [q[0] for q in queries]
+
+            batcher = MicroBatcher(flush_fn, max_batch=2)
             accepted = [[] for _ in range(4)]
 
             def spam(tid):
@@ -866,6 +1184,9 @@ class TestMicroBatcherCloseRace:
             batcher.close()
             # The moment close() returns, nothing may still be pending:
             # sample *now*, before the spammers get a chance to finish.
+            assert sum(flushed) == batcher.submitted, (
+                f"trial {trial}: close() returned with "
+                f"{batcher.submitted - sum(flushed)} rows unflushed")
             unresolved = [f for futs in accepted for f in futs
                           if not f.done()]
             for t in threads:
@@ -878,23 +1199,33 @@ class TestMicroBatcherCloseRace:
                     assert f.result(timeout=0) == float(tid)
 
     def test_concurrent_closers_both_drain(self):
-        import threading
+        flushed = []
 
         def flush_fn(method, queries, params):
-            time.sleep(0.002)
-            return [0.0] * len(queries)
+            flushed.extend(q[0] for q in queries)
+            return [q[0] for q in queries]
 
-        batcher = MicroBatcher(flush_fn, max_batch=100, flush_window=5.0)
-        futures = [batcher.submit("delta", (float(i), 0.0), ())
-                   for i in range(5)]
-        threads = [threading.Thread(target=batcher.close)
+        gated_fn, entered, release = _gated(flush_fn)
+        batcher = MicroBatcher(gated_fn, max_batch=2)
+        leader, _ = _spawn(batcher.submit, "delta", (0.0, 0.0), ())
+        assert entered.wait(timeout=5)
+        queued = [_spawn(batcher.submit, "delta", (float(i), 0.0), ())
+                  for i in range(1, 6)]
+        _await_pending(batcher, 5)
+        closers = [threading.Thread(target=batcher.close)
                    for _ in range(3)]
-        for t in threads:
+        for t in closers:
             t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert all(f.done() for f in futures)
-        assert [f.result(timeout=0) for f in futures] == [0.0] * 5
+        time.sleep(0.05)
+        assert all(t.is_alive() for t in closers)
+        release.set()
+        _join(closers)
+        # Each closer returned only after all six rows were flushed.
+        assert sorted(flushed) == [float(i) for i in range(6)]
+        assert batcher.pending == 0 and not batcher._queues
+        _join([leader] + [t for t, _ in queued])
+        assert [out[0].result(timeout=0) for _, out in queued] == \
+            [float(i) for i in range(1, 6)]
 
 
 class TestLatencyStatsEmptyWindow:
