@@ -29,17 +29,14 @@ Commands
     Fetch the trace store of a running ``serve-http`` instance and
     print or save it (``--out``); the chrome format loads directly in
     chrome://tracing and ui.perfetto.dev.
-``vpr-info [--n N] [--seed S] [--kernel K]``
+``vpr-info [--n N] [--seed S]``
     Build a small V_Pr diagram and print its locator build/size
     figures: faces, entries, slabs, bytes, build seconds, the analytic
     slab-table row count the merged-slab locator replaces (memory
     ratio), and the shared-plane export size.
 ``kernels``
-    Report the compute-kernel tier: compiler discovery, native build
-    status, the ``auto`` selection (env steer included), and a
-    micro-benchmark of each provider's distance-matrix, Eq. (2)
-    sweep, and merged-slab ``plane_locate`` entry points with bitwise
-    parity checks.
+    Report the compute-kernel tier: the provider this host resolves,
+    compiler discovery and the native build status.
 ``info``
     Print the library version and the module inventory.
 ``experiments [--quick] [ids...]``
@@ -236,12 +233,6 @@ def _serve_http(argv: list) -> int:
                              "thread, inline")
     parser.add_argument("--workers", type=int, default=2,
                         help="executor worker count (0 forces inline)")
-    parser.add_argument("--kernel", default="auto",
-                        help="compute-kernel provider: auto, native, "
-                             "numpy (auto prefers the compiled native "
-                             "kernels when a C compiler is available, "
-                             "honoring REPRO_KERNEL; all providers are "
-                             "bitwise-identical)")
     parser.add_argument("--n", type=int, default=12,
                         help="synthetic discrete index size (points; 2 "
                              "instances each).  Kept small by default "
@@ -300,14 +291,12 @@ def _serve_http(argv: list) -> int:
     # and quantify_vpr require discrete instances); k=2 instances per
     # point keeps the quantify_vpr lazy build inside serving reality.
     index = PNNIndex(random_discrete_points(args.n, 2, seed=args.seed,
-                                            spread=2.0),
-                     kernel=args.kernel)
+                                            spread=2.0))
     from .spatial.kernels import get_provider
 
     print(f"serve-http: {args.n} uncertain discrete points "
           f"(2 instances each), backend={args.backend}, "
-          f"workers={args.workers}, "
-          f"kernel={args.kernel} -> {get_provider(args.kernel).name}")
+          f"workers={args.workers}, kernel={get_provider().name}")
     if args.n > 16:
         print(f"note: quantify_vpr's first request builds V_Pr lazily — "
               f"Theta(N^4) in the {2 * args.n} instances; the other six "
@@ -330,7 +319,7 @@ def _serve_http(argv: list) -> int:
     if args.faults:
         print(f"chaos: fault plan active — {args.faults!r}")
     with index.serve(workers=args.workers, backend=args.backend,
-                     kernel=args.kernel, cache_capacity=8192, max_batch=128,
+                     cache_capacity=8192, max_batch=128,
                      trace=trace, default_timeout=args.request_timeout,
                      faults=args.faults) as service:
         serve_forever(service, config)
@@ -373,9 +362,6 @@ def _vpr_info(argv: list) -> int:
                              "V_Pr build is Theta(N^4) in the 2n "
                              "instances, so keep this modest")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kernel", default="auto",
-                        help="compute-kernel provider: auto, native, "
-                             "numpy")
     args = parser.parse_args(argv)
 
     import time
@@ -386,8 +372,7 @@ def _vpr_info(argv: list) -> int:
     from .spatial.planelocate import slab_table_rows
 
     index = PNNIndex(random_discrete_points(args.n, 2, seed=args.seed,
-                                            spread=2.0),
-                     kernel=args.kernel)
+                                            spread=2.0))
     print(f"vpr-info: {args.n} discrete points (2 instances each)")
     t0 = time.perf_counter()
     vpr = index.build_vpr()
@@ -463,20 +448,11 @@ def _trace_dump(argv: list) -> int:
 
 
 def _kernels() -> int:
-    import time
-
-    import numpy as np
-
-    from .quantification.batch_exact import _PREFIX_START
-    from .spatial.kernels import (KERNEL_ENV, get_provider, kernel_status,
-                                  native_available)
+    from .spatial.kernels import kernel_status
 
     status = kernel_status()
     print("kernel tier status")
-    print(f"  providers:        {', '.join(status['kernels'])}")
-    env = status["env"]
-    print(f"  {KERNEL_ENV}:     {env if env else '(unset)'}")
-    print(f"  auto selects:     {status['selected']}")
+    print(f"  selected:         {status['resolved']}")
     print(f"  compiler:         {status['compiler'] or '(none found)'}")
     if status["compiler"]:
         print(f"  cflags:           {' '.join(status['cflags'])}")
@@ -486,82 +462,6 @@ def _kernels() -> int:
     if status.get("library"):
         cached = " (cached)" if status.get("cached") else ""
         print(f"  library:          {status['library']}{cached}")
-
-    # Micro self-test: both arithmetic entry points (their speed bars
-    # live in tests/test_speed_bars.py), on a small fixed workload —
-    # parity asserted, timings indicative only.
-    rng = np.random.default_rng(7)
-    qx, qy = rng.uniform(0, 50, 2000), rng.uniform(0, 50, 2000)
-    px, py = rng.uniform(0, 50, 600), rng.uniform(0, 50, 600)
-    parents = np.repeat(np.arange(200, dtype=np.intp), 3)
-    weights = np.full(600, 1.0 / 3.0)
-    totals = np.full(200, 3, dtype=np.int64)
-    providers = ["numpy"] + (["native"] if native_available() else [])
-    results = {}
-    print("\nmicro self-test (2000 queries x 600 sites)")
-    for name in providers:
-        provider = get_provider(name)
-        t0 = time.perf_counter()
-        d = provider.distance_matrix(qx, qy, px, py)
-        t_dist = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        res, widened = provider.sweep_eq2(d, parents, weights, totals, 200,
-                                          0.0, _PREFIX_START)
-        t_sweep = time.perf_counter() - t0
-        results[name] = (d, res, widened)
-        print(f"  {name:>6}: distance_matrix {t_dist * 1e3:7.2f} ms, "
-              f"sweep_eq2 {t_sweep * 1e3:7.2f} ms")
-    if len(results) == 2:
-        d_n, r_n, widened_n = results["native"]
-        d_o, r_o, widened_o = results["numpy"]
-        ok = (np.array_equal(d_n, d_o) and np.array_equal(r_n, r_o)
-              and widened_n == widened_o)
-        print(f"  parity: {'bitwise-identical' if ok else 'MISMATCH'}")
-        if not ok:
-            return 1
-    else:
-        print("  parity: skipped (native provider unavailable)")
-
-    # Merged-slab point location: build a small bisector arrangement and
-    # run the plane_locate entry point on every provider — the answers
-    # must match the scalar reference bitwise.
-    import random
-
-    from .geometry.seg_arrangement import SegmentArrangement
-    from .geometry.segments import bisector_line, line_box_clip
-    from .spatial.planelocate import PersistentPlaneLocator
-
-    srng = random.Random(5)
-    sites = [(srng.uniform(0, 4), srng.uniform(0, 4)) for _ in range(9)]
-    box = ((-1.0, -1.0), (5.0, 5.0))
-    segs = [((-1.0, -1.0), (5.0, -1.0)), ((5.0, -1.0), (5.0, 5.0)),
-            ((5.0, 5.0), (-1.0, 5.0)), ((-1.0, 5.0), (-1.0, -1.0))]
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            a, b, c = bisector_line(sites[i], sites[j])
-            seg = line_box_clip(a, b, c, box)
-            if seg:
-                segs.append(seg)
-    arr = SegmentArrangement(segs)
-    queries = rng.uniform(-1.5, 5.5, (4000, 2))
-    print(f"\nplane_locate self-test ({len(queries)} queries, "
-          f"{arr.num_edges} edges)")
-    loc_results = {}
-    for name in providers:
-        loc = PersistentPlaneLocator(arr, kernel=name)
-        loc.locate_batch(queries[:8])  # warm the provider
-        t0 = time.perf_counter()
-        faces = loc.locate_batch(queries)
-        t_loc = time.perf_counter() - t0
-        loc_results[name] = faces
-        print(f"  {name:>6}: locate_batch {t_loc * 1e3:7.2f} ms")
-    if len(loc_results) == 2:
-        ok = np.array_equal(loc_results["native"], loc_results["numpy"])
-        print(f"  parity: {'bitwise-identical' if ok else 'MISMATCH'}")
-        if not ok:
-            return 1
-    else:
-        print("  parity: skipped (native provider unavailable)")
     return 0
 
 

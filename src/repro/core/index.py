@@ -57,7 +57,6 @@ from ..quantification.threshold import ThresholdResult, classify_threshold
 from ..spatial.batch import (BatchQueryEngine, as_query_array,
                              check_query_domain, query_window)
 from ..spatial.kdtree import KDTree
-from ..spatial.kernels import KERNELS
 from ..uncertain.base import UncertainPoint
 from ..uncertain.discrete import DiscreteUncertainPoint
 from ..voronoi.diagram import NonzeroVoronoiDiagram
@@ -75,12 +74,12 @@ class PNNIndex:
     points:
         The uncertain points (at least one; models may be mixed).
     kernel:
-        Compute-kernel provider for the batch engines: ``"auto"``
-        (default), ``"native"``, or ``"numpy"`` — see
-        :mod:`repro.spatial.kernels`.  All providers return
-        bitwise-identical answers; the choice is operational (``"auto"``
-        prefers the compiled native kernels when the host can build
-        them, honoring the ``REPRO_KERNEL`` environment steer).
+        Accepts only ``"auto"`` and does nothing: the engines compute on
+        the host's kernel provider (:mod:`repro.spatial.kernels` —
+        native when the host builds it, else NumPy; both bitwise
+        identical).  The field remains so that callers that still pass
+        ``kernel="auto"`` — the HTTP benchmark launcher does — keep
+        working.  Any other value raises :class:`ValueError`.
 
     Examples
     --------
@@ -96,9 +95,9 @@ class PNNIndex:
                  kernel: str = "auto") -> None:
         if not points:
             raise ValueError("PNNIndex needs at least one uncertain point")
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; "
-                             f"expected one of {KERNELS}")
+        if kernel != "auto":
+            raise ValueError(f"kernel must be 'auto' (the host has one "
+                             f"kernel provider), got {kernel!r}")
         self.kernel = kernel
         #: When ``True``, :meth:`cached_vpr` refuses to build a diagram
         #: lazily and raises instead.  Shared-plane executor workers set
@@ -137,27 +136,6 @@ class PNNIndex:
     def all_discrete(self) -> bool:
         """Whether every point has a discrete distribution."""
         return all(isinstance(p, DiscreteUncertainPoint) for p in self.points)
-
-    def set_kernel(self, kernel: str) -> None:
-        """Switch the kernel provider for subsequently built batch engines.
-
-        Validates *kernel* (and fails fast on an explicit ``"native"``
-        request the host cannot serve) and drops the cached batch engine
-        and exact quantifier so the next batch call rebuilds them on the
-        new provider.  A cached ``V_Pr`` is deliberately kept: rebuilding
-        the ``Theta(N^4)`` diagram would be expensive and pointless —
-        providers are bitwise-identical, so the stored face vectors are
-        exactly what either provider would compute.
-        """
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; "
-                             f"expected one of {KERNELS}")
-        from ..spatial.kernels import get_provider
-
-        get_provider(kernel)  # explicit "native" must fail loudly here
-        self.kernel = kernel
-        self._batch = None
-        self._batch_exact = None
 
     # ------------------------------------------------------------------
     # Stage 1: Delta(q).
@@ -251,10 +229,9 @@ class PNNIndex:
         tests and benchmarks; the auto engine stays cached.
         """
         if backend != "auto":
-            return BatchQueryEngine(self.points, backend=backend,
-                                    kernel=self.kernel)
+            return BatchQueryEngine(self.points, backend=backend)
         if self._batch is None:
-            self._batch = BatchQueryEngine(self.points, kernel=self.kernel)
+            self._batch = BatchQueryEngine(self.points)
         return self._batch
 
     def _queries(self, queries) -> np.ndarray:
@@ -318,11 +295,11 @@ class PNNIndex:
         q = self._queries(queries)
         if tie_tol != 0.0:
             return BatchExactQuantifier(
-                self.points, tie_tol=tie_tol,  # type: ignore[arg-type]
-                kernel=self.kernel).batch(q)
+                self.points,  # type: ignore[arg-type]
+                tie_tol=tie_tol).batch(q)
         if self._batch_exact is None:
             self._batch_exact = BatchExactQuantifier(
-                self.points, kernel=self.kernel)  # type: ignore[arg-type]
+                self.points)  # type: ignore[arg-type]
         return self._batch_exact.batch(q)
 
     def batch_top_k(self, queries, k: int, method: str = "auto",
@@ -582,7 +559,7 @@ class PNNIndex:
             raise ValueError("V_Pr requires discrete distributions")
         if self._batch_exact is None:
             self._batch_exact = BatchExactQuantifier(
-                self.points, kernel=self.kernel)  # type: ignore[arg-type]
+                self.points)  # type: ignore[arg-type]
         return ProbabilisticVoronoiDiagram(
             self.points, box=box,  # type: ignore[arg-type]
             quantifier=self._batch_exact)

@@ -69,8 +69,7 @@ def segment_intersection(a: Point, b: Point, c: Point, d: Point,
     return None
 
 
-def segment_intersections_batch(ax, ay, bx, by, I, J, tol: float = EPS,
-                                kernel: str = "auto"):
+def segment_intersections_batch(ax, ay, bx, by, I, J, tol: float = EPS):
     """Batched :func:`segment_intersection` for segment pairs ``(I[p], J[p])``.
 
     ``ax/ay/bx/by`` are the ``(S,)`` endpoint coordinate arrays of a segment
@@ -78,15 +77,13 @@ def segment_intersections_batch(ax, ay, bx, by, I, J, tol: float = EPS,
     where ``hit[p]`` is true exactly when the scalar call would return a
     point, and ``(px[p], py[p])`` is that point bit-for-bit (the provider
     expressions and tolerance comparisons mirror the scalar code line by
-    line; entries with ``hit == False`` are unspecified).  *kernel*
-    selects the compute provider (:mod:`repro.spatial.kernels`); both
-    providers are bitwise-identical.
+    line; entries with ``hit == False`` are unspecified).
     """
     # Imported lazily: repro.spatial pulls in the arrangement module,
     # which imports this one back.
     from ..spatial.kernels import get_provider
 
-    return get_provider(kernel).segment_intersections(
+    return get_provider().segment_intersections(
         ax, ay, bx, by, I, J, tol)
 
 
@@ -151,8 +148,7 @@ def line_box_clip(a: float, b: float, c: float,
     return ((px + t0 * dx, py + t0 * dy), (px + t1 * dx, py + t1 * dy))
 
 
-def line_box_clip_batch(A, B, C, box: Tuple[Point, Point],
-                        kernel: str = "auto"):
+def line_box_clip_batch(A, B, C, box: Tuple[Point, Point]):
     """Batched :func:`line_box_clip` over coefficient arrays ``A, B, C``.
 
     Returns ``(segs, valid)`` where ``segs`` is a ``(k, 4)`` array of
@@ -160,8 +156,7 @@ def line_box_clip_batch(A, B, C, box: Tuple[Point, Point],
     scalar clip would return a segment; valid rows are bit-for-bit the
     scalar endpoints (same expression sequence, same wall order, same
     comparison tolerances).  Raises on degenerate coefficient rows, as the
-    scalar kernel does.  *kernel* selects the compute provider
-    (:mod:`repro.spatial.kernels`); both providers are bitwise-identical.
+    scalar kernel does.
     """
     from ..spatial.kernels import get_provider
 
@@ -169,6 +164,6 @@ def line_box_clip_batch(A, B, C, box: Tuple[Point, Point],
     B = np.asarray(B, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     shape = A.shape
-    segs, valid = get_provider(kernel).line_box_clip(
+    segs, valid = get_provider().line_box_clip(
         A.ravel(), B.ravel(), C.ravel(), box, EPS)
     return segs.reshape(shape + (4,)), valid.reshape(shape)

@@ -116,15 +116,10 @@ class BatchExactQuantifier:
         Distances within ``tie_tol`` of a group's first member are
         processed as one tie group, exactly as in
         :func:`~repro.quantification.exact_discrete.sweep_quantification`.
-    kernel:
-        Kernel provider for the distance matrix and the fused prefix sweep:
-        ``"auto"`` (default), ``"native"``, or ``"numpy"`` — see
-        :mod:`repro.spatial.kernels`.  Providers are bitwise-identical,
-        so the choice is purely operational.
     """
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
-                 tie_tol: float = 0.0, kernel: str = "auto") -> None:
+                 tie_tol: float = 0.0) -> None:
         if not points:
             raise ValueError("batch quantifier needs at least one point")
         for p in points:
@@ -134,9 +129,6 @@ class BatchExactQuantifier:
                     f"distributions, got {type(p).__name__}")
         self.n = len(points)
         self.tie_tol = float(tie_tol)
-        get_provider(kernel)  # validate the name (and fail fast on an
-        # explicit "native" request the host cannot serve)
-        self.kernel = kernel
         xs: List[float] = []
         ys: List[float] = []
         parents: List[int] = []
@@ -207,7 +199,7 @@ class BatchExactQuantifier:
     # The vectorized sweep core.
     # ------------------------------------------------------------------
     def _chunk_matrix(self, qc: np.ndarray) -> np.ndarray:
-        provider = get_provider(self.kernel)
+        provider = get_provider()
         # (mc, N) distances in the shared sqrt(dx*dx + dy*dy) form; the
         # provider selects, orders and sweeps each row's prefix.
         d = provider.distance_matrix(qc[:, 0], qc[:, 1],

@@ -79,10 +79,9 @@ def create_backend(name: str, index, workers: int,
     The :data:`BACKEND_ENV` environment variable overrides the
     ``"auto"`` resolution (explicit names are never overridden).
 
-    Process workers build replicas from the index's points and kernel
-    name, so every worker process resolves its own compute provider —
-    a worker that cannot build the native library degrades to NumPy on
-    its own, and parity keeps the answers identical either way.
+    Process workers build replicas from the index's points and compute
+    on the host's kernel provider, as the parent does
+    (:func:`repro.spatial.kernels.get_provider`).
 
     *plane* is an optional dict of flat V_Pr plane arrays
     (:func:`repro.spatial.codec.plane_to_arrays`).  The process backend

@@ -80,10 +80,10 @@ class IndexReplica:
     """
 
     def __init__(self, points: Sequence[UncertainPoint],
-                 kernel: str = "auto", plane: Optional[Dict] = None) -> None:
+                 plane: Optional[Dict] = None) -> None:
         from ...core.index import PNNIndex
 
-        self.index = PNNIndex(points, kernel=kernel)
+        self.index = PNNIndex(points)
         if plane is not None:
             # Shared-plane worker: adopt the parent's already-built V_Pr
             # (face vectors + locator arrays) instead of ever building
@@ -93,8 +93,7 @@ class IndexReplica:
             from ...voronoi.vpr import SharedPlaneDiagram
 
             self.index.vpr_build_forbidden = True
-            self.index.use_vpr(
-                SharedPlaneDiagram(self.index.points, plane, kernel=kernel))
+            self.index.use_vpr(SharedPlaneDiagram(self.index.points, plane))
 
     @classmethod
     def of_index(cls, index) -> "IndexReplica":

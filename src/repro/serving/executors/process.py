@@ -2,7 +2,7 @@
 
 A :mod:`multiprocessing` pool whose initializer builds, once per worker,
 a private :class:`~repro.serving.executors.base.IndexReplica` from the
-served index's pickled uncertain points and kernel name.  Chunks are
+served index's pickled uncertain points.  Chunks are
 dispatched one ``apply_async`` each; the collection loop of
 :class:`~repro.serving.shard.ShardExecutor` puts them back in order.
 
@@ -37,14 +37,13 @@ __all__ = ["ProcessBackend"]
 _REPLICA: Optional[IndexReplica] = None
 
 
-def _init_worker(payload: bytes, kernel: str = "auto",
-                 plane=None) -> None:
+def _init_worker(payload: bytes, plane=None) -> None:
     """Pool initializer: build this worker's replica from pickled points.
 
-    *kernel* names the compute provider the replica resolves in this
-    process (the compiled native library, when selected, loads once per
-    worker via the build cache) — providers are bitwise-identical, so a
-    worker degrading to NumPy still answers the exact same bytes.
+    The worker computes on the host's kernel provider
+    (:func:`repro.spatial.kernels.get_provider`), the parent's: inherited
+    under ``fork`` when the parent has already resolved it, else resolved
+    again from the same build cache.
 
     *plane* is an optional dict of flat V_Pr plane arrays
     (:func:`repro.spatial.codec.plane_to_arrays`): when present the
@@ -53,8 +52,7 @@ def _init_worker(payload: bytes, kernel: str = "auto",
     chunks are answered from the parent's build-once plane.
     """
     global _REPLICA
-    _REPLICA = IndexReplica(pickle.loads(payload), kernel=kernel,
-                            plane=plane)
+    _REPLICA = IndexReplica(pickle.loads(payload), plane=plane)
 
 
 def _run_chunk(task) -> object:
@@ -214,8 +212,7 @@ class ProcessBackend(ExecutorBackend):
         # The plane arrays ride the initializer args with the point
         # payload: inherited under fork, pickled once per worker under
         # forkserver/spawn.  Pool rebuilds re-ship them.
-        self._initargs = (pickle.dumps(list(index.points)), index.kernel,
-                          plane)
+        self._initargs = (pickle.dumps(list(index.points)), plane)
         self.serves_plane = plane is not None
         # Guards the pool swap of rebuild() against concurrent dispatch,
         # so no chunk is ever submitted to a pool being disposed.

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.logging import RequestLog
-from ..spatial.kernels import kernel_status
+from ..spatial.kernels import provider_status
 from ..obs.trace import (NULL_SPAN, call_with_span, current_span,
                          format_traceparent, to_chrome, to_jsonl, use_span)
 from ..spatial.batch import check_query_domain
@@ -718,18 +718,8 @@ class QueryGateway:
             # balancers keep routing, operators see the degraded rung.
             if self.ready and health.get("degraded"):
                 doc["status"] = "degraded"
-        status = kernel_status()
-        requested = getattr(self.service.index, "kernel", "auto")
-        doc["kernel"] = {
-            "requested": requested,
-            # What this process actually computes with: the requested
-            # name resolved through the provider registry ("auto" shows
-            # its env-steered / compiler-probed resolution).
-            "resolved": (status["selected"] if requested == "auto"
-                         else requested),
-            "native_available": status["native_available"],
-            "native_error": status["native_error"],
-        }
+        # The provider this process computes with (cached; no probe).
+        doc["kernel"] = provider_status()
         vpr_info = getattr(self.service, "vpr_info", None)
         if vpr_info is not None:
             # The V_Pr serving posture: locator kind, whether a diagram

@@ -57,7 +57,7 @@ from ..obs.trace import NULL_SPAN, Tracer, current_span, use_span
 from ..quantification.batch_exact import check_tie_tol
 from ..spatial.batch import as_query_array, check_query_domain
 from ..spatial.codec import CodecUnsupported, plane_to_arrays
-from ..spatial.kernels import KERNELS, kernel_status
+from ..spatial.kernels import get_provider, native_available
 from .cache import ResultCache
 from .coalesce import MicroBatcher
 from .executors import BACKENDS
@@ -116,13 +116,12 @@ class ServiceConfig:
         policy and the degradation ladder.  All backends return
         bitwise-identical answers; the choice is operational.
     kernel:
-        Compute-kernel provider (:mod:`repro.spatial.kernels`):
-        ``"auto"`` (default), ``"native"``, or ``"numpy"``.  ``"auto"``
-        leaves the served index's own selection untouched (which itself
-        honors the ``REPRO_KERNEL`` environment steer); a concrete name
-        is applied to the index and forwarded to every worker replica,
-        so process workers resolve the same provider.  All providers
-        return bitwise-identical answers; the choice is operational.
+        Accepts only ``"auto"`` and does nothing: the service and its
+        workers compute on the host's kernel provider
+        (:mod:`repro.spatial.kernels`).  Like ``locator`` and
+        ``flush_window``, the field remains so that the HTTP benchmark
+        launcher, which passes it, keeps working.  Any other value
+        raises :class:`ValueError`.
     locator:
         Accepts only ``"auto"`` and does nothing.  ``V_Pr`` diagrams have
         one point locator (the merged-slab tree of
@@ -222,9 +221,9 @@ class ServiceConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown executor backend {self.backend!r}; "
                              f"expected one of {BACKENDS}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; "
-                             f"expected one of {KERNELS}")
+        if self.kernel != "auto":
+            raise ValueError(f"kernel must be 'auto' (the host has one "
+                             f"kernel provider), got {self.kernel!r}")
         if self.locator != "auto":
             raise ValueError(f"locator must be 'auto' (V_Pr has one point "
                              f"locator), got {self.locator!r}")
@@ -257,12 +256,6 @@ class QueryService:
         cfg = self.config
         if vpr is not None:
             index.use_vpr(vpr)
-        if cfg.kernel != "auto":
-            # Apply the concrete provider to the shared index (fails fast
-            # on an unbuildable "native" request); "auto" leaves the
-            # index's own selection — possibly set at construction —
-            # untouched.
-            index.set_kernel(cfg.kernel)
         # Encode the already-built V_Pr (adopted above, or prebuilt on
         # the index) into flat plane arrays once: process executor
         # workers attach the build-once plane instead of each rebuilding
@@ -336,14 +329,13 @@ class QueryService:
                   fn=lambda: None if self.executor is None
                   else int(self.executor.degraded))
         reg.gauge("repro_kernel_provider",
-                  "Compute-kernel provider the auto policy resolves in this "
-                  "process (1 = selected; worker processes resolve their "
-                  "own).", ("provider",),
-                  fn=lambda: {p: int(kernel_status()["selected"] == p)
+                  "Compute-kernel provider this host resolved (1 = in use; "
+                  "worker processes resolve the same one).", ("provider",),
+                  fn=lambda: {p: int(get_provider().name == p)
                               for p in ("native", "numpy")})
         reg.gauge("repro_kernel_native_available",
                   "1 when the compiled native kernel library is usable here.",
-                  fn=lambda: int(kernel_status()["native_available"]))
+                  fn=lambda: int(native_available()))
         reg.register(ENGINE)
         reg.register(KERNEL)
 

@@ -69,8 +69,8 @@ class ShardExecutor:
     index:
         The served :class:`~repro.core.index.PNNIndex`.  Thread and
         inline backends answer through it directly — sharing its lazy
-        artifacts (engines, ``V_Pr``) and its kernel provider; process
-        workers build replicas from its points and kernel name.
+        artifacts (engines, ``V_Pr``); process workers build replicas
+        from its points.
     workers:
         Parallel worker count.  Defaults to ``min(4, cpu_count)``; any
         value below 2 selects inline mode.

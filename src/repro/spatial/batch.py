@@ -216,24 +216,15 @@ def _pair_dist(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 class _DiskKernel:
     """Models whose min/max distances equal the support-disk bounds."""
 
-    def __init__(self, centers: np.ndarray, radii: np.ndarray,
-                 provider_fn=None) -> None:
+    def __init__(self, centers: np.ndarray, radii: np.ndarray) -> None:
         self.cx = np.ascontiguousarray(centers[:, 0])
         self.cy = np.ascontiguousarray(centers[:, 1])
         self.centers = centers
         self.radii = np.ascontiguousarray(radii)
-        self._provider_fn = provider_fn
 
     def _d_matrix(self, qc: np.ndarray) -> np.ndarray:
-        if self._provider_fn is not None:
-            return self._provider_fn().distance_matrix(
-                qc[:, 0], qc[:, 1], self.cx, self.cy)
-        dx = qc[:, 0:1] - self.cx[None, :]
-        np.multiply(dx, dx, out=dx)
-        dy = qc[:, 1:2] - self.cy[None, :]
-        np.multiply(dy, dy, out=dy)
-        dx += dy
-        return np.sqrt(dx, out=dx)
+        return get_provider().distance_matrix(qc[:, 0], qc[:, 1],
+                                              self.cx, self.cy)
 
     def matrices(self, qc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = self._d_matrix(qc)
@@ -486,22 +477,14 @@ class BatchQueryEngine:
     backend:
         ``"auto"`` (dense below ``_DENSE_MAX_POINTS`` points, bucketed
         above), or force ``"dense"`` / ``"bucket"``.
-    kernel:
-        Kernel provider for the distance-matrix inner loops: ``"auto"``
-        (default), ``"native"``, or ``"numpy"`` — see
-        :mod:`repro.spatial.kernels`.  Providers are bitwise-identical,
-        so the choice is purely operational.
     """
 
     def __init__(self, points: Sequence[UncertainPoint],
-                 backend: str = "auto", kernel: str = "auto") -> None:
+                 backend: str = "auto") -> None:
         if not points:
             raise ValueError("batch engine needs at least one uncertain point")
         if backend not in ("auto", "dense", "bucket"):
             raise ValueError(f"unknown backend {backend!r}")
-        get_provider(kernel)  # validate (and fail fast on an explicit
-        # "native" request the host cannot serve)
-        self.kernel = kernel
         self.points: List[UncertainPoint] = list(points)
         n = len(self.points)
         supports = [p.support_disk() for p in self.points]
@@ -534,11 +517,6 @@ class BatchQueryEngine:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def _provider(self):
-        """The engine's kernel provider (resolved per call, cached by
-        the kernels registry, so env-steered "auto" stays live)."""
-        return get_provider(self.kernel)
 
     # ------------------------------------------------------------------
     # Kernel grouping.
@@ -573,9 +551,8 @@ class BatchQueryEngine:
                 continue
             members = [self.points[i] for i in idxs]
             if name == "disk":
-                kernel: object = _DiskKernel(
-                    self.centers[idxs], self.radii[idxs],
-                    provider_fn=self._provider)
+                kernel: object = _DiskKernel(self.centers[idxs],
+                                             self.radii[idxs])
             elif name == "annulus":
                 kernel = _AnnulusKernel(members)  # type: ignore[arg-type]
             elif name == "sites":
@@ -766,8 +743,8 @@ class BatchQueryEngine:
     def _support_matrices(self, qc: np.ndarray
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Support-disk bound matrices ``(lb, ub) = (d -/+ r)`` for a chunk."""
-        d = self._provider().distance_matrix(qc[:, 0], qc[:, 1],
-                                             self._cx, self._cy)
+        d = get_provider().distance_matrix(qc[:, 0], qc[:, 1],
+                                           self._cx, self._cy)
         ub = d + self._cr[None, :]
         lb = np.subtract(d, self._cr[None, :], out=d)
         return lb, ub

@@ -261,8 +261,7 @@ def plane_to_arrays(vpr) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def plane_from_arrays(arrays: Dict[str, np.ndarray], points,
-                      kernel: str = "auto"):
+def plane_from_arrays(arrays: Dict[str, np.ndarray], points):
     """Decode plane arrays into a served diagram (zero-copy attach).
 
     Returns a :class:`~repro.voronoi.vpr.SharedPlaneDiagram` over
@@ -271,4 +270,4 @@ def plane_from_arrays(arrays: Dict[str, np.ndarray], points,
     """
     from ..voronoi.vpr import SharedPlaneDiagram
 
-    return SharedPlaneDiagram(points, arrays, kernel=kernel)
+    return SharedPlaneDiagram(points, arrays)

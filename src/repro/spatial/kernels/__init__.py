@@ -1,16 +1,15 @@
-"""``repro.spatial.kernels`` — pluggable compute kernels for the hot loops.
+"""``repro.spatial.kernels`` — the compute kernels of the hot loops.
 
-The executor tier (:mod:`repro.serving.executors`) made *dispatch*
-pluggable; this package does the same for *compute*.  One protocol
-(:class:`KernelProvider`), two implementations, one factory:
+One protocol (:class:`KernelProvider`), two implementations:
 
 ========== ==========================================================
-``numpy``   the original vectorized passes (always available — the
-            bitwise oracle every other provider is pinned to)
 ``native``  a single C file compiled on demand with the system
             compiler and loaded through :mod:`ctypes` (no new
             dependency; same IEEE-754 operation order, so outputs are
-            bitwise identical)
+            bitwise identical to ``numpy``)
+``numpy``   the vectorized NumPy passes: the provider of hosts that
+            cannot build the C file, and the bitwise oracle every test
+            pins ``native`` to
 ========== ==========================================================
 
 Entry points cover the library's measured single-core hot loops: the
@@ -19,54 +18,32 @@ segment intersection / line-box clip kernels of the ``V_Pr`` build, and
 the merged-slab tree descent (``plane_locate``) of the point locator
 behind ``quantify_vpr``.
 
-Selection mirrors ``backend="auto"``: by name through
-``kernel="auto"|"native"|"numpy"`` on :class:`~repro.core.index.PNNIndex`
-/ ``ServiceConfig`` / ``serve-http --kernel``, with the
-:data:`KERNEL_ENV` environment variable steering every ``"auto"``
-resolution (the CI kernel matrix's knob).  ``"auto"`` degrades silently
-to NumPy when the host cannot build the native library; an explicit
-``kernel="native"`` raises :class:`KernelUnavailable` instead, so a
-deliberate request never silently loses its speedup.  Because providers
-are bitwise-equal, the choice is purely operational — sharded serving
-composes with either (worker processes resolve their own provider).
+Which provider runs is a fact about the host, not a setting: the
+engines call :func:`get_provider` with no name and get ``native`` when
+``_kernels.c`` builds here, else ``numpy``.  The build is attempted once
+per process and its outcome cached (forked pool workers inherit it).
+The compiler and cache paths are deployment settings of
+:mod:`.build` (``REPRO_KERNEL_CC``, ``REPRO_KERNEL_CACHE``).
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
 from typing import Dict, Optional, Protocol, Tuple
 
 import numpy as np
 
-from .build import BuildError, compile_info, find_compiler
+from .build import BuildError, compile_info
 from .numpy_provider import NumpyProvider
 
 __all__ = [
-    "KERNELS",
-    "KERNEL_ENV",
     "KernelProvider",
-    "KernelUnavailable",
     "get_provider",
     "kernel_status",
     "native_available",
-    "resolve_kernel",
+    "native_error",
+    "provider_status",
 ]
-
-#: Kernel names accepted by the engines (and ``ServiceConfig.kernel``).
-KERNELS = ("auto", "native", "numpy")
-
-#: Env knob consulted by the ``"auto"`` policy only: operators (and the
-#: CI kernel matrix) can steer every auto-configured engine onto one
-#: provider without touching code.  Explicit names always win.
-KERNEL_ENV = "REPRO_KERNEL"
-
-_LOG = logging.getLogger("repro.spatial.kernels")
-
-
-class KernelUnavailable(RuntimeError):
-    """An explicitly requested kernel provider cannot run on this host."""
 
 
 class KernelProvider(Protocol):
@@ -150,73 +127,47 @@ def native_error() -> Optional[str]:
     return str(native) if isinstance(native, BuildError) else None
 
 
-def resolve_kernel(name: str = "auto") -> str:
-    """The provider name ``"auto"`` (or an explicit name) resolves to.
-
-    ``"auto"`` honors :data:`KERNEL_ENV`, then prefers ``native`` when
-    the host can build it, else ``numpy``.  An env-forced or
-    auto-selected ``native`` that fails to build degrades to ``numpy``
-    (logged once); resolution itself never raises for valid names.
-    """
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; "
-                         f"expected one of {KERNELS}")
-    if name == "auto":
-        forced = os.environ.get(KERNEL_ENV, "").strip().lower()
-        if forced and forced != "auto":
-            if forced not in KERNELS:
-                raise ValueError(
-                    f"{KERNEL_ENV}={forced!r} is not one of {KERNELS}")
-            name = forced
-    if name in ("auto", "native"):
-        if native_available():
-            return "native"
-        if name == "native":
-            _LOG.warning("native kernel unavailable, degrading to numpy: "
-                         "%s", native_error())
-        return "numpy"
-    return "numpy"
-
-
 def get_provider(name: str = "auto") -> KernelProvider:
-    """The provider for *name*, resolving the ``"auto"`` policy.
+    """This host's provider, or (by name) one provider for parity tests.
 
-    An **explicit** ``"native"`` raises :class:`KernelUnavailable` when
-    the library cannot be built (a deliberate request must not silently
-    lose its speedup); ``"auto"`` — including an env-forced ``native``
-    — degrades to the NumPy provider instead.
+    ``"auto"`` — what every engine asks for — is ``native`` when the
+    host builds the library, else ``numpy``.  ``"numpy"`` and
+    ``"native"`` fetch that provider directly; ``"native"`` raises
+    :class:`~repro.spatial.kernels.build.BuildError` on a host that
+    cannot build it.
     """
-    if name not in KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; "
-                         f"expected one of {KERNELS}")
-    if name == "native":
-        native = _native_provider()
-        if isinstance(native, BuildError):
-            raise KernelUnavailable(str(native))
+    if name == "numpy":
+        return _numpy_provider()
+    if name not in ("auto", "native"):
+        raise ValueError(f"unknown kernel provider {name!r}; expected "
+                         f"'auto', 'native' or 'numpy'")
+    native = _native_provider()
+    if not isinstance(native, BuildError):
         return native
-    if resolve_kernel(name) == "native":
-        native = _native_provider()
-        if not isinstance(native, BuildError):
-            return native
+    if name == "native":
+        raise BuildError(str(native))
     return _numpy_provider()
 
 
+def provider_status() -> Dict[str, object]:
+    """The provider this process resolved, for ``/healthz`` (read from
+    the cached lookup: no compiler probe, no source hash)."""
+    return {"resolved": get_provider().name,
+            "native_available": native_available(),
+            "native_error": native_error()}
+
+
 def kernel_status() -> Dict[str, object]:
-    """One status document for ``/healthz`` and ``python -m repro kernels``."""
-    info = compile_info()
-    status: Dict[str, object] = {
-        "kernels": list(KERNELS),
-        "env": os.environ.get(KERNEL_ENV) or None,
-        "selected": resolve_kernel("auto"),
-        "native_available": native_available(),
-        "native_error": native_error(),
-    }
-    status.update(info)
+    """:func:`provider_status` plus compiler discovery and the library
+    path: the report of ``python -m repro kernels``."""
+    status = provider_status()
+    status.update(compile_info())
     return status
 
 
 def _reset_for_tests() -> None:
-    """Drop cached providers so env changes re-resolve (test hook only)."""
+    """Drop cached providers so the next lookup re-resolves under the
+    current ``REPRO_KERNEL_CC`` / ``REPRO_KERNEL_CACHE`` (test hook)."""
     global _numpy, _native
     with _lock:
         _numpy = None

@@ -24,7 +24,7 @@ Environment knobs::
     REPRO_KERNEL_CC     compiler executable (default: $CC, cc, gcc,
                         clang — first found on PATH).  Point it at a
                         nonexistent path to simulate a compiler-less
-                        host (the CI fallback job does exactly that).
+                        host (the CI numpy leg does exactly that).
     REPRO_KERNEL_CACHE  cache directory for compiled objects (default:
                         ~/.cache/repro-kernels, falling back to a
                         per-user tmp directory).
@@ -109,8 +109,7 @@ def build_library() -> str:
     """Compile (or reuse) the native library; returns the ``.so`` path.
 
     Raises :class:`BuildError` when no compiler exists or compilation
-    fails — callers on the ``"auto"`` path degrade to NumPy, explicit
-    ``kernel="native"`` callers surface the error.
+    fails; the provider lookup then serves NumPy.
     """
     cc = find_compiler()
     if cc is None:
@@ -156,7 +155,7 @@ def _unlink(path: str) -> None:
 
 
 def compile_info() -> Dict[str, object]:
-    """Introspection for ``python -m repro kernels`` and ``/healthz``."""
+    """Introspection for ``python -m repro kernels``."""
     cc = find_compiler()
     info: Dict[str, object] = {
         "compiler": cc,

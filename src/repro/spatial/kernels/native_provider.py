@@ -8,10 +8,8 @@ Eq. (2) prefix — selection, ordering, gathers, the step loop and the
 prefix widening run per row in C; chunking stays with the callers.
 
 Construction compiles the library on demand (:mod:`.build`) and raises
-:class:`~repro.spatial.kernels.build.BuildError` when the host cannot —
-the selection layer in ``__init__.py`` turns that into a silent NumPy
-fallback on the ``"auto"`` path and a loud error for an explicit
-``kernel="native"`` request.
+:class:`~repro.spatial.kernels.build.BuildError` when the host cannot;
+the lookup in ``__init__.py`` then serves the NumPy provider.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ import numpy as np
 from ..geometry.primitives import Point
 from ..geometry.seg_arrangement import SegmentArrangement
 from ..obs.metrics import ENGINE
+from .kernels import get_provider
 
 __all__ = ["PersistentPlaneLocator", "plane_locate_scalar",
            "slab_table_rows"]
@@ -176,19 +177,14 @@ class PersistentPlaneLocator:
     the face containing *q*, or ``None`` when *q* lies in the unbounded
     face; queries exactly on an edge or vertex return one of the
     incident faces.  ``locate_batch`` answers an ``(m, 2)`` array at
-    once on the selected kernel provider's ``plane_locate`` entry
-    point.  Answers are bitwise those of a slab table (the slab-table
-    test oracle in :mod:`repro.testing.oracles`) at ``O(E log S)``
-    storage instead of the table's ``Theta(V * S)`` rows.
+    once on the kernel provider's ``plane_locate`` entry point.
+    Answers are bitwise those of a slab table (the slab-table test
+    oracle in :mod:`repro.testing.oracles`) at ``O(E log S)`` storage
+    instead of the table's ``Theta(V * S)`` rows.
     """
 
-    def __init__(self, arrangement: SegmentArrangement,
-                 kernel: str = "auto") -> None:
-        from .kernels import get_provider
-
-        get_provider(kernel)  # validate the requested provider eagerly
+    def __init__(self, arrangement: SegmentArrangement) -> None:
         t0 = time.perf_counter()
-        self.kernel = kernel
         self.arrangement = arrangement
         self.build_seconds = 0.0
         vx, vy = arrangement._vx, arrangement._vy
@@ -310,7 +306,6 @@ class PersistentPlaneLocator:
         :meth:`locate` loop.
         """
         from .batch import as_query_array
-        from .kernels import get_provider
 
         q = as_query_array(queries)
         m = len(q)
@@ -319,7 +314,7 @@ class PersistentPlaneLocator:
             return out
         vx, vy = self.arrangement._vx, self.arrangement._vy
         ENGINE.inc("planelocate.batches")
-        ent, found = get_provider(self.kernel).plane_locate(
+        ent, found = get_provider().plane_locate(
             q[:, 0], q[:, 1], self._xs, self._offs,
             self._ent_u, self._ent_v, vx, vy, self.leaf_base)
         if found.any():

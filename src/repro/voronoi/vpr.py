@@ -73,6 +73,7 @@ from ..geometry.segments import line_box_clip_batch
 from ..obs.metrics import ENGINE
 from ..quantification.batch_exact import BatchExactQuantifier, sparse_rows
 from ..quantification.exact_discrete import quantification_vector
+from ..spatial.kernels import get_provider
 from ..spatial.planelocate import PersistentPlaneLocator, plane_locate_scalar
 from ..uncertain.discrete import DiscreteUncertainPoint
 
@@ -657,7 +658,7 @@ class SharedPlaneDiagram(_FaceVectorQueries):
     """
 
     def __init__(self, points: Sequence[DiscreteUncertainPoint],
-                 arrays: Dict[str, np.ndarray], kernel: str = "auto",
+                 arrays: Dict[str, np.ndarray],
                  quantifier: Optional[BatchExactQuantifier] = None) -> None:
         from ..spatial.codec import check_plane_arrays
 
@@ -673,7 +674,6 @@ class SharedPlaneDiagram(_FaceVectorQueries):
             raise ValueError(
                 f"plane was built over {int(meta[2])} uncertain points, "
                 f"got {len(self.points)}")
-        self.kernel = kernel
         self.leaf_base = int(meta[1])
         self._xs = arrays["xs"]
         self._offs = arrays["offs"]
@@ -719,12 +719,10 @@ class SharedPlaneDiagram(_FaceVectorQueries):
         return int(self._ent_row[ent]) if ent >= 0 else -1
 
     def _locate_rows(self, q: np.ndarray) -> np.ndarray:
-        from ..spatial.kernels import get_provider
-
         rows = np.full(len(q), -1, dtype=np.intp)
         if len(q) and len(self._xs) >= 2 and len(self._ent_u):
             ENGINE.inc("planelocate.batches")
-            ent, found = get_provider(self.kernel).plane_locate(
+            ent, found = get_provider().plane_locate(
                 q[:, 0], q[:, 1], self._xs, self._offs,
                 self._ent_u, self._ent_v, self._vx, self._vy,
                 self.leaf_base)

@@ -4,24 +4,35 @@ The tier's inviolable contract mirrors the executor refactor's: **the
 native provider returns bitwise-identical outputs to the NumPy oracle on
 every entry point, for every input shape — including exact ties, zero
 distances, parallel segments, and empty batches.**  These tests pin that
-contract, the selection/degradation policy (``"auto"`` honors
-``REPRO_KERNEL`` then degrades silently; explicit ``"native"`` raises),
-and end-to-end serving parity with ``kernel="native"`` across all four
-executor backends.
+contract, the one-provider rule (the host's provider — native when it
+builds, else NumPy — is the only one any engine, worker or scrape uses),
+and end-to-end serving parity of native against the NumPy oracle across
+the executor backends.
 
 Native-dependent cases skip on hosts without a C compiler; the
-selection-policy cases simulate such a host via ``REPRO_KERNEL_CC``
-pointed at a nonexistent binary (the documented knob).
+compiler-less cases simulate such a host via ``REPRO_KERNEL_CC``
+pointed at a nonexistent binary (the documented knob).  Engine-level
+NumPy runs on a compiler host patch the module-level ``get_provider``
+lookups (:func:`on_provider`), as ``perfbench/layers.py`` does.
 """
 
+import contextlib
+import json
 import math
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.quantification.batch_exact as batch_exact
+import repro.spatial.batch as spatial_batch
 import repro.spatial.kernels as kernels
+import repro.spatial.kernels.build as build
+import repro.spatial.planelocate as planelocate
+import repro.voronoi.vpr as vpr
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.geometry.segments import bisector_line
@@ -30,16 +41,15 @@ from repro.quantification.batch_exact import (_PREFIX_START,
                                               BatchExactQuantifier)
 from repro.quantification.exact_discrete import (quantification_vector,
                                                  sweep_quantification)
+from repro.serving import SHARD_METHODS
+from repro.serving.http import HttpConfig, ServerThread
+from repro.serving.service import ServiceConfig
 from repro.spatial.kernels import (
-    KERNEL_ENV,
-    KERNELS,
-    KernelUnavailable,
     get_provider,
     kernel_status,
     native_available,
-    resolve_kernel,
 )
-from repro.spatial.kernels.build import CACHE_ENV, CC_ENV
+from repro.spatial.kernels.build import CACHE_ENV, CC_ENV, BuildError
 from repro.uncertain.discrete import DiscreteUncertainPoint
 
 needs_native = pytest.mark.skipif(
@@ -60,16 +70,6 @@ def no_compiler(monkeypatch, tmp_path):
     """
     monkeypatch.setenv(CC_ENV, str(tmp_path / "no-such-cc"))
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "cache"))
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    kernels._reset_for_tests()
-    yield monkeypatch
-    kernels._reset_for_tests()
-
-
-@pytest.fixture
-def clean_env(monkeypatch):
-    """Pristine provider caches under a controllable ``REPRO_KERNEL``."""
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
     kernels._reset_for_tests()
     yield monkeypatch
     kernels._reset_for_tests()
@@ -77,6 +77,23 @@ def clean_env(monkeypatch):
 
 def _providers():
     return get_provider("numpy"), get_provider("native")
+
+
+@contextlib.contextmanager
+def on_provider(name):
+    """Run every engine in this process on provider *name*.
+
+    Patches each module-level ``get_provider`` the engines call — the
+    batch engines, the point locator, the shared plane, and the kernels
+    package itself, which the geometry batch functions import lazily.
+    """
+    provider = get_provider(name)
+    with contextlib.ExitStack() as stack:
+        for module in (spatial_batch, batch_exact, planelocate, vpr,
+                       kernels):
+            stack.enter_context(mock.patch.object(
+                module, "get_provider", lambda name="auto": provider))
+        yield provider
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +150,7 @@ class TestDistanceMatrixParity:
 def _sweep_inputs(points, queries):
     """Prepared (sorted) sweep inputs plus the quantifier they came from."""
     oracle = get_provider("numpy")
-    quant = BatchExactQuantifier(points, kernel="numpy")
+    quant = BatchExactQuantifier(points)
     q = np.asarray(queries, dtype=np.float64)
     d = oracle.distance_matrix(q[:, 0], q[:, 1], quant._sx, quant._sy)
     order = np.argsort(d, axis=1, kind="stable")
@@ -225,7 +242,7 @@ _AVAILABLE = ("numpy", "native") if native_available() else ("numpy",)
 def _fused_all(points, queries, tie_tol=0.0, width=_PREFIX_START):
     """``sweep_eq2`` on every available provider, checked bitwise against
     each other and the scalar sweep; returns the widened-row count."""
-    quant = BatchExactQuantifier(points, kernel="numpy")
+    quant = BatchExactQuantifier(points)
     q = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
     d = get_provider("numpy").distance_matrix(q[:, 0], q[:, 1],
                                               quant._sx, quant._sy)
@@ -419,83 +436,89 @@ class TestEngineParity:
         extent = math.sqrt(40) * 2.2
         qs = [(rng.uniform(0, extent), rng.uniform(0, extent))
               for _ in range(60)]
-        a = PNNIndex(points, kernel="numpy")
-        b = PNNIndex(points, kernel="native")
-        assert np.array_equal(a.batch_delta(qs), b.batch_delta(qs))
-        assert a.batch_quantify_exact(qs) == b.batch_quantify_exact(qs)
+        small = random_discrete_points(8, 2, seed=9, spread=2.0)
+        with on_provider("numpy"):
+            a = PNNIndex(points)
+            want = (a.batch_delta(qs), a.batch_quantify_exact(qs),
+                    PNNIndex(small).build_vpr().quantify_batch(qs))
+        b = PNNIndex(points)
+        assert np.array_equal(b.batch_delta(qs), want[0])
+        assert b.batch_quantify_exact(qs) == want[1]
+        assert PNNIndex(small).build_vpr().quantify_batch(qs) == want[2]
 
-    def test_set_kernel_switches_engines(self):
-        points = random_discrete_points(20, 3, seed=4, spread=2.0)
-        index = PNNIndex(points, kernel="numpy")
-        baseline = index.batch_quantify_exact([(1.0, 2.0), (3.5, 0.5)])
-        assert index._batch_exact is not None
-        index.set_kernel("native")
-        assert index.kernel == "native"
-        assert index._batch is None and index._batch_exact is None
-        assert index.batch_quantify_exact(
-            [(1.0, 2.0), (3.5, 0.5)]) == baseline
+    def test_on_provider_reaches_every_engine(self):
+        # The helper the parity tests rely on: with it active, a V_Pr
+        # build and query make NumPy kernel calls only.
+        points = random_discrete_points(8, 2, seed=4, spread=2.0)
+        before = kernel_counters()
+        with on_provider("numpy"):
+            index = PNNIndex(points)
+            index.build_vpr()
+            index.batch_quantify_vpr([(1.0, 2.0), (3.5, 0.5)])
+            index.batch_delta([(1.0, 2.0)])
+        assert _providers_called(before) == {"numpy"}
 
 
 # ----------------------------------------------------------------------
-# Selection and degradation policy.
+# Selection: one provider per host.
 # ----------------------------------------------------------------------
+def _calls_since(before):
+    """``{"<provider>:<op>": n}`` kernel calls made since *before*."""
+    return {key: n - before.get(key, 0)
+            for key, n in kernel_counters().items()
+            if n > before.get(key, 0)}
+
+
+def _providers_called(before):
+    return {key.split(":")[0] for key in _calls_since(before)}
+
+
 class TestSelection:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
             get_provider("cuda")
         with pytest.raises(ValueError):
-            resolve_kernel("fast")
-        with pytest.raises(ValueError):
             PNNIndex(random_discrete_points(3, 2, seed=1), kernel="bogus")
 
     def test_numpy_always_available(self):
-        provider = get_provider("numpy")
-        assert provider.name == "numpy"
-        assert resolve_kernel("numpy") == "numpy"
+        assert get_provider("numpy").name == "numpy"
 
-    def test_env_steers_auto(self, clean_env):
-        clean_env.setenv(KERNEL_ENV, "numpy")
-        assert resolve_kernel("auto") == "numpy"
-        assert get_provider("auto").name == "numpy"
-        # Explicit names beat the env.
-        assert resolve_kernel("numpy") == "numpy"
+    @pytest.mark.parametrize("name", ["numpy", "native"])
+    def test_only_auto_is_accepted(self, name):
+        # The inert fields: a provider name is a fact about the host,
+        # so naming one is an error rather than a setting.
+        points = random_discrete_points(3, 2, seed=1)
+        with pytest.raises(ValueError, match="kernel"):
+            PNNIndex(points, kernel=name)
+        with pytest.raises(ValueError, match="kernel"):
+            ServiceConfig(kernel=name)
+        with pytest.raises(ValueError, match="kernel"):
+            PNNIndex(points).serve(kernel=name)
+        assert PNNIndex(points, kernel="auto").kernel == "auto"
+        assert ServiceConfig().kernel == "auto"
 
-    def test_env_invalid_value_rejected(self, clean_env):
-        clean_env.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError):
-            resolve_kernel("auto")
+    @needs_native
+    def test_provider_is_a_host_fact(self, monkeypatch):
+        # The retired REPRO_KERNEL steer no longer moves anything.
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        kernels._reset_for_tests()
+        try:
+            assert get_provider().name == "native"
+            assert get_provider("auto") is get_provider("native")
+        finally:
+            kernels._reset_for_tests()
 
     def test_auto_degrades_without_compiler(self, no_compiler):
         assert not native_available()
-        assert resolve_kernel("auto") == "numpy"
-        assert get_provider("auto").name == "numpy"
+        assert get_provider().name == "numpy"
 
-    def test_env_forced_native_degrades(self, no_compiler):
-        no_compiler.setenv(KERNEL_ENV, "native")
-        assert resolve_kernel("auto") == "numpy"
-        assert get_provider("auto").name == "numpy"
-
-    def test_explicit_native_raises(self, no_compiler):
-        with pytest.raises(KernelUnavailable):
+    def test_named_native_raises_without_compiler(self, no_compiler):
+        with pytest.raises(BuildError, match="compiler"):
             get_provider("native")
-        index = PNNIndex(random_discrete_points(4, 2, seed=2))
-        with pytest.raises(KernelUnavailable):
-            index.set_kernel("native")
-        # ...and through the serving config path as well.
-        with pytest.raises(KernelUnavailable):
-            index.serve(kernel="native")
-
-    def test_service_config_validates_kernel(self):
-        from repro.serving.service import ServiceConfig
-
-        with pytest.raises(ValueError):
-            ServiceConfig(kernel="bogus")
-        assert ServiceConfig().kernel == "auto"
 
     def test_status_document(self):
         status = kernel_status()
-        assert list(status["kernels"]) == list(KERNELS)
-        assert status["selected"] in ("native", "numpy")
+        assert status["resolved"] == get_provider().name
         assert status["native_available"] == (status["native_error"]
                                               is None)
         for key in ("compiler", "cflags", "library", "cached"):
@@ -504,7 +527,7 @@ class TestSelection:
     def test_status_reports_missing_compiler(self, no_compiler):
         status = kernel_status()
         assert status["compiler"] is None
-        assert status["selected"] == "numpy"
+        assert status["resolved"] == "numpy"
         assert not status["native_available"]
         assert "compiler" in status["native_error"]
 
@@ -516,8 +539,92 @@ class TestSelection:
         assert after == before + 1
 
 
+def _http(port, method, path, doc=None):
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request(method, path,
+                     body=json.dumps(doc) if doc is not None else None)
+        resp = conn.getresponse()
+        return resp.status, resp.read().decode("utf-8")
+    finally:
+        conn.close()
+
+
+def _healthz(port):
+    deadline = time.monotonic() + 60
+    while True:
+        status, body = _http(port, "GET", "/healthz")
+        if status == 200:
+            return json.loads(body)
+        assert time.monotonic() < deadline, "/healthz never reached 200"
+        time.sleep(0.02)
+
+
+class TestOneProvider:
+    """Every kernel call the serving stack makes — all seven kinds,
+    the V_Pr build, sharded chunks on thread and process workers — runs
+    on the one provider ``/healthz`` reports, on a compiler host and on
+    a simulated compiler-less one alike."""
+
+    @pytest.mark.parametrize("host", ["as_is", "no_compiler"])
+    def test_calls_carry_only_the_resolved_provider(self, host, request):
+        if host == "no_compiler":
+            request.getfixturevalue("no_compiler")
+        expected = "native" if native_available() else "numpy"
+        before = kernel_counters()
+        index = PNNIndex(random_discrete_points(10, 2, seed=3, spread=2.0))
+        index.build_vpr()
+        rows = np.random.default_rng(4).uniform(-1, 9, (32, 2)).tolist()
+        resolved = set()
+        for backend in ("thread", "process"):
+            with index.serve(workers=2, backend=backend, shard_min_batch=1,
+                             cache_capacity=0) as service:
+                assert service.executor.mode == backend
+                with ServerThread(service, HttpConfig(port=0)) as srv:
+                    resolved.add(_healthz(srv.port)["kernel"]["resolved"])
+                    for kind in SHARD_METHODS:
+                        status, body = _http(srv.port, "POST",
+                                             f"/v1/query/{kind}",
+                                             {"queries": rows})
+                        assert status == 200, (kind, body)
+        assert resolved == {expected}
+        assert _providers_called(before) == {expected}
+        ops = {key.split(":")[1] for key in _calls_since(before)}
+        assert ops == {"distance_matrix", "sweep_eq2", "line_box_clip",
+                       "segment_intersections", "plane_locate"}
+
+    def test_scrapes_do_not_probe_the_toolchain(self, monkeypatch):
+        # /metrics gauges and /healthz read the provider the process
+        # already resolved; only ``python -m repro kernels`` probes.
+        probes = []
+        real = build.compile_info
+
+        def counted():
+            probes.append(1)
+            return real()
+
+        monkeypatch.setattr(build, "compile_info", counted)
+        monkeypatch.setattr(kernels, "compile_info", counted)
+        index = PNNIndex(random_discrete_points(6, 2, seed=5, spread=2.0))
+        with index.serve() as service:
+            with ServerThread(service, HttpConfig(port=0)) as srv:
+                doc = _healthz(srv.port)
+                status, text = _http(srv.port, "GET", "/metrics")
+        assert status == 200
+        assert doc["kernel"] == {"resolved": get_provider().name,
+                                 "native_available": native_available(),
+                                 "native_error": kernels.native_error()}
+        line = f'repro_kernel_provider{{provider="{get_provider().name}"}} 1'
+        assert line in text.splitlines()
+        assert probes == []
+        kernel_status()
+        assert probes == [1]
+
+
 # ----------------------------------------------------------------------
-# Serving parity: kernel="native" across all four executor backends.
+# Serving parity: the host's native provider on every executor backend.
 # ----------------------------------------------------------------------
 @needs_native
 class TestServingParity:
@@ -528,19 +635,12 @@ class TestServingParity:
         extent = math.sqrt(30) * 2.2
         qs = [(rng.uniform(0, extent), rng.uniform(0, extent))
               for _ in range(48)]
-        baseline_idx = PNNIndex(points, kernel="numpy")
-        base_delta = baseline_idx.batch_delta(qs)
-        base_exact = baseline_idx.batch_quantify_exact(qs)
+        with on_provider("numpy"):
+            baseline_idx = PNNIndex(points)
+            base_delta = baseline_idx.batch_delta(qs)
+            base_exact = baseline_idx.batch_quantify_exact(qs)
         index = PNNIndex(points)
-        with index.serve(workers=2, backend=backend, kernel="native",
+        with index.serve(workers=2, backend=backend,
                          shard_min_batch=1) as service:
-            assert index.kernel == "native"
             assert np.array_equal(service.batch_delta(qs), base_delta)
             assert service.batch("quantify_exact", qs) == base_exact
-
-    def test_auto_config_inherits_index_kernel(self):
-        points = random_discrete_points(10, 2, seed=8, spread=2.0)
-        index = PNNIndex(points, kernel="numpy")
-        with index.serve(workers=1) as service:
-            assert index.kernel == "numpy"  # "auto" config leaves it be
-            service.delta((1.0, 1.0))

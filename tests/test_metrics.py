@@ -13,16 +13,18 @@ import re
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.quantification.batch_exact as batch_exact
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.obs import metrics
 from repro.serving import SHARD_METHODS
 from repro.serving.http import HttpConfig, QueryGateway, ServerThread
-from repro.spatial.kernels import native_available
+from repro.spatial.kernels import get_provider, native_available
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -165,9 +167,11 @@ class TestWorkerCounters:
         providers = ["numpy"] + (["native"] if native_available() else [])
         deltas = {}
         for name in providers:
-            index = PNNIndex(points, kernel=name)
-            _, (deltas[name], _) = metrics.count_shipped(
-                index.batch_quantify_exact, queries)
+            provider = get_provider(name)
+            with mock.patch.object(batch_exact, "get_provider",
+                                   lambda name="auto": provider):
+                _, (deltas[name], _) = metrics.count_shipped(
+                    PNNIndex(points).batch_quantify_exact, queries)
         engine = deltas["numpy"]
         assert 0 < engine["exact_sweep.prefix_widenings"] < len(queries)
         assert engine["exact_sweep.rows_retired"] == len(queries)

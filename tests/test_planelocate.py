@@ -14,13 +14,23 @@ import random
 import numpy as np
 import pytest
 
+import repro.spatial.planelocate as planelocate
 from repro.core.workloads import random_discrete_points
 from repro.geometry.seg_arrangement import SegmentArrangement
 from repro.geometry.segments import bisector_line, line_box_clip
-from repro.spatial.kernels import native_available
+from repro.spatial.kernels import get_provider, native_available
 from repro.spatial.planelocate import (PersistentPlaneLocator,
                                        plane_locate_scalar, slab_table_rows)
 from repro.testing.oracles import ScalarVPRDiagram, SlabPointLocator
+
+
+def _locate_on(monkeypatch, name, locator, q):
+    """``locator.locate_batch(q)`` on provider *name* (the locator's
+    module-level provider lookup patched)."""
+    provider = get_provider(name)
+    monkeypatch.setattr(planelocate, "get_provider",
+                        lambda name="auto": provider)
+    return locator.locate_batch(q)
 
 
 def boxed(segments, box):
@@ -145,7 +155,8 @@ class TestTieHeavyLattice:
         assert_locators_agree(arr, q)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_every_face_locates_its_own_interior_point(self, seed):
+    def test_every_face_locates_its_own_interior_point(self, seed,
+                                                        monkeypatch):
         """Lattice sites put face interior points at the x of a vertex
         a few ulps away, inside slabs too thin for their midline to
         separate the edges meeting there.  Left of a common vertex,
@@ -157,9 +168,9 @@ class TestTieHeavyLattice:
         want = np.flatnonzero(np.asarray(arr.face_areas) > arr.tol)
         q = arr.face_interior_array()
         assert np.array_equal(SlabPointLocator(arr).locate_batch(q), want)
-        kernels = ["numpy"] + (["native"] if native_available() else [])
-        for kernel in kernels:
-            got = PersistentPlaneLocator(arr, kernel=kernel).locate_batch(q)
+        loc = PersistentPlaneLocator(arr)
+        for kernel in ["numpy"] + (["native"] if native_available() else []):
+            got = _locate_on(monkeypatch, kernel, loc, q)
             assert np.array_equal(got, want), (kernel, np.flatnonzero(
                 got != want))
 
@@ -192,7 +203,7 @@ class TestDegenerate:
 
 
 class TestKernelParity:
-    def test_numpy_vs_native(self):
+    def test_numpy_vs_native(self, monkeypatch):
         if not native_available():
             pytest.skip("native kernel unavailable; numpy is the oracle")
         rng = random.Random(11)
@@ -201,11 +212,9 @@ class TestKernelParity:
         q = np.column_stack([
             np.random.default_rng(12).uniform(-1.5, 5.5, 2000),
             np.random.default_rng(13).uniform(-1.5, 5.5, 2000)])
-        got_numpy = PersistentPlaneLocator(arr, kernel="numpy") \
-            .locate_batch(q)
-        got_native = PersistentPlaneLocator(arr, kernel="native") \
-            .locate_batch(q)
-        assert np.array_equal(got_numpy, got_native)
+        loc = PersistentPlaneLocator(arr)
+        assert np.array_equal(_locate_on(monkeypatch, "numpy", loc, q),
+                              _locate_on(monkeypatch, "native", loc, q))
 
     def test_stats_reports_build(self):
         arr = bisector_arrangement([(0.0, 0.0), (2.0, 1.0), (1.0, 3.0)],

@@ -18,10 +18,12 @@ kernel tier runs on NumPy by design.
 import math
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.spatial.planelocate as planelocate
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points, random_disks
 from repro.geometry.seg_arrangement import SegmentArrangement
@@ -146,8 +148,7 @@ class TestNativeKernels:
         oracle, native = _providers()
         n = 200
         quant = BatchExactQuantifier(
-            random_discrete_points(n, 5, seed=2026, spread=2.0),
-            kernel="numpy")
+            random_discrete_points(n, 5, seed=2026, spread=2.0))
         q = _uniform(2048, 0.0, math.sqrt(n) * 2.2, seed=59)
         # The distance rows are computed once; the fused prefix call
         # (selection, ordering, step loop, widening) is what is timed.
@@ -195,11 +196,17 @@ class TestNativeKernels:
 
     @staticmethod
     def _race(arr, q, bar):
-        lanes = {kernel: PersistentPlaneLocator(arr, kernel=kernel)
-                 for kernel in ("numpy", "native")}
-        for lane in lanes.values():
-            lane.locate_batch(q[:8])  # warm
-        numpy_t, faces = _best(lambda: lanes["numpy"].locate_batch(q))
-        native_t, _ = _best(lambda: lanes["native"].locate_batch(q))
+        loc = PersistentPlaneLocator(arr)
+
+        def timed(provider):
+            # The locator's module-level provider lookup, patched.
+            with mock.patch.object(planelocate, "get_provider",
+                                   lambda name="auto": provider):
+                loc.locate_batch(q[:8])  # warm
+                return _best(lambda: loc.locate_batch(q))
+
+        oracle, native = _providers()
+        numpy_t, faces = timed(oracle)
+        native_t, _ = timed(native)
         _assert_speedup("native plane_locate", numpy_t, native_t, bar)
         return faces
