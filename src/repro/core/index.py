@@ -42,13 +42,15 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.disks import Disk
 from ..geometry.primitives import Point
-from ..quantification.batch_exact import BatchExactQuantifier, check_tie_tol
+from ..quantification.batch_exact import (BatchExactQuantifier,
+                                          check_tie_tol, row_mask,
+                                          sparse_rows)
 from ..quantification.exact_continuous import quantification_continuous_vector
 from ..quantification.exact_discrete import quantification_vector
 from ..quantification.monte_carlo import MonteCarloQuantifier
@@ -264,16 +266,37 @@ class PNNIndex:
         estimates to the scalar path, which uses the same structure); the
         exact and spiral methods fall back to a per-query loop.
         """
+        dense = self.quantify_matrix(queries, method=method,
+                                     epsilon=epsilon, delta=delta, seed=seed)
+        if dense is not None:
+            mat, positive = dense
+            return sparse_rows(mat, row_mask(mat, positive))
+        return [self.quantify((float(x), float(y)), method=method,
+                              epsilon=epsilon, delta=delta, seed=seed)
+                for x, y in self._queries(queries)]
+
+    def quantify_matrix(self, queries, method: str = "auto",
+                        epsilon: float = 0.05, delta: float = 0.05,
+                        seed: int = 0) -> Optional[Tuple[np.ndarray, bool]]:
+        """The dense answer behind :meth:`batch_quantify`'s dicts.
+
+        ``(mat, positive)``: row ``j`` of the ``(m, n)`` matrix holds
+        row ``j``'s ``pi_i`` estimates, and its dict keeps the entries
+        ``> 0.0`` when *positive* (the exact sweep), else ``!= 0``
+        (Monte-Carlo).  ``None`` for the methods answered row by row
+        (spiral search, continuous quadrature).  The ``*_matrix``
+        methods take the ``batch_*`` parameters, so a bulk reply is
+        written from the same matrix (:mod:`repro.serving.wire`).
+        """
         q = self._queries(queries)
         if method == "auto":
             method = "spiral" if self.all_discrete() else "monte_carlo"
         if method == "monte_carlo":
-            return self._mc_quantifier(epsilon, delta, seed).estimate_batch(q)
+            mc = self._mc_quantifier(epsilon, delta, seed)
+            return mc.estimate_matrix(q), False
         if method == "exact" and self.all_discrete():
-            return self.batch_quantify_exact(q)
-        return [self.quantify((float(x), float(y)), method=method,
-                              epsilon=epsilon, delta=delta, seed=seed)
-                for x, y in q]
+            return self.quantify_exact_matrix(q)
+        return None
 
     def batch_quantify_exact(self, queries,
                              tie_tol: float = 0.0) -> List[Dict[int, float]]:
@@ -287,6 +310,13 @@ class PNNIndex:
         (``tests/test_speed_bars.py`` bars the speedup).  Discrete
         distributions only.
         """
+        mat, _ = self.quantify_exact_matrix(queries, tie_tol)
+        return sparse_rows(mat, row_mask(mat, True))
+
+    def quantify_exact_matrix(self, queries, tie_tol: float = 0.0
+                              ) -> Tuple[np.ndarray, bool]:
+        """The dense answer behind :meth:`batch_quantify_exact`'s dicts
+        (see :meth:`quantify_matrix`; the mask is always ``> 0.0``)."""
         if not self.all_discrete():
             raise ValueError(
                 "batch_quantify_exact requires discrete distributions; "
@@ -296,11 +326,11 @@ class PNNIndex:
         if tie_tol != 0.0:
             return BatchExactQuantifier(
                 self.points,  # type: ignore[arg-type]
-                tie_tol=tie_tol).batch(q)
+                tie_tol=tie_tol).matrix(q), True
         if self._batch_exact is None:
             self._batch_exact = BatchExactQuantifier(
                 self.points)  # type: ignore[arg-type]
-        return self._batch_exact.batch(q)
+        return self._batch_exact.matrix(q), True
 
     def batch_top_k(self, queries, k: int, method: str = "auto",
                     epsilon: float = 0.05, delta: float = 0.05,
@@ -388,8 +418,14 @@ class PNNIndex:
         cell the sweep's comparisons replay identically at the cell's
         representative).
         """
+        mat, _ = self.quantify_vpr_matrix(queries)
+        return sparse_rows(mat, row_mask(mat, True))
+
+    def quantify_vpr_matrix(self, queries) -> Tuple[np.ndarray, bool]:
+        """The dense answer behind :meth:`batch_quantify_vpr`'s dicts
+        (see :meth:`quantify_matrix`; the mask is always ``> 0.0``)."""
         q = self._queries(queries)  # before any lazy Theta(N^4) build
-        return self.cached_vpr().quantify_batch(q)
+        return self.cached_vpr().query_batch(q), True
 
     # ------------------------------------------------------------------
     # The flat-array codec (compact persistence).

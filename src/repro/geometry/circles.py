@@ -49,6 +49,12 @@ def circumcenter(a: Point, b: Point, c: Point) -> Optional[Point]:
     return (ux, uy)
 
 
+def _diametral_disk(a: Point, b: Point) -> Disk:
+    """The disk with segment ``ab`` as a diameter."""
+    cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
+    return Disk(cx, cy, dist((cx, cy), a))
+
+
 def circle_through(points: Sequence[Point]) -> Optional[Disk]:
     """The circle through 0, 1, 2 or 3 boundary points (Welzl's base case).
 
@@ -62,9 +68,7 @@ def circle_through(points: Sequence[Point]) -> Optional[Disk]:
     if len(points) == 1:
         return Disk(points[0][0], points[0][1], 0.0)
     if len(points) == 2:
-        (x1, y1), (x2, y2) = points
-        cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
-        return Disk(cx, cy, dist((cx, cy), points[0]))
+        return _diametral_disk(points[0], points[1])
     if len(points) == 3:
         center = circumcenter(points[0], points[1], points[2])
         if center is None:
@@ -89,18 +93,18 @@ def smallest_enclosing_disk(points: Sequence[Point],
 
     tol = EPS * max(1.0, max(abs(x) + abs(y) for x, y in pts))
 
-    def contains(disk: Optional[Disk], p: Point) -> bool:
-        return disk is not None and dist(disk.center, p) <= disk.r + tol
+    def contains(disk: Disk, p: Point) -> bool:
+        return dist(disk.center, p) <= disk.r + tol
 
-    disk = circle_through(pts[:1])
+    disk = Disk(pts[0][0], pts[0][1], 0.0)
     for i in range(1, len(pts)):
         if contains(disk, pts[i]):
             continue
-        disk = circle_through([pts[i]])
+        disk = Disk(pts[i][0], pts[i][1], 0.0)
         for j in range(i):
             if contains(disk, pts[j]):
                 continue
-            disk = circle_through([pts[i], pts[j]])
+            disk = _diametral_disk(pts[i], pts[j])
             for k in range(j):
                 if contains(disk, pts[k]):
                     continue
@@ -112,7 +116,6 @@ def smallest_enclosing_disk(points: Sequence[Point],
                     far: Tuple[Point, Point] = max(
                         ((p, q) for p in trio for q in trio),
                         key=lambda pq: dist(pq[0], pq[1]))
-                    candidate = circle_through([far[0], far[1]])
+                    candidate = _diametral_disk(far[0], far[1])
                 disk = candidate
-    assert disk is not None
     return disk

@@ -46,21 +46,25 @@ the prefix end is re-swept ``4x`` wider, ending in the full sort at
 equal across providers.
 
 The engine then emits rows: :func:`sparse_rows` turns the dense matrix
-into the ``{i: pi_i(q)}`` dicts of the serving API in one pass.
+into the ``{i: pi_i(q)}`` dicts of the serving API in one pass, and a
+bulk reply skips the dicts: the kernel provider's ``emit_sparse_rows``
+writes their JSON straight from the matrix (:mod:`repro.serving.wire`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..obs.metrics import ENGINE
 from ..spatial.kernels import get_provider
+from ..spatial.kernels.numpy_provider import row_mask, sparse_rows
 from ..uncertain.discrete import DiscreteUncertainPoint
 
-__all__ = ["BatchExactQuantifier", "check_tie_tol", "sparse_rows"]
+__all__ = ["BatchExactQuantifier", "check_tie_tol", "row_mask",
+           "sparse_rows"]
 
 # Target element count of the per-chunk (mc, N) distance matrix.  Larger
 # than the batch engine's work-matrix budget: the step loop's Python-level
@@ -84,24 +88,6 @@ def check_tie_tol(tie_tol: float) -> float:
     if not (math.isfinite(tie_tol) and tie_tol >= 0):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol!r}")
     return float(tie_tol)
-
-
-def sparse_rows(mat: np.ndarray,
-                mask: np.ndarray) -> List[Dict[int, float]]:
-    """One ``{i: mat[j, i]}`` dict per row ``j``, over the entries where
-    *mask* is true, keys ascending.
-
-    The row emitter of every sparse batch answer: one ``np.nonzero``
-    pass over the whole matrix, CSR-style row bounds, and ``.tolist()``
-    conversion, so the dicts hold plain ``int`` keys and ``float``
-    values.
-    """
-    rows, cols = np.nonzero(mask)
-    bounds = np.searchsorted(rows, np.arange(len(mat) + 1)).tolist()
-    keys = cols.tolist()
-    vals = mat[rows, cols].tolist()
-    return [dict(zip(keys[a:b], vals[a:b]))
-            for a, b in zip(bounds, bounds[1:])]
 
 
 class BatchExactQuantifier:
@@ -179,21 +165,11 @@ class BatchExactQuantifier:
         """Full probability vectors, one list per query row.
 
         Row ``j`` equals ``quantification_vector(points, queries[j],
-        tie_tol)`` bitwise — the dense-list twin of :meth:`batch` for
-        callers that want scalar-typed rows.  The ``V_Pr`` builder labels
+        tie_tol)`` bitwise, for callers that want scalar-typed rows.  The ``V_Pr`` builder labels
         its ``O(N^4)`` arrangement faces through the same :meth:`matrix`
         machinery (one chunked pass instead of per-face scalar sweeps).
         """
         return self.matrix(queries).tolist()
-
-    def batch(self, queries) -> List[Dict[int, float]]:
-        """Sparse ``{i: pi_i(q)}`` dicts (zeros omitted), one per query.
-
-        The same container :meth:`PNNIndex.quantify(method="exact")
-        <repro.core.index.PNNIndex.quantify>` returns.
-        """
-        mat = self.matrix(queries)
-        return sparse_rows(mat, mat > 0.0)
 
     # ------------------------------------------------------------------
     # The vectorized sweep core.

@@ -43,7 +43,7 @@ import numpy as np
 
 from ...uncertain.base import UncertainPoint
 from ..faults import FaultPlan
-from ..wire import encode_rows
+from ..wire import encode_batch
 
 __all__ = ["SHARD_METHODS", "BackendUnavailable", "ExecutorBackend",
            "IndexReplica", "PendingChunk", "Task", "reassemble"]
@@ -59,7 +59,7 @@ SHARD_METHODS = ("delta", "nonzero_nn", "quantify", "quantify_exact",
 #: attempt, an optional fault-injection plan (``"faults"``/``"ppid"``,
 #: see :mod:`repro.serving.faults`) and an optional ``"encode": True``
 #: asking for the answer as a JSON fragment (:func:`~repro.serving.wire.
-#: encode_rows`; a task field, not a param, because params are
+#: encode_batch`; a task field, not a param, because params are
 #: canonical and key the cache).
 Task = Tuple[str, np.ndarray, Dict, Dict]
 
@@ -102,10 +102,15 @@ class IndexReplica:
         replica.index = index
         return replica
 
-    def run(self, method: str, chunk: np.ndarray, params: Dict) -> object:
-        """Answer one query chunk; the result type is method-native."""
+    def run(self, method: str, chunk: np.ndarray, params: Dict,
+            encode: bool = False) -> object:
+        """Answer one query chunk: method-native, or with *encode* the
+        JSON fragment of the rows (:func:`~repro.serving.wire.
+        encode_batch`)."""
         if method not in SHARD_METHODS:
             raise ValueError(f"unknown shardable method {method!r}")
+        if encode:
+            return encode_batch(self.index, method, chunk, params)
         return getattr(self.index, f"batch_{method}")(chunk, **params)
 
     def run_task(self, task: Task) -> Tuple[object, Dict]:
@@ -133,9 +138,7 @@ class IndexReplica:
                              parent_pid=meta.get("ppid"))
         start = time.time()
         t0 = time.perf_counter()
-        result = self.run(method, chunk, params)
-        if meta.get("encode"):
-            result = encode_rows(method, result)
+        result = self.run(method, chunk, params, bool(meta.get("encode")))
         duration = time.perf_counter() - t0
         attrs = {"method": method, "rows": int(len(chunk)),
                  "chunk": meta.get("chunk", 0),

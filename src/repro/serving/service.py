@@ -64,7 +64,7 @@ from .executors import BACKENDS
 from .faults import (CircuitBreaker, Deadline, DeadlineExceeded, FaultPlan,
                      RetryPolicy, resilience_counters)
 from .shard import SHARD_METHODS, ShardExecutor
-from .wire import check_finite, encode_rows
+from .wire import check_finite, encode_batch, encode_rows
 
 __all__ = ["ESTIMATORS", "ServiceConfig", "QueryService"]
 
@@ -544,8 +544,9 @@ class QueryService:
             # An in-process engine call cannot be preempted mid-kernel,
             # so only sharded execution enforces the deadline *during*
             # compute.
-            result = getattr(self.index, f"batch_{method}")(q, **params)
-            return encode_rows(method, result) if encode else result
+            if encode:
+                return encode_batch(self.index, method, q, params)
+            return getattr(self.index, f"batch_{method}")(q, **params)
 
         try:
             if espan is NULL_SPAN:
@@ -773,12 +774,13 @@ class QueryService:
                       **overrides) -> bytes:
         """:meth:`batch`, answered as JSON bytes for a reply body.
 
-        Returns the fragment of the rows (:func:`~repro.serving.wire.
-        encode_rows`: the encoded rows joined by ``", "``, the inside of
-        a bulk reply's ``results`` array).  A sharded batch is encoded
-        by the shard workers and only joined here; an unsharded one
-        (row-wise cache, inline backend, small arrays) is encoded
-        in-process by the same function.  A non-finite answer raises
+        Returns the fragment of the rows (the encoded rows joined by
+        ``", "``, the inside of a bulk reply's ``results`` array).  A
+        sharded batch is encoded by the shard workers and only joined
+        here; an unsharded one (inline backend, small arrays) is encoded
+        in-process by the same function, :func:`~repro.serving.wire.
+        encode_batch`; a row-wise cached batch encodes its rows with
+        :func:`~repro.serving.wire.encode_rows`.  A non-finite answer raises
         :class:`~repro.serving.wire.NonFiniteAnswer`, checked here in
         the parent so that it never reaches the retry ladder.
         """

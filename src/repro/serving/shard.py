@@ -195,7 +195,7 @@ class ShardExecutor:
         (of index lists, estimate dicts, ranked pairs, or
         :class:`~repro.quantification.threshold.ThresholdResult`).  With
         *encode* every worker encodes its chunk
-        (:func:`~repro.serving.wire.encode_rows`) and the call returns
+        (:func:`~repro.serving.wire.encode_batch`) and the call returns
         the JSON fragment of the whole batch as bytes.
 
         *deadline* (``None`` | seconds | :class:`Deadline`) bounds the

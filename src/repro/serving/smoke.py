@@ -110,7 +110,8 @@ def _booted(service, config: HttpConfig, check: _SmokeChecks):
     """Serve *service* on a :class:`ServerThread` and wait (up to 30 s)
     for ``/healthz`` to report ready; yields the running server."""
     with service, ServerThread(service, config) as server:
-        assert server.port is not None
+        if server.port is None:
+            raise RuntimeError("the smoke server started without a port")
         deadline = time.monotonic() + 30
         status = 0
         while time.monotonic() < deadline:

@@ -17,15 +17,27 @@ where and in what pieces the bytes are produced.
 
 Where encoding runs
 -------------------
-A bulk answer is encoded where it is computed.  :func:`encode_rows`
-turns a run of rows into a *fragment*: the encoded rows joined by
-``", "``, the inside of the ``results`` array.  Sharded batches are
-encoded by the executor workers, after the engine call and inside the
-``worker.compute`` span; the parent joins the chunks' fragments in
-query order (:func:`~repro.serving.executors.base.reassemble`).
-Unsharded batches are encoded in-process by the same function.  The
-HTTP gateway frames the fragment (:func:`bulk_reply`) on its pool
-thread, so the event loop does no per-row work for a bulk.
+A bulk answer is encoded where it is computed, by one function:
+:func:`encode_batch` answers a run of query rows on an index and
+returns its *fragment* — the encoded rows joined by ``", "``, the inside
+of the ``results`` array.  Sharded batches are encoded by the executor
+workers, after the engine call and inside the ``worker.compute`` span;
+the parent joins the chunks' fragments in query order
+(:func:`~repro.serving.executors.base.reassemble`).  Unsharded batches
+are encoded in-process by the same function.  The HTTP gateway frames
+the fragment (:func:`bulk_reply`) on its pool thread, so the event loop
+does no per-row work for a bulk.
+
+For the three ``quantify*`` kinds no answer dict is built:
+:func:`encode_batch` takes the engine's dense ``(m, n)`` matrix (the
+index's ``*_matrix`` methods, with the ``batch_*`` parameters) and the
+kernel provider's ``emit_sparse_rows`` writes the ``{"i": pi_i}`` rows
+straight from it.  The native provider does that in C with a
+shortest round-trip float writer (Schubfach) that reproduces
+``float.__repr__`` byte for byte; the NumPy provider is ``json.dumps``
+of the dicts, the oracle ``tests/test_float_writer.py`` pins it to.
+The other kinds, row-wise cached batches and ``quantify`` by spiral
+search encode their answer rows with :func:`encode_rows`.
 
 Workers encode with ``NaN``/``Infinity`` allowed, and the parent checks
 the joined fragment (:func:`check_finite`, called by
@@ -39,12 +51,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
+from typing import Dict, Iterable
 
 from ..quantification.threshold import ThresholdResult
+from ..spatial.kernels import get_provider
 
 __all__ = ["NonFiniteAnswer", "bulk_reply", "check_finite", "decode_result",
-           "dumps", "encode_result", "encode_rows"]
+           "dumps", "encode_batch", "encode_result", "encode_rows"]
 
 #: Kinds whose engine rows are ``{int: float}`` dicts: ``json.dumps``
 #: writes them exactly as :func:`encode_result`'s str-keyed copies.
@@ -108,6 +121,21 @@ def encode_rows(kind: str, rows: Iterable) -> bytes:
     else:
         doc = [encode_result(kind, row) for row in rows]
     return json.dumps(doc)[1:-1].encode("ascii")
+
+
+def encode_batch(index, kind: str, queries, params: Dict) -> bytes:
+    """The fragment of ``index.batch_<kind>(queries, **params)``.
+
+    The ``quantify*`` kinds are written from the engine's matrix by the
+    kernel provider, without building their dicts; the same bytes as
+    :func:`encode_rows` of the dicts.
+    """
+    if kind in _DICT_KINDS:
+        dense = getattr(index, f"{kind}_matrix")(queries, **params)
+        if dense is not None:
+            return get_provider().emit_sparse_rows(*dense)
+    return encode_rows(kind, getattr(index, f"batch_{kind}")(queries,
+                                                             **params))
 
 
 def check_finite(kind: str, fragment: bytes) -> None:

@@ -39,15 +39,14 @@ _LEAF_SIZE = 12
 
 
 class _Node:
-    __slots__ = ("lo", "hi", "left", "right", "indices",
+    __slots__ = ("lo", "hi", "children", "indices",
                  "min_w", "max_w", "axis", "split")
 
     def __init__(self) -> None:
         self.lo = (0.0, 0.0)
         self.hi = (0.0, 0.0)
-        self.left: Optional[_Node] = None
-        self.right: Optional[_Node] = None
-        self.indices: Optional[List[int]] = None  # leaves only
+        self.children: Tuple[_Node, ...] = ()  # (left, right); () at leaves
+        self.indices: List[int] = []  # leaves only
         self.min_w = 0.0
         self.max_w = 0.0
         self.axis = 0
@@ -55,7 +54,7 @@ class _Node:
 
     @property
     def is_leaf(self) -> bool:
-        return self.indices is not None
+        return not self.children
 
 
 def _box_dist_l2(lo: Point, hi: Point, q: Point) -> float:
@@ -146,8 +145,8 @@ class KDTree:
         mid = len(idxs) // 2
         node.axis = axis
         node.split = self.points[idxs[mid]][axis]
-        node.left = self._build(idxs[:mid], depth + 1)
-        node.right = self._build(idxs[mid:], depth + 1)
+        node.children = (self._build(idxs[:mid], depth + 1),
+                         self._build(idxs[mid:], depth + 1))
         return node
 
     def __len__(self) -> int:
@@ -186,13 +185,11 @@ class KDTree:
                 yield idx, d
                 continue
             if node.is_leaf:
-                assert node.indices is not None
                 for i in node.indices:
                     heapq.heappush(heap, (self._dist(self.points[i], q),
                                           next(counter), None, i))
             else:
-                for child in (node.left, node.right):
-                    assert child is not None
+                for child in node.children:
                     heapq.heappush(heap, (self._box_dist(child.lo, child.hi, q),
                                           next(counter), child, -1))
 
@@ -206,15 +203,12 @@ class KDTree:
             if self._box_dist(node.lo, node.hi, q) > radius:
                 continue
             if node.is_leaf:
-                assert node.indices is not None
                 for i in node.indices:
                     d = self._dist(self.points[i], q)
                     if d < radius or (not strict and d <= radius):
                         out.append(i)
             else:
-                assert node.left is not None and node.right is not None
-                stack.append(node.left)
-                stack.append(node.right)
+                stack.extend(node.children)
         return out
 
     # ------------------------------------------------------------------
@@ -240,15 +234,13 @@ class KDTree:
                 break
             node = nodes[node_id]
             if node.is_leaf:
-                assert node.indices is not None
                 for i in node.indices:
                     val = self._dist(self.points[i], q) + self.weights[i]
                     if val < best_val:
                         best_val = val
                         best_idx = i
             else:
-                for child in (node.left, node.right):
-                    assert child is not None
+                for child in node.children:
                     b = self._box_dist(child.lo, child.hi, q) + child.min_w
                     if b < best_val:
                         nodes.append(child)
@@ -276,7 +268,6 @@ class KDTree:
                 break
             node = nodes[node_id]
             if node.is_leaf:
-                assert node.indices is not None
                 for i in node.indices:
                     val = self._dist(self.points[i], q) + self.weights[i]
                     if val < best[1]:
@@ -285,8 +276,7 @@ class KDTree:
                     elif val < second[1]:
                         second = (i, val)
             else:
-                for child in (node.left, node.right):
-                    assert child is not None
+                for child in node.children:
                     b = self._box_dist(child.lo, child.hi, q) + child.min_w
                     if b < second[1]:
                         nodes.append(child)
@@ -310,13 +300,10 @@ class KDTree:
             if lower > threshold or (strict and lower >= threshold):
                 continue
             if node.is_leaf:
-                assert node.indices is not None
                 for i in node.indices:
                     val = self._dist(self.points[i], q) - self.weights[i]
                     if val < threshold or (not strict and val <= threshold):
                         out.append(i)
             else:
-                assert node.left is not None and node.right is not None
-                stack.append(node.left)
-                stack.append(node.right)
+                stack.extend(node.children)
         return out

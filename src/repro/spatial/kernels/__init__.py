@@ -14,9 +14,10 @@ One protocol (:class:`KernelProvider`), two implementations:
 
 Entry points cover the library's measured single-core hot loops: the
 pairwise distance matrix, the fused Eq. (2) prefix sweep, the batched
-segment intersection / line-box clip kernels of the ``V_Pr`` build, and
+segment intersection / line-box clip kernels of the ``V_Pr`` build,
 the merged-slab tree descent (``plane_locate``) of the point locator
-behind ``quantify_vpr``.
+behind ``quantify_vpr``, and the JSON writer of bulk ``quantify*``
+replies (``emit_sparse_rows``).
 
 Which provider runs is a fact about the host, not a setting: the
 engines call :func:`get_provider` with no name and get ``native`` when
@@ -74,6 +75,12 @@ class KernelProvider(Protocol):
         at the prefix end ``4x`` wider, the last pass (``width >= N``)
         being the full sort.  Returns the ``(r, n)`` quantification rows
         and the number of row re-sweeps."""
+
+    def emit_sparse_rows(self, mat: np.ndarray, positive: bool) -> bytes:
+        """The JSON fragment of the ``{j: v}`` rows of an ``(m, n)``
+        answer matrix over the entries ``> 0.0`` (*positive*) or ``!= 0``
+        — byte for byte ``json.dumps(sparse_rows(...))[1:-1]``, ``NaN``
+        and ``Infinity`` spelled as ``json`` spells them."""
 
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):
         """Batched segment-pair intersection ``(px, py, hit)``."""

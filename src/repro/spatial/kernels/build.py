@@ -100,8 +100,10 @@ def _digest(cc: str) -> str:
 def library_path(cc: Optional[str] = None) -> Optional[str]:
     """Where the compiled object for the current source/flags lives."""
     cc = cc or find_compiler()
-    if cc is None:
-        return None
+    return None if cc is None else _library_path(cc)
+
+
+def _library_path(cc: str) -> str:
     return os.path.join(_cache_dir(), f"repro_kernels_{_digest(cc)}.so")
 
 
@@ -116,8 +118,7 @@ def build_library() -> str:
         raise BuildError(
             "no C compiler found (set $CC or REPRO_KERNEL_CC, or install "
             "cc/gcc/clang); the numpy kernel provider remains available")
-    out = library_path(cc)
-    assert out is not None
+    out = _library_path(cc)
     if os.path.exists(out):
         return out
     cache = os.path.dirname(out)

@@ -6,6 +6,8 @@ array arguments are coerced to C-contiguous ``float64`` / ``int64``
 and handed over as raw pointers.  ``sweep_eq2`` is the whole per-chunk
 Eq. (2) prefix — selection, ordering, gathers, the step loop and the
 prefix widening run per row in C; chunking stays with the callers.
+``emit_sparse_rows`` writes a sparse answer's JSON in C with the
+shortest round-trip float writer, byte for byte ``json.dumps``.
 
 Construction compiles the library on demand (:mod:`.build`) and raises
 :class:`~repro.spatial.kernels.build.BuildError` when the host cannot;
@@ -21,12 +23,15 @@ import numpy as np
 
 from ...obs.metrics import ENGINE, KERNEL
 from .build import build_library
+from .numpy_provider import row_mask
 
 __all__ = ["NativeProvider"]
 
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
+#: Longest float the C writer emits: ``-1.2345678901234567e-308``.
+_FLOAT_MAX_LEN = 24
 
 
 def _f64(a) -> np.ndarray:
@@ -124,6 +129,28 @@ class NativeProvider:
             if rc != 0:
                 raise MemoryError("native sweep scratch allocation failed")
         return result, int(widened[0])
+
+    # ------------------------------------------------------------------
+    def emit_sparse_rows(self, mat, positive: bool) -> bytes:
+        self._count("emit_sparse_rows")
+        mat = _f64(mat)
+        if mat.ndim != 2:
+            raise ValueError("emit_sparse_rows needs an (m, n) matrix")
+        m, n = mat.shape
+        if not m:
+            return b""
+        # Per row "{", "}" and ", "; per entry ", ", the quoted key,
+        # ": " and the float; + 1 because the C loop checks for the
+        # row's "}" before every entry.
+        kept = int(np.count_nonzero(row_mask(mat, positive)))
+        cap = 4 * m + kept * (len(str(n)) + 6 + _FLOAT_MAX_LEN) + 1
+        out = np.empty(cap, dtype=np.uint8)
+        size = self._lib.repro_emit_sparse_rows(_pf(mat), m, n,
+                                                int(bool(positive)),
+                                                _pu(out), cap)
+        if size < 0:
+            raise RuntimeError("emit_sparse_rows overran its buffer")
+        return out[:size].tobytes()
 
     # ------------------------------------------------------------------
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):

@@ -4,30 +4,57 @@ These are the library's original vectorized inner loops, moved behind
 the :class:`~repro.spatial.kernels.KernelProvider` entry points: the
 chunked distance matrix (``spatial/batch.py``), the Eq. (2) prefix
 ordering, step loop and widening (``quantification/batch_exact.py``),
-the batched segment kernels (``geometry/segments.py``), and the
+the batched segment kernels (``geometry/segments.py``) and the
 merged-slab locator's vectorized tree descent
 (``spatial/planelocate.py``).  Each was individually bit-pinned to its
 scalar reference implementation by the existing property suites; the
 native provider is in turn bit-pinned to *these*
 (``tests/test_kernels.py``), so the provider choice is purely
-operational.
+operational.  The JSON of sparse batch answers is ``json.dumps`` of
+:func:`sparse_rows` itself, the oracle of the native float writer
+(``tests/test_float_writer.py``).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import json
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ...obs.metrics import ENGINE, KERNEL
 
-__all__ = ["NumpyProvider"]
+__all__ = ["NumpyProvider", "row_mask", "sparse_rows"]
 
 # The scalar sweep's underflow clamp for nearly-exhausted parents.
 _UNDERFLOW = 1e-15
 # Compaction policy: rewrite the active-row state once at least this many
 # rows are done *and* they are at least half the active set.
 _COMPACT_MIN = 32
+
+
+def row_mask(mat: np.ndarray, positive: bool) -> np.ndarray:
+    """The entries a sparse answer row keeps: ``> 0.0`` (the exact
+    engines) when *positive*, else ``!= 0`` (Monte-Carlo estimates)."""
+    return mat > 0.0 if positive else mat != 0
+
+
+def sparse_rows(mat: np.ndarray,
+                mask: np.ndarray) -> List[Dict[int, float]]:
+    """One ``{i: mat[j, i]}`` dict per row ``j``, over the entries where
+    *mask* is true, keys ascending.
+
+    The row emitter of every sparse batch answer: one ``np.nonzero``
+    pass over the whole matrix, CSR-style row bounds, and ``.tolist()``
+    conversion, so the dicts hold plain ``int`` keys and ``float``
+    values.
+    """
+    rows, cols = np.nonzero(mask)
+    bounds = np.searchsorted(rows, np.arange(len(mat) + 1)).tolist()
+    keys = cols.tolist()
+    vals = mat[rows, cols].tolist()
+    return [dict(zip(keys[a:b], vals[a:b]))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 class NumpyProvider:
@@ -226,6 +253,15 @@ class NumpyProvider:
                 flush(live, width)
                 finished[rows] = True
         return result, finished
+
+    # ------------------------------------------------------------------
+    def emit_sparse_rows(self, mat: np.ndarray, positive: bool) -> bytes:
+        """The JSON fragment of ``sparse_rows(mat, row_mask(mat,
+        positive))``, by ``json.dumps`` itself: the oracle the native
+        writer is pinned to."""
+        self._count("emit_sparse_rows")
+        rows = sparse_rows(mat, row_mask(mat, positive))
+        return json.dumps(rows)[1:-1].encode("ascii")
 
     # ------------------------------------------------------------------
     def segment_intersections(self, ax, ay, bx, by, I, J, tol: float):

@@ -19,7 +19,7 @@ at a corner).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..geometry.primitives import Point
 
@@ -53,16 +53,15 @@ def _mbr(rects: Sequence[Rect]) -> Rect:
 class _RNode:
     __slots__ = ("mbr", "children", "entries")
 
-    def __init__(self, mbr: Rect,
-                 children: Optional[List["_RNode"]] = None,
-                 entries: Optional[List[int]] = None) -> None:
+    def __init__(self, mbr: Rect, children: Sequence["_RNode"] = (),
+                 entries: Sequence[int] = ()) -> None:
         self.mbr = mbr
-        self.children = children
-        self.entries = entries
+        self.children = list(children)  # internal nodes only
+        self.entries = list(entries)  # leaves only
 
     @property
     def is_leaf(self) -> bool:
-        return self.entries is not None
+        return not self.children
 
 
 class RTree:
@@ -119,7 +118,6 @@ class RTree:
         h = 1
         node = self.root
         while not node.is_leaf:
-            assert node.children is not None
             node = node.children[0]
             h += 1
         return h
@@ -143,13 +141,11 @@ class RTree:
             if d > threshold or (strict and d >= threshold):
                 continue
             if node.is_leaf:
-                assert node.entries is not None
                 for i in node.entries:
                     di = rect_min_dist(self.rects[i], q)
                     if di < threshold or (not strict and di <= threshold):
                         out.append(i)
             else:
-                assert node.children is not None
                 stack.extend(node.children)
         return out, visited
 
@@ -172,11 +168,9 @@ class RTree:
                 break
             node = nodes[node_id]
             if node.is_leaf:
-                assert node.entries is not None
                 for i in node.entries:
                     best = min(best, rect_max_dist(self.rects[i], q))
             else:
-                assert node.children is not None
                 for child in node.children:
                     b = rect_min_dist(child.mbr, q)
                     if b < best:

@@ -425,12 +425,12 @@ class _FaceVectorQueries:
         """Sparse ``{i: pi_i(q)}`` dicts (zeros omitted), one per query.
 
         The serving container: the same ``row > 0`` filter as
-        :meth:`~repro.quantification.batch_exact.BatchExactQuantifier.
-        batch`, over :meth:`query_batch` rows — so wherever the float
-        vectors agree with the direct Eq. (2) sweep (everywhere outside
-        the window, and on every generic in-window query), the dicts are
-        equal row for row.  This is what the ``quantify_vpr`` query kind
-        serves.
+        :meth:`~repro.core.index.PNNIndex.batch_quantify_exact`, over
+        :meth:`query_batch` rows — so wherever the float vectors agree
+        with the direct Eq. (2) sweep (everywhere outside the window,
+        and on every generic in-window query), the dicts are equal row
+        for row.  The ``quantify_vpr`` query kind serves the same rows
+        (:meth:`~repro.core.index.PNNIndex.quantify_vpr_matrix`).
         """
         mat = self.query_batch(queries)
         return sparse_rows(mat, mat > 0.0)

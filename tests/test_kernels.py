@@ -593,7 +593,8 @@ class TestOneProvider:
         assert _providers_called(before) == {expected}
         ops = {key.split(":")[1] for key in _calls_since(before)}
         assert ops == {"distance_matrix", "sweep_eq2", "line_box_clip",
-                       "segment_intersections", "plane_locate"}
+                       "segment_intersections", "plane_locate",
+                       "emit_sparse_rows"}
 
     def test_scrapes_do_not_probe_the_toolchain(self, monkeypatch):
         # /metrics gauges and /healthz read the provider the process

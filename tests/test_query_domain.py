@@ -429,3 +429,20 @@ class TestHttpFailsClosed:
 def test_gateway_json_is_strict():
     with pytest.raises(ValueError):
         QueryGateway._dump({"result": math.inf})
+
+
+def test_src_has_no_bare_asserts():
+    # An ``assert`` vanishes under ``python -O`` and surfaces as a bare
+    # AssertionError (a 500) when it does fire: the library states its
+    # invariants in its types or raises a typed error instead.
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
