@@ -77,12 +77,11 @@ def main() -> None:
     #    Concurrent scalar submits coalesce into vectorized micro-batches
     #    (a request arriving while its group flushes joins the next
     #    flush; a lone request runs at once), repeat queries hit
-    #    an exact-keyed LRU cache, and large batches shard across a
-    #    pluggable executor backend (with bitwise-identical answers):
-    #    backend="auto" picks process worker replicas where the host
-    #    can start a pool, backend="thread"/"process" forces one.
+    #    an exact-keyed LRU cache, and large batches shard across the
+    #    host's executor (with bitwise-identical answers): process
+    #    worker replicas where the host can start a pool, else threads.
     #    `workers=0` keeps this quickstart single-process; try
-    #    index.serve(workers=4, backend="thread") on a real machine.
+    #    index.serve(workers=4) on a real machine.
     with index.serve(workers=0, cache_capacity=1024, max_batch=32) as svc, \
             ThreadPoolExecutor(max_workers=4) as clients:
         answers = list(clients.map(

@@ -9,7 +9,7 @@ Commands
     Stand up the serving layer (cache + coalescer + shard executor) and
     drive a bursty synthetic workload through it, printing per-method
     throughput, hit rates, and latency percentiles.
-``serve-http [--host H] [--port P] [--backend B] [--workers W] ...``
+``serve-http [--host H] [--port P] [--workers W] ...``
     Boot the asyncio HTTP front door over a synthetic discrete index:
     ``POST /v1/query/<kind>`` for all seven query kinds (single point or
     bulk array), ``GET /healthz`` readiness, ``GET /metrics`` Prometheus
@@ -18,12 +18,12 @@ Commands
     JSON request records.  ``--request-timeout S`` applies a default
     end-to-end deadline (504 past it); ``--faults PLAN`` injects
     deterministic faults for chaos drills.
-``smoke [--backend B] [--out DIR]``
+``smoke [--out DIR]``
     The serving stack's end-to-end self-test over live HTTP, one
-    scenario after another on one backend: seven-kind parity, shedding,
-    tracing and /metrics (``http``); crash recovery, deadline 504s and
-    the breaker ladder (``chaos``); and, on process, the
-    build-once shared V_Pr plane (``plane``).  ``--out`` saves each
+    scenario after another on the executor rung this host runs:
+    seven-kind parity, shedding, tracing and /metrics (``http``); crash
+    recovery, deadline 504s and the breaker ladder (``chaos``); and, on
+    process, the build-once shared V_Pr plane (``plane``).  ``--out`` saves each
     scenario's /metrics scrape and the Chrome trace export.
 ``trace-dump [--host H] [--port P] [--format chrome|jsonl]``
     Fetch the trace store of a running ``serve-http`` instance and
@@ -98,14 +98,13 @@ def _serve_demo() -> int:
     disks = random_disks(n, seed=11, extent=extent, r_min=0.1, r_max=0.4)
     index = PNNIndex([DiskUniformPoint(d.center, d.r) for d in disks])
     print(f"serve-demo: QueryService over {n} uncertain disks")
-    # backend= picks the executor: "auto" resolves to process worker
-    # replicas and degrades through thread -> inline where the host
-    # cannot start a process pool.
-    with index.serve(workers=2, backend="auto", cache_capacity=4096,
+    # The host picks the executor: process worker replicas, or threads
+    # where it cannot start a process pool.
+    with index.serve(workers=2, cache_capacity=4096,
                      max_batch=128, shard_min_batch=4096) as service:
         ex = service.executor
-        print(f"shard executor: backend={ex.backend} -> mode={ex.mode}, "
-              f"workers={ex.workers}, start method={ex.start_method}")
+        print(f"shard executor: mode={ex.mode}, workers={ex.workers}, "
+              f"start method={ex.start_method}")
         rng = random.Random(13)
 
         # Burst 1: eight concurrent scalar clients.  A request that
@@ -228,9 +227,6 @@ def _serve_http(argv: list) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080,
                         help="bind port (0 picks an ephemeral port)")
-    parser.add_argument("--backend", default="auto",
-                        help="executor backend: auto, process, "
-                             "thread, inline")
     parser.add_argument("--workers", type=int, default=2,
                         help="executor worker count (0 forces inline)")
     parser.add_argument("--n", type=int, default=12,
@@ -295,8 +291,8 @@ def _serve_http(argv: list) -> int:
     from .spatial.kernels import get_provider
 
     print(f"serve-http: {args.n} uncertain discrete points "
-          f"(2 instances each), backend={args.backend}, "
-          f"workers={args.workers}, kernel={get_provider().name}")
+          f"(2 instances each), workers={args.workers}, "
+          f"kernel={get_provider().name}")
     if args.n > 16:
         print(f"note: quantify_vpr's first request builds V_Pr lazily — "
               f"Theta(N^4) in the {2 * args.n} instances; the other six "
@@ -318,7 +314,7 @@ def _serve_http(argv: list) -> int:
               f"(per-request timeout_ms / X-Request-Deadline-Ms override)")
     if args.faults:
         print(f"chaos: fault plan active — {args.faults!r}")
-    with index.serve(workers=args.workers, backend=args.backend,
+    with index.serve(workers=args.workers,
                      cache_capacity=8192, max_batch=128,
                      trace=trace, default_timeout=args.request_timeout,
                      faults=args.faults) as service:
@@ -329,22 +325,18 @@ def _serve_http(argv: list) -> int:
 def _smoke(argv: list) -> int:
     import argparse
 
-    from .serving.executors import BACKENDS
     from .serving.smoke import run
 
     parser = argparse.ArgumentParser(
         prog="python -m repro smoke",
         description="End-to-end self-test of the serving stack over live "
-                    "HTTP: every scenario that applies to the backend "
-                    "(http, chaos, and plane on process).")
-    parser.add_argument("--backend", default="inline",
-                        choices=[b for b in BACKENDS if b != "auto"],
-                        help="executor backend under test")
+                    "HTTP: every scenario that applies to the host's "
+                    "executor rung (http, chaos, and plane on process).")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="write <scenario>-metrics.txt scrapes and "
                              "http-trace.json into this directory")
     args = parser.parse_args(argv)
-    return run(backend=args.backend, out=args.out)
+    return run(out=args.out)
 
 
 def _vpr_info(argv: list) -> int:

@@ -223,15 +223,8 @@ class PNNIndex:
     # ------------------------------------------------------------------
     # Batch queries: vectorized over an (m, 2) array of query points.
     # ------------------------------------------------------------------
-    def batch_engine(self, backend: str = "auto") -> BatchQueryEngine:
-        """The lazily-built vectorized backend (shared by all batch calls).
-
-        ``backend`` other than ``"auto"`` forces a fresh engine with the
-        requested strategy (``"dense"`` or ``"bucket"``) — useful for
-        tests and benchmarks; the auto engine stays cached.
-        """
-        if backend != "auto":
-            return BatchQueryEngine(self.points, backend=backend)
+    def batch_engine(self) -> BatchQueryEngine:
+        """The lazily-built vectorized engine (shared by all batch calls)."""
         if self._batch is None:
             self._batch = BatchQueryEngine(self.points)
         return self._batch
@@ -457,9 +450,9 @@ class PNNIndex:
 
         Keyword overrides populate a fresh
         :class:`~repro.serving.service.ServiceConfig` — e.g.
-        ``index.serve(workers=4, backend="thread", cache_capacity=8192)``.
-        The service layers request coalescing, multi-core sharding over a
-        pluggable executor backend, and exact-keyed result caching over
+        ``index.serve(workers=4, cache_capacity=8192)``.
+        The service layers request coalescing, multi-core sharding over
+        the host's executor backend, and exact-keyed result caching over
         the batch engine; close it (or use it as a context manager) to
         drain its running flushes and stop its worker pool.  A prebuilt
         *vpr* is adopted (:meth:`use_vpr`) for the ``quantify_vpr`` query

@@ -36,7 +36,6 @@ from .cache import ResultCache
 from .coalesce import MicroBatcher
 from .http import HttpConfig, QueryGateway, ServerThread
 from .executors import (
-    BACKENDS,
     BackendUnavailable,
     ExecutorBackend,
     IndexReplica,
@@ -61,7 +60,6 @@ from .service import QueryService, ServiceConfig
 from .shard import ShardExecutor
 
 __all__ = [
-    "BACKENDS",
     "BackendUnavailable",
     "CircuitBreaker",
     "Deadline",

@@ -12,16 +12,14 @@ runs the chunk tasks it is handed through ``dispatch``:
 ``inline``  serial in-process execution (the floor of the ladder)
 ========== ===========================================================
 
-:data:`LADDER` orders them.  :func:`create_backend` starts at the
-requested rung and walks down until a backend starts, and a runtime
-failure demotes a live executor one rung down the same ladder.  Every
-backend returns bitwise-identical results, so the choice is purely an
-operational one (see the README's backend-selection guide).
+:data:`LADDER` orders them.  Which rung runs is a fact about the host,
+decided in one place (:func:`create_backend`), not a setting: every
+backend returns bitwise-identical results, so a choice would change no
+answer.  A runtime failure demotes a live executor one rung down the
+same ladder (:func:`start_below`).
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import (
     SHARD_METHODS,
@@ -36,7 +34,6 @@ from .process import ProcessBackend
 from .thread import ThreadBackend
 
 __all__ = [
-    "BACKENDS",
     "BackendUnavailable",
     "ExecutorBackend",
     "IndexReplica",
@@ -48,36 +45,22 @@ __all__ = [
     "ThreadBackend",
     "create_backend",
     "reassemble",
+    "start_below",
 ]
-
-#: Backend names accepted by the factory (and ``ServiceConfig.backend``).
-BACKENDS = ("auto", "process", "thread", "inline")
 
 #: The one degradation ladder, fastest first: where a backend cannot
 #: start (or, at runtime, keeps failing) the next rung takes over.
 #: Inline cannot fail, so every walk ends with a working backend.
 LADDER = ("process", "thread", "inline")
 
-#: Env knob consulted by the ``"auto"`` policy only: operators (and the
-#: CI backend matrix) can steer every auto-configured service onto one
-#: backend without touching code.  Explicit names always win.
-BACKEND_ENV = "REPRO_SERVING_BACKEND"
 
+def create_backend(index, workers: int, plane=None) -> ExecutorBackend:
+    """The backend this host runs *index* on with *workers* workers.
 
-def create_backend(name: str, index, workers: int,
-                   plane=None) -> ExecutorBackend:
-    """Build the requested backend over *index*, degrading instead of
-    crashing.
-
+    ``inline`` when ``workers < 2``; otherwise ``process``, or ``thread``
+    where no process pool starts (:class:`BackendUnavailable`).
     Construction always succeeds and always returns bitwise-correct
-    answers — parallelism is best-effort, never correctness.  ``"auto"``
-    means ``"process"``; a concrete name starts at its rung of
-    :data:`LADDER` and walks down until a backend starts: a host
-    without process pools lands on ``thread``, and ``workers < 2``
-    always selects ``inline``.
-
-    The :data:`BACKEND_ENV` environment variable overrides the
-    ``"auto"`` resolution (explicit names are never overridden).
+    answers — parallelism is best-effort, never correctness.
 
     Process workers build replicas from the index's points and compute
     on the host's kernel provider, as the parent does
@@ -90,18 +73,16 @@ def create_backend(name: str, index, workers: int,
     backends ignore it — they share *index*, which already holds the
     built diagram.
     """
-    if name not in BACKENDS:
-        raise ValueError(f"unknown executor backend {name!r}; "
-                         f"expected one of {BACKENDS}")
-    if name == "auto":
-        forced = os.environ.get(BACKEND_ENV, "").strip().lower() or "auto"
-        if forced not in BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV}={forced!r} is not one of {BACKENDS}")
-        name = "process" if forced == "auto" else forced
     if workers < 2:
-        name = "inline"
-    for rung in LADDER[LADDER.index(name):]:
+        return InlineBackend(index)
+    return start_below(None, index, workers, plane)
+
+
+def start_below(mode, index, workers: int, plane=None) -> ExecutorBackend:
+    """Start the first rung of :data:`LADDER` below *mode* (from the
+    top when ``None``) that this host can start; inline always starts."""
+    first = 0 if mode is None else LADDER.index(mode) + 1
+    for rung in LADDER[first:]:
         try:
             if rung == "process":
                 return ProcessBackend(index, workers, plane=plane)

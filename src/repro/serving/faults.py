@@ -16,9 +16,8 @@ the policy half of the resilience layer threaded through
   watchdog timeout that turns *hangs* into detectable failures, and the
   health-poll interval of the collection loop;
 * :class:`CircuitBreaker` — consecutive-failure counting per backend;
-  a tripped breaker degrades the executor down the runtime ladder
-  ``process -> thread -> inline`` (the same order as the
-  ``backend="auto"`` build-time policy);
+  a tripped breaker degrades the executor down the ladder
+  ``process -> thread -> inline``;
 * :func:`resilience_counters` — the fault/recovery counter families
   (``repro_retries_total``, ``repro_worker_failures_total``,
   ``repro_deadline_exceeded_total``, ...) a service registers in its

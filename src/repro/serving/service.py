@@ -9,10 +9,9 @@ the three mechanisms bursty multi-client traffic needs:
 * a :class:`~repro.serving.coalesce.MicroBatcher` that group-commits
   concurrent scalar :meth:`submit` calls into vectorized batches;
 * a :class:`~repro.serving.shard.ShardExecutor` that fans large batches
-  out over a pluggable executor backend
-  (:mod:`repro.serving.executors`: ``process`` worker replicas or a
-  ``thread`` pool over the shared index — selected by
-  ``ServiceConfig(backend=...)``, ``"auto"`` by default) with ordered
+  out over an executor backend (:mod:`repro.serving.executors`:
+  ``process`` worker replicas, or a ``thread`` pool over the shared
+  index where the host cannot start a process pool) with ordered
   reassembly and bitwise-identical answers.
 
 Seven query kinds share one dispatch spine: ``delta``, ``nonzero_nn``,
@@ -34,7 +33,7 @@ on first use, or pass a prebuilt one via ``index.serve(vpr=...)``.
 
 Construct via :meth:`PNNIndex.serve`::
 
-    service = index.serve(workers=4, backend="thread", cache_capacity=8192)
+    service = index.serve(workers=4, cache_capacity=8192)
     with service:
         fut = service.submit("quantify", (1.0, 2.0))
         deltas = service.batch("delta", queries)   # sharded when large
@@ -60,7 +59,7 @@ from ..spatial.codec import CodecUnsupported, plane_to_arrays
 from ..spatial.kernels import get_provider, native_available
 from .cache import ResultCache
 from .coalesce import MicroBatcher
-from .executors import BACKENDS
+from .executors import LADDER
 from .faults import (CircuitBreaker, Deadline, DeadlineExceeded, FaultPlan,
                      RetryPolicy, resilience_counters)
 from .shard import SHARD_METHODS, ShardExecutor
@@ -99,29 +98,29 @@ def _unit_param(name: str, value: object) -> float:
 class ServiceConfig:
     """Tunables of one :class:`QueryService` instance.
 
-    Validated eagerly: unknown backends and non-positive sizes raise
-    :class:`ValueError` at construction, not at first use.
+    Validated eagerly: non-positive sizes and inert fields other than
+    ``"auto"`` raise :class:`ValueError` at construction.
 
     Attributes
     ----------
     workers:
         Shard workers.  ``0``/``1`` disables sharding entirely (every
         batch runs in-process); ``>= 2`` starts a
-        :class:`~repro.serving.shard.ShardExecutor` (which walks down
-        the degradation ladder where its backend cannot start).
+        :class:`~repro.serving.shard.ShardExecutor` on the rung this
+        host runs (:func:`repro.serving.executors.create_backend`).
     backend:
-        Executor backend: ``"auto"`` (default), ``"process"``,
-        ``"thread"``, or ``"inline"`` — see
-        :func:`repro.serving.executors.create_backend` for the auto
-        policy and the degradation ladder.  All backends return
-        bitwise-identical answers; the choice is operational.
+        Accepts only ``"auto"`` and does nothing: the executor runs on
+        the host's rung of the degradation ladder, and every rung
+        returns bitwise-identical answers.  Like ``kernel``, ``locator``
+        and ``flush_window``, the field remains so that the HTTP
+        benchmark launcher, which passes it, keeps working.  Any other
+        value raises :class:`ValueError`.
     kernel:
         Accepts only ``"auto"`` and does nothing: the service and its
         workers compute on the host's kernel provider
-        (:mod:`repro.spatial.kernels`).  Like ``locator`` and
-        ``flush_window``, the field remains so that the HTTP benchmark
-        launcher, which passes it, keeps working.  Any other value
-        raises :class:`ValueError`.
+        (:mod:`repro.spatial.kernels`).  Kept for the benchmark
+        launcher, as ``backend`` is.  Any other value raises
+        :class:`ValueError`.
     locator:
         Accepts only ``"auto"`` and does nothing.  ``V_Pr`` diagrams have
         one point locator (the merged-slab tree of
@@ -218,9 +217,9 @@ class ServiceConfig:
         if self.chunk_timeout is not None and not self.chunk_timeout > 0:
             raise ValueError(f"chunk_timeout must be positive (or None), "
                              f"got {self.chunk_timeout}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown executor backend {self.backend!r}; "
-                             f"expected one of {BACKENDS}")
+        if self.backend != "auto":
+            raise ValueError(f"backend must be 'auto' (the host decides "
+                             f"the executor rung), got {self.backend!r}")
         if self.kernel != "auto":
             raise ValueError(f"kernel must be 'auto' (the host has one "
                              f"kernel provider), got {self.kernel!r}")
@@ -285,7 +284,7 @@ class QueryService:
         if cfg.workers >= 2:
             self.executor = ShardExecutor(
                 index, workers=cfg.workers, chunk_size=cfg.shard_chunk,
-                backend=cfg.backend, tracer=self.tracer,
+                tracer=self.tracer,
                 policy=RetryPolicy(retries=cfg.retries,
                                    chunk_timeout=cfg.chunk_timeout),
                 faults=cfg.faults, resilience=self.resilience,
@@ -323,9 +322,9 @@ class QueryService:
                   "(1 = active; moves down the ladder on degradation).",
                   ("backend",), fn=lambda: None if self.executor is None
                   else {mode: int(self.executor.mode == mode)
-                        for mode in BACKENDS if mode != "auto"})
+                        for mode in LADDER})
         reg.gauge("repro_backend_degraded",
-                  "1 when the executor has left its configured backend.",
+                  "1 when the executor has left the rung it started on.",
                   fn=lambda: None if self.executor is None
                   else int(self.executor.degraded))
         reg.gauge("repro_kernel_provider",
@@ -443,9 +442,13 @@ class QueryService:
         if not isinstance(estimator, str) or estimator not in ESTIMATORS:
             raise ValueError(f"method must be one of {ESTIMATORS}, "
                              f"got {estimator!r}")
-        if estimator == "spiral" and not self.index.all_discrete():
-            raise ValueError("method 'spiral' requires an index of discrete "
-                             "uncertain points")
+        # Spiral search needs discrete points; exact quadrature over
+        # continuous models is a library reference (seconds per row, its
+        # sum short of 1 far from the sites), not served.
+        if (estimator in ("spiral", "exact")
+                and not self.index.all_discrete()):
+            raise ValueError(f"method {estimator!r} requires an index of "
+                             f"discrete uncertain points")
         # Resolve "auto" once: the choice depends only on the index, and a
         # resolved name keeps cache keys stable across call styles.
         if estimator == "auto":

@@ -16,12 +16,14 @@ output is therefore **bitwise identical** to the unsharded batch call on
 every backend at every worker count — the property
 ``tests/test_executors.py`` asserts.
 
-When a parallel backend cannot start on this host — sandboxed CI
-without POSIX semaphores, restricted seccomp profiles, interpreters
-without ``fork``/``spawn`` — the factory walks down the one degradation
-ladder (:data:`~repro.serving.executors.LADDER`: process, thread,
-inline), and a backend that keeps failing at runtime is demoted down
-the same ladder.  Same answers, less parallelism, no crash.
+Which backend runs is a fact about the host
+(:func:`~repro.serving.executors.create_backend`): a process pool, or
+threads where no pool can start — sandboxed CI without POSIX
+semaphores, restricted seccomp profiles, interpreters without
+``fork``/``spawn`` — and inline below two workers.  A backend that
+keeps failing at runtime is demoted down the one degradation ladder
+(:data:`~repro.serving.executors.LADDER`: process, thread, inline).
+Same answers, less parallelism, no crash.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .executors import (
     IndexReplica,
     create_backend,
     reassemble,
+    start_below,
 )
 from .faults import (
     CircuitBreaker,
@@ -78,10 +81,6 @@ class ShardExecutor:
         Query rows per dispatched task.  ``None`` sizes chunks so each
         worker receives about :data:`_TASKS_PER_WORKER` tasks — small
         enough to balance load, large enough to amortize dispatch.
-    backend:
-        ``"auto"`` (default), ``"process"``, ``"thread"``, or
-        ``"inline"`` — see :func:`repro.serving.executors.create_backend`
-        for the auto policy and the degradation ladder.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When the ambient
         span of a :meth:`run` call is sampled, the dispatch and
@@ -120,7 +119,6 @@ class ShardExecutor:
 
     def __init__(self, index, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 backend: str = "auto",
                  tracer=None,
                  policy: Optional[RetryPolicy] = None,
                  faults=None,
@@ -131,7 +129,6 @@ class ShardExecutor:
         cpus = os.cpu_count() or 1
         self.workers = min(4, cpus) if workers is None else int(workers)
         self.chunk_size = chunk_size
-        self.backend = backend
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = FaultPlan.coerce(faults)
         self.resilience = (resilience if resilience is not None
@@ -143,16 +140,14 @@ class ShardExecutor:
         self._heal_lock = threading.Lock()
         self._closed = False
         self.impl: ExecutorBackend = create_backend(
-            backend, index, self.workers, plane=plane)
+            index, self.workers, plane=plane)
         self.workers = self.impl.workers
         self._initial_mode = self.impl.mode
 
     # ------------------------------------------------------------------
     @property
     def mode(self) -> str:
-        """The resolved execution mode (``process``/``thread``/``inline``)
-        — may differ from the requested :attr:`backend` when
-        the host forced a degradation."""
+        """The live execution mode (``process``/``thread``/``inline``)."""
         return self.impl.mode
 
     @property
@@ -167,8 +162,7 @@ class ShardExecutor:
 
     def health(self) -> Dict[str, object]:
         """Operational snapshot for ``/healthz`` and ``service.stats()``."""
-        return {"backend": self.backend,
-                "mode": self.impl.mode,
+        return {"mode": self.impl.mode,
                 "initial_mode": self._initial_mode,
                 "degraded": self.degraded,
                 "workers": self.workers,
@@ -458,8 +452,8 @@ class ShardExecutor:
             self.resilience["degradations"].inc()
             _LOG.error("degrading executor backend %s -> %s: %s",
                        old.mode, LADDER[rung], reason)
-            self.impl = create_backend(LADDER[rung], self._index,
-                                       self.workers, plane=self._plane)
+            self.impl = start_below(old.mode, self._index, self.workers,
+                                    plane=self._plane)
             self.workers = self.impl.workers
             try:
                 old.abort()

@@ -1,8 +1,9 @@
 """The serving stack's end-to-end self-test: ``python -m repro smoke``.
 
 One driver, :func:`run`, boots the real HTTP server over one small
-discrete fleet and walks every scenario that applies to the chosen
-executor backend, checking each answer against the in-process index:
+discrete fleet and walks every scenario that applies to the executor
+rung this host runs (:func:`repro.serving.executors.create_backend`),
+checking each answer against the in-process index:
 
 ``http``
     Parity for all seven kinds, single point and bulk; the 404/400
@@ -11,19 +12,18 @@ executor backend, checking each answer against the in-process index:
     the ``/metrics`` families.  The server runs fully traced, so parity
     also proves that tracing does not perturb answers.
 ``chaos``
-    Deterministic fault plans: recovery from a crashed worker (pool
-    backends) or an in-compute fault, bitwise-equal to the unsharded
+    Deterministic fault plans: recovery from a crashed worker (process)
+    or an in-compute fault (thread), bitwise-equal to the unsharded
     answers; a hung chunk against a 300 ms deadline (504, no leaked
     admission slots); a persistent fault walking the circuit breaker
-    down the backend ladder; and nonzero resilience counters.
+    down the ladder to inline; and nonzero resilience counters.
 ``plane``
     Shared-plane ``V_Pr`` serving (``process`` only): the parent builds
     the diagram once, workers attach the exported plane, ``quantify_vpr``
     fans out bitwise-equal, and no worker rebuilds.
 
 Every check lands in one ledger; the driver logs each failure as it
-happens and ends with one summary line carrying the check count.  The
-CI ``smoke`` job runs it once per backend.
+happens and ends with one summary line carrying the check count.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ from .faults import FaultPlan
 from .http import HttpConfig, ServerThread, encode_result
 from .shard import SHARD_METHODS
 
-__all__ = ["PLANE_BACKENDS", "SCENARIOS", "run"]
-
-#: Backends whose workers attach a shipped ``V_Pr`` plane; thread and
-#: inline share the parent's index, so the plane scenario proves nothing
-#: there.
-PLANE_BACKENDS = ("process",)
+__all__ = ["SCENARIOS", "run"]
 
 
 def _http_json(port: int, method: str, path: str,
@@ -109,6 +104,8 @@ class _SmokeChecks:
 def _booted(service, config: HttpConfig, check: _SmokeChecks):
     """Serve *service* on a :class:`ServerThread` and wait (up to 30 s)
     for ``/healthz`` to report ready; yields the running server."""
+    executor = service.executor
+    check.log(f"executor: {executor.mode}, {executor.workers} workers")
     with service, ServerThread(service, config) as server:
         if server.port is None:
             raise RuntimeError("the smoke server started without a port")
@@ -175,21 +172,20 @@ def _family(series: Dict[str, float], name: str) -> float:
 
 
 # ----------------------------------------------------------------------
-# Scenarios: each takes the shared fleet, the backend, the ledger, the
-# output directory and the log sink.
+# Scenarios: each takes the shared fleet, the ledger, the output
+# directory and the log sink, and serves with two workers on the
+# host's rung.
 # ----------------------------------------------------------------------
-def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
+def _http_scenario(index: PNNIndex, check: _SmokeChecks,
                    out: Optional[str], log: Callable[[str], None]) -> None:
-    workers = 0 if backend == "inline" else 2
-    service = index.serve(workers=workers, backend=backend,
-                          max_batch=64, cache_capacity=4096,
-                          shard_min_batch=4096 if backend == "inline" else 32,
+    service = index.serve(workers=2, max_batch=64, cache_capacity=4096,
+                          shard_min_batch=32,
                           trace=TraceConfig(enabled=True, sample=1.0,
                                             slow_ms=0.0))
     config = HttpConfig(port=0, max_inflight=2, max_pending=2,
                         warm_kinds=("delta", "nonzero_nn"))
-    # Above cache_batch_limit (1024) a bulk bypasses the row cache and,
-    # on the worker backends, shards: the workers encode the reply.
+    # Above cache_batch_limit (1024) a bulk bypasses the row cache and
+    # shards: the workers encode the reply.
     queries = _queries(99, 1100)
     with _booted(service, config, check) as server:
         port = server.port
@@ -212,8 +208,9 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
                 check(raw == _reply(kind, rows),
                       f"{kind} bulk reply bytes differ from service.batch")
         sharded = sum(service.sharded.get(kind) for kind in SHARD_METHODS)
-        check(backend == "inline" or sharded >= len(SHARD_METHODS),
-              f"only {sharded} bulk calls sharded on {backend}")
+        check(sharded >= len(SHARD_METHODS),
+              f"only {sharded} bulk calls sharded on "
+              f"{service.executor.mode}")
         log(f"all {len(SHARD_METHODS)} kinds: single + bulk parity checked "
             f"(bulk reply bytes)")
         # The paper's invariants on the served rows: NN!=0(q) is never
@@ -306,10 +303,8 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         check(status == 200 and bool(doc.get("traceEvents")),
               "/debug/traces has no spans for the propagated trace")
         names = {e["name"] for e in doc.get("traceEvents", [])}
-        wanted = {"http.request", "service.batch", "service.cache"}
-        if backend != "inline":
-            wanted |= {"shard.dispatch", "worker.compute",
-                       "shard.reassemble"}
+        wanted = {"http.request", "service.batch", "service.cache",
+                  "shard.dispatch", "worker.compute", "shard.reassemble"}
         check(wanted <= names,
               f"trace is missing stages {sorted(wanted - names)}")
         status, full, _, _ = _http_json(port, "GET", "/debug/traces")
@@ -340,24 +335,25 @@ def _http_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               "/metrics lacks the tracing families")
 
 
-def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
+def _chaos_scenario(index: PNNIndex, check: _SmokeChecks,
                     out: Optional[str], log: Callable[[str], None]) -> None:
     queries = _queries(41, 48)
     oracle = {"delta": _encoded("delta", index.batch_delta(queries)),
               "nonzero_nn": _encoded("nonzero_nn",
                                      index.batch_nonzero_nn(queries))}
-    crashy = backend == "process"
-    phase1 = ("crash_worker:chunk=0" if crashy
-              else "raise_in_compute:chunk=0")
-    service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0, retries=2,
-                          faults=phase1)
-    check(service.executor is not None, "service built a shard executor")
+    service = index.serve(workers=2, shard_min_batch=8, shard_chunk=8,
+                          cache_capacity=0, retries=2)
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
     with _booted(service, config, check) as server:
         port = server.port
         executor = service.executor
+        rung = executor.mode
+        # Only a process worker can die without taking the caller along.
+        crashy = rung == "process"
+        phase1 = ("crash_worker:chunk=0" if crashy
+                  else "raise_in_compute:chunk=0")
+        executor.faults = FaultPlan.coerce(phase1)
 
         # Phase 1: recovery.
         t0 = time.perf_counter()
@@ -380,7 +376,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         else:
             check(snap["faults_injected"] >= 1, "fault never fired "
                   f"(faults_injected={snap['faults_injected']})")
-        log(f"phase 1: recovered in {recovery_ms:.0f} ms on {backend}")
+        log(f"phase 1: recovered in {recovery_ms:.0f} ms on {rung}")
 
         # Phase 2: a hung chunk against a deadline.
         executor.faults = FaultPlan.coerce(
@@ -392,9 +388,9 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         elapsed = time.perf_counter() - t0
         check(status == 504 and doc.get("deadline_exceeded") is True,
               f"hung chunk against timeout_ms=300 answered {status}")
-        # Pool backends abandon the hung chunk at the deadline; the
-        # thread warm-up path and the inline backend cannot preempt a
-        # chunk already running on the caller, so allow one chunk delay.
+        # A process pool abandons the hung chunk at the deadline; the
+        # thread warm-up path cannot preempt a chunk already running on
+        # the caller, so allow one chunk delay.
         check(elapsed < 5.0, f"504 took {elapsed * 1e3:.0f} ms")
         gw = server.gateway
         time.sleep(0.1)
@@ -418,35 +414,27 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
         check(service.resilience["breaker_trips"].get() >= 1,
               "circuit breaker never tripped")
         health = executor.health()
-        if backend == "inline":
-            # Already on the bottom rung: the breaker trips, the request
-            # fails, the mode stays inline.
-            check(health["mode"] == "inline" and not health["degraded"],
-                  "inline floor did not hold")
-        else:
-            check(bool(health["degraded"]) and health["mode"] == "inline",
-                  f"breaker did not walk the ladder to inline "
-                  f"(mode={health['mode']}, degradations="
-                  f"{service.resilience['degradations'].get()})")
+        check(bool(health["degraded"]) and health["mode"] == "inline",
+              f"breaker did not walk the ladder to inline "
+              f"(mode={health['mode']}, degradations="
+              f"{service.resilience['degradations'].get()})")
         status, _, raw, _ = _http_json(port, "POST", "/v1/query/nonzero_nn",
                                        _bulk(queries))
         check(status == 200
               and raw == _reply("nonzero_nn", oracle["nonzero_nn"]),
               "unfaulted kinds answer wrongly while degraded")
         status, hdoc, _, _ = _http_json(port, "GET", "/healthz")
-        want = "ok" if backend == "inline" else "degraded"
-        check(status == 200 and hdoc["status"] == want,
-              f"healthz reports {hdoc['status']}, wanted {want}")
-        log(f"phase 3: breaker walked {backend} -> {health['mode']}")
+        check(status == 200 and hdoc["status"] == "degraded",
+              f"healthz reports {hdoc['status']}, wanted degraded")
+        log(f"phase 3: breaker walked {rung} -> {health['mode']}")
 
         series = _scrape(port, check, "chaos", out, log)
         want_nonzero = ["repro_retries_total", "repro_worker_failures_total",
                         "repro_deadline_exceeded_total",
                         "repro_faults_injected_total",
-                        "repro_breaker_trips_total"]
-        if backend != "inline":
-            want_nonzero += ["repro_degradations_total",
-                             "repro_backend_degraded"]
+                        "repro_breaker_trips_total",
+                        "repro_degradations_total",
+                        "repro_backend_degraded"]
         if crashy:
             want_nonzero.append("repro_rebuilds_total")
         for family in want_nonzero:
@@ -456,7 +444,7 @@ def _chaos_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               "not exactly one backend_state gauge is set")
 
 
-def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
+def _plane_scenario(index: PNNIndex, check: _SmokeChecks,
                     out: Optional[str], log: Callable[[str], None]) -> None:
     builds_before = ENGINE.get("vpr.builds")
     vpr = index.build_vpr()
@@ -466,16 +454,18 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
     queries = _queries(53, 64)
     oracle = _encoded("quantify_vpr", index.batch_quantify_vpr(queries))
 
-    service = index.serve(workers=2, backend=backend, shard_min_batch=8,
-                          shard_chunk=8, cache_capacity=0)
+    service = index.serve(workers=2, shard_min_batch=8, shard_chunk=8,
+                          cache_capacity=0)
+    if service.executor.mode != "process":
+        # Threads share the parent's index: no plane ships anywhere.
+        log(f"plane: skipped on {service.executor.mode} (only process "
+            f"workers attach the plane)")
+        service.close()
+        return
     config = HttpConfig(port=0, max_inflight=2, max_pending=4,
                         warm_kinds=("delta",))
     with _booted(service, config, check) as server:
         port = server.port
-        executor = service.executor
-        check(executor is not None and executor.mode == backend,
-              f"executor runs on {getattr(executor, 'mode', None)}, "
-              f"not the requested {backend}")
         info = service.vpr_info()
         check(info["plane_encoded"] is True,
               "the built plane was not encoded for the executor")
@@ -489,7 +479,7 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               "fan-out answers differ from the parent oracle")
         sharded = service.stats()["methods"].get(
             "quantify_vpr", {}).get("sharded_calls", 0)
-        check(sharded >= 1, f"quantify_vpr did not fan out over {backend} "
+        check(sharded >= 1, f"quantify_vpr did not fan out over process "
                             f"workers (sharded_calls={sharded})")
         builds = ENGINE.get("vpr.builds") - builds_before
         check(builds == 1, f"vpr.builds moved by {builds}, wanted exactly "
@@ -501,8 +491,8 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               "healthz does not report the plane resident")
         check(hvpr.get("locator_stats", {}).get("kind") == "persistent",
               "healthz does not report the persistent locator")
-        log(f"plane: one parent build, quantify_vpr fanned out over "
-            f"{backend} workers")
+        log("plane: one parent build, quantify_vpr fanned out over "
+            "process workers")
 
         series = _scrape(port, check, "plane", out, log)
         check(series.get("repro_vpr_plane_resident") == 1,
@@ -517,17 +507,17 @@ def _plane_scenario(index: PNNIndex, backend: str, check: _SmokeChecks,
               "/metrics lacks the plane/locator size gauges")
 
 
-#: ``(name, scenario, backends it applies to)``; ``None`` means all.
+#: ``(name, scenario)`` in running order.
 SCENARIOS = (
-    ("http", _http_scenario, None),
-    ("chaos", _chaos_scenario, None),
-    ("plane", _plane_scenario, PLANE_BACKENDS),
+    ("http", _http_scenario),
+    ("chaos", _chaos_scenario),
+    ("plane", _plane_scenario),
 )
 
 
-def run(backend: str = "inline", out: Optional[str] = None,
+def run(out: Optional[str] = None,
         log: Callable[[str], None] = print) -> int:
-    """Run every scenario that applies to *backend*; ``0`` when every
+    """Run every scenario on the host's executor rung; ``0`` when every
     check passed, else ``1``.
 
     *out*, when given, is a directory (created if missing) that receives
@@ -541,10 +531,7 @@ def run(backend: str = "inline", out: Optional[str] = None,
     # stays sub-second.
     index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
     check = _SmokeChecks(log)
-    for name, scenario, backends in SCENARIOS:
-        if backends is not None and backend not in backends:
-            log(f"{name}: skipped (needs one of {', '.join(backends)})")
-            continue
-        log(f"{name}: running on {backend}")
-        scenario(index, backend, check, out, log)
-    return check.exit_code(f"smoke [{backend}]")
+    for name, scenario in SCENARIOS:
+        log(f"{name}: running")
+        scenario(index, check, out, log)
+    return check.exit_code("smoke")

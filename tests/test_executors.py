@@ -1,12 +1,12 @@
-"""Property tests for the pluggable executor backends.
+"""Property tests for the executor backends.
 
-The refactor's inviolable contract: **every backend returns
+The inviolable contract: **every rung of the ladder returns
 bitwise-identical results to the unsharded ``PNNIndex.batch_*`` call,
 for every query kind, at every worker count and chunking.**  These tests
-pin that grid — all seven shardable kinds x all backends x worker counts
-1..3 — plus the backend factory's selection/degradation policy and the
-worker lifecycle (idempotent close, ``__del__`` teardown, no leaked
-pools).
+pin that grid — all seven shardable kinds x every rung (reached the way
+a host reaches it, :func:`repro.testing.rungs.on_rung`) x worker counts
+— plus the factory's host policy and the worker lifecycle (idempotent
+close, ``__del__`` teardown, no leaked pools).
 """
 
 import math
@@ -20,7 +20,7 @@ from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points, random_disks
 from repro.serving import ShardExecutor
 from repro.serving.executors import (
-    BACKENDS,
+    LADDER,
     BackendUnavailable,
     InlineBackend,
     ProcessBackend,
@@ -28,12 +28,15 @@ from repro.serving.executors import (
     create_backend,
     reassemble,
 )
-from repro.serving.executors import BACKEND_ENV
 from repro.serving.executors import process as process_module
+from repro.testing.rungs import on_rung
 from repro.uncertain.base import UncertainPoint
 from repro.uncertain.disk_uniform import DiskUniformPoint
 
-PARALLEL_BACKENDS = ("process", "thread")
+#: ``(rung, workers)``: the pool rungs at two and three workers, and
+#: inline, which every host runs below two.
+RUNG_WORKERS = [("process", 2), ("process", 3), ("thread", 2),
+                ("thread", 3), ("inline", 1)]
 
 
 def _disk_index(n, seed=3):
@@ -46,6 +49,14 @@ def _queries(m, extent, seed=17):
     rng = random.Random(seed)
     return np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
                      for _ in range(m)])
+
+
+def _executor(index, rung, workers=2, **kw):
+    """A :class:`ShardExecutor` over *index* started on *rung*."""
+    with on_rung(rung, workers) as count:
+        executor = ShardExecutor(index, workers=count, **kw)
+    assert executor.mode == rung
+    return executor
 
 
 def _answers(impl, tasks):
@@ -64,7 +75,7 @@ class _OpaqueModel(DiskUniformPoint):
 
 
 # ----------------------------------------------------------------------
-# The parity grid: 7 kinds x backends x worker counts, all bitwise.
+# The parity grid: 7 kinds x rungs x worker counts, all bitwise.
 # ----------------------------------------------------------------------
 
 class TestBackendParityGrid:
@@ -98,12 +109,10 @@ class TestBackendParityGrid:
         qs = _queries(200, 9.0, seed=23)
         return index, qs, index.batch_quantify_vpr(qs)
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_generic_kinds_bitwise(self, disk_case, backend, workers):
+    @pytest.mark.parametrize("rung,workers", RUNG_WORKERS)
+    def test_generic_kinds_bitwise(self, disk_case, rung, workers):
         index, qs, expected = disk_case
-        with ShardExecutor(index, workers=workers, chunk_size=64,
-                           backend=backend) as executor:
+        with _executor(index, rung, workers, chunk_size=64) as executor:
             assert np.array_equal(executor.run("delta", qs),
                                   expected["delta"])
             assert executor.run("nonzero_nn", qs) == expected["nonzero_nn"]
@@ -115,36 +124,31 @@ class TestBackendParityGrid:
             assert executor.run("threshold_nn", qs[:80],
                                 {"tau": 0.4}) == expected["threshold_nn"]
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_quantify_exact_bitwise(self, discrete_case, backend, workers):
+    @pytest.mark.parametrize("rung,workers", RUNG_WORKERS)
+    def test_quantify_exact_bitwise(self, discrete_case, rung, workers):
         index, qs, expected = discrete_case
-        with ShardExecutor(index, workers=workers, chunk_size=32,
-                           backend=backend) as executor:
+        with _executor(index, rung, workers, chunk_size=32) as executor:
             assert executor.run("quantify_exact", qs) == expected
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_quantify_vpr_bitwise(self, vpr_case, backend, workers):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_quantify_vpr_bitwise(self, vpr_case, rung):
         index, qs, expected = vpr_case
-        with ShardExecutor(index, workers=workers, chunk_size=64,
-                           backend=backend) as executor:
+        with _executor(index, rung, chunk_size=64) as executor:
             assert executor.run("quantify_vpr", qs) == expected
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_chunking_invariance(self, disk_case, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_chunking_invariance(self, disk_case, rung):
         """Any chunk size reassembles to the same bits."""
         index, qs, expected = disk_case
         for chunk in (17, 100, 10_000):
-            with ShardExecutor(index, workers=2, chunk_size=chunk,
-                               backend=backend) as executor:
+            with _executor(index, rung, chunk_size=chunk) as executor:
                 assert np.array_equal(executor.run("delta", qs),
                                       expected["delta"])
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_empty_batch(self, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_empty_batch(self, rung):
         index, _ = _disk_index(10)
-        with ShardExecutor(index, workers=2, backend=backend) as executor:
+        with _executor(index, rung) as executor:
             result = executor.run("delta", np.empty((0, 2)))
             assert isinstance(result, np.ndarray) and result.shape == (0,)
             assert executor.run("nonzero_nn", []) == []
@@ -155,46 +159,38 @@ class TestBackendParityGrid:
 # ----------------------------------------------------------------------
 
 class TestBackendFactory:
-    def test_unknown_backend_rejected(self):
-        index, _ = _disk_index(5)
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            create_backend("gpu", index, workers=2)
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            ShardExecutor(index, workers=2, backend="gpu")
-
     def test_single_worker_is_inline(self):
         index, _ = _disk_index(5)
-        for backend in BACKENDS:
-            impl = create_backend(backend, index, workers=1)
+        for workers in (0, 1):
+            impl = create_backend(index, workers=workers)
             assert isinstance(impl, InlineBackend)
             impl.close()
 
-    def test_requested_modes(self):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_each_host_starts_its_rung(self, rung):
+        """process where a pool starts, thread where none does, inline
+        below two workers: the one decision, on each kind of host."""
+        cls = {"process": ProcessBackend, "thread": ThreadBackend,
+               "inline": InlineBackend}[rung]
         index, _ = _disk_index(5)
-        for name, cls in (("process", ProcessBackend),
-                          ("thread", ThreadBackend)):
-            impl = create_backend(name, index, workers=2)
-            try:
-                # Pool-less sandboxes may degrade; a live backend must
-                # resolve to the class (and mode) that was asked for.
-                if impl.mode == name:
-                    assert isinstance(impl, cls)
-                    assert impl.workers == 2
-            finally:
-                impl.close()
+        with on_rung(rung) as workers:
+            impl = create_backend(index, workers=workers)
+        try:
+            assert impl.mode == rung and isinstance(impl, cls)
+            assert impl.workers == (1 if rung == "inline" else 2)
+        finally:
+            impl.close()
 
-    def test_auto_resolves_to_process_and_serves_the_plane(
-            self, monkeypatch):
-        """``auto`` is the process pool: an adopted V_Pr's plane reaches
-        its workers, ``/healthz`` says so, and ``quantify_vpr`` fans out
-        bitwise-equal with zero per-worker diagram builds."""
+    def test_host_runs_process_and_serves_the_plane(self):
+        """Two workers run on the process pool: an adopted V_Pr's plane
+        reaches its workers, ``/healthz`` says so, and ``quantify_vpr``
+        fans out bitwise-equal with zero per-worker diagram builds."""
         import json
         import urllib.request
 
         from repro.obs.metrics import ENGINE
         from repro.serving.http import HttpConfig, ServerThread
 
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         index = PNNIndex(random_discrete_points(5, 2, seed=11, spread=2.0))
         index.use_vpr(index.build_vpr())
         qs = _queries(64, 9.0, seed=41)
@@ -209,75 +205,56 @@ class TestBackendFactory:
                 health = json.loads(resp.read())
             assert health["executor"]["mode"] == "process"
             assert health["executor"]["serves_plane"] is True
+            assert "backend" not in health["executor"]
             assert health["vpr"]["plane_served"] is True
             assert service.batch_quantify_vpr(qs) == want
             assert service.method_stats(
                 "quantify_vpr")["sharded_calls"] == 1
         assert ENGINE.get("vpr.builds") == builds
 
-    def test_auto_degrades_to_threads_without_process_pools(
-            self, monkeypatch):
-        """A host that cannot start a pool: ``auto`` and an explicit
-        ``process`` request both take the next rung of the one ladder,
-        threads."""
+    def test_degrades_to_threads_without_process_pools(self, monkeypatch):
+        """A host that cannot start a pool takes the next rung of the
+        one ladder, threads."""
         def no_pools(*args, **kwargs):
             raise BackendUnavailable("no pools on this host")
 
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setattr(process_module, "start_pool", no_pools)
         index, _ = _disk_index(5)
-        for name, mode in (("auto", "thread"), ("process", "thread")):
-            impl = create_backend(name, index, workers=2)
-            try:
-                assert impl.mode == mode
-            finally:
-                impl.close()
-
-    def test_auto_env_override(self, monkeypatch):
-        index, _ = _disk_index(5)
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        impl = create_backend("auto", index, workers=2)
+        impl = create_backend(index, workers=2)
         try:
             assert impl.mode == "thread"
         finally:
             impl.close()
-        # Explicit names are never overridden.
-        monkeypatch.setenv(BACKEND_ENV, "process")
-        impl = create_backend("thread", index, workers=2)
-        try:
-            assert impl.mode == "thread"
-        finally:
-            impl.close()
-        monkeypatch.setenv(BACKEND_ENV, "gpu")
-        with pytest.raises(ValueError, match=BACKEND_ENV):
-            create_backend("auto", index, workers=2)
 
-    @pytest.mark.parametrize("surface", ["service_config", "factory",
-                                         "auto_env", "cli", "fault_plan"])
-    def test_retired_shm_names_fail_closed(self, surface, monkeypatch):
-        """The shared-memory backend is gone: every surface that used to
-        accept its names raises a ValueError listing the valid choices
-        instead of quietly running another backend."""
+    @pytest.mark.parametrize("surface", ["serve", "cli"])
+    def test_backend_names_fail_closed(self, surface):
+        """The executor rung is not a setting: ``backend`` takes only
+        ``"auto"``, a rung name (or the retired ``shm``) raises instead
+        of quietly running another rung, and the CLI flag is gone."""
         from repro.__main__ import main
         from repro.serving import ServiceConfig
-        from repro.serving.faults import FAULT_KINDS, FaultPlan
 
         index, _ = _disk_index(5)
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         attempts = {
-            "service_config": lambda: ServiceConfig(backend="shm"),
-            "factory": lambda: create_backend("shm", index, workers=2),
-            "auto_env": lambda: (monkeypatch.setenv(BACKEND_ENV, "shm"),
-                                 create_backend("auto", index, workers=2)),
-            "cli": lambda: main(["serve-http", "--backend", "shm",
-                                 "--port", "0", "--n", "3"]),
-            "fault_plan": lambda: FaultPlan.coerce(
-                "corrupt_shm_segment:chunk=0"),
+            "serve": lambda name: index.serve(workers=2, backend=name),
+            "cli": lambda name: main(["serve-http", "--backend", name,
+                                      "--port", "0", "--n", "3"]),
         }
+        for name in ("shm", "process", "thread", "inline"):
+            if surface == "cli":
+                with pytest.raises(SystemExit):
+                    attempts[surface](name)
+                continue
+            with pytest.raises(ValueError, match=f"got {name!r}"):
+                attempts[surface](name)
+        assert ServiceConfig(backend="auto").backend == "auto"
+
+    def test_retired_shm_fault_kind_fails_closed(self):
+        from repro.serving.faults import FAULT_KINDS, FaultPlan
+
         with pytest.raises(ValueError) as info:
-            attempts[surface]()
-        choices = FAULT_KINDS if surface == "fault_plan" else BACKENDS
-        assert str(choices) in str(info.value)
+            FaultPlan.coerce("corrupt_shm_segment:chunk=0")
+        assert str(FAULT_KINDS) in str(info.value)
         assert "shm" in str(info.value)
 
 
@@ -338,10 +315,11 @@ class TestThreadBackend:
 # ----------------------------------------------------------------------
 
 class TestLifecycle:
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS + ("inline",))
-    def test_close_is_idempotent(self, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_close_is_idempotent(self, rung):
         index, _ = _disk_index(10)
-        impl = create_backend(backend, index, workers=2)
+        with on_rung(rung) as workers:
+            impl = create_backend(index, workers=workers)
         impl.close()
         impl.close()
         assert impl.closed
@@ -350,10 +328,7 @@ class TestLifecycle:
         import gc
 
         index, _ = _disk_index(10)
-        impl = create_backend("process", index, workers=2)
-        if impl.mode != "process":  # pragma: no cover
-            impl.close()
-            pytest.skip("process pools unavailable here")
+        impl = _process_backend(index)
         pool = impl._pool
         del impl
         gc.collect()
@@ -365,7 +340,7 @@ class TestLifecycle:
         points = [_OpaqueModel((float(i), 0.0), 0.5) for i in range(4)]
         index = PNNIndex(points)
         qs = _queries(20, 4.0)
-        with ShardExecutor(index, workers=2, backend="auto") as executor:
+        with ShardExecutor(index, workers=2) as executor:
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
 
@@ -373,10 +348,7 @@ class TestLifecycle:
         """A pool whose graceful close() blows up (a KeyboardInterrupt
         landing in join()) is terminated rather than left running."""
         index, _ = _disk_index(10)
-        impl = create_backend("process", index, workers=2)
-        if impl.mode != "process":  # pragma: no cover — pool-less sandbox
-            impl.close()
-            pytest.skip("process pools unavailable here")
+        impl = _process_backend(index)
         pool = impl._pool
         terminated = {"called": False}
         original_terminate = pool.terminate

@@ -2,7 +2,7 @@
 
 The inviolable contract under fault injection mirrors the executor
 parity grid: **a request that survives its faults returns answers
-bitwise-identical to the unsharded oracle**, on every backend, no matter
+bitwise-identical to the unsharded oracle**, on every rung, no matter
 how many workers crashed, hung, or raised along the way.  On top of
 that, this suite pins the operational semantics:
 
@@ -42,9 +42,9 @@ from repro.serving.faults import (
     RetryPolicy,
     WorkerFailure,
 )
+from repro.serving.executors import LADDER
+from repro.testing.rungs import on_rung
 
-ALL_BACKENDS = ("inline", "thread", "process")
-POOL_BACKENDS = ("process",)
 #: Wall-time bound on a run that heals one injected failure (detect,
 #: retry or rebuild, re-dispatch): a guard against wedged teardown.
 MAX_RECOVERY_S = 10.0
@@ -59,10 +59,17 @@ def fleet():
     return index, qs, index.batch_delta(qs)
 
 
-def _executor(index, backend, **kw):
-    kw.setdefault("workers", 2)
+def _executor(index, rung, **kw):
+    """A two-worker executor over *index*, started on *rung*."""
     kw.setdefault("chunk_size", 8)
-    return ShardExecutor(index, backend=backend, **kw)
+    with on_rung(rung) as workers:
+        return ShardExecutor(index, workers=workers, **kw)
+
+
+def _thread_service(index, **kw):
+    """A two-worker service on the thread rung (no processes to start)."""
+    with on_rung("thread") as workers:
+        return index.serve(workers=workers, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +180,14 @@ class TestFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Executor-level chaos: parity under injected failure, every backend.
+# Executor-level chaos: parity under injected failure, every rung.
 # ----------------------------------------------------------------------
 
 class TestRecovery:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_raise_fault_retries_with_parity(self, fleet, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_raise_fault_retries_with_parity(self, fleet, rung):
         index, qs, oracle = fleet
-        ex = _executor(index, backend, faults="raise_in_compute:chunk=1")
+        ex = _executor(index, rung, faults="raise_in_compute:chunk=1")
         try:
             t0 = time.perf_counter()
             out = ex.run("delta", qs)
@@ -194,10 +201,9 @@ class TestRecovery:
         finally:
             ex.close()
 
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_crash_worker_rebuilds_pool(self, fleet, backend):
+    def test_crash_worker_rebuilds_pool(self, fleet):
         index, qs, oracle = fleet
-        ex = _executor(index, backend, faults="crash_worker:chunk=0")
+        ex = _executor(index, "process", faults="crash_worker:chunk=0")
         try:
             t0 = time.perf_counter()
             out = ex.run("delta", qs)
@@ -307,14 +313,14 @@ class TestRecovery:
 
 
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ("process", "thread"))
-    def test_expiry_is_prompt_and_counted(self, fleet, backend):
+    @pytest.mark.parametrize("rung", ("process", "thread"))
+    def test_expiry_is_prompt_and_counted(self, fleet, rung):
         index, qs, _ = fleet
         # chunk=1: the thread backend runs the first chunk of an unseen
         # method synchronously (lazy-structure warm-up), which cannot be
         # preempted — hanging a later, asynchronous chunk keeps the
-        # timing assertion sharp on both backends.
-        ex = _executor(index, backend, faults="hang_chunk:chunk=1,delay=5")
+        # timing assertion sharp on both rungs.
+        ex = _executor(index, rung, faults="hang_chunk:chunk=1,delay=5")
         try:
             t0 = time.perf_counter()
             with pytest.raises(DeadlineExceeded):
@@ -356,6 +362,23 @@ class TestDegradation:
             assert ex.degraded and ex.mode == "inline"
             assert ex.resilience["degradations"].get() == 2  # -> thread -> inline
             assert ex.resilience["breaker_trips"].get() >= 2
+        finally:
+            ex.close()
+
+    def test_inline_floor_holds(self, fleet):
+        """On the bottom rung a tripped breaker has nowhere to go: the
+        request fails, the executor stays inline and undegraded."""
+        index, qs, _ = fleet
+        ex = _executor(index, "inline",
+                       policy=RetryPolicy(retries=1, backoff=0.01),
+                       breaker=CircuitBreaker(threshold=2),
+                       faults="raise_in_compute:attempts=any")
+        try:
+            with pytest.raises(WorkerFailure):
+                ex.run("delta", qs)
+            assert ex.mode == "inline" and not ex.degraded
+            assert ex.resilience["breaker_trips"].get() >= 1
+            assert ex.resilience["degradations"].get() == 0
         finally:
             ex.close()
 
@@ -557,8 +580,7 @@ class TestHttpResilience:
         from repro.serving.smoke import _http_json
 
         index, qs, _ = fleet
-        service = index.serve(workers=2, backend="process",
-                              shard_min_batch=8, shard_chunk=8,
+        service = index.serve(workers=2, shard_min_batch=8, shard_chunk=8,
                               cache_capacity=0,
                               faults="hang_chunk:chunk=0,delay=2,"
                                      "attempts=any")
@@ -594,8 +616,7 @@ class TestHttpResilience:
         from repro.serving.smoke import _http_json
 
         index, qs, _ = fleet
-        service = index.serve(workers=2, backend="process",
-                              shard_min_batch=8, shard_chunk=8,
+        service = index.serve(workers=2, shard_min_batch=8, shard_chunk=8,
                               cache_capacity=0,
                               default_timeout=0.3,
                               faults="hang_chunk:chunk=0,delay=2,"
@@ -697,8 +718,7 @@ class TestHttpResilience:
 class TestServiceConfigFaults:
     def test_faults_coerced_eagerly(self, fleet):
         index, _, _ = fleet
-        service = index.serve(workers=2, backend="thread",
-                              faults="raise_in_compute:chunk=0")
+        service = _thread_service(index, faults="raise_in_compute:chunk=0")
         with service:
             assert isinstance(service.config.faults, FaultPlan)
             assert service.executor.faults is service.config.faults
@@ -708,9 +728,8 @@ class TestServiceConfigFaults:
         variable no longer reaches any service."""
         index, qs, oracle = fleet
         monkeypatch.setenv("REPRO_FAULTS", "raise_in_compute:attempts=any")
-        service = index.serve(workers=2, backend="thread",
-                              shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0)
+        service = _thread_service(index, shard_min_batch=8, shard_chunk=8,
+                                  cache_capacity=0)
         with service:
             assert service.config.faults is None
             assert service.executor.faults is None
@@ -723,14 +742,13 @@ class TestServiceConfigFaults:
     def test_invalid_plan_rejected(self, fleet):
         index, _, _ = fleet
         with pytest.raises(ValueError):
-            index.serve(workers=2, backend="thread", faults="nope:chunk=0")
+            _thread_service(index, faults="nope:chunk=0")
 
     def test_stats_surface_resilience(self, fleet):
         index, qs, _ = fleet
-        service = index.serve(workers=2, backend="thread",
-                              shard_min_batch=8, shard_chunk=8,
-                              cache_capacity=0,
-                              faults="raise_in_compute:chunk=0")
+        service = _thread_service(index, shard_min_batch=8, shard_chunk=8,
+                                  cache_capacity=0,
+                                  faults="raise_in_compute:chunk=0")
         with service:
             service.batch("delta", qs)
             snap = service.stats()

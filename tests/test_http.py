@@ -29,6 +29,7 @@ from repro.serving.http import (
     encode_result,
 )
 from repro.serving import smoke
+from repro.testing.rungs import on_rung
 
 
 def _http(port, method, path, doc=None, timeout=30.0):
@@ -559,23 +560,26 @@ class TestHttpConfigValidation:
 
 
 class TestSmoke:
-    """``python -m repro smoke``: every applicable scenario over a real
-    socket, on the in-process backend and on a worker pool."""
+    """``python -m repro smoke``: every scenario over a real socket, on
+    the process rung and on a host where no process pool starts."""
 
-    @pytest.mark.parametrize("backend,checks", [
-        ("inline", 78),    # http + chaos; plane skipped
-        ("process", 97),   # http + chaos + plane
+    @pytest.mark.parametrize("rung,checks", [
+        ("process", 95),   # http + chaos + plane
+        ("thread", 80),    # http + chaos; plane skipped
     ])
-    def test_driver_passes(self, backend, checks, tmp_path):
+    def test_driver_passes(self, rung, checks, tmp_path):
         lines = []
-        assert smoke.run(backend, out=str(tmp_path), log=lines.append) == 0
-        assert lines[-1] == f"smoke [{backend}]: {checks} checks, all passed"
+        with on_rung(rung):
+            assert smoke.run(out=str(tmp_path), log=lines.append) == 0
+        assert lines[-1] == f"smoke: {checks} checks, all passed"
         assert not [line for line in lines if line.startswith("FAIL")]
+        assert f"executor: {rung}, 2 workers" in lines
         saved = {"http-metrics.txt", "chaos-metrics.txt", "http-trace.json"}
-        if backend == "process":
+        if rung == "process":
             saved.add("plane-metrics.txt")
         else:
-            assert "plane: skipped (needs one of process)" in lines
+            assert ("plane: skipped on thread (only process workers "
+                    "attach the plane)") in lines
         assert {p.name for p in tmp_path.iterdir()} == saved
 
     def test_failed_check_exits_1(self, monkeypatch):
@@ -585,7 +589,8 @@ class TestSmoke:
             if name == "repro_http_shed_total" else real(series, name))
         monkeypatch.setattr(smoke, "SCENARIOS", smoke.SCENARIOS[:1])
         lines = []
-        assert smoke.run("inline", log=lines.append) == 1
+        with on_rung("thread"):
+            assert smoke.run(log=lines.append) == 1
         assert [line for line in lines if line.startswith("FAIL")] == \
             ["FAIL /metrics lacks request/shed counts or p99 quantiles"]
-        assert lines[-1] == "smoke [inline]: 1 of 56 checks FAILED"
+        assert lines[-1] == "smoke: 1 of 56 checks FAILED"

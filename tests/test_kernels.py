@@ -7,7 +7,7 @@ distances, parallel segments, and empty batches.**  These tests pin that
 contract, the one-provider rule (the host's provider — native when it
 builds, else NumPy — is the only one any engine, worker or scrape uses),
 and end-to-end serving parity of native against the NumPy oracle across
-the executor backends.
+the executor rungs.
 
 Native-dependent cases skip on hosts without a C compiler; the
 compiler-less cases simulate such a host via ``REPRO_KERNEL_CC``
@@ -42,6 +42,7 @@ from repro.quantification.batch_exact import (_PREFIX_START,
 from repro.quantification.exact_discrete import (quantification_vector,
                                                  sweep_quantification)
 from repro.serving import SHARD_METHODS
+from repro.serving.executors import LADDER
 from repro.serving.http import HttpConfig, ServerThread
 from repro.serving.service import ServiceConfig
 from repro.spatial.kernels import (
@@ -50,13 +51,12 @@ from repro.spatial.kernels import (
     native_available,
 )
 from repro.spatial.kernels.build import CACHE_ENV, CC_ENV, BuildError
+from repro.testing.rungs import on_rung, rung_of
 from repro.uncertain.discrete import DiscreteUncertainPoint
 
 needs_native = pytest.mark.skipif(
     not native_available(),
     reason="no C compiler on this host; the tier degrades to numpy")
-
-ALL_BACKENDS = ("inline", "thread", "process")
 
 
 @pytest.fixture
@@ -578,10 +578,12 @@ class TestOneProvider:
         index.build_vpr()
         rows = np.random.default_rng(4).uniform(-1, 9, (32, 2)).tolist()
         resolved = set()
-        for backend in ("thread", "process"):
-            with index.serve(workers=2, backend=backend, shard_min_batch=1,
-                             cache_capacity=0) as service:
-                assert service.executor.mode == backend
+        for rung in ("thread", "process"):
+            with on_rung(rung) as workers:
+                service = index.serve(workers=workers, shard_min_batch=1,
+                                      cache_capacity=0)
+            with service:
+                assert service.executor.mode == rung
                 with ServerThread(service, HttpConfig(port=0)) as srv:
                     resolved.add(_healthz(srv.port)["kernel"]["resolved"])
                     for kind in SHARD_METHODS:
@@ -625,12 +627,12 @@ class TestOneProvider:
 
 
 # ----------------------------------------------------------------------
-# Serving parity: the host's native provider on every executor backend.
+# Serving parity: the host's native provider on every executor rung.
 # ----------------------------------------------------------------------
 @needs_native
 class TestServingParity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_native_backend_bitwise(self, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_native_rung_bitwise(self, rung):
         points = random_discrete_points(30, 3, seed=13, spread=2.0)
         rng = random.Random(17)
         extent = math.sqrt(30) * 2.2
@@ -641,7 +643,8 @@ class TestServingParity:
             base_delta = baseline_idx.batch_delta(qs)
             base_exact = baseline_idx.batch_quantify_exact(qs)
         index = PNNIndex(points)
-        with index.serve(workers=2, backend=backend,
-                         shard_min_batch=1) as service:
+        with on_rung(rung) as workers, \
+                index.serve(workers=workers, shard_min_batch=1) as service:
+            assert rung_of(service) == rung
             assert np.array_equal(service.batch_delta(qs), base_delta)
             assert service.batch("quantify_exact", qs) == base_exact

@@ -1,7 +1,7 @@
 """Tests for the ``/metrics`` exposition and its registry.
 
 The exposition contract pins the full set of families a traced,
-sharded (thread backend) service exports after one request of each
+sharded service on the thread rung exports after one request of each
 kind: every family's name, Prometheus TYPE and label names.  Dashboards
 and alerts key on exactly those, so any change to the set is an
 interface change, not a refactor.
@@ -25,6 +25,7 @@ from repro.obs import metrics
 from repro.serving import SHARD_METHODS
 from repro.serving.http import HttpConfig, QueryGateway, ServerThread
 from repro.spatial.kernels import get_provider, native_available
+from repro.testing.rungs import on_rung
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -65,7 +66,7 @@ def _families(text):
     return {name: (typed[name], sorted(labels[name])) for name in typed}
 
 
-#: The exposition of a ``workers=2`` thread-backend service with tracing
+#: The exposition of a two-worker thread-rung service with tracing
 #: on and a result cache, after one single-point request of each kind.
 CONTRACT = {
     "repro_backend_degraded": ("gauge", [()]),
@@ -118,7 +119,8 @@ CONTRACT = {
 class TestExpositionContract:
     def test_families_types_and_labels(self):
         index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-        with index.serve(workers=2, backend="thread", trace=True) as service:
+        with on_rung("thread") as workers, \
+                index.serve(workers=workers, trace=True) as service:
             with ServerThread(service, HttpConfig(port=0)) as srv:
                 deadline = time.monotonic() + 30
                 while _http(srv.port, "GET", "/healthz")[0] != 200:
@@ -134,22 +136,23 @@ class TestExpositionContract:
 
 
 class TestWorkerCounters:
-    """Engine and kernel counters count sharded work on every backend:
+    """Engine and kernel counters count sharded work on every rung:
     process workers ship their per-chunk increments home with
     the chunk result, thread workers count in-process."""
 
-    def test_sharded_bulk_counts_match_across_backends(self):
+    def test_sharded_bulk_counts_match_across_rungs(self):
         points = random_discrete_points(60, 3, seed=5, spread=2.0)
         queries = np.random.default_rng(1).uniform(-5, 15, size=(4096, 2))
         deltas = {}
-        for backend in ("thread", "process"):
+        for rung in ("thread", "process"):
             index = PNNIndex(points)
-            with index.serve(workers=2, backend=backend,
-                             cache_capacity=0) as service:
-                assert service.executor.mode == backend
+            with on_rung(rung) as workers, \
+                    index.serve(workers=workers,
+                                cache_capacity=0) as service:
+                assert service.executor.mode == rung
                 # The parent-side increments the bulk made, worker
                 # shipments merged in included.
-                _, deltas[backend] = metrics.count_shipped(
+                _, deltas[rung] = metrics.count_shipped(
                     service.batch, "quantify_exact", queries)
         engine, kernel = deltas["thread"]
         assert engine["exact_sweep.rows_retired"] == len(queries)
@@ -276,7 +279,8 @@ def _readme_table():
 class TestReadmeTable:
     def test_table_lists_the_registry_families(self):
         index = PNNIndex(random_discrete_points(8, 2, seed=3, spread=2.0))
-        with index.serve(workers=2, backend="thread", trace=True) as service:
+        with on_rung("thread") as workers, \
+                index.serve(workers=workers, trace=True) as service:
             QueryGateway(service, HttpConfig(port=0))
             families = sorted(
                 (f.name, f.type, ", ".join(f.labels) or "—", f.help)

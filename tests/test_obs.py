@@ -3,7 +3,7 @@
 The tracing layer's contract has three legs, each pinned here:
 
 * **Inertness** — serving with tracing enabled returns answers bitwise
-  identical to the untraced service, across every executor backend and
+  identical to the untraced service, on every executor rung and
   both HTTP transports (tracing observes the pipeline, never steers it).
 * **Well-formed trees** — each trace has exactly one root, every child's
   ``parent_id`` resolves inside its own trace (no orphans), and worker
@@ -43,6 +43,8 @@ from repro.serving.http import (
     ServerThread,
     encode_result,
 )
+from repro.serving.executors import LADDER
+from repro.testing.rungs import on_rung
 
 
 def _index(n=10, seed=3):
@@ -383,25 +385,23 @@ def _assert_well_formed(records):
 
 
 class TestTracedParity:
-    @pytest.mark.parametrize("backend", ("inline", "thread", "process"))
-    def test_batch_parity_and_span_tree(self, backend):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_batch_parity_and_span_tree(self, rung):
         index = _index(10)
         qs = _queries(60)
         with index.serve(workers=0) as plain:
             expected = {kind: _encoded(kind, plain.batch(
                 kind, qs, **PARITY_PARAMS.get(kind, {})))
                 for kind in PARITY_KINDS}
-        workers = 0 if backend == "inline" else 2
-        with index.serve(workers=workers, backend=backend, shard_min_batch=16,
-                         trace=True) as traced:
-            if backend != "inline" \
-                    and traced.executor.mode != backend:
-                pytest.skip(f"{backend} backend unavailable here")
+        with on_rung(rung) as workers:
+            traced = index.serve(workers=workers, shard_min_batch=16,
+                                 trace=True)
+        with traced:
             for kind in PARITY_KINDS:
                 got = _encoded(kind, traced.batch(
                     kind, qs, **PARITY_PARAMS.get(kind, {})))
                 assert got == expected[kind], \
-                    f"tracing perturbed {kind} answers on {backend}"
+                    f"tracing perturbed {kind} answers on {rung}"
             trees = _span_trees(traced.tracer)
             assert len(trees) >= len(PARITY_KINDS)
             names = set()
@@ -409,21 +409,22 @@ class TestTracedParity:
                 _assert_well_formed(records)
                 names |= {r["name"] for r in records}
             assert "service.batch" in names
-            if backend != "inline":
+            if rung != "inline":
+                assert traced.executor.mode == rung
                 assert {"service.execute", "shard.dispatch",
                         "worker.compute",
                         "shard.reassemble"} <= names, \
-                    f"missing shard stages on {backend}: {sorted(names)}"
+                    f"missing shard stages on {rung}: {sorted(names)}"
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_worker_spans_reparent_under_dispatch(self, backend):
+    @pytest.mark.parametrize("rung", ("thread", "process"))
+    def test_worker_spans_reparent_under_dispatch(self, rung):
         index = _index(10)
         qs = _queries(48)
-        with index.serve(workers=2, backend=backend,
-                         shard_min_batch=16, shard_chunk=16,
-                         trace=True) as service:
-            if service.executor.mode != backend:
-                pytest.skip(f"{backend} backend unavailable here")
+        with on_rung(rung) as workers:
+            service = index.serve(workers=workers, shard_min_batch=16,
+                                  shard_chunk=16, trace=True)
+        with service:
+            assert service.executor.mode == rung
             service.batch_delta(qs)
             records = service.tracer.spans()
         by_id = {r["span_id"]: r for r in records}
@@ -436,7 +437,7 @@ class TestTracedParity:
             assert parent["name"] == "shard.dispatch"
             assert w["attrs"]["method"] == "delta"
             assert w["attrs"]["rows"] > 0
-        if backend == "process":
+        if rung == "process":
             parent_pid = dispatches[0]["pid"]
             assert any(w["pid"] != parent_pid for w in workers), \
                 "process-backend worker spans should cross processes"

@@ -237,10 +237,10 @@ class TestIntParams:
 
 
 class TestEstimatorMethod:
-    """``method`` names an estimator: ``auto``, ``exact``,
-    ``monte_carlo``, or ``spiral`` on an all-discrete index.  Anything
-    else is a 400 before admission; in the shard workers the same error
-    would walk the retry ladder and demote the backend for good."""
+    """``method`` names an estimator: ``auto``, ``monte_carlo``, or
+    ``exact`` and ``spiral`` on an all-discrete index.  Anything else is
+    a 400 before admission; in the shard workers the same error would
+    walk the retry ladder and demote the backend for good."""
 
     @pytest.mark.parametrize("bad", ["bogus", "", "Spiral", 3, None,
                                      ["exact"]])
@@ -254,19 +254,45 @@ class TestEstimatorMethod:
         with _disks().serve(workers=0, cache_capacity=0) as svc:
             with pytest.raises(ValueError, match="spiral"):
                 svc.canonicalize("quantify", {"method": "spiral"})
-            for name in ("auto", "exact", "monte_carlo"):
+            for name in ("auto", "monte_carlo"):
                 assert svc.canonicalize("top_k", {"method": name})
         with _discrete().serve(workers=0, cache_capacity=0) as svc:
             assert svc.canonicalize(
                 "quantify", {"method": "spiral"})["method"] == "spiral"
 
+    @pytest.mark.parametrize("kind", ["quantify", "top_k", "threshold_nn"])
+    def test_exact_needs_a_discrete_index(self, kind):
+        """Exact quadrature over continuous models stays the library's
+        reference (``PNNIndex.quantify(method="exact")``, seconds per
+        row): the service refuses it before admission, so HTTP answers
+        400 single and bulk.  On a discrete index it is the Eq. (2)
+        sweep and is served."""
+        from repro.serving.http import HttpConfig
+
+        service = _disks().serve(workers=0, cache_capacity=0)
+        with service, ServerThread(service, HttpConfig(
+                port=0, warm_kinds=())) as server:
+            with pytest.raises(ValueError, match="'exact' requires an "
+                                                 "index of discrete"):
+                service.canonicalize(kind, {"method": "exact"})
+            for body in ({"q": [5.0, 5.0]},
+                         {"queries": [[5.0, 5.0], [1.0, 2.0]]}):
+                status, doc, raw, _ = _http_json(
+                    server.port, "POST", f"/v1/query/{kind}",
+                    dict(body, params={"method": "exact"}))
+                assert status == 400, raw[:300]
+                assert "discrete" in doc["error"]
+        with _discrete().serve(workers=0, cache_capacity=0) as svc:
+            assert svc.canonicalize(
+                kind, {"method": "exact"})["method"] == "exact"
+
     @pytest.mark.parametrize("index,method", [(_discrete, "bogus"),
-                                              (_disks, "spiral")])
+                                              (_disks, "spiral"),
+                                              (_disks, "exact")])
     def test_sharded_bulk_400_leaves_the_backend_alone(self, index, method):
         from repro.serving.http import HttpConfig
 
-        service = index().serve(workers=2, backend="process",
-                                cache_capacity=0)
+        service = index().serve(workers=2, cache_capacity=0)
         with service, ServerThread(service, HttpConfig(
                 port=0, warm_kinds=())) as server:
             mode = service.executor.mode

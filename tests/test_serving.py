@@ -28,7 +28,9 @@ from repro.serving import (
     ServiceConfig,
     ShardExecutor,
 )
+from repro.serving.executors import LADDER
 from repro.serving.executors import process as process_module
+from repro.testing.rungs import on_rung
 from repro.uncertain.disk_uniform import DiskUniformPoint
 
 
@@ -536,26 +538,18 @@ class TestShardExecutor:
 
     def test_fallback_when_multiprocessing_unavailable(self, monkeypatch):
         """Sandboxes without process pools degrade instead of crashing:
-        an explicit process backend and the auto policy both fall to
-        the next rung of the one ladder, the thread backend."""
+        the executor takes the next rung of the one ladder, the thread
+        backend."""
         def broken_get_context(method=None):
             raise ValueError(f"start method {method!r} unavailable")
 
         monkeypatch.setattr(process_module.multiprocessing, "get_context",
                             broken_get_context)
-        # This test pins the *default* auto chain; the backend-matrix CI
-        # job steers auto through this env var, so clear it here.
-        monkeypatch.delenv("REPRO_SERVING_BACKEND", raising=False)
         index, extent = _disk_index(40)
         qs = _queries(50, extent)
-        with ShardExecutor(index, workers=4,
-                           backend="process") as executor:
-            assert executor.mode == "thread"
-            assert executor.workers == 4
-            assert np.array_equal(executor.run("delta", qs),
-                                  index.batch_delta(qs))
         with ShardExecutor(index, workers=4) as executor:
             assert executor.mode == "thread"
+            assert executor.workers == 4
             assert np.array_equal(executor.run("delta", qs),
                                   index.batch_delta(qs))
 
@@ -573,8 +567,7 @@ class TestShardExecutor:
             process_module.multiprocessing, "get_context",
             lambda method=None: _BrokenContext(method or "fork"))
         index, extent = _disk_index(40)
-        with ShardExecutor(index, workers=2,
-                           backend="process") as executor:
+        with ShardExecutor(index, workers=2) as executor:
             assert executor.mode == "thread"
             qs = _queries(20, extent)
             assert np.array_equal(executor.run("delta", qs),
@@ -790,9 +783,11 @@ class TestServiceConfigValidation:
     def test_defaults_are_valid(self):
         ServiceConfig()  # must not raise
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            ServiceConfig(backend="gpu")
+    @pytest.mark.parametrize("backend", ["gpu", "thread", "process",
+                                         "inline"])
+    def test_backend_other_than_auto_rejected(self, backend):
+        with pytest.raises(ValueError, match="backend must be 'auto'"):
+            ServiceConfig(backend=backend)
 
     @pytest.mark.parametrize("field,value", [
         ("workers", -1),
@@ -920,8 +915,8 @@ class TestResultCacheConcurrency:
         requests_per_thread = 50
         n_threads = 6
         beacons = [(1.0 + i, 2.0 + i) for i in range(5)]
-        with index.serve(workers=2, backend="thread",
-                         cache_capacity=256) as service:
+        with on_rung("thread") as workers, \
+                index.serve(workers=workers, cache_capacity=256) as service:
             errors = []
 
             def client(tid):
@@ -1019,12 +1014,13 @@ class TestQuantifyVprServing:
         qs = np.array([(rng.uniform(-1, 7), rng.uniform(-1, 7))
                        for _ in range(300)])
         expected = index.batch_quantify_exact(qs)
-        for backend, fans_out in (("process", False), ("thread", True)):
-            cfg = ServiceConfig(workers=2, backend=backend,
-                                shard_min_batch=100, cache_batch_limit=10)
-            with QueryService(index, cfg) as service:
-                if service.executor.mode == "inline":  # pragma: no cover
-                    continue  # pool-less sandbox: nothing to assert
+        for rung, fans_out in (("process", False), ("thread", True)):
+            with on_rung(rung) as workers:
+                service = QueryService(index, ServiceConfig(
+                    workers=workers, shard_min_batch=100,
+                    cache_batch_limit=10))
+            with service:
+                assert service.executor.mode == rung
                 assert service.batch_quantify_vpr(qs) == expected
                 mstats = service.method_stats("quantify_vpr")
                 assert mstats["sharded_calls"] == (1 if fans_out else 0)
@@ -1057,11 +1053,12 @@ class TestServiceLifecycle:
         gc.collect()
         assert impl.closed
 
-    def test_double_close_every_backend(self):
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_double_close_every_rung(self, rung):
         index, _ = _disk_index(15)
-        for backend in ("process", "thread", "inline"):
-            executor = ShardExecutor(index, workers=2,
-                                     backend=backend)
+        with on_rung(rung) as workers:
+            executor = ShardExecutor(index, workers=workers)
+            assert executor.mode == rung
             executor.close()
             executor.close()  # second close is a no-op
             with pytest.raises(RuntimeError, match="closed"):

@@ -193,8 +193,7 @@ class TestSharedPlaneServing:
         q = query_grid(vpr, m=64, seed=41)
         want = index.batch_quantify_vpr(q)
         builds = ENGINE.get("vpr.builds")
-        with index.serve(workers=2, backend="process",
-                         cache_capacity=0, shard_min_batch=8,
+        with index.serve(workers=2, cache_capacity=0, shard_min_batch=8,
                          shard_chunk=8) as service:
             assert service.plane is not None
             info = service.vpr_info()
@@ -221,8 +220,7 @@ class TestSharedPlaneServing:
         q = query_grid(vpr, m=40, seed=43)
         want = index.batch_quantify_vpr(q)
         assert want == PNNIndex(points).batch_quantify_vpr(q)
-        with index.serve(workers=2, backend="process",
-                         cache_capacity=0, shard_min_batch=8,
+        with index.serve(workers=2, cache_capacity=0, shard_min_batch=8,
                          shard_chunk=8) as service:
             assert service.plane is None
             assert service.batch_quantify_vpr(q) == want

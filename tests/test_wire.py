@@ -6,7 +6,7 @@ pool thread.  The contract is that none of this changes a byte: every
 reply equals ``json.dumps(doc, allow_nan=False)`` of the document the
 gateway has always answered with.  These tests pin that for all seven
 kinds at sizes that take the row cache, the direct engine call and the
-sharded path, on every backend; pin that a non-finite answer fails
+sharded path, on every rung; pin that a non-finite answer fails
 closed as a 500 without touching the retry ladder; and bound how long
 the event loop stalls while a maximum-size bulk is in flight.
 """
@@ -25,12 +25,13 @@ from hypothesis import strategies as st
 from repro.core.index import PNNIndex
 from repro.core.workloads import random_discrete_points
 from repro.serving import SHARD_METHODS
+from repro.serving.executors import LADDER
 from repro.serving.http import HttpConfig, ServerThread
 from repro.serving.wire import (NonFiniteAnswer, bulk_reply, check_finite,
                                 decode_result, encode_result, encode_rows)
+from repro.testing.rungs import on_rung, rung_of
 from repro.uncertain.discrete import DiscreteUncertainPoint
 
-BACKENDS = ("inline", "thread", "process")
 #: Row counts: the row-cache path, its largest size, and a size that
 #: shards (the service below sets ``shard_min_batch`` to it).
 SHARD_MIN = 2048
@@ -130,7 +131,7 @@ class TestFragments:
 
 
 # ----------------------------------------------------------------------
-# Byte identity over HTTP: every kind x size x backend.
+# Byte identity over HTTP: every kind x size x rung.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fleet():
@@ -146,21 +147,18 @@ def fleet():
     return index, want
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bulk_replies_are_byte_identical(fleet, backend):
+@pytest.mark.parametrize("rung", LADDER)
+def test_bulk_replies_are_byte_identical(fleet, rung):
     index, want = fleet
-    service = index.serve(workers=2, backend=backend,
-                          shard_min_batch=SHARD_MIN, cache_capacity=4096)
+    with on_rung(rung) as workers:
+        service = index.serve(workers=workers, shard_min_batch=SHARD_MIN,
+                              cache_capacity=4096)
     with service, ServerThread(service, HttpConfig(port=0)) as server:
         _wait_ready(server.port)
         client = _Client(server.port)
         try:
             for m in SIZES:
                 body = {"queries": _queries(m, seed=m).tolist()}
-                if backend == "inline" and m >= SHARD_MIN:
-                    # A deadline routes the inline backend through the
-                    # chunked executor path, where tasks encode.
-                    body["timeout_ms"] = 600_000
                 for kind in SHARD_METHODS:
                     status, raw = client.request(
                         "POST", f"/v1/query/{kind}", body)
@@ -169,9 +167,10 @@ def test_bulk_replies_are_byte_identical(fleet, backend):
         finally:
             client.close()
         sharded = {k: service.sharded.get(k) for k in SHARD_METHODS}
-    # The largest size really took the worker-encoded path.
-    assert all(sharded.values()), sharded
-    assert service.executor.mode == backend
+    assert rung_of(service) == rung
+    # On the pool rungs the largest size really took the worker-encoded
+    # path; inline encodes unsharded.
+    assert all(sharded.values()) == (rung != "inline"), sharded
 
 
 _sites = st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
@@ -218,21 +217,20 @@ def _nan_delta(original):
     return batch_delta
 
 
-@pytest.mark.parametrize("backend", ["inline", "process"])
-def test_non_finite_answer_is_a_500(monkeypatch, backend):
+@pytest.mark.parametrize("rung", LADDER)
+def test_non_finite_answer_is_a_500(monkeypatch, rung):
     # Patched on the class before the pool forks, so process workers answer
     # with the NaN too.
     monkeypatch.setattr(PNNIndex, "batch_delta",
                         _nan_delta(PNNIndex.batch_delta))
     index = PNNIndex(random_discrete_points(12, 2, seed=7, spread=2.0))
-    service = index.serve(workers=2, backend=backend, shard_min_batch=64,
-                          cache_capacity=0)
+    with on_rung(rung) as workers:
+        service = index.serve(workers=workers, shard_min_batch=64,
+                              cache_capacity=0)
     with service, ServerThread(service, HttpConfig(
             port=0, warm_kinds=("nonzero_nn",))) as server:
-        if service.executor.mode != backend or (
-                backend == "process"
-                and service.executor.start_method != "fork"):
-            pytest.skip(f"{backend} workers do not inherit the patch here")
+        if rung == "process" and service.executor.start_method != "fork":
+            pytest.skip("process workers do not inherit the patch here")
         _wait_ready(server.port)
         before = _resilience(service)
         client = _Client(server.port)
@@ -251,7 +249,7 @@ def test_non_finite_answer_is_a_500(monkeypatch, backend):
             assert status == 200, raw
         finally:
             client.close()
-        assert service.executor.mode == backend
+        assert rung_of(service) == rung
         assert _resilience(service) == before
         assert not any(before.values())
 
@@ -269,7 +267,7 @@ HEALTHZ_BOUND_S = 0.5
 
 def test_healthz_answers_during_a_max_size_bulk():
     index = PNNIndex(random_discrete_points(40, 3, seed=7, spread=2.0))
-    service = index.serve(workers=2, backend="process", cache_capacity=0)
+    service = index.serve(workers=2, cache_capacity=0)
     config = HttpConfig(port=0, warm_kinds=("quantify_exact",))
     rows = config.max_bulk_rows
     body = json.dumps(
