@@ -74,7 +74,7 @@ def main() -> None:
           f"(pi_2 ~ {estimates[favorite].get(2, 0.0):.2f})")
 
     # 5. Service-shaped traffic: wrap the index in a QueryService.
-    #    Concurrent scalar submits coalesce into vectorized micro-batches
+    #    Concurrent scalar queries coalesce into vectorized micro-batches
     #    (a request arriving while its group flushes joins the next
     #    flush; a lone request runs at once), repeat queries hit
     #    an exact-keyed LRU cache, and large batches shard across the
@@ -85,10 +85,10 @@ def main() -> None:
     with index.serve(workers=0, cache_capacity=1024, max_batch=32) as svc, \
             ThreadPoolExecutor(max_workers=4) as clients:
         answers = list(clients.map(
-            lambda g: svc.submit("quantify", g, epsilon=0.1).result(), grid))
+            lambda g: svc.query("quantify", g, epsilon=0.1), grid))
         hottest = max(range(len(grid)),
                       key=lambda j: answers[j].get(2, 0.0))
-        svc.quantify(grid[hottest], epsilon=0.1)   # served from cache
+        svc.query("quantify", grid[hottest], epsilon=0.1)  # from cache
         snap = svc.stats()
         co = snap["coalescer"]
         rows_per_flush = co["submitted"] / max(co["flushes"], 1)
@@ -120,8 +120,8 @@ def main() -> None:
                for j in range(7)]
     with tracked.serve(workers=0, cache_capacity=512) as svc:
         for j in range(200):
-            svc.quantify_exact(beacons[j % len(beacons)])
-        assert svc.quantify_exact(beacons[0]) == \
+            svc.query("quantify_exact", beacons[j % len(beacons)])
+        assert svc.query("quantify_exact", beacons[0]) == \
             tracked.quantify(beacons[0], method="exact")
         cache = svc.stats()["cache"]
         print(f"exact-keyed cache: hit rate {cache['hit_rate']:.0%} on "
@@ -160,9 +160,9 @@ def main() -> None:
     #    serve(vpr=...); otherwise the first query builds it lazily.
     jittered = [(x + 0.013, y + 0.007) for x, y in grid]
     with tracked.serve(vpr=vpr, workers=0, cache_capacity=512) as svc:
-        served = svc.batch_quantify_vpr(jittered)
+        served = svc.batch("quantify_vpr", jittered)
         assert served == tracked.batch_quantify_exact(jittered)
-        one = svc.quantify_vpr(jittered[40])
+        one = svc.query("quantify_vpr", jittered[40])
         print(f"\nquantify_vpr serves {len(served)} exact vectors from "
               f"{vpr.num_faces} precomputed cells; pi near {grid[40]}: "
               f"{ {i: round(v, 3) for i, v in sorted(one.items())} }")

@@ -116,7 +116,7 @@ def _serve_demo() -> int:
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=8) as clients:
             answers = list(clients.map(
-                lambda q: service.submit("nonzero_nn", q).result(), picks))
+                lambda q: service.query("nonzero_nn", q), picks))
         elapsed = time.perf_counter() - start
         co = service.stats()["coalescer"]
         print(f"coalesced stream: 3000 scalar requests from 8 clients in "
@@ -128,9 +128,9 @@ def _serve_demo() -> int:
         # Burst 2: one large batch, sharded across the worker pool.
         batch = np.array([(rng.uniform(0, extent), rng.uniform(0, extent))
                           for _ in range(m)])
-        service.batch_delta(batch[:16])  # warm engine + replicas
+        service.batch("delta", batch[:16])  # warm engine + replicas
         start = time.perf_counter()
-        deltas = service.batch_delta(batch)
+        deltas = service.batch("delta", batch)
         elapsed = time.perf_counter() - start
         print(f"sharded batch: {m} delta queries in {elapsed * 1e3:.0f} ms "
               f"({m / elapsed:,.0f} queries/s), "
@@ -139,7 +139,8 @@ def _serve_demo() -> int:
         # Burst 3: repeat traffic against the cache.
         start = time.perf_counter()
         for _ in range(3000):
-            service.quantify(hot[rng.randrange(60)], epsilon=0.25)
+            service.query("quantify", hot[rng.randrange(60)],
+                          epsilon=0.25)
         elapsed = time.perf_counter() - start
         print(f"cached repeats: 3000 quantify requests in "
               f"{elapsed * 1e3:.0f} ms ({3000 / elapsed:,.0f} req/s)")
@@ -153,7 +154,7 @@ def _serve_demo() -> int:
                   f"({snap['sharded_calls']} sharded{failed}), hit rate "
                   f"{snap['hit_rate']:.0%}, p50 {snap['p50_ms']:.2f} ms, "
                   f"p99 {snap['p99_ms']:.2f} ms")
-        cache = service.cache.snapshot()
+        cache = service.stats()["cache"]
         print(f"cache: {cache['entries']}/{cache['capacity']} entries, "
               f"hit rate {cache['hit_rate']:.0%}, "
               f"{cache['evictions']} evictions")
@@ -174,9 +175,9 @@ def _serve_demo() -> int:
         batch = np.array([(rng.uniform(0, d_extent),
                            rng.uniform(0, d_extent))
                           for _ in range(4000)])
-        service.batch_quantify_exact(batch[:4])  # warm the sweep engine
+        service.batch("quantify_exact", batch[:4])  # warm the sweep engine
         start = time.perf_counter()
-        exact = service.batch_quantify_exact(batch)
+        exact = service.batch("quantify_exact", batch)
         elapsed = time.perf_counter() - start
         print(f"\nexact quantification: {len(batch)} Eq. (2) vectors in "
               f"{elapsed * 1e3:.0f} ms ({len(batch) / elapsed:,.0f} "
@@ -186,9 +187,10 @@ def _serve_demo() -> int:
                    for _ in range(50)]
         start = time.perf_counter()
         for _ in range(2000):
-            service.quantify_exact(beacons[rng.randrange(len(beacons))])
+            service.query("quantify_exact",
+                          beacons[rng.randrange(len(beacons))])
         elapsed = time.perf_counter() - start
-        cache = service.cache.snapshot()
+        cache = service.stats()["cache"]
         print(f"beacon repeats: 2000 quantify_exact requests in "
               f"{elapsed * 1e3:.0f} ms ({2000 / elapsed:,.0f} req/s), "
               f"hit rate {cache['hit_rate']:.0%} with exact keys")
@@ -200,10 +202,10 @@ def _serve_demo() -> int:
     with small.serve(workers=0, cache_capacity=2048) as service:
         vqs = np.array([(rng.uniform(-1, 8), rng.uniform(-1, 8))
                         for _ in range(4000)])
-        service.batch_quantify_vpr(vqs[:4])  # build V_Pr + locator
+        service.batch("quantify_vpr", vqs[:4])  # build V_Pr + locator
         vpr = small.cached_vpr()
         start = time.perf_counter()
-        answers = service.batch_quantify_vpr(vqs)
+        answers = service.batch("quantify_vpr", vqs)
         elapsed = time.perf_counter() - start
         start = time.perf_counter()
         sweep = small.batch_quantify_exact(vqs)

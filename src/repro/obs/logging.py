@@ -33,7 +33,7 @@ __all__ = ["RequestLog", "summarize_trace"]
 
 #: Span names whose summed durations form the per-stage breakdown; the
 #: order here is the pipeline order (used for display only).
-_STAGES = ("http.queue", "service.submit", "service.batch", "service.query",
+_STAGES = ("http.queue", "service.query", "service.batch",
            "service.cache", "coalesce.wait", "coalesce.flush",
            "service.execute", "shard.dispatch", "worker.compute",
            "shard.reassemble")
@@ -57,8 +57,7 @@ def summarize_trace(records: List[Dict]) -> Dict[str, object]:
         attrs = rec.get("attrs") or {}
         if name == "service.cache" and "hit" in attrs:
             out["cache_hit"] = bool(attrs["hit"])
-        if name in ("service.submit", "service.batch") \
-                and "cache_hit" in attrs:
+        if name == "service.query" and "cache_hit" in attrs:
             out["cache_hit"] = bool(attrs["cache_hit"])
         if name == "coalesce.wait" and "batch_size" in attrs:
             out["coalesced_batch"] = int(attrs["batch_size"])

@@ -4,9 +4,9 @@ Turns the library's batch primitives into a query *service* able to
 sustain bursty multi-client traffic against one shared
 :class:`~repro.core.index.PNNIndex`:
 
-* :class:`QueryService` — the front door (scalar, coalesced-async, and
-  batch calls for all seven query kinds, ``quantify_vpr`` included),
-  built via ``PNNIndex.serve()``;
+* :class:`QueryService` — the front door (``query`` for one point,
+  ``batch``/``batch_encoded`` for an array, for all seven query kinds,
+  ``quantify_vpr`` included), built via ``PNNIndex.serve()``;
 * :class:`MicroBatcher` — group-commit coalescing of concurrent scalar
   requests into vectorized batches;
 * :class:`ShardExecutor` — the dispatch/reassembly plan over a pluggable
@@ -15,7 +15,7 @@ sustain bursty multi-client traffic against one shared
   ``inline`` serial execution, degrading down that one ladder — all
   with ordered, bitwise-identical reassembly;
 * :class:`ResultCache` — exact-keyed LRU over the piecewise-stable
-  answer fields, with hit/miss/eviction accounting;
+  answer fields, with eviction accounting;
 * :class:`QueryGateway` / :class:`ServerThread` (:mod:`repro.serving.http`)
   — the async HTTP front door: REST endpoints for all seven kinds with
   admission control (bounded pending queue, 429 shedding), ``/healthz``

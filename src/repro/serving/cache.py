@@ -69,8 +69,6 @@ class ResultCache:
         self.capacity = capacity
         self._store: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
         # Evictions by query kind: every key's first element is the
         # method name (see key()), so an unexplained hit-rate drop can be
@@ -100,18 +98,8 @@ class ResultCache:
         with self._lock:
             value = self._store.get(key, _MISS)
             if value is _MISS:
-                self.misses += 1
                 return False, None
             self._store.move_to_end(key)
-            self.hits += 1
-            return True, _isolated(value)
-
-    def peek(self, key: Hashable) -> Tuple[bool, object]:
-        """``(hit, value)`` without touching recency or counters."""
-        with self._lock:
-            value = self._store.get(key, _MISS)
-            if value is _MISS:
-                return False, None
             return True, _isolated(value)
 
     def put(self, key: Hashable, value: object) -> None:
@@ -137,17 +125,6 @@ class ResultCache:
         with self._lock:
             self._store.clear()
 
-    @property
-    def hit_rate(self) -> float:
-        # Both counters under one lock acquisition: a get() on another
-        # thread bumps exactly one of them, so an unlocked read could see
-        # a hit counted whose miss-side denominator update is missing (a
-        # torn ratio > the true rate, or > 1.0 right after a reset).
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        seen = hits + misses
-        return hits / seen if seen else 0.0
-
     def register(self, registry: Registry) -> None:
         """Export entries and evictions in *registry*, read at scrape
         time."""
@@ -163,26 +140,15 @@ class ResultCache:
                          fn=lambda: self.snapshot()["evictions_by_kind"])
 
     def snapshot(self) -> Dict[str, object]:
-        """Counters, sizes and the derived hit rate.
+        """Size and evictions, read under one lock acquisition.
 
-        All counters are read under one lock acquisition so the snapshot
-        is internally consistent (``hit_rate`` is derived from the same
-        ``hits``/``misses`` pair it reports — the property is *not*
-        re-consulted, both because it would re-lock and because a racing
-        ``get()`` could change the answer between the two reads).
+        Hits and misses are counted once, per kind, by the service that
+        consults the cache (``repro_service_cache_{hits,misses}_total``).
         """
         with self._lock:
-            hits, misses = self.hits, self.misses
-            entries = len(self._store)
-            evictions = self.evictions
-            by_kind = dict(self.evictions_by_kind)
-        seen = hits + misses
-        return {
-            "entries": entries,
-            "capacity": self.capacity,
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "evictions_by_kind": by_kind,
-            "hit_rate": round(hits / seen if seen else 0.0, 4),
-        }
+            return {
+                "entries": len(self._store),
+                "capacity": self.capacity,
+                "evictions": self.evictions,
+                "evictions_by_kind": dict(self.evictions_by_kind),
+            }

@@ -18,8 +18,9 @@ Batches therefore grow exactly as large as the traffic that arrived
 during the previous flush — coalescing by idleness, with no clock and no
 background thread — and every submit runs at most one flush, its own
 group's, so no caller's reply waits on traffic that arrived after it.
-Flushing never holds the coalescer lock while running the engine.  An
-engine exception fails every future of its group — callers observe it
+Flushing never holds the coalescer lock while running the engine.
+:meth:`MicroBatcher.submit` returns the request's row; an engine
+exception is raised to every submitter of its group — callers observe it
 exactly as if they had made the call.
 """
 
@@ -27,8 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import Future
-from typing import Callable, Deque, Dict, Hashable, List, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from .faults import Deadline
 
@@ -42,7 +42,7 @@ _QUEUED, _READY, _RUNNING, _DONE = range(4)
 class _Group:
     """Requests of one ``(method, params)`` signature flushed together."""
 
-    __slots__ = ("method", "params", "queries", "futures", "spans",
+    __slots__ = ("method", "params", "queries", "results", "error", "spans",
                  "deadline", "state", "waiters")
 
     def __init__(self, method: str, params: Tuple, deadline,
@@ -50,12 +50,14 @@ class _Group:
         self.method = method
         self.params = params
         self.queries: List[Tuple[float, float]] = []
-        self.futures: List[Future] = []
+        # Set once, before the group is done: one row per query, or the
+        # exception every submitter of the group raises.
+        self.results: Optional[List] = None
+        self.error: Optional[BaseException] = None
         # Trace spans of the *sampled* requests waiting in this group
         # (untraced submits add nothing here, so the common path stays
-        # allocation-free).  When non-empty, the flush callback receives
-        # them as a fourth argument so it can link every waiting request
-        # to the one engine-execution span it coalesced into.
+        # allocation-free); the flush callback links every one of them
+        # to the engine-execution span it coalesced into.
         self.spans: List[object] = []
         # The group's effective deadline: the *laxest* member deadline
         # (one request cannot tighten the budget of the others it
@@ -67,6 +69,12 @@ class _Group:
         # it once it is handed over.
         self.waiters = 0
 
+    def row(self, slot: int) -> object:
+        """The answer of the group's *slot*-th request, or its error."""
+        if self.error is not None:
+            raise self.error
+        return self.results[slot]  # type: ignore[index]
+
 
 class MicroBatcher:
     """Coalesce scalar requests into batched ``flush_fn`` invocations.
@@ -74,14 +82,19 @@ class MicroBatcher:
     Parameters
     ----------
     flush_fn:
-        ``flush_fn(method, queries, params) -> list`` — answers one
-        coalesced batch, one result per query row, in order.
+        ``flush_fn(method, queries, params, spans, deadline) -> list`` —
+        answers one coalesced batch, one result per query row, in order.
+        *spans* are the sampled requests' ``coalesce.wait`` spans (empty
+        when none is traced) and *deadline* the group's merged
+        :class:`~repro.serving.faults.Deadline` (``None`` when any
+        member has none).
     max_batch:
         Most rows any one flush carries.
     """
 
     def __init__(self, flush_fn: Callable[[str, List[Tuple[float, float]],
-                                           Tuple], List],
+                                           Tuple, List, Optional[Deadline]],
+                                          List],
                  max_batch: int = 256) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
@@ -101,28 +114,25 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def submit(self, method: str, q: Tuple[float, float],
-               params: Tuple, span=None, deadline=None) -> Future:
+               params: Tuple, span=None, deadline=None) -> object:
         """Answer one scalar request through its key's group commit.
 
-        Returns once the request's group is flushed, with the future
-        already resolved: at once when the key was idle (the request ran
-        inline as its own flush), otherwise after the running flush and
-        the request's own group — run by this thread or by another
-        submitter of the same group.
+        Returns the request's row once its group is flushed, or raises
+        the flush's exception: at once when the key was idle (the
+        request ran inline as its own flush), otherwise after the
+        running flush and the request's own group — run by this thread
+        or by another submitter of the same group.
 
         *span* (optional) is the request's live ``coalesce.wait`` trace
         span; sampled spans ride with the group and are handed to the
-        flush callback (see :meth:`_flush`) so the tracing layer can
-        link each waiting request to the engine execution that answered
-        it.  ``None`` — the untraced default — costs nothing.
+        flush callback so the tracing layer can link each waiting
+        request to the engine execution that answered it.  ``None`` —
+        the untraced default — costs nothing.
 
         *deadline* (optional :class:`~repro.serving.faults.Deadline`)
         is merged into the group's effective deadline (the laxest of
-        its members') and handed to the flush callback as a
-        ``deadline=`` keyword — only when the whole group carries one,
-        so deadline-free traffic keeps the original callback signature.
+        its members'), which the flush callback receives.
         """
-        fut: Future = Future()
         key = (method, params)
         with self._cv:
             if self._closed:
@@ -139,8 +149,8 @@ class MicroBatcher:
                     queue[-1].deadline = Deadline.merge(queue[-1].deadline,
                                                         deadline)
                 group = queue[-1]
+            slot = len(group.queries)
             group.queries.append((float(q[0]), float(q[1])))
-            group.futures.append(fut)
             if span is not None:
                 group.spans.append(span)
             if group.state == _QUEUED:
@@ -157,12 +167,12 @@ class MicroBatcher:
                     raise
                 group.waiters -= 1
                 if group.state == _DONE:
-                    return fut
+                    return group.row(slot)
                 group.state = _RUNNING
             self.flushes += 1
             self.largest_batch = max(self.largest_batch, len(group.queries))
         self._run(key, group)
-        return fut
+        return group.row(slot)
 
     @property
     def pending(self) -> int:
@@ -185,11 +195,10 @@ class MicroBatcher:
 
     def _finish(self, key: Hashable, group: _Group,
                 exc: BaseException) -> None:
-        # Under the lock: resolve what the flush left unresolved with
-        # *exc*, mark the group done and pass the key on.
-        for fut in group.futures:
-            if not fut.done():
-                fut.set_exception(exc)
+        # Under the lock: fail the group with *exc* unless the flush
+        # answered it, mark it done and pass the key on.
+        if group.results is None and group.error is None:
+            group.error = exc
         group.state = _DONE
         queue = self._queues[key]
         if queue:
@@ -200,8 +209,8 @@ class MicroBatcher:
 
     def _abandon(self, key: Hashable, group: _Group) -> None:
         # Under the lock: every submitter of *group* was interrupted
-        # while waiting, so none of its futures was handed out.  Drop a
-        # queued group; fail a handed-over one and pass the key on.
+        # while waiting, so no one reads its rows.  Drop a queued group;
+        # fail a handed-over one and pass the key on.
         if group.state == _QUEUED:
             self._queues[key].remove(group)
             group.state = _DONE
@@ -211,40 +220,27 @@ class MicroBatcher:
 
     def _flush(self, group: _Group) -> None:
         # A flush_fn failure — even a non-Exception like KeyboardInterrupt
-        # — resolves every future of the group with it.
+        # — becomes the error of every submitter of the group.
         try:
-            # Traced groups (any waiting span) call the 4-argument form so
-            # the flush function can link waiters to the engine-execution
-            # span; plain groups keep the original 3-argument contract, so
-            # existing flush functions (and the untraced hot path) are
-            # untouched.  A group-wide deadline travels as a keyword,
-            # again only when set.
-            kwargs = ({} if group.deadline is None
-                      else {"deadline": group.deadline})
-            if group.spans:
-                results = self._flush_fn(group.method, group.queries,
-                                         group.params, group.spans, **kwargs)
-            else:
-                results = self._flush_fn(group.method, group.queries,
-                                         group.params, **kwargs)
-            if len(results) != len(group.futures):
+            results = self._flush_fn(group.method, group.queries,
+                                     group.params, group.spans,
+                                     group.deadline)
+            if len(results) != len(group.queries):
                 raise RuntimeError(
                     f"flush_fn returned {len(results)} results for "
-                    f"{len(group.futures)} requests")
+                    f"{len(group.queries)} requests")
         except BaseException as exc:  # noqa: BLE001 — forwarded
-            for fut in group.futures:
-                fut.set_exception(exc)
+            group.error = exc
             return
-        for fut, res in zip(group.futures, results):
-            fut.set_result(res)
+        group.results = results
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Refuse new submits, then wait until no flush is running.
 
         When close() returns, every request accepted by an earlier
-        :meth:`submit` has been flushed and its future resolved — with
-        a result, or with the engine's exception.  A queued request
+        :meth:`submit` has been flushed and its row or error set — its
+        submitter returns or raises without waiting.  A queued request
         exists only while its key is flushing, and each finished flush
         hands the key to the next queued group until the queue is
         empty, so waiting for every key to go idle drains every queued

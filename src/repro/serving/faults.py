@@ -8,7 +8,7 @@ the policy half of the resilience layer threaded through
 
 * :class:`Deadline` — a monotonic-clock budget carried end to end
   (HTTP ``timeout_ms`` body field / ``X-Request-Deadline-Ms`` header ->
-  :meth:`QueryService.submit`/``batch`` -> coalesced groups -> the
+  :meth:`QueryService.query`/``batch`` -> coalesced groups -> the
   executor's chunk-collection loop), so an expired request returns
   ``504 deadline_exceeded`` instead of waiting forever;
 * :class:`RetryPolicy` — how chunk failures are retried: bounded

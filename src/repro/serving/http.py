@@ -5,12 +5,11 @@ in-process API; this module is what actually takes traffic.  It exposes
 all seven query kinds (``delta``, ``nonzero_nn``, ``quantify``,
 ``quantify_exact``, ``quantify_vpr``, ``top_k``, ``threshold_nn``) over
 HTTP, single-point and bulk, and feeds them into the *existing* serving
-spine — singles go through :meth:`QueryService.submit` (so concurrent
+spine — singles go through :meth:`QueryService.query` (so concurrent
 HTTP clients coalesce into vectorized micro-batches), bulks through
 :meth:`QueryService.batch_encoded` (so large arrays shard across the
 executor backend).  No request handling is forked: validation, caching,
-and dispatch are the service's own (:meth:`QueryService.canonicalize`,
-``_cache_lookup``, ``_run_batch``), identical to the in-process callers.
+and dispatch are the service's own, identical to the in-process callers.
 
 Reply bytes come from the wire codec (:mod:`repro.serving.wire`, whose
 ``encode_result``/``decode_result`` this module re-exports) and are
@@ -381,19 +380,18 @@ class QueryGateway:
                     params: Dict, deadline: Optional[Deadline]) -> object:
         """Blocking single-point execution (runs on a pool thread).
 
-        Goes through :meth:`QueryService.submit` so concurrent HTTP
+        Goes through :meth:`QueryService.query` so concurrent HTTP
         singles coalesce into one vectorized micro-batch — the same
-        cache -> coalescer -> engine path as in-process async callers.
+        cache -> coalescer -> engine path as in-process callers.
         """
-        return self.service.submit(kind, point, timeout=deadline,
-                                   **params).result()
+        return self.service.query(kind, point, timeout=deadline, **params)
 
     def _run_bulk(self, kind: str, rows: List[Tuple[float, float]],
                   params: Dict, deadline: Optional[Deadline]) -> bytes:
         """Blocking bulk execution, answered as the finished reply body.
 
-        The service's encoded batch front door (row-wise cache for small
-        arrays, executor sharding for large) returns the JSON fragment of
+        The service's encoded batch front door (executor sharding for
+        large arrays) returns the JSON fragment of
         the rows — encoded by the shard workers when the batch shards —
         and the framing happens here, on the pool thread and under the
         request span, so the event loop only writes bytes.

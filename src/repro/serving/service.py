@@ -7,7 +7,7 @@ the three mechanisms bursty multi-client traffic needs:
   repeat queries without touching the engine (``pi(q)`` and ``NN!=0(q)``
   are piecewise-constant across Voronoi cells, so real workloads repeat);
 * a :class:`~repro.serving.coalesce.MicroBatcher` that group-commits
-  concurrent scalar :meth:`submit` calls into vectorized batches;
+  concurrent scalar :meth:`query` calls into vectorized batches;
 * a :class:`~repro.serving.shard.ShardExecutor` that fans large batches
   out over an executor backend (:mod:`repro.serving.executors`:
   ``process`` worker replicas, or a ``thread`` pool over the shared
@@ -16,10 +16,10 @@ the three mechanisms bursty multi-client traffic needs:
 
 Seven query kinds share one dispatch spine: ``delta``, ``nonzero_nn``,
 ``quantify``, ``quantify_exact``, ``quantify_vpr``, ``top_k``,
-``threshold_nn`` — each available as a scalar
-call (cache -> engine), an async :meth:`submit` (cache -> coalescer),
-and a :meth:`batch` (row-wise cache for small batches, sharding for
-large ones).  Per-kind request/hit/miss/latency families, and every
+``threshold_nn`` — each asked through one scalar front door,
+:meth:`query` (cache -> coalescer -> engine), and one bulk front door,
+:meth:`batch` / :meth:`batch_encoded` (engine, sharded when large).
+Per-kind request/hit/miss/latency families, and every
 other family the service exports, live in its one metrics
 :class:`~repro.obs.metrics.Registry` (:attr:`QueryService.registry`,
 the ``/metrics`` body); :meth:`stats` snapshots them.
@@ -35,7 +35,7 @@ Construct via :meth:`PNNIndex.serve`::
 
     service = index.serve(workers=4, cache_capacity=8192)
     with service:
-        fut = service.submit("quantify", (1.0, 2.0))
+        pi = service.query("quantify", (1.0, 2.0))
         deltas = service.batch("delta", queries)   # sharded when large
         print(service.stats())
 """
@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import numbers
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,7 +62,7 @@ from .executors import LADDER
 from .faults import (CircuitBreaker, Deadline, DeadlineExceeded, FaultPlan,
                      RetryPolicy, resilience_counters)
 from .shard import SHARD_METHODS, ShardExecutor
-from .wire import check_finite, encode_batch, encode_rows
+from .wire import check_finite, encode_batch
 
 __all__ = ["ESTIMATORS", "ServiceConfig", "QueryService"]
 
@@ -92,6 +91,10 @@ def _unit_param(name: str, value: object) -> float:
         raise ValueError(f"{name} must be a number in (0, 1), "
                          f"got {value!r}")
     return float(value)
+
+
+def _hit_rate(hits: int, misses: int) -> float:
+    return round(hits / (hits + misses) if hits + misses else 0.0, 4)
 
 
 @dataclass
@@ -135,7 +138,7 @@ class ServiceConfig:
         Fixed rows per shard task (``None`` = auto-sized).
     max_batch:
         Most rows one coalesced flush carries.  A
-        :meth:`QueryService.submit` whose group is idle runs inline;
+        :meth:`QueryService.query` whose group is idle runs inline;
         requests arriving while a flush of their ``(method, params)``
         group runs wait for it and are answered by the next flush, up
         to ``max_batch`` rows at a time, run by one of them.
@@ -148,14 +151,10 @@ class ServiceConfig:
     cache_capacity:
         LRU entries (``0`` disables caching).  Keys are exact query
         coordinates, so a hit is bit-for-bit the engine's answer.
-    cache_batch_limit:
-        Largest batch that consults the cache row by row; bigger batches
-        bypass it (a 100k-row python key loop would dominate the numpy
-        work it fronts).
     default_timeout:
         End-to-end deadline in *seconds* applied to every request that
         does not carry its own (HTTP ``timeout_ms`` / header, or the
-        ``timeout=`` keyword of :meth:`QueryService.query`/``submit``/
+        ``timeout=`` keyword of :meth:`QueryService.query` and
         ``batch``).  ``None`` (default) = no implicit deadline.
     retries:
         Re-dispatch rounds allowed per failed shard chunk (see
@@ -194,7 +193,6 @@ class ServiceConfig:
     max_batch: int = 256
     flush_window: float = 0.005
     cache_capacity: int = 4096
-    cache_batch_limit: int = 1024
     default_timeout: Optional[float] = None
     retries: int = 2
     chunk_timeout: Optional[float] = None
@@ -238,11 +236,9 @@ class ServiceConfig:
         if self.flush_window <= 0:
             raise ValueError(
                 f"flush_window must be positive, got {self.flush_window}")
-        for field in ("cache_capacity", "cache_batch_limit"):
-            value = getattr(self, field)
-            if value < 0:
-                raise ValueError(
-                    f"{field} must be >= 0 (0 disables), got {value}")
+        if self.cache_capacity < 0:
+            raise ValueError(f"cache_capacity must be >= 0 (0 disables), "
+                             f"got {self.cache_capacity}")
 
 
 class QueryService:
@@ -381,8 +377,8 @@ class QueryService:
     def canonicalize(self, method: str, overrides: Dict) -> Dict:
         """Validate *method*/*overrides* into the canonical params dict.
 
-        The one validation gate for every front door — sync :meth:`query`,
-        async :meth:`submit`, :meth:`batch`, and the HTTP layer
+        The one validation gate for every front door — :meth:`query`,
+        :meth:`batch`, and the HTTP layer
         (:mod:`repro.serving.http`) all funnel through here, so an
         invalid method or parameter fails identically (``ValueError`` /
         ``TypeError``) no matter how the request arrived.  Idempotent:
@@ -392,6 +388,13 @@ class QueryService:
         if method not in SHARD_METHODS:
             raise ValueError(f"unknown query method {method!r}; "
                              f"expected one of {SHARD_METHODS}")
+        # The Eq. (2) sweep and V_Pr serve discrete points only.  Checked
+        # before admission: in the shard workers the engine's error would
+        # walk the retry ladder and demote the backend.
+        if (method in ("quantify_exact", "quantify_vpr")
+                and not self.index.all_discrete()):
+            raise ValueError(f"{method} requires an index of discrete "
+                             f"uncertain points")
         if method in ("delta", "nonzero_nn", "quantify_vpr"):
             if overrides:
                 raise TypeError(f"{method} takes no parameters, "
@@ -480,7 +483,7 @@ class QueryService:
         return tracer.start_span(name, parent=parent, kind=method)
 
     # ------------------------------------------------------------------
-    # The execution spine (shared by scalar, coalesced, and batch paths).
+    # The execution spine (shared by coalesced and batch paths).
     # ------------------------------------------------------------------
     def _deadline(self, timeout) -> Optional[Deadline]:
         """Resolve a per-request ``timeout=`` into an optional deadline.
@@ -592,19 +595,19 @@ class QueryService:
 
     def _flush_group(self, method: str,
                      queries: List[Tuple[float, float]],
-                     params_key: Tuple, spans: Sequence = (),
-                     deadline: Optional[Deadline] = None) -> List[object]:
+                     params_key: Tuple, spans: Sequence,
+                     deadline: Optional[Deadline]) -> List[object]:
         """MicroBatcher callback: answer one coalesced group.
 
         *spans* are the ``coalesce.wait`` spans of the sampled requests
-        in the group (the batcher passes them only when any exist).  The
+        in the group (empty when none is traced).  When any exist, the
         flush itself becomes one ``coalesce.flush`` span in the first
         waiter's trace; every waiter links to it and learns the batch
         size it coalesced into — the many-requests-to-one-execution
         join the access log and trace viewers reconstruct.
 
         *deadline* is the group-wide (laxest-member) deadline the
-        batcher merged — expiry fails every future of the group with
+        batcher merged — expiry fails every request of the group with
         :class:`DeadlineExceeded`.
         """
         if not spans:
@@ -621,7 +624,7 @@ class QueryService:
                 return self._compute_rows(method, queries,
                                           dict(params_key), deadline)
         finally:
-            # The wait spans opened at submit close here — whether the
+            # The wait spans opened in query() close here — whether the
             # engine answered or raised — so no span leaks open.
             for span in spans:
                 span.finish()
@@ -630,10 +633,9 @@ class QueryService:
                       params: Dict) -> Tuple[bool, object]:
         """One accounted cache consultation for a scalar request.
 
-        The shared first step of every scalar front door — sync
-        :meth:`query`, async :meth:`submit`, and the HTTP handlers — so
-        hit/miss statistics are counted once, identically, wherever the
-        request came from.  ``(False, None)`` when there is no cache.
+        The first step of :meth:`query`, the one scalar front door
+        (in-process callers and the HTTP gateway alike).  ``(False,
+        None)`` when there is no cache.
         """
         if self.cache is None:
             return False, None
@@ -651,93 +653,40 @@ class QueryService:
         return hit, value
 
     # ------------------------------------------------------------------
-    # Scalar front doors.
+    # Scalar front door.
     # ------------------------------------------------------------------
     def query(self, method: str, q: Tuple[float, float], /, *,
               timeout=None, **overrides) -> object:
-        """Answer one query synchronously (cache first, then a 1-batch).
+        """Answer one query: the cache, else the coalescer.
 
         ``method`` and ``q`` are positional-only so estimator overrides
         (which also use the name ``method``) pass through ``overrides``.
-        *timeout* (seconds, or a prepared :class:`Deadline`) bounds the
-        request end to end; ``None`` uses the config default.
+        A cache hit returns at once, and so does a miss whose group is
+        idle: it runs inline as a one-row flush.  A miss arriving while
+        a flush of its group runs waits for that flush, then for the
+        next one, which carries it.  *timeout* (seconds, or a prepared
+        :class:`Deadline`) bounds the request end to end, coalescing
+        wait included; ``None`` uses the config default.  A *q* outside
+        the index's query domain raises :class:`ValueError` here, before
+        it can join (and fail) a shared coalesced batch.
         """
         params = self.canonicalize(method, overrides)
         check_query_domain(q, self.index.query_window)
         deadline = self._deadline(timeout)
         span = self._request_span("service.query", method)
         if span is NULL_SPAN:
-            hit, value = self._cache_lookup(method, q, params)
-            if hit:
-                return value
-            return self._compute_rows(method, [q], params, deadline)[0]
+            return self._query(method, q, params, NULL_SPAN, deadline)
         with use_span(span), span:
-            hit, value = self._cache_lookup(method, q, params)
-            span.set(cache_hit=hit)
-            if hit:
-                return value
-            return self._compute_rows(method, [q], params, deadline)[0]
+            return self._query(method, q, params, span, deadline)
 
-    def delta(self, q: Tuple[float, float]) -> float:
-        return float(self.query("delta", q))
-
-    def nonzero_nn(self, q: Tuple[float, float]) -> List[int]:
-        return self.query("nonzero_nn", q)
-
-    def quantify(self, q: Tuple[float, float], **overrides) -> Dict[int,
-                                                                    float]:
-        return self.query("quantify", q, **overrides)
-
-    def quantify_exact(self, q: Tuple[float, float], **overrides
-                       ) -> Dict[int, float]:
-        return self.query("quantify_exact", q, **overrides)
-
-    def quantify_vpr(self, q: Tuple[float, float]) -> Dict[int, float]:
-        return self.query("quantify_vpr", q)
-
-    def top_k(self, q: Tuple[float, float], k: int, **overrides
-              ) -> List[tuple]:
-        return self.query("top_k", q, k=k, **overrides)
-
-    def threshold_nn(self, q: Tuple[float, float], tau: float, **overrides):
-        return self.query("threshold_nn", q, tau=tau, **overrides)
-
-    # ------------------------------------------------------------------
-    # Asynchronous (coalesced) front door.
-    # ------------------------------------------------------------------
-    def submit(self, method: str, q: Tuple[float, float], /, *,
-               timeout=None, **overrides) -> Future:
-        """Answer one query through the coalescer; returns its future.
-
-        The future is resolved when this returns.  A cache hit returns
-        at once, and so does a miss whose group is idle: it runs inline
-        as a one-row flush.  A miss arriving while a flush of its group
-        runs waits for that flush, then for the next one, which carries
-        it.  *timeout* (seconds or a :class:`Deadline`) bounds the
-        request including its coalescing wait; expiry resolves the
-        future with :class:`DeadlineExceeded`.
-        A *q* outside the index's query domain raises
-        :class:`ValueError` here, before it can join (and fail) a shared
-        coalesced batch.
-        """
-        params = self.canonicalize(method, overrides)
-        check_query_domain(q, self.index.query_window)
-        deadline = self._deadline(timeout)
-        span = self._request_span("service.submit", method)
-        if span is NULL_SPAN:
-            return self._submit_impl(method, q, params, NULL_SPAN, deadline)
-        with use_span(span), span:
-            return self._submit_impl(method, q, params, span, deadline)
-
-    def _submit_impl(self, method: str, q: Tuple[float, float],
-                     params: Dict, span, deadline=None) -> Future:
-        """The submit body, with *span* already ambient (or NULL_SPAN)."""
+    def _query(self, method: str, q: Tuple[float, float], params: Dict,
+               span, deadline: Optional[Deadline]) -> object:
+        """The :meth:`query` body, with *span* already ambient (or
+        NULL_SPAN)."""
         hit, value = self._cache_lookup(method, q, params)
         span.set(cache_hit=hit)
         if hit:
-            fut: Future = Future()
-            fut.set_result(value)
-            return fut
+            return value
         if span is NULL_SPAN:
             return self.batcher.submit(method, q, self._params_key(params),
                                        deadline=deadline)
@@ -760,16 +709,14 @@ class QueryService:
     # ------------------------------------------------------------------
     def batch(self, method: str, queries, /, *, timeout=None,
               **overrides) -> object:
-        """Answer an ``(m, 2)`` array of queries.
+        """Answer an ``(m, 2)`` array of queries in one engine call.
 
-        Small batches (``<= cache_batch_limit``) consult the cache row by
-        row and compute only the misses; large batches bypass the cache
-        and shard across workers when available.  ``delta`` returns a
-        float array, the other methods lists — exactly the containers the
-        underlying ``PNNIndex.batch_*`` calls produce.  *timeout*
-        (seconds or a :class:`Deadline`) bounds the call; sharded
-        execution enforces it mid-flight, in-process execution at the
-        engine boundary.
+        Large batches shard across workers when available; batches do
+        not consult the result cache.  ``delta`` returns a float array,
+        the other methods lists — exactly the containers the underlying
+        ``PNNIndex.batch_*`` calls produce.  *timeout* (seconds or a
+        :class:`Deadline`) bounds the call; sharded execution enforces
+        it mid-flight, in-process execution at the engine boundary.
         """
         return self._batch(method, queries, timeout, overrides, False)
 
@@ -782,8 +729,7 @@ class QueryService:
         sharded batch is encoded by the shard workers and only joined
         here; an unsharded one (inline backend, small arrays) is encoded
         in-process by the same function, :func:`~repro.serving.wire.
-        encode_batch`; a row-wise cached batch encodes its rows with
-        :func:`~repro.serving.wire.encode_rows`.  A non-finite answer raises
+        encode_batch`.  A non-finite answer raises
         :class:`~repro.serving.wire.NonFiniteAnswer`, checked here in
         the parent so that it never reaches the retry ladder.
         """
@@ -805,75 +751,10 @@ class QueryService:
                     else [])
         span = self._request_span("service.batch", method)
         if span is NULL_SPAN:
-            return self._batch_rows(method, q, params, deadline, encode)
+            return self._run_batch(method, q, params, deadline, encode)
         with use_span(span), span:
             span.set(rows=m)
-            return self._batch_rows(method, q, params, deadline, encode)
-
-    def _batch_rows(self, method: str, q: np.ndarray,
-                    params: Dict,
-                    deadline: Optional[Deadline] = None,
-                    encode: bool = False) -> object:
-        """The batch body: row-wise cache for small arrays, else one
-        engine/executor run (*q* validated, the request span ambient)."""
-        m = len(q)
-        cfg = self.config
-        use_cache = (self.cache is not None
-                     and 0 < m <= cfg.cache_batch_limit)
-        if not use_cache:
             return self._run_batch(method, q, params, deadline, encode)
-        pkey = self._params_key(params)
-        points = [(float(x), float(y)) for x, y in q]
-        keys = [self.cache.key(method, p, pkey) for p in points]
-        rows: List[object] = [None] * m
-        miss_at: List[int] = []
-        hits = 0
-        cspan = (self.tracer.start_span("service.cache", method=method)
-                 if self.tracer.enabled else NULL_SPAN)
-        with cspan:
-            for j, key in enumerate(keys):
-                hit, value = self.cache.get(key)
-                if hit:
-                    rows[j] = value
-                    hits += 1
-                else:
-                    miss_at.append(j)
-            cspan.set(hits=hits, misses=len(miss_at))
-        self.cache_hits.inc(method, hits)
-        self.cache_misses.inc(method, len(miss_at))
-        self.requests.inc(method, hits)
-        if miss_at:
-            computed = self._compute_rows(
-                method, [points[j] for j in miss_at], params, deadline)
-            for j, row in zip(miss_at, computed):
-                rows[j] = row
-        if encode:
-            return encode_rows(method, rows)
-        if method == "delta":
-            return np.array(rows, dtype=np.float64)
-        return rows
-
-    def batch_delta(self, queries) -> np.ndarray:
-        return self.batch("delta", queries)
-
-    def batch_nonzero_nn(self, queries) -> List[List[int]]:
-        return self.batch("nonzero_nn", queries)
-
-    def batch_quantify(self, queries, **overrides) -> List[Dict[int, float]]:
-        return self.batch("quantify", queries, **overrides)
-
-    def batch_quantify_exact(self, queries, **overrides
-                             ) -> List[Dict[int, float]]:
-        return self.batch("quantify_exact", queries, **overrides)
-
-    def batch_quantify_vpr(self, queries) -> List[Dict[int, float]]:
-        return self.batch("quantify_vpr", queries)
-
-    def batch_top_k(self, queries, k: int, **overrides) -> List[List[tuple]]:
-        return self.batch("top_k", queries, k=k, **overrides)
-
-    def batch_threshold_nn(self, queries, tau: float, **overrides) -> List:
-        return self.batch("threshold_nn", queries, tau=tau, **overrides)
 
     # ------------------------------------------------------------------
     # Introspection and lifecycle.
@@ -917,8 +798,7 @@ class QueryService:
             "failures": self.failures.get(method),
             "cache_hits": hits,
             "cache_misses": misses,
-            "hit_rate": round(hits / (hits + misses) if hits + misses
-                              else 0.0, 4),
+            "hit_rate": _hit_rate(hits, misses),
         }
         out.update(latency)
         return out
@@ -933,7 +813,10 @@ class QueryService:
         if self.tracer.enabled:
             snap["trace"] = self.tracer.snapshot()
         if self.cache is not None:
-            snap["cache"] = self.cache.snapshot()
+            hits, misses = self.cache_hits.total(), self.cache_misses.total()
+            snap["cache"] = dict(self.cache.snapshot(), hits=hits,
+                                 misses=misses,
+                                 hit_rate=_hit_rate(hits, misses))
         snap["resilience"] = {name: counter.get() for name, counter
                               in self.resilience.items()}
         if self.executor is not None:

@@ -184,8 +184,7 @@ def _http_scenario(index: PNNIndex, check: _SmokeChecks,
                                             slow_ms=0.0))
     config = HttpConfig(port=0, max_inflight=2, max_pending=2,
                         warm_kinds=("delta", "nonzero_nn"))
-    # Above cache_batch_limit (1024) a bulk bypasses the row cache and
-    # shards: the workers encode the reply.
+    # Above shard_min_batch a bulk shards: the workers encode the reply.
     queries = _queries(99, 1100)
     with _booted(service, config, check) as server:
         port = server.port
@@ -303,8 +302,8 @@ def _http_scenario(index: PNNIndex, check: _SmokeChecks,
         check(status == 200 and bool(doc.get("traceEvents")),
               "/debug/traces has no spans for the propagated trace")
         names = {e["name"] for e in doc.get("traceEvents", [])}
-        wanted = {"http.request", "service.batch", "service.cache",
-                  "shard.dispatch", "worker.compute", "shard.reassemble"}
+        wanted = {"http.request", "service.batch", "shard.dispatch",
+                  "worker.compute", "shard.reassemble"}
         check(wanted <= names,
               f"trace is missing stages {sorted(wanted - names)}")
         status, full, _, _ = _http_json(port, "GET", "/debug/traces")

@@ -36,8 +36,8 @@ straight from it.  The native provider does that in C with a
 shortest round-trip float writer (Schubfach) that reproduces
 ``float.__repr__`` byte for byte; the NumPy provider is ``json.dumps``
 of the dicts, the oracle ``tests/test_float_writer.py`` pins it to.
-The other kinds, row-wise cached batches and ``quantify`` by spiral
-search encode their answer rows with :func:`encode_rows`.
+The other kinds and ``quantify`` by spiral search encode their answer
+rows with :func:`encode_rows`.
 
 Workers encode with ``NaN``/``Infinity`` allowed, and the parent checks
 the joined fragment (:func:`check_finite`, called by

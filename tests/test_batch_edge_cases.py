@@ -107,12 +107,11 @@ class TestNonFiniteQueries:
             with pytest.raises(ValueError, match="finite"):
                 call(q)
 
-    def test_service_submit_rejects_before_coalescing(self, index):
+    def test_service_query_rejects_before_coalescing(self, index):
         with index.serve(workers=0, cache_capacity=0) as svc:
             with pytest.raises(ValueError, match="finite"):
-                svc.submit("quantify_exact", (float("nan"), 0.0))
-            good = svc.submit("quantify_exact", (0.5, 0.5))
-            assert good.result(timeout=30) == \
+                svc.query("quantify_exact", (float("nan"), 0.0))
+            assert svc.query("quantify_exact", (0.5, 0.5)) == \
                 index.batch_quantify_exact([(0.5, 0.5)])[0]
             with pytest.raises(ValueError, match="finite"):
                 svc.batch("nonzero_nn", [(0.0, 0.0), (float("inf"), 0.0)])

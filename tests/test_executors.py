@@ -207,7 +207,7 @@ class TestBackendFactory:
             assert health["executor"]["serves_plane"] is True
             assert "backend" not in health["executor"]
             assert health["vpr"]["plane_served"] is True
-            assert service.batch_quantify_vpr(qs) == want
+            assert service.batch("quantify_vpr", qs) == want
             assert service.method_stats(
                 "quantify_vpr")["sharded_calls"] == 1
         assert ENGINE.get("vpr.builds") == builds

@@ -153,3 +153,12 @@ class TestRefusals:
         arrays["types"][0] = 99
         with pytest.raises(ValueError, match="unknown model tag"):
             points_from_arrays(arrays)
+
+    def test_zero_weight_site_refused(self):
+        # A zero-weight site fails closed on decode, as on construction.
+        arrays = points_to_arrays([DiscreteUncertainPoint(
+            [(0.0, 0.0), (1.0, 0.0)], [0.5, 0.5])])
+        arrays["rows"] = arrays["rows"].copy()
+        arrays["rows"][1, 2] = 0.0
+        with pytest.raises(ValueError, match="must be positive"):
+            points_from_arrays(arrays)

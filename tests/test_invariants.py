@@ -12,6 +12,8 @@ For any query ``q`` inside the index's domain the exact answers obey:
 * ``threshold_nn`` splits ``π(q)`` into ``certain`` (``π ≥ τ + ε``) and
   ``candidates`` (within ``ε`` of ``τ``), two disjoint subsets of the
   support;
+* ``δ(q)`` (the ``delta`` kind) is finite, non-negative and equal to the
+  brute-force ``min_i max_j d(q, p_ij)``;
 * a cached answer equals a freshly computed one.
 
 Hypothesis draws the queries — site coordinates and midpoints (exact
@@ -21,6 +23,8 @@ Each set is answered by the plain :class:`PNNIndex` and by one
 it (:func:`repro.testing.rungs.on_rung`); the service's answers must
 equal the index's and obey the same invariants.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -94,21 +98,33 @@ def _queries(index):
                     min_size=1, max_size=6)
 
 
-def _answers(layer, queries):
-    """Every kind the invariants speak about, batch-answered by
-    *layer* (a ``PNNIndex`` or a ``QueryService``)."""
-    return {
-        "pi": layer.batch_quantify_exact(queries),
-        "nn": layer.batch_nonzero_nn(queries),
-        "top_k": layer.batch_top_k(queries, k=K, method="exact"),
-        "threshold": layer.batch_threshold_nn(queries, tau=TAU,
-                                              method="exact"),
-    }
+#: Every kind the invariants speak about, with its parameters.
+KINDS = {"delta": {}, "quantify_exact": {}, "nonzero_nn": {},
+         "top_k": {"k": K, "method": "exact"},
+         "threshold_nn": {"tau": TAU, "method": "exact"}}
+
+
+def _index_answers(index, queries):
+    return {kind: list(getattr(index, f"batch_{kind}")(queries, **params))
+            for kind, params in KINDS.items()}
+
+
+def _batch_answers(service, queries):
+    return {kind: list(service.batch(kind, queries, **params))
+            for kind, params in KINDS.items()}
+
+
+def _query_answers(service, queries):
+    return {kind: [service.query(kind, q, **params) for q in queries]
+            for kind, params in KINDS.items()}
 
 
 def _check_invariants(points, queries, answers):
-    for q, pi, nn, top, thr in zip(queries, answers["pi"], answers["nn"],
-                                   answers["top_k"], answers["threshold"]):
+    for q, delta, pi, nn, top, thr in zip(
+            queries, *(answers[kind] for kind in KINDS)):
+        assert math.isfinite(delta) and delta >= 0.0, (q, delta)
+        assert delta == min(max(dist(q, s) for s in p.points)
+                            for p in points), (q, delta)
         tied = _tie_mass(points, q)
         assert abs(sum(pi.values()) + tied - 1.0) <= 1e-9, (q, pi)
         assert nn or abs(tied - 1.0) <= 1e-9, (q, nn)
@@ -128,7 +144,7 @@ def _check_invariants(points, queries, answers):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_invariants_hold_on_every_layer(family, rung):
     index = PNNIndex(FAMILIES[family]())
-    # Chunks of two rows: every batch of misses fans out over the rung.
+    # Chunks of two rows: every batch fans out over the rung.
     with on_rung(rung) as workers:
         service = index.serve(workers=workers, shard_min_batch=2,
                               shard_chunk=2, cache_capacity=4096)
@@ -136,14 +152,15 @@ def test_invariants_hold_on_every_layer(family, rung):
     @settings(max_examples=25, deadline=None)
     @given(queries=_queries(index))
     def check(queries):
-        want = _answers(index, queries)
+        want = _index_answers(index, queries)
         _check_invariants(index.points, queries, want)
+        assert _batch_answers(service, queries) == want
+        # Single queries agree, and repeating them answers every row
+        # from the cache.
+        assert _query_answers(service, queries) == want
         hits = service.method_stats("quantify_exact")["cache_hits"]
-        fresh = _answers(service, queries)
-        assert fresh == want
-        # Repeating the batch answers every row from the cache.
-        assert _answers(service, queries) == want
-        assert service.method_stats("quantify_exact")["cache_hits"] >= \
+        assert _query_answers(service, queries) == want
+        assert service.method_stats("quantify_exact")["cache_hits"] == \
             hits + len(queries)
 
     with service:

@@ -646,5 +646,5 @@ class TestServingParity:
         with on_rung(rung) as workers, \
                 index.serve(workers=workers, shard_min_batch=1) as service:
             assert rung_of(service) == rung
-            assert np.array_equal(service.batch_delta(qs), base_delta)
+            assert np.array_equal(service.batch("delta", qs), base_delta)
             assert service.batch("quantify_exact", qs) == base_exact

@@ -425,7 +425,7 @@ class TestTracedParity:
                                   shard_chunk=16, trace=True)
         with service:
             assert service.executor.mode == rung
-            service.batch_delta(qs)
+            service.batch("delta", qs)
             records = service.tracer.spans()
         by_id = {r["span_id"]: r for r in records}
         workers = [r for r in records if r["name"] == "worker.compute"]
@@ -448,22 +448,22 @@ class TestTracedParity:
         with index.serve(workers=0) as plain:
             expected = [plain.query("nonzero_nn", q) for q in qs]
         with index.serve(workers=0, max_batch=64, trace=True) as traced:
-            # Hold the first flush so the other eleven submits queue
+            # Hold the first flush so the other eleven queries queue
             # behind it and coalesce into the next one.
             entered, release = threading.Event(), threading.Event()
             inner = traced.batcher._flush_fn
 
-            def gated(*args, **kwargs):
+            def gated(*args):
                 if not entered.is_set():
                     entered.set()
                     assert release.wait(timeout=10)
-                return inner(*args, **kwargs)
+                return inner(*args)
 
             traced.batcher._flush_fn = gated
-            futures = [None] * len(qs)
+            got = [None] * len(qs)
 
             def submit(i):
-                futures[i] = traced.submit("nonzero_nn", qs[i])
+                got[i] = traced.query("nonzero_nn", qs[i])
 
             threads = [threading.Thread(target=submit, args=(0,))]
             threads[0].start()
@@ -479,13 +479,13 @@ class TestTracedParity:
             release.set()
             for t in threads:
                 t.join(timeout=5)
-            got = [f.result(timeout=0) for f in futures]
+                assert not t.is_alive()
             assert got == expected
             records = traced.tracer.spans()
         flushes = [r for r in records if r["name"] == "coalesce.flush"]
         waits = [r for r in records if r["name"] == "coalesce.wait"]
         assert sorted(f["attrs"]["batch_size"] for f in flushes) == \
-            [1, len(qs) - 1], "11 queued submits should coalesce into one"
+            [1, len(qs) - 1], "11 queued queries should coalesce into one"
         assert len(waits) == len(qs)
         by_size = {f["attrs"]["batch_size"]: f for f in flushes}
         for w in waits:
@@ -495,7 +495,7 @@ class TestTracedParity:
                 "waiting request is not linked to its flush span"
         assert sorted(w["attrs"]["batch_size"] for w in waits) == \
             [1] + [len(qs) - 1] * (len(qs) - 1)
-        # Every submit is its own trace (one root each), all well-formed.
+        # Every query is its own trace (one root each), all well-formed.
         for records_ in _span_trees(traced.tracer).values():
             _assert_well_formed(records_)
 
@@ -506,18 +506,18 @@ class TestTracedParity:
         qs = _queries(64)
         with index.serve(workers=0) as plain:
             expected = [plain.query("nonzero_nn", q) for q in qs]
-            batch = plain.batch_delta(qs)
+            batch = plain.batch("delta", qs)
         trace = TraceConfig(enabled=True, sample=0.5)
         with index.serve(workers=0, cache_capacity=0, trace=trace) as traced:
             assert [traced.query("nonzero_nn", q) for q in qs] == expected
-            assert np.array_equal(traced.batch_delta(qs), batch)
+            assert np.array_equal(traced.batch("delta", qs), batch)
             started = traced.tracer.snapshot()["traces_started"]
         assert 0 < started < len(qs) + 1
 
     def test_disabled_tracing_records_nothing(self):
         index = _index(8)
         with index.serve(workers=0) as service:
-            service.batch_delta(_queries(16))
+            service.batch("delta", _queries(16))
             service.query("nonzero_nn", (1.0, 1.0))
             assert not service.tracer.enabled
             assert service.tracer.spans() == []
@@ -526,7 +526,7 @@ class TestTracedParity:
     def test_stats_expose_trace_snapshot(self):
         index = _index(8)
         with index.serve(workers=0, trace=True) as service:
-            service.batch_delta(_queries(8))
+            service.batch("delta", _queries(8))
             snap = service.stats()
         assert snap["trace"]["spans_recorded"] > 0
         assert snap["trace"]["sample"] == 1.0
@@ -538,7 +538,7 @@ class TestTracedParity:
                 service.query("delta", q)
             for q in _queries(20, seed=6):
                 service.query("nonzero_nn", q)
-            snap = service.cache.snapshot()
+            snap = service.stats()["cache"]
         assert snap["evictions"] >= 24
         by_kind = snap["evictions_by_kind"]
         assert sum(by_kind.values()) == snap["evictions"]
@@ -641,8 +641,11 @@ class TestHttpTracing:
             port, "GET", f"/debug/traces?format=jsonl&trace_id={rid}")
         assert status == 200
         records = [json.loads(line) for line in raw.splitlines() if line]
-        assert records
         assert all(r["trace_id"] == rid for r in records)
+        # A single is one pass through the service's scalar front door.
+        assert {r["name"] for r in records} >= {
+            "http.request", "service.query", "service.cache",
+            "coalesce.wait", "coalesce.flush", "service.execute"}
         status, _, _, _ = _http(port, "GET", "/debug/traces?format=xml")
         assert status == 400
 
@@ -654,6 +657,8 @@ class TestHttpTracing:
         assert doc["slow_ms"] == 0.0
         assert doc["total"] >= 1
         assert doc["requests"][-1]["slow"] is True
+        assert doc["requests"][-1]["cache_hit"] is False
+        assert "service.query" in doc["requests"][-1]["stages_ms"]
 
     def test_metrics_families(self, traced_server):
         port = traced_server.port

@@ -22,7 +22,7 @@ from repro.core.workloads import random_discrete_points
 
 index = PNNIndex(random_discrete_points(4, 2, seed=3, spread=2.0))
 with index.serve(workers=0) as service:
-    answer = service.quantify_vpr((0.5, 0.5))
+    answer = service.query("quantify_vpr", (0.5, 0.5))
 assert abs(sum(answer.values()) - 1.0) < 1e-9, answer
 print("loaded" if "repro.testing.oracles" in sys.modules else "clean")
 """

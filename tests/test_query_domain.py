@@ -22,6 +22,7 @@ from repro.serving.http import QueryGateway, ServerThread
 from repro.serving.smoke import _http_json
 from repro.spatial.batch import (ABSOLUTE_WINDOW, EXTENT_REACH, MAX_COORD,
                                  check_query_domain, query_window)
+from repro.testing.rungs import on_rung
 from repro.uncertain.discrete import DiscreteUncertainPoint
 from repro.uncertain.disk_uniform import DiskUniformPoint
 
@@ -140,7 +141,7 @@ class TestEngineFailsClosed:
     def test_service_rejects_before_any_work(self, index, far):
         with index.serve(workers=0, cache_capacity=16) as svc:
             with pytest.raises(ValueError, match="domain"):
-                svc.submit("nonzero_nn", (far, 0.0))
+                svc.query("nonzero_nn", (far, 0.0))
             with pytest.raises(ValueError, match="domain"):
                 svc.query("delta", (0.0, far))
             with pytest.raises(ValueError, match=r"queries\[1\]"):
@@ -220,7 +221,7 @@ class TestIntParams:
         with pytest.raises(ValueError, match="k must be an int >= 1"):
             service.canonicalize("top_k", {"k": k})
         with pytest.raises(ValueError, match="k must be"):
-            service.top_k((0.5, 0.5), k=k)
+            service.query("top_k", (0.5, 0.5), k=k)
 
     @pytest.mark.parametrize("seed", [math.nan, "x", 1.0, False, None])
     @pytest.mark.parametrize("kind", ["quantify", "top_k", "threshold_nn"])
@@ -286,24 +287,41 @@ class TestEstimatorMethod:
             assert svc.canonicalize(
                 kind, {"method": "exact"})["method"] == "exact"
 
-    @pytest.mark.parametrize("index,method", [(_discrete, "bogus"),
-                                              (_disks, "spiral"),
-                                              (_disks, "exact")])
-    def test_sharded_bulk_400_leaves_the_backend_alone(self, index, method):
+    # The Eq. (2) kinds serve discrete points only, and quantify_vpr
+    # fans out on the thread rung, so each is checked there too.
+    @pytest.mark.parametrize("index,kind,params,rung", [
+        pytest.param(_discrete, "quantify", {"method": "bogus"}, "process",
+                     id="_discrete-bogus"),
+        pytest.param(_disks, "quantify", {"method": "spiral"}, "process",
+                     id="_disks-spiral"),
+        pytest.param(_disks, "quantify", {"method": "exact"}, "process",
+                     id="_disks-exact"),
+        pytest.param(_disks, "quantify_exact", {}, "process",
+                     id="_disks-quantify_exact"),
+        pytest.param(_disks, "quantify_exact", {}, "thread",
+                     id="_disks-quantify_exact-thread"),
+        pytest.param(_disks, "quantify_vpr", {}, "thread",
+                     id="_disks-quantify_vpr-thread"),
+    ])
+    def test_sharded_bulk_400_leaves_the_backend_alone(self, index, kind,
+                                                       params, rung):
         from repro.serving.http import HttpConfig
 
-        service = index().serve(workers=2, cache_capacity=0)
+        with on_rung(rung) as workers:
+            service = index().serve(workers=workers, cache_capacity=0,
+                                    shard_min_batch=16)
         with service, ServerThread(service, HttpConfig(
                 port=0, warm_kinds=())) as server:
-            mode = service.executor.mode
-            rows = np.random.default_rng(3).uniform(
-                0.0, 10.0, (service.config.shard_min_batch, 2))
-            status, doc, raw, _ = _http_json(
-                server.port, "POST", "/v1/query/quantify",
-                {"queries": rows.tolist(), "params": {"method": method}})
-            assert status == 400, raw[:300]
-            assert "method" in doc["error"]
-            assert service.executor.mode == mode
+            assert service.executor.mode == rung
+            rows = np.random.default_rng(3).uniform(0.0, 10.0, (64, 2))
+            for body in ({"queries": rows.tolist()},
+                         {"q": rows[0].tolist()}):
+                status, doc, raw, _ = _http_json(
+                    server.port, "POST", f"/v1/query/{kind}",
+                    dict(body, params=params))
+                assert status == 400, raw[:300]
+                assert ("method" if params else "discrete") in doc["error"]
+            assert service.executor.mode == rung
             assert not service.executor.degraded
             assert not any(c.get() for c in service.resilience.values())
 
@@ -347,15 +365,16 @@ class TestFloatParams:
         with pytest.raises(ValueError, match="epsilon must be below tau"):
             service.canonicalize("threshold_nn", {"tau": 0.3, "epsilon": eps})
         with pytest.raises(ValueError, match="epsilon must be below tau"):
-            service.threshold_nn((0.5, 0.5), tau=0.3, epsilon=eps)
+            service.query("threshold_nn", (0.5, 0.5), tau=0.3,
+                          epsilon=eps)
 
     def test_rejected_before_admission(self, service):
         before = service.stats()["methods"].get(
             "quantify", {}).get("requests", 0)
         with pytest.raises(ValueError, match="delta"):
-            service.quantify((0.5, 0.5), delta=2.0)
+            service.query("quantify", (0.5, 0.5), delta=2.0)
         with pytest.raises(ValueError, match="epsilon"):
-            service.submit("quantify", (0.5, 0.5), epsilon=0.0)
+            service.batch("quantify", [(0.5, 0.5)], epsilon=0.0)
         assert service.stats()["methods"].get(
             "quantify", {}).get("requests", 0) == before
 

@@ -200,7 +200,7 @@ class TestSharedPlaneServing:
             assert info["plane_encoded"]
             if service.executor.mode == "process":
                 assert info["plane_served"]
-            got = service.batch_quantify_vpr(q)
+            got = service.batch("quantify_vpr", q)
             stats = service.stats()
             assert got == want
         # The parent built V_Pr exactly once, before serving; workers
@@ -223,6 +223,6 @@ class TestSharedPlaneServing:
         with index.serve(workers=2, cache_capacity=0, shard_min_batch=8,
                          shard_chunk=8) as service:
             assert service.plane is None
-            assert service.batch_quantify_vpr(q) == want
+            assert service.batch("quantify_vpr", q) == want
             stats = service.stats()
         assert stats["methods"]["quantify_vpr"]["sharded_calls"] == 0
